@@ -22,9 +22,11 @@ from .errors import (
     BalanceError,
     CskitError,
     DegreeError,
+    EmptySequenceError,
     EnumerationError,
     GraphShapeError,
     MixedCouplingError,
+    ModulusError,
     ParseError,
 )
 from .gbf import (

@@ -38,7 +38,7 @@ from .construct import (
 )
 from .correlation import aacf_report, read_sequences, set_report, write_sequences
 from .errors import BalanceError, CskitError, DegreeError, GraphShapeError, MixedCouplingError, ParseError
-from .gbf import GbfPoly, gbf_to_json, parse_gbf, render_gbf
+from .gbf import GbfPoly, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
 from .graphs import analyze
 
 HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, MixedCouplingError, BalanceError)
@@ -77,12 +77,6 @@ def _parse_int_list(text: str) -> list[int]:
         return [int(part) for part in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"expected a comma-separated list of integers, got {text!r}") from exc
-
-
-def _power_of_two_h(q: int) -> int:
-    if q < 2 or q & (q - 1):
-        raise ParseError(f"modulus must be a power of two >= 2, got {q}")
-    return q.bit_length() - 1
 
 
 # -- verb implementations ---------------------------------------------------------
@@ -170,7 +164,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    h = _power_of_two_h(args.q)
+    h = _require_power_of_two(args.q, "enumerate")
     sizes = tuple(_parse_int_list(args.sizes)) if args.sizes else ()
     polys = codebook.enumerate_codebook(args.family, args.m, h, r=args.r, k=args.k, sizes=sizes)
     if args.count_only:
@@ -281,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="generate a random qualifying polynomial")
     p.add_argument("-m", type=int, required=True, help="number of variables")
     p.add_argument("-k", type=int, required=True, help="number of restricted variables")
-    p.add_argument("--q", type=int, required=True, help="phase modulus (even)")
+    p.add_argument("--q", type=int, required=True, help="phase modulus (power of two)")
     p.add_argument("--groups", help="isolated-group sizes, e.g. '2,1' (default: none, all paths)")
     p.add_argument("--balanced", action="store_true", help="make the isolated couplings balanced")
     p.add_argument("--seed", type=int, required=True, help="RNG seed (results are reproducible)")

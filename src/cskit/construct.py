@@ -29,12 +29,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .correlation import AacfVector, write_sequences
-from .cyclo import CycloValue
+from .cyclo import CycloValue, cyclo_sum
 from .errors import BalanceError, DegreeError, GraphShapeError, ParseError
-from .gbf import GbfPoly, PolyphaseSeq, Restriction, psi
+from .gbf import GbfPoly, PolyphaseSeq, Restriction, _require_power_of_two, psi
 from .graphs import RestrictionProfile, analyze
 
 __all__ = [
@@ -130,19 +132,25 @@ def _endpoint_poly(profile: RestrictionProfile) -> GbfPoly:
     return total
 
 
+def _sparse_aacf(q: int, m: int, peak: int, offpeak: Iterable[tuple[int, CycloValue]] = ()) -> AacfVector:
+    """An autocorrelation that is ``peak`` at shift 0, the given values at the
+    given shifts, and zero everywhere else."""
+    coeffs = np.zeros((1 << m, q // 2), dtype=np.int64)
+    coeffs[0, 0] = peak
+    for tau, value in offpeak:
+        coeffs[tau] = value.coeffs
+    return AacfVector(q, coeffs)
+
+
 def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
     q, m, k = profile.q, profile.m, profile.k
-    L = 1 << m
-    values = [CycloValue.zero(q) for _ in range(L)]
     n = 1 << (k + 2) if doubled else 1 << (k + 1)
-    values[0] = CycloValue.from_int(q, n * L)
+    offpeak = []
     if not doubled:
         for g in profile.groups:
-            total = CycloValue.zero(q)
-            for v in g.l_values:
-                total = total + CycloValue.from_power(q, v)
-            values[1 << g.l] = total.times_power(g.g_l).scale(1 << m)
-    return AacfVector(q, tuple(values))
+            total = cyclo_sum(q, (CycloValue.from_power(q, v) for v in g.l_values))
+            offpeak.append((1 << g.l, total.times_power(g.g_l).scale(1 << m)))
+    return _sparse_aacf(q, m, n << m, offpeak)
 
 
 def _offset_members(f: GbfPoly, profile: RestrictionProfile) -> tuple[GbfPoly, ...]:
@@ -204,15 +212,14 @@ def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restri
                 f"(size {g.size}, {zeros} zeros, {halves} of value q/2) are not half/half"
             )
     base = offset_set(f, profile)
-    predicted = _predicted_aacf(profile, doubled=False)
-    assert predicted.offpeak_is_zero(), "balance must cancel every off-peak term"
+    assert base.predicted.offpeak_is_zero(), "balance must cancel every off-peak term"
     return CsCandidate(
         q=f.q,
         m=f.m,
         members=base.members,
         provenance="balanced",
         pmepr_bound=float(1 << (profile.k + 1)),
-        predicted=predicted,
+        predicted=base.predicted,
         profile=profile,
     )
 
@@ -260,17 +267,13 @@ def golay_pair(f: GbfPoly, add0: int = 0, add1: int = 0) -> tuple[GbfPoly, GbfPo
 
 def golay_candidate(f: GbfPoly, add0: int = 0, add1: int = 0) -> CsCandidate:
     """:func:`golay_pair` wrapped as a size-2 candidate (PMEPR bound 2)."""
-    members = golay_pair(f, add0=add0, add1=add1)
-    L = 1 << f.m
-    values = [CycloValue.zero(f.q) for _ in range(L)]
-    values[0] = CycloValue.from_int(f.q, 2 * L)
     return CsCandidate(
         q=f.q,
         m=f.m,
-        members=members,
+        members=golay_pair(f, add0=add0, add1=add1),
         provenance="golay",
         pmepr_bound=2.0,
-        predicted=AacfVector(f.q, tuple(values)),
+        predicted=_sparse_aacf(f.q, f.m, 2 << f.m),
     )
 
 
@@ -362,9 +365,7 @@ def random_qualifying_gbf(
     half 0 / half q/2 per group.  Returns ``(f, restricted_indices)``; the
     same seed always yields the same instance.
     """
-    h = q.bit_length() - 1
-    if q < 2 or q != 1 << h:
-        raise ValueError(f"modulus must be a power of two >= 2, got {q}")
+    _require_power_of_two(q, "random_qualifying_gbf")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
     sizes = tuple(int(n) for n in group_sizes)

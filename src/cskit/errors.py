@@ -31,3 +31,13 @@ class BalanceError(CskitError, ValueError):
 
 class EnumerationError(CskitError, ValueError):
     """A requested codebook enumeration is malformed or infeasibly large."""
+
+
+class ModulusError(CskitError, ValueError):
+    """A phase modulus is not a power of two >= 2, which polyphase sequences
+    and their exact correlation in Z[omega] require."""
+
+
+class EmptySequenceError(CskitError, ValueError):
+    """A sequence has no live (unmasked) position, so its mean envelope power
+    is zero and no peak-to-mean ratio exists."""

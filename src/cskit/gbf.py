@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ModulusError, ParseError
 
 __all__ = [
     "GbfPoly",
@@ -43,11 +43,10 @@ def _check_modulus(q: int) -> None:
 
 
 def _require_power_of_two(q: int, what: str) -> int:
-    """Return h with q = 2**h, or raise for non-power-of-two moduli."""
-    h = q.bit_length() - 1
-    if q != 1 << h:
-        raise ValueError(f"{what} requires a power-of-two modulus, got q={q}")
-    return h
+    """Return h with q = 2**h, or raise :class:`ModulusError` for any other modulus."""
+    if not isinstance(q, int) or q < 2 or q & (q - 1):
+        raise ModulusError(f"{what} requires a power-of-two modulus >= 2, got q={q!r}")
+    return q.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -357,13 +356,14 @@ class PolyphaseSeq:
 
     ``phases[i]`` is the exponent of ``omega = exp(2*pi*1j/q)`` at position
     ``i``; where ``mask`` is False the entry is the complex number 0 (used for
-    restricted sequences, which keep their original positions).
+    restricted sequences, which keep their original positions).  ``q`` must
+    be a power of two, as exact correlation in Z[omega] requires.
     """
 
     __slots__ = ("q", "phases", "mask")
 
     def __init__(self, q: int, phases: np.ndarray | Sequence[int], mask: np.ndarray | None = None):
-        _check_modulus(q)
+        _require_power_of_two(q, "a polyphase sequence")
         self.q = q
         self.phases = np.asarray(phases, dtype=np.int64) % q
         if self.phases.ndim != 1:
@@ -384,8 +384,8 @@ class PolyphaseSeq:
 
     def complex_values(self) -> np.ndarray:
         """The sequence as complex values (masked entries are exactly 0)."""
-        omega = np.exp(2j * np.pi / self.q)
-        return np.where(self.mask, omega ** self.phases, 0.0)
+        roots = np.exp(2j * np.pi * np.arange(self.q) / self.q)
+        return np.where(self.mask, roots[self.phases], 0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyphaseSeq):

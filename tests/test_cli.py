@@ -182,3 +182,12 @@ def test_parser_help_lists_verbs():
     text = parser.format_help()
     for verb in ("analyze", "construct", "verify", "pmepr", "random", "enumerate", "tables"):
         assert verb in text
+
+
+@pytest.mark.parametrize("verb", ["verify", "pmepr"])
+def test_non_power_of_two_modulus_exit_2(tmp_path, capsys, verb):
+    seq_file = tmp_path / "q6.txt"
+    seq_file.write_text("0 1 2 3\n0 1 5 3\n")
+    code, out, err = run(capsys, verb, str(seq_file), "--q", "6")
+    assert code == 2
+    assert not out and "ModulusError" in err

@@ -1,11 +1,14 @@
 """Correlation, PMEPR and distance checks against small hand-computable cases."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from cskit import (
+    EmptySequenceError,
+    ModulusError,
     ParseError,
     aacf,
     aacf_report,
@@ -24,6 +27,7 @@ from cskit import (
     set_report,
     write_sequences,
 )
+from cskit import correlation
 from cskit.cyclo import CycloValue
 from cskit.gbf import PolyphaseSeq
 
@@ -165,3 +169,100 @@ def test_read_sequences_errors():
         read_sequences("0 1 5\n", 4)            # symbol out of range
     with pytest.raises(ParseError):
         read_sequences("# only comments\n", 4)  # no sequences at all
+
+
+def _masked_set(q, L, n, seed):
+    rng = np.random.default_rng(seed)
+    return [PolyphaseSeq(q, rng.integers(0, q, L), rng.random(L) < 0.8) for _ in range(n)]
+
+
+@pytest.fixture
+def shift_loop_calls(monkeypatch):
+    """Counts the calls of the exact shift loop."""
+    calls = []
+    loop = correlation._corr_coeff_matrix
+
+    def counted(a, b):
+        calls.append(len(a))
+        return loop(a, b)
+
+    monkeypatch.setattr(correlation, "_corr_coeff_matrix", counted)
+    return calls
+
+
+def test_fft_core_takes_no_fallback_when_proven(shift_loop_calls):
+    seqs = _masked_set(8, 64, 5, seed=1)
+    set_aacf(seqs)
+    cross_corr(seqs[0], seqs[1])
+    assert shift_loop_calls == []
+
+
+def test_fft_core_falls_back_over_the_size_limit(monkeypatch, shift_loop_calls):
+    seqs = _masked_set(8, 64, 5, seed=2)
+    want = set_aacf(seqs)
+    monkeypatch.setattr(correlation, "FFT_SIZE_LIMIT", 0)
+    got = set_aacf(seqs)
+    assert shift_loop_calls == [64] * 5
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "entry, delta",
+    [((3, 1), 0.3), ((0, 0), 1.0)],  # fails the rounding margin; rounds cleanly but breaks row 0
+    ids=["rounding-margin", "row-0"],
+)
+def test_fft_core_falls_back_on_a_perturbed_estimate(monkeypatch, shift_loop_calls, entry, delta):
+    seqs = _masked_set(4, 32, 3, seed=3)
+    want = sum(correlation._corr_coeff_matrix(s, s) for s in seqs)
+    shift_loop_calls.clear()
+    estimate = correlation._fft_coeffs
+
+    def perturbed(pairs, q, L):
+        out = estimate(pairs, q, L)
+        out[entry] += delta
+        return out
+
+    monkeypatch.setattr(correlation, "_fft_coeffs", perturbed)
+    got = set_aacf(seqs)
+    assert shift_loop_calls == [32] * 3
+    assert np.array_equal(got.coeffs, want)
+
+
+def _fft_error_bound(n, L, q):
+    """The a-priori coefficient error bound B of the correlation module docstring."""
+    u = 2.0**-53
+    gamma4 = 4 * u / (1 - 4 * u)
+    eta = u + gamma4 * (math.sqrt(2) + u)
+
+    def eps(size):
+        k = max(1, (size - 1).bit_length()) * eta
+        return k / (1 - k)
+
+    N = 1 << (2 * L - 2).bit_length()
+    return 1.01 * n * L * (eps(N) * (math.sqrt(L) + 2) + eps(q // 2) + (n + 64) * u)
+
+
+def test_fft_size_limit_meets_the_error_bound():
+    limit = correlation.FFT_SIZE_LIMIT
+    for log_l in range(limit.bit_length()):
+        L = 1 << log_l
+        assert _fft_error_bound(limit // L, L, 1 << 63) < 0.13
+    assert _fft_error_bound(64, 1 << 12, 8) < 1e-6  # 64 sequences of length 2^12
+
+
+def test_pmepr_all_masked_is_a_typed_error():
+    dead = PolyphaseSeq(4, (0, 1, 2, 3), np.zeros(4, dtype=bool))
+    with pytest.raises(EmptySequenceError):
+        pmepr(dead)
+    with pytest.raises(EmptySequenceError):
+        pmepr_autocorr_bound(dead)
+    assert issubclass(EmptySequenceError, ValueError)
+
+
+def test_sequences_need_a_power_of_two_modulus():
+    for q in (6, 12, 0, 1):
+        with pytest.raises(ModulusError):
+            PolyphaseSeq(q, (0, 1, 2, 3))
+    with pytest.raises(ModulusError):
+        read_sequences("0 1 2 3\n0 1 5 3\n", 6)
+    assert issubclass(ModulusError, ValueError)

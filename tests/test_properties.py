@@ -10,12 +10,15 @@ Four suites, each budgeted at 1000 generated cases:
 
 A counter records how many cases each suite actually executed; the final
 test pins the totals so a silently-shrunk search would fail loudly.
+
+A fifth suite checks the FFT correlation core against the exact shift loop.
 """
 
 from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cskit import (
     CycloValue,
@@ -29,7 +32,9 @@ from cskit import (
     pmepr_autocorr_bound,
     psi,
     psi_restricted,
+    set_aacf,
 )
+from cskit.correlation import _corr_coeff_matrix, _fft_coeffs
 
 CASES = Counter()
 
@@ -156,6 +161,36 @@ def test_pmepr_sandwich_and_refinement(a):
     assert coarse >= 1.0 - 1e-9
     assert fine >= coarse - 1e-12  # the coarse grid is a subset of the fine one
     assert fine <= bound + 1e-9
+
+
+@st.composite
+def masked_set(draw):
+    """One to eight masked sequences sharing a modulus and a length."""
+    q = draw(st.sampled_from([2, 4, 8, 16]))
+    L = draw(st.integers(1, 80))
+    n = draw(st.integers(1, 8))
+    seqs = []
+    for _ in range(n):
+        phases = draw(arrays(np.int64, L, elements=st.integers(0, q - 1)))
+        mask = draw(arrays(bool, L) | st.just(np.ones(L, dtype=bool)))
+        seqs.append(PolyphaseSeq(q, phases, mask))
+    return seqs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(masked_set())
+def test_fft_core_matches_the_shift_loop(seqs):
+    """The FFT estimate is within the rounding margin of the exact matrices,
+    and cross_corr, aacf and set_aacf return those matrices."""
+    a, b = seqs[0], seqs[-1]
+    q, L = a.q, len(a)
+    autos = [_corr_coeff_matrix(s, s) for s in seqs]
+    exact_set, exact_cross = sum(autos), _corr_coeff_matrix(a, b)
+    assert np.abs(_fft_coeffs([(s, s) for s in seqs], q, L) - exact_set).max() < 0.25
+    assert np.abs(_fft_coeffs([(a, b)], q, L) - exact_cross).max() < 0.25
+    assert np.array_equal(set_aacf(seqs).coeffs, exact_set)
+    assert np.array_equal(aacf(a).coeffs, autos[0])
+    assert np.array_equal(cross_corr(a, b).coeffs, exact_cross)
 
 
 def test_case_totals():
