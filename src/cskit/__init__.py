@@ -28,6 +28,7 @@ from .errors import (
     MixedCouplingError,
     ModulusError,
     ParseError,
+    SizeLimitError,
 )
 from .gbf import (
     GbfPoly,

@@ -18,11 +18,13 @@ Three kinds of results live here:
   counted polynomials, so the closed forms can be confronted with brute
   force;
 * exhaustive minimum-distance computation for the bounded-effective-degree
-  code (:func:`erm_min_distances`), by direct streaming enumeration when the
-  code is small enough and otherwise by an exhaustive per-stratum argument
-  (every codeword is 2^i times a polynomial with an odd coefficient; the
-  binary residue is a Reed–Muller word, enumerated in full, and explicit
-  monomial witnesses attain the resulting bound).
+  code (:func:`erm_min_distances`), by direct enumeration when the code is
+  small enough — codewords held as packed bit planes, one per bit of the
+  symbol, with symbol counts taken by popcount — and otherwise by an
+  exhaustive per-stratum argument (every codeword is 2^i times a polynomial
+  with an odd coefficient; the binary residue is a Reed–Muller word,
+  enumerated in full, and explicit monomial witnesses attain the resulting
+  bound).
 
 Printed rate tables from the literature are embedded as fixtures with their
 original spellings; :func:`golden_report` confronts them entry by entry with
@@ -271,61 +273,101 @@ def erm_distance_formulas(r: int, m: int, h: int) -> tuple[int, float]:
 
 
 def rm_min_weight(r: int, m: int) -> int:
-    """Exhaustive minimum weight of the binary Reed–Muller code RM(r, m)."""
+    """Exhaustive minimum weight of the binary Reed–Muller code RM(r, m).
+
+    Refuses (:class:`EnumerationError`) before allocating anything when the
+    dimension sum_{d <= r} C(m, d) exceeds 17.
+    """
     if r < 0:
         return 1 << m  # no nonzero codewords below degree 0; weight of 'all ones' never applies
     r = min(r, m)
-    idx = np.arange(1 << m, dtype=np.int64)
-    cols = [((idx & mask) == mask).astype(np.uint8) for mask in range(1 << m) if mask.bit_count() <= r]
-    span = np.zeros((1, 1 << m), dtype=np.uint8)
-    for col in cols:
-        span = np.concatenate([span, span ^ col[None, :]])
-        if len(span) > 1 << 17:
-            raise EnumerationError("Reed–Muller code too large for exhaustive weights")
-    weights = span.sum(axis=1)
-    return int(weights[weights > 0].min())
+    if sum(math.comb(m, d) for d in range(r + 1)) > 17:
+        raise EnumerationError("Reed–Muller code too large for exhaustive weights")
+    return _min_weights_direct(_f_generators(r, m, 1), 2, m)[0]
 
 
 def _euclid_table(q: int) -> np.ndarray:
     return 4.0 * np.sin(np.pi * np.arange(q) / q) ** 2
 
 
-def _min_weights_direct(gens: list[tuple[int, int, int]], q: int, m: int, chunk_log2: int = 21) -> tuple[int, float]:
-    """Stream every nonzero span element of the generators, tracking minimum
-    Lee and squared Euclidean weights.  Exact and exhaustive."""
+# A prefix block holds at most 2^16 codewords and 2^24 symbols (one byte each
+# for q <= 256), so it stays within 16 MiB before packing.
+_BLOCK_WORDS = 1 << 16
+_BLOCK_SYMBOLS = 1 << 24
+
+
+def _bit_planes(words: np.ndarray, h: int, word: np.dtype) -> np.ndarray:
+    """(h, B, W) bit planes of a (B, L) symbol array: bit b of every symbol,
+    packed little-endian into W words of ``word`` per row."""
+    return np.stack(
+        [np.packbits((words >> b) & 1, axis=-1, bitorder="little").view(word) for b in range(h)]
+    )
+
+
+def _span_weights(gens: list[tuple[int, int, int]], q: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Lee and squared Euclidean weights of every span element of the
+    generators (the zero word included), one block of codewords at a time.
+
+    A prefix block of codewords is packed once into h = log2 q bit planes;
+    each combination of the remaining (outer) generators is a constant word
+    added to every row by a ripple-carry adder on the planes (the carry out
+    of the top plane is the reduction mod q).  Per codeword, the count of
+    each nonzero symbol a is the popcount of the AND of the planes or their
+    complements selected by the bits of a, so the weights are exact integer
+    histograms times the Lee and Euclidean symbol tables.
+    """
+    h = q.bit_length() - 1
     L = 1 << m
+    sym = np.min_scalar_type(q - 1)
+    word = np.dtype(f"u{max(1, min(L, 64) // 8)}")
     idx = np.arange(L, dtype=np.int64)
-    cols = {mask: ((idx & mask) == mask).astype(np.int16) for mask, _, _ in gens}
+    cols = {mask: ((idx & mask) == mask).astype(sym) for mask, _, _ in gens}
     order = sorted(gens, key=lambda g: g[2], reverse=True)
+    limit = max(1, min(_BLOCK_WORDS, _BLOCK_SYMBOLS // L))
     prefix: list[tuple[int, int, int]] = []
     size = 1
     for g in order:
-        if size * g[2] > 1 << chunk_log2:
+        if size * g[2] > limit:
             break
         prefix.append(g)
         size *= g[2]
     outer = order[len(prefix) :]
-    block = np.zeros((1, L), dtype=np.int16)
+    block = np.zeros((1, L), dtype=sym)
     for mask, step, count in prefix:
-        mults = (np.arange(count, dtype=np.int16) * step) % q
-        block = (block[:, None, :] + mults[None, :, None] * cols[mask][None, None, :]).reshape(-1, L) % q
-    etab = _euclid_table(q)
-    best_lee = None
-    best_euc = None
+        mults = np.arange(count, dtype=sym) * step  # count * step == q
+        block = (block[:, None, :] + mults[None, :, None] * cols[mask]).reshape(-1, L) & (q - 1)
+    planes = _bit_planes(block, h, word)
+    del block
+    lee_tab = np.minimum(np.arange(1, q), q - np.arange(1, q))
+    etab = _euclid_table(q)[1:]
     for combo in itertools.product(*(range(cnt) for _, _, cnt in outer)):
-        offset = np.zeros(L, dtype=np.int16)
+        offset = np.zeros((1, L), dtype=sym)
         for (mask, step, _), a in zip(outer, combo):
             offset += (a * step) * cols[mask]
-        v = (block + offset) % q
-        nz = v.any(axis=1)
-        if not nz.any():
-            continue
-        lee = np.minimum(v, q - v).sum(axis=1, dtype=np.int64)
-        lee_min = int(lee[nz].min())
-        euc_min = float(etab[v].sum(axis=1)[nz].min())
-        best_lee = lee_min if best_lee is None else min(best_lee, lee_min)
-        best_euc = euc_min if best_euc is None else min(best_euc, euc_min)
-    assert best_lee is not None, "span contained only the zero polynomial"
+        ys = _bit_planes(offset & (q - 1), h, word)
+        digits = [planes[0] ^ ys[0]]
+        carry = planes[0] & ys[0]
+        for x, y in zip(planes[1:], ys[1:]):
+            s = x ^ y
+            digits.append(s ^ carry)
+            carry = (x & y) | (carry & s)
+        # sel[a] marks the positions holding symbol a, built one plane at a time
+        sel = [~digits[0], digits[0]]
+        for d in digits[1:]:
+            sel = [t & ~d for t in sel] + [t & d for t in sel]
+        hist = np.bitwise_count(np.stack(sel[1:], axis=-1)).sum(axis=-2, dtype=np.int64)
+        yield hist @ lee_tab, hist @ etab
+
+
+def _min_weights_direct(gens: list[tuple[int, int, int]], q: int, m: int) -> tuple[int, float]:
+    """Visit every nonzero span element of the generators, tracking minimum
+    Lee and squared Euclidean weights.  Exact and exhaustive."""
+    best_lee, best_euc = q << m, math.inf  # above every weight of a length-2^m word
+    for lee, euc in _span_weights(gens, q, m):
+        nz = lee > 0  # only the zero codeword has Lee weight 0
+        best_lee = int(lee.min(where=nz, initial=best_lee))
+        best_euc = float(euc.min(where=nz, initial=best_euc))
+    assert best_lee < q << m, "span contained only the zero polynomial"
     return best_lee, best_euc
 
 
@@ -370,7 +412,10 @@ def erm_min_distances(r: int, m: int, h: int, method: str = "auto") -> tuple[int
     effective-degree-<= r polynomials on m variables over Z_{2^h}.
 
     The code is linear, so distances equal minimum nonzero weights.  With
-    ``method="direct"`` every codeword is enumerated (streamed in chunks);
+    ``method="direct"`` every codeword is enumerated: a prefix block of
+    codewords is packed into bit planes once, every combination of the other
+    generators is added to it by a bit-sliced ripple-carry adder, and the
+    weights come from popcount symbol histograms;
     ``"layered"`` uses the per-stratum exhaustion described in the module
     docstring; ``"auto"`` enumerates directly up to 2^24 codewords and layers
     beyond that.

@@ -36,7 +36,7 @@ import numpy as np
 from .correlation import AacfVector, write_sequences
 from .cyclo import CycloValue, cyclo_sum
 from .errors import BalanceError, DegreeError, GraphShapeError, ParseError
-from .gbf import GbfPoly, PolyphaseSeq, Restriction, _require_power_of_two, psi
+from .gbf import GbfPoly, PolyphaseSeq, Restriction, _require_power_of_two, _require_value_vector_size, psi
 from .graphs import RestrictionProfile, analyze
 
 __all__ = [
@@ -135,6 +135,7 @@ def _endpoint_poly(profile: RestrictionProfile) -> GbfPoly:
 def _sparse_aacf(q: int, m: int, peak: int, offpeak: Iterable[tuple[int, CycloValue]] = ()) -> AacfVector:
     """An autocorrelation that is ``peak`` at shift 0, the given values at the
     given shifts, and zero everywhere else."""
+    _require_value_vector_size(m)
     coeffs = np.zeros((1 << m, q // 2), dtype=np.int64)
     coeffs[0, 0] = peak
     for tau, value in offpeak:

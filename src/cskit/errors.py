@@ -41,3 +41,8 @@ class ModulusError(CskitError, ValueError):
 class EmptySequenceError(CskitError, ValueError):
     """A sequence has no live (unmasked) position, so its mean envelope power
     is zero and no peak-to-mean ratio exists."""
+
+
+class SizeLimitError(CskitError, ValueError):
+    """A dense array the request needs, such as the 2^m-entry value vector of
+    a polynomial on m variables, exceeds the toolkit's documented size limit."""

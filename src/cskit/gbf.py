@@ -22,9 +22,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModulusError, ParseError
+from .errors import ModulusError, ParseError, SizeLimitError
 
 __all__ = [
+    "MAX_VALUE_VECTOR_M",
     "GbfPoly",
     "Restriction",
     "PolyphaseSeq",
@@ -35,6 +36,19 @@ __all__ = [
     "psi",
     "psi_restricted",
 ]
+
+
+# Largest m whose 2^m-entry value vector is built.  At m = 24 the build peaks
+# near three int64 arrays of 2^24 entries (384 MiB), and a 2^24-symbol
+# sequence is the longest the exact FFT correlation core certifies for a pair
+# of sequences (n*L <= 2^25); longer ones fall back to the O(L^2) shift loop.
+MAX_VALUE_VECTOR_M = 24
+
+
+def _require_value_vector_size(m: int) -> None:
+    """Raise :class:`SizeLimitError` when 2^m entries exceed the limit."""
+    if m > MAX_VALUE_VECTOR_M:
+        raise SizeLimitError(f"a sequence of 2^{m} entries exceeds the limit of 2^{MAX_VALUE_VECTOR_M}")
 
 
 def _check_modulus(q: int) -> None:
@@ -235,7 +249,12 @@ class GbfPoly:
         return total % self.q
 
     def value_vector(self) -> np.ndarray:
-        """All ``2^m`` values ``f(0) .. f(2^m - 1)`` as an int64 array."""
+        """All ``2^m`` values ``f(0) .. f(2^m - 1)`` as an int64 array.
+
+        Raises :class:`SizeLimitError`, before allocating, when m exceeds
+        :data:`MAX_VALUE_VECTOR_M`.
+        """
+        _require_value_vector_size(self.m)
         idx = np.arange(1 << self.m, dtype=np.int64)
         total = np.zeros(1 << self.m, dtype=np.int64)
         for tm, c in self.terms:

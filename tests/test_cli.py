@@ -191,3 +191,12 @@ def test_non_power_of_two_modulus_exit_2(tmp_path, capsys, verb):
     code, out, err = run(capsys, verb, str(seq_file), "--q", "6")
     assert code == 2
     assert not out and "ModulusError" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oversized_domain_exit_2(capsys, fmt):
+    # a Golay path on 64 variables parses, but its 2^64-entry sequence is refused
+    path = " + ".join(f"x{i}*x{i + 1}" for i in range(63))
+    code, out, err = run(capsys, "construct", "--gbf", f"q=2;m=64; {path}", "--type", "golay", "--format", fmt)
+    assert code == 2
+    assert not out and "SizeLimitError" in err

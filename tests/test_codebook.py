@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -194,6 +195,25 @@ def test_rm_min_weight():
     assert rm_min_weight(1, 3) == 4
     assert rm_min_weight(2, 4) == 4
     assert rm_min_weight(3, 3) == 1
+    assert rm_min_weight(2, 5) == 8  # dimension 16, just under the refusal point
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: rm_min_weight(1, 17), lambda: rm_min_weight(3, 20), lambda: erm_min_distances(2, 20, 1)],
+    ids=["rm-1-17", "rm-3-20", "erm-layered-2-20-1"],
+)
+def test_rm_min_weight_refuses_before_allocating(call):
+    # dimensions 18 and 1351: refused from the dimension alone, with no
+    # 2^m-column or span array built first
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("r,m,h", [(1, 3, 1), (2, 3, 2), (1, 4, 2), (2, 4, 1)])
@@ -208,7 +228,8 @@ def test_erm_min_distances_methods_agree(r, m, h):
 
 @pytest.mark.slow
 def test_erm_min_distances_direct_large():
-    # 2^26-word code, streamed in prefix blocks
+    # 2^26-word code: a 2^16-word prefix block packed into bit planes, with
+    # each of the 2^10 outer combinations added by the ripple-carry adder
     direct = erm_min_distances(2, 4, 2, "direct")
     formulas = erm_distance_formulas(2, 4, 2)
     assert direct[0] == formulas[0]

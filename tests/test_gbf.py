@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cskit import GbfPoly, ParseError, PolyphaseSeq, Restriction, psi, psi_restricted
-from cskit.gbf import gbf_from_json, gbf_to_json, parse_gbf, render_gbf
+from cskit import GbfPoly, ParseError, PolyphaseSeq, Restriction, SizeLimitError, psi, psi_restricted
+from cskit.gbf import MAX_VALUE_VECTOR_M, gbf_from_json, gbf_to_json, parse_gbf, render_gbf
 
 
 def test_parse_render_roundtrip():
@@ -133,3 +135,19 @@ def test_json_roundtrip():
     # terms are sorted by (degree, mask) for deterministic output
     degrees = [len(t["vars"]) for t in blob["terms"]]
     assert degrees == sorted(degrees)
+
+
+@pytest.mark.parametrize("m", [MAX_VALUE_VECTOR_M + 1, 64])
+def test_value_vector_size_limit_refuses_before_allocating(m):
+    # parsing and algebra stay symbolic; only the 2^m-entry vector is refused
+    f = parse_gbf(f"q=4;m={m}; x0*x{m - 1} + 2*x1")
+    assert f(0b11) == 2
+    tracemalloc.start()
+    try:
+        for build in (f.value_vector, lambda: psi(f), lambda: psi_restricted(f, Restriction.assign([0], 1))):
+            with pytest.raises(SizeLimitError):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -11,10 +11,13 @@ Four suites, each budgeted at 1000 generated cases:
 A counter records how many cases each suite actually executed; the final
 test pins the totals so a silently-shrunk search would fail loudly.
 
-A fifth suite checks the FFT correlation core against the exact shift loop.
+A fifth suite checks the FFT correlation core against the exact shift loop,
+and a sixth the bit-sliced minimum-distance kernel against brute force.
 """
 
+import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,7 @@ from cskit import (
     psi_restricted,
     set_aacf,
 )
+from cskit import codebook
 from cskit.correlation import _corr_coeff_matrix, _fft_coeffs
 
 CASES = Counter()
@@ -191,6 +195,61 @@ def test_fft_core_matches_the_shift_loop(seqs):
     assert np.array_equal(set_aacf(seqs).coeffs, exact_set)
     assert np.array_equal(aacf(a).coeffs, autos[0])
     assert np.array_equal(cross_corr(a, b).coeffs, exact_cross)
+
+
+def naive_weights(gens, q, m):
+    """Lee and squared Euclidean weights of every span element, one codeword
+    at a time."""
+    idx = np.arange(1 << m)
+    cols = [((idx & mask) == mask).astype(np.int64) for mask, _, _ in gens]
+    etab = 4.0 * np.sin(np.pi * np.arange(q) / q) ** 2
+    lees, eucs = [], []
+    for combo in itertools.product(*(range(count) for _, _, count in gens)):
+        v = np.zeros(1 << m, dtype=np.int64)
+        for (_, step, _), a, col in zip(gens, combo, cols):
+            v += a * step * col
+        v %= q
+        lees.append(int(np.minimum(v, q - v).sum()))
+        eucs.append(float(etab[v].sum()))
+    return np.array(lees), np.array(eucs)
+
+
+@st.composite
+def generator_subset(draw):
+    """A random subset of the generators of F(r, m, h), at most 2^9 words,
+    and a prefix-block size that splits it into block and outer combinations."""
+    h = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 7))
+    r = draw(st.integers(0, m))
+    gens = codebook._f_generators(r, m, h)
+    chosen = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens), unique=True))
+    kept, size = [], 1
+    for g in chosen:
+        if size * g[2] <= 1 << 9:
+            kept.append(g)
+            size *= g[2]
+    block_words = draw(st.sampled_from([1, 2, 8, 64, 1 << 16]))
+    return kept, 1 << h, m, block_words
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(generator_subset())
+def test_bit_sliced_min_weights_match_brute_force(case):
+    """Lee weights agree exactly and squared Euclidean ones within 1e-9, for
+    L < 64 (padded words), one 64-bit word (m = 6) and two (m = 7): every
+    weight, and the minimum nonzero ones."""
+    gens, q, m, block_words = case
+    with mock.patch.object(codebook, "_BLOCK_WORDS", block_words):
+        blocks = list(codebook._span_weights(gens, q, m))
+        lee, euc = codebook._min_weights_direct(gens, q, m)
+    want_lee, want_euc = naive_weights(gens, q, m)
+    # the whole weight distribution, so that an adder fault shows even where
+    # it misses the minimum
+    assert np.array_equal(np.sort(np.concatenate([b[0] for b in blocks])), np.sort(want_lee))
+    np.testing.assert_allclose(np.sort(np.concatenate([b[1] for b in blocks])), np.sort(want_euc), rtol=0, atol=1e-9)
+    nonzero = want_lee > 0
+    assert lee == want_lee[nonzero].min()
+    assert abs(euc - want_euc[nonzero].min()) <= 1e-9
 
 
 def test_case_totals():
