@@ -10,8 +10,8 @@ The package is organised by task:
 * :mod:`cskit.graphs` — coupling graphs of restricted polynomials and the
   shape analysis the constructions depend on;
 * :mod:`cskit.construct` — the complementary-set constructions (offset,
-  balanced, doubled, pairs, quadratic and path-restriction sets) plus a
-  seeded generator of qualifying polynomials;
+  balanced, doubled and path-restriction sets, the last with Golay pairs as
+  its k = 0 case) plus a seeded generator of qualifying polynomials;
 * :mod:`cskit.codebook` — codebook sizes, rates, enumerators, minimum
   distances and the printed-table comparison report;
 * :mod:`cskit.cli` — the ``cskit`` command-line tool.
@@ -66,13 +66,11 @@ from .construct import (
     cs_meta_from_text,
     cs_to_text,
     doubled_cs,
-    golay_candidate,
     golay_pair,
     indicator_poly,
     offset_set,
     path_quadratic,
     path_restriction_cs,
-    quadratic_cs,
     random_qualifying_gbf,
     standard_golay_gbfs,
 )

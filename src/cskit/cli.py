@@ -3,10 +3,14 @@
 Verbs:
 
 * ``analyze``    — restriction-structure report of a polynomial
-* ``construct``  — build a complementary set from a polynomial
+* ``construct``  — build a complementary set from a polynomial: the offset
+  family, its balanced or doubled refinement, the all-paths
+  (path-restriction) set, or the Golay pair (the path-restriction set with
+  no restricted variable)
 * ``verify``     — check a sequence file for the complementary-set property
 * ``pmepr``      — aperiodic-autocorrelation / PMEPR report per sequence
-* ``random``     — generate a random qualifying polynomial (seeded)
+* ``random``     — generate a random qualifying polynomial (seeded), and
+  optionally build one of the ``construct`` sets from it
 * ``enumerate``  — list the members of a codebook family
 * ``tables``     — codebook-rate table (CSV) or golden comparison report
 
@@ -30,18 +34,33 @@ from .construct import (
     cs_meta_from_text,
     cs_to_text,
     doubled_cs,
-    golay_candidate,
     offset_set,
     path_restriction_cs,
-    quadratic_cs,
     random_qualifying_gbf,
 )
 from .correlation import aacf_report, read_sequences, set_report, write_sequences
 from .errors import BalanceError, CskitError, DegreeError, GraphShapeError, MixedCouplingError, ParseError
 from .gbf import GbfPoly, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
-from .graphs import analyze
+from .graphs import RestrictionProfile, analyze
 
 HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, MixedCouplingError, BalanceError)
+
+
+def _golay(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()):
+    """The path-restriction set with no restricted variable: a Golay pair."""
+    if restricted or (profile is not None and profile.k):
+        raise ParseError("golay restricts no variable (it uses the whole path)")
+    return path_restriction_cs(f, profile)
+
+
+# the constructions of ``construct --type`` and ``random --construct``
+BUILDERS = {
+    "offset": offset_set,
+    "balanced": balanced_cs,
+    "doubled": doubled_cs,
+    "golay": _golay,
+    "path-restriction": path_restriction_cs,
+}
 
 
 def _read_text(path: str) -> str:
@@ -91,24 +110,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     f = _load_gbf(args)
-    restricted = args.restrict or []
-    kind = args.type
-    if kind == "golay":
-        if restricted:
-            raise ParseError("golay takes no --restrict (it uses the whole path)")
-        cand = golay_candidate(f, add0=args.add0, add1=args.add1)
-    elif kind == "offset":
-        cand = offset_set(f, restricted=restricted)
-    elif kind == "balanced":
-        cand = balanced_cs(f, restricted=restricted)
-    elif kind == "doubled":
-        cand = doubled_cs(f, restricted=restricted)
-    elif kind == "quadratic":
-        cand = quadratic_cs(f, restricted)
-    elif kind == "path-restriction":
-        cand = path_restriction_cs(f, restricted)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown construction {kind!r}")
+    cand = BUILDERS[args.type](f, restricted=args.restrict or [])
     if args.format == "json":
         _dump_json(cand.to_json(), args.out)
     else:
@@ -156,8 +158,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
         "profile": profile.to_json(),
     }
     if args.construct:
-        builder = {"offset": offset_set, "balanced": balanced_cs, "doubled": doubled_cs}[args.construct]
-        cand = builder(f, profile)
+        cand = BUILDERS[args.construct](f, profile)
         out["construction"] = cand.to_json()
     _dump_json(out, args.out)
     return 0
@@ -251,11 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--type",
         default="offset",
-        choices=["offset", "balanced", "doubled", "golay", "quadratic", "path-restriction"],
+        choices=list(BUILDERS),
         help="construction to apply (default: offset)",
     )
-    p.add_argument("--add0", type=int, default=0, help="constant added to the first golay member")
-    p.add_argument("--add1", type=int, default=0, help="constant added to the second golay member")
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_construct)
 
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", help="isolated-group sizes, e.g. '2,1' (default: none, all paths)")
     p.add_argument("--balanced", action="store_true", help="make the isolated couplings balanced")
     p.add_argument("--seed", type=int, required=True, help="RNG seed (results are reproducible)")
-    p.add_argument("--construct", choices=["offset", "balanced", "doubled"], help="also build this set")
+    p.add_argument("--construct", choices=list(BUILDERS), help="also build this set")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_random)
 

@@ -417,13 +417,14 @@ def erm_min_distances(r: int, m: int, h: int, method: str = "auto") -> tuple[int
     generators is added to it by a bit-sliced ripple-carry adder, and the
     weights come from popcount symbol histograms;
     ``"layered"`` uses the per-stratum exhaustion described in the module
-    docstring; ``"auto"`` enumerates directly up to 2^24 codewords and layers
-    beyond that.
+    docstring; ``"auto"`` enumerates directly when the code has at most 2^24
+    codewords and at most 2^28 symbols in all (codewords times length 2^m),
+    and layers beyond that.
     """
     if method not in ("auto", "direct", "layered"):
         raise ValueError(f"unknown method {method!r}")
     s = log2_f_count(r, m, h)
-    if method == "layered" or (method == "auto" and s > 24):
+    if method == "layered" or (method == "auto" and (s > 24 or s + m > 28)):
         return _min_weights_layered(r, m, h)
     return _min_weights_direct(_f_generators(r, m, h), 1 << h, m)
 

@@ -16,9 +16,10 @@ vertex), with exactly predictable values.  Three refinements are provided:
 * :func:`doubled_cs` — adjoining the same family shifted by
   (q/2) * sum of the isolated vertices always yields a complementary
   multiset of 2^{k+2} sequences;
-* specializations (:func:`golay_pair`, :func:`quadratic_cs`,
-  :func:`path_restriction_cs`) that recover classical pair and set
-  constructions as the all-paths case.
+* :func:`path_restriction_cs` — the all-paths case (no isolated vertex),
+  which is the complementary set of Paterson (2000) and Schmidt (2007),
+  and for k = 0 the Golay pair of Davis & Jedwab (1999)
+  (:func:`golay_pair`).
 
 Every candidate records the exact predicted correlation alongside its
 members, so callers can confront prediction with brute-force measurement.
@@ -28,14 +29,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .correlation import AacfVector, write_sequences
 from .cyclo import CycloValue, cyclo_sum
-from .errors import BalanceError, DegreeError, GraphShapeError, ParseError
+from .errors import BalanceError, GraphShapeError, ParseError
 from .gbf import GbfPoly, PolyphaseSeq, Restriction, _require_power_of_two, _require_value_vector_size, psi
 from .graphs import RestrictionProfile, analyze
 
@@ -46,11 +47,9 @@ __all__ = [
     "offset_set",
     "balanced_cs",
     "doubled_cs",
-    "golay_pair",
-    "golay_candidate",
-    "standard_golay_gbfs",
-    "quadratic_cs",
     "path_restriction_cs",
+    "golay_pair",
+    "standard_golay_gbfs",
     "random_qualifying_gbf",
     "cs_to_text",
     "cs_meta_from_text",
@@ -92,7 +91,7 @@ class CsCandidate:
     provenance: str
     pmepr_bound: float
     predicted: AacfVector
-    profile: RestrictionProfile | None = None
+    profile: RestrictionProfile
 
     @property
     def size(self) -> int:
@@ -132,26 +131,18 @@ def _endpoint_poly(profile: RestrictionProfile) -> GbfPoly:
     return total
 
 
-def _sparse_aacf(q: int, m: int, peak: int, offpeak: Iterable[tuple[int, CycloValue]] = ()) -> AacfVector:
-    """An autocorrelation that is ``peak`` at shift 0, the given values at the
-    given shifts, and zero everywhere else."""
+def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
+    """Peak n * 2^m at shift 0; unless doubled, one value per isolated group
+    at shift 2^l; zero everywhere else."""
+    q, m, k = profile.q, profile.m, profile.k
     _require_value_vector_size(m)
     coeffs = np.zeros((1 << m, q // 2), dtype=np.int64)
-    coeffs[0, 0] = peak
-    for tau, value in offpeak:
-        coeffs[tau] = value.coeffs
-    return AacfVector(q, coeffs)
-
-
-def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
-    q, m, k = profile.q, profile.m, profile.k
-    n = 1 << (k + 2) if doubled else 1 << (k + 1)
-    offpeak = []
+    coeffs[0, 0] = (1 << (k + 2) if doubled else 1 << (k + 1)) << m
     if not doubled:
         for g in profile.groups:
             total = cyclo_sum(q, (CycloValue.from_power(q, v) for v in g.l_values))
-            offpeak.append((1 << g.l, total.times_power(g.g_l).scale(1 << m)))
-    return _sparse_aacf(q, m, n << m, offpeak)
+            coeffs[1 << g.l] = total.times_power(g.g_l).scale(1 << m).coeffs
+    return AacfVector(q, coeffs)
 
 
 def _offset_members(f: GbfPoly, profile: RestrictionProfile) -> tuple[GbfPoly, ...]:
@@ -214,15 +205,7 @@ def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restri
             )
     base = offset_set(f, profile)
     assert base.predicted.offpeak_is_zero(), "balance must cancel every off-peak term"
-    return CsCandidate(
-        q=f.q,
-        m=f.m,
-        members=base.members,
-        provenance="balanced",
-        pmepr_bound=float(1 << (profile.k + 1)),
-        predicted=base.predicted,
-        profile=profile,
-    )
+    return replace(base, provenance="balanced", pmepr_bound=float(1 << (profile.k + 1)))
 
 
 def doubled_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -237,45 +220,41 @@ def doubled_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restric
     if profile is None:
         profile = analyze(f, restricted)
     base = offset_set(f, profile)
-    q, m = f.q, f.m
-    shift = GbfPoly.from_terms(q, m, ((1 << g.l, q // 2) for g in profile.groups))
-    members = base.members + tuple(g + shift for g in base.members)
-    return CsCandidate(
-        q=q,
-        m=m,
-        members=members,
+    shift = GbfPoly.from_terms(f.q, f.m, ((1 << g.l, f.q // 2) for g in profile.groups))
+    return replace(
+        base,
+        members=base.members + tuple(g + shift for g in base.members),
         provenance="doubled",
-        pmepr_bound=float((1 << (profile.k + 2)) - 2 * profile.M),
         predicted=_predicted_aacf(profile, doubled=True),
-        profile=profile,
     )
+
+
+def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
+    """The offset family when every restriction is a path with q/2 edges.
+
+    With no isolated vertex the prediction has no off-peak term, so the
+    2^{k+1} members form a complementary set, and the offset bound
+    2^{k+2} - 2M is 2^{k+1} (M = 2^k).  The polynomial may have any degree.
+    With k = 0 the set is a Golay pair (provenance ``"golay"``); otherwise
+    the provenance is ``"path-restriction"``.  Raises
+    :class:`GraphShapeError` if some restriction isolates a vertex.
+    """
+    if profile is None:
+        profile = analyze(f, restricted)
+    if not profile.all_paths:
+        raise GraphShapeError("every restriction must reduce to a path (no isolated vertices)")
+    return replace(offset_set(f, profile), provenance="golay" if profile.k == 0 else "path-restriction")
 
 
 def golay_pair(f: GbfPoly, add0: int = 0, add1: int = 0) -> tuple[GbfPoly, GbfPoly]:
     """A complementary pair from a polynomial whose full coupling graph is a path.
 
-    Returns ``(f + add0, f + (q/2) x_t + add1)`` with ``x_t`` the
-    largest-index path endpoint; the constants are arbitrary phase shifts.
+    The two members of ``path_restriction_cs(f)``, ``f`` and
+    ``f + (q/2) x_t`` with ``x_t`` the largest-index path endpoint, plus the
+    constants ``add0`` and ``add1`` (arbitrary phase shifts).
     """
-    profile = analyze(f, ())
-    if not profile.all_paths:
-        raise GraphShapeError("the unrestricted coupling graph must be a path on all vertices")
-    t = profile.endpoint(0)
-    half = f.q // 2
-    partner = f + GbfPoly.monomial(f.q, f.m, [t], half)
-    return (f + add0, partner + add1)
-
-
-def golay_candidate(f: GbfPoly, add0: int = 0, add1: int = 0) -> CsCandidate:
-    """:func:`golay_pair` wrapped as a size-2 candidate (PMEPR bound 2)."""
-    return CsCandidate(
-        q=f.q,
-        m=f.m,
-        members=golay_pair(f, add0=add0, add1=add1),
-        provenance="golay",
-        pmepr_bound=2.0,
-        predicted=_sparse_aacf(f.q, f.m, 2 << f.m),
-    )
+    a, b = path_restriction_cs(f).members
+    return (a + add0, b + add1)
 
 
 def standard_golay_gbfs(m: int, h: int) -> Iterator[GbfPoly]:
@@ -302,49 +281,6 @@ def standard_golay_gbfs(m: int, h: int) -> Iterator[GbfPoly]:
                     lin = lin + GbfPoly.monomial(q, m, [i], g)
             for const in range(q):
                 yield lin + const if const else lin
-
-
-def quadratic_cs(f: GbfPoly, deleted: Sequence[int]) -> CsCandidate:
-    """Complementary set from a quadratic polynomial by deleting vertices.
-
-    ``f`` must be quadratic overall, and restricting the ``deleted``
-    variables in every possible way must leave a path with q/2 edges —
-    the classical generalized-pair route.  Yields 2^{k+1} sequences with
-    PMEPR at most 2^{k+1}.
-    """
-    if f.degree() > 2:
-        raise DegreeError(f"need a quadratic polynomial, got degree {f.degree()}")
-    profile = analyze(f, deleted)
-    if not profile.all_paths:
-        raise GraphShapeError("every restriction must reduce to a path (no isolated vertices)")
-    base = offset_set(f, profile)
-    return CsCandidate(
-        q=f.q,
-        m=f.m,
-        members=base.members,
-        provenance="quadratic",
-        pmepr_bound=float(1 << (profile.k + 1)),
-        predicted=base.predicted,
-        profile=profile,
-    )
-
-
-def path_restriction_cs(f: GbfPoly, restricted: Sequence[int]) -> CsCandidate:
-    """Complementary set from a polynomial of any degree, all of whose
-    restrictions are paths with q/2 edges."""
-    profile = analyze(f, restricted)
-    if not profile.all_paths:
-        raise GraphShapeError("every restriction must reduce to a path (no isolated vertices)")
-    base = offset_set(f, profile)
-    return CsCandidate(
-        q=f.q,
-        m=f.m,
-        members=base.members,
-        provenance="path-restriction",
-        pmepr_bound=float(1 << (profile.k + 1)),
-        predicted=base.predicted,
-        profile=profile,
-    )
 
 
 def random_qualifying_gbf(

@@ -81,8 +81,6 @@ __all__ = [
     "aacf",
     "set_aacf",
     "is_cs",
-    "lee_weight",
-    "euclid_sq_weight",
     "lee_dist",
     "euclid_sq_dist",
     "min_distances",
@@ -286,13 +284,13 @@ def _phase_array(x: PolyphaseSeq | Sequence[int] | np.ndarray, q: int | None) ->
     return np.asarray(x, dtype=np.int64) % q, q
 
 
-def lee_weight(x: PolyphaseSeq | Sequence[int], q: int | None = None) -> int:
+def _lee_weight(x: PolyphaseSeq | Sequence[int], q: int | None = None) -> int:
     """Sum over symbols of min(a, q - a)."""
     arr, q = _phase_array(x, q)
     return int(np.minimum(arr, q - arr).sum())
 
 
-def euclid_sq_weight(x: PolyphaseSeq | Sequence[int], q: int | None = None) -> float:
+def _euclid_sq_weight(x: PolyphaseSeq | Sequence[int], q: int | None = None) -> float:
     """Squared Euclidean distance of omega^x from the all-ones sequence.
 
     Per symbol this is |omega^a - 1|^2 = 4 sin^2(pi a / q).
@@ -306,7 +304,7 @@ def lee_dist(a, b, q: int | None = None) -> int:
     xb, qb = _phase_array(b, q)
     if qa != qb or len(xa) != len(xb):
         raise ValueError("distance needs equal-length sequences over one modulus")
-    return lee_weight((xa - xb) % qa, qa)
+    return _lee_weight((xa - xb) % qa, qa)
 
 
 def euclid_sq_dist(a, b, q: int | None = None) -> float:
@@ -314,7 +312,7 @@ def euclid_sq_dist(a, b, q: int | None = None) -> float:
     xb, qb = _phase_array(b, q)
     if qa != qb or len(xa) != len(xb):
         raise ValueError("distance needs equal-length sequences over one modulus")
-    return euclid_sq_weight((xa - xb) % qa, qa)
+    return _euclid_sq_weight((xa - xb) % qa, qa)
 
 
 def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = None) -> tuple[int, float]:
@@ -435,9 +433,9 @@ def read_sequences(text: str, q: int) -> list[PolyphaseSeq]:
     """Parse sequences from text.
 
     Lines starting with ``#`` (and inline ``#`` comments) are ignored.  Each
-    remaining line carries one sequence as whitespace-separated symbols; as a
-    convenience, a file whose every line holds a single symbol is read as one
-    column-format sequence.
+    remaining line carries one sequence as whitespace-separated symbols.  A
+    file of several lines that each hold one symbol is refused: it could be
+    one sequence written as a column or a set of length-1 sequences.
     """
     rows: list[list[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -457,7 +455,7 @@ def read_sequences(text: str, q: int) -> list[PolyphaseSeq]:
     if not rows:
         raise ParseError("no sequences found")
     if len(rows) > 1 and all(len(r) == 1 for r in rows):
-        rows = [[r[0] for r in rows]]
+        raise ParseError("every line holds one symbol: write each sequence on one line")
     if len({len(r) for r in rows}) != 1:
         raise ParseError("sequences in one file must share a common length")
     return [PolyphaseSeq(q, row) for row in rows]

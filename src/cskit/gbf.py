@@ -355,12 +355,6 @@ class Restriction:
         """Bits in index order, smallest restricted index first."""
         return "".join(str(b) for b in self.bits)
 
-    def matches(self, point: int) -> bool:
-        for i, b in self.pairs():
-            if (point >> i) & 1 != b:
-                return False
-        return True
-
     def selector(self, m: int) -> np.ndarray:
         """Boolean mask over the 2^m points selecting those that match."""
         idx = np.arange(1 << m, dtype=np.int64)
@@ -418,29 +412,6 @@ class PolyphaseSeq:
     def __repr__(self) -> str:
         masked = "" if self.is_full else f", {int(self.mask.sum())} live entries"
         return f"<PolyphaseSeq q={self.q} L={len(self)}{masked}>"
-
-    def to_text(self) -> str:
-        """Whitespace-separated digits, one per line (full sequences only)."""
-        if not self.is_full:
-            raise ValueError("masked sequences have no text representation")
-        return "\n".join(str(int(p)) for p in self.phases) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, q: int) -> PolyphaseSeq:
-        digits = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: {tok!r} is not an integer") from None
-                if not 0 <= v < q:
-                    raise ParseError(f"line {lineno}: symbol {v} out of range for q={q}")
-                digits.append(v)
-        if not digits:
-            raise ParseError("no symbols found")
-        return cls(q, digits)
 
 
 def psi(f: GbfPoly) -> PolyphaseSeq:

@@ -20,7 +20,7 @@ isolated vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import DegreeError, GraphShapeError, MixedCouplingError
 from .gbf import GbfPoly, Restriction
@@ -67,13 +67,6 @@ class RestrictionGraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for a, b, _ in self.edges if v in (a, b))
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        for a, b, _ in self.edges:
-            if a == v:
-                yield b
-            elif b == v:
-                yield a
 
     def weights(self) -> set[int]:
         return {w for _, _, w in self.edges}

@@ -66,18 +66,20 @@ def test_construct_balance_violation_exit_1(capsys):
 
 def test_construct_golay(capsys):
     code, out, _ = run(
-        capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0", "--type", "golay",
-        "--add0", "1", "--format", "json",
+        capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0", "--type", "golay", "--format", "json",
     )
     assert code == 0
     blob = json.loads(out)
-    assert blob["size"] == 2 and blob["pmepr_bound"] == 2.0
+    assert blob["size"] == 2 and blob["pmepr_bound"] == 2.0 and blob["provenance"] == "golay"
 
 
 def test_construct_golay_rejects_restrict(capsys):
     code, _, err = run(
         capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2", "--type", "golay", "-r", "0"
     )
+    assert code == 2
+    assert err.strip()
+    code, _, err = run(capsys, "random", "-m", "5", "-k", "1", "--q", "4", "--seed", "3", "--construct", "golay")
     assert code == 2
     assert err.strip()
 

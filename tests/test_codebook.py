@@ -200,12 +200,18 @@ def test_rm_min_weight():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: rm_min_weight(1, 17), lambda: rm_min_weight(3, 20), lambda: erm_min_distances(2, 20, 1)],
-    ids=["rm-1-17", "rm-3-20", "erm-layered-2-20-1"],
+    [
+        lambda: rm_min_weight(1, 17),
+        lambda: rm_min_weight(3, 20),
+        lambda: erm_min_distances(2, 20, 1),
+        lambda: erm_min_distances(1, 20, 1),
+    ],
+    ids=["rm-1-17", "rm-3-20", "erm-layered-2-20-1", "erm-layered-1-20-1"],
 )
 def test_rm_min_weight_refuses_before_allocating(call):
     # dimensions 18 and 1351: refused from the dimension alone, with no
-    # 2^m-column or span array built first
+    # 2^m-column or span array built first; erm(1, 20, 1) has 2^21 codewords
+    # but 2^41 symbols, so "auto" sends it to the layered path, which refuses
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationError):

@@ -10,7 +10,6 @@ from cskit import (
     cs_meta_from_text,
     cs_to_text,
     doubled_cs,
-    golay_candidate,
     golay_pair,
     indicator_poly,
     is_cs,
@@ -20,12 +19,10 @@ from cskit import (
     path_restriction_cs,
     pmepr,
     psi,
-    quadratic_cs,
     random_qualifying_gbf,
     set_aacf,
     standard_golay_gbfs,
 )
-from cskit.errors import DegreeError
 from cskit.gbf import GbfPoly, Restriction
 
 
@@ -90,8 +87,9 @@ def test_golay_pair_and_candidate():
     assert a == f + 1
     assert b == f + GbfPoly.monomial(4, 3, [2], 2) + 2
     assert is_cs([psi(a), psi(b)])
-    cand = golay_candidate(f)
-    assert cand.size == 2 and cand.pmepr_bound == 2.0
+    cand = path_restriction_cs(f)
+    assert cand.size == 2 and cand.pmepr_bound == 2.0 and cand.provenance == "golay"
+    assert cand.members == golay_pair(f)
     assert set_aacf(cand.sequences()).values == cand.predicted.values
 
 
@@ -109,22 +107,29 @@ def test_standard_golay_count_small():
 
 
 def test_quadratic_cs():
+    # a quadratic is one more all-paths input: deleting x0 leaves paths for both words
     f = parse_gbf("q=2;m=4; x0*x1 + x1*x2 + x2*x3 + x0*x2")
-    # deleting x0 leaves paths for both words
-    cand = quadratic_cs(f, [0])
+    cand = path_restriction_cs(f, restricted=[0])
     assert cand.size == 4 and cand.pmepr_bound == 4.0
+    assert cand.provenance == "path-restriction"
     assert is_cs(cand.sequences())
-    with pytest.raises(DegreeError):
-        quadratic_cs(parse_gbf("q=2;m=4; x0*x1*x2"), [0])
 
 
 def test_path_restriction_cs_any_degree():
     # three words keep the path 2-3-4; the (1,1) word flips to the path 3-4-2
     f = parse_gbf("q=2;m=5; x0*x1*x2*x3 + x0*x1*x2*x4 + x2*x3 + x3*x4")
-    cand = path_restriction_cs(f, [0, 1])
+    cand = path_restriction_cs(f, restricted=[0, 1])
     assert cand.size == 8 and cand.pmepr_bound == 8.0
+    assert cand.provenance == "path-restriction"
     assert is_cs(cand.sequences())
     assert max(pmepr(s) for s in cand.sequences()) <= 8.0 + 1e-6
+
+
+def test_path_restriction_cs_rejects_isolated_vertex():
+    # x4 is isolated under both words of x0
+    f = parse_gbf("q=4;m=5; 2*x1*x2 + 2*x2*x3 + 2*x0*x4 + x1 + 2*x3 + 3")
+    with pytest.raises(GraphShapeError):
+        path_restriction_cs(f, restricted=[0])
 
 
 @pytest.mark.parametrize(

@@ -156,10 +156,12 @@ def test_sequence_file_roundtrip():
 
 
 def test_read_sequences_column_format():
-    # a file of one-symbol lines is a single sequence written column-wise
-    text = "0\n1\n2\n3\n"
-    seqs = read_sequences(text, 4)
-    assert seqs == [PolyphaseSeq(4, (0, 1, 2, 3))]
+    # a file of one-symbol lines is ambiguous (one column sequence or several
+    # length-1 sequences), so it is refused rather than guessed
+    with pytest.raises(ParseError):
+        read_sequences("0\n1\n2\n3\n", 4)
+    with pytest.raises(ParseError):
+        read_sequences("0\n1\n2\n", 4)
 
 
 def test_read_sequences_errors():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cskit import GbfPoly, ParseError, PolyphaseSeq, Restriction, SizeLimitError, psi, psi_restricted
+from cskit import GbfPoly, ParseError, Restriction, SizeLimitError, psi, psi_restricted
 from cskit.gbf import MAX_VALUE_VECTOR_M, gbf_from_json, gbf_to_json, parse_gbf, render_gbf
 
 
@@ -118,13 +118,6 @@ def test_psi_and_masking():
 
     part = psi_restricted(f, Restriction.assign([0], 1))
     np.testing.assert_allclose(part.complex_values(), [0, 1, 0, -1], atol=1e-12)
-
-
-def test_seq_text_roundtrip():
-    f = parse_gbf("q=4;m=3; x0*x1 + 2*x2 + 1")
-    s = psi(f)
-    again = PolyphaseSeq.from_text(s.to_text(), 4)
-    assert again == s
 
 
 def test_json_roundtrip():
