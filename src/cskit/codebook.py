@@ -16,7 +16,13 @@ Three kinds of results live here:
   8 (:func:`union_code_size_pmepr4` / :func:`union_code_size_pmepr8`);
 * explicit enumerators (:func:`enumerate_codebook`) generating exactly the
   counted polynomials, so the closed forms can be confronted with brute
-  force;
+  force.  Every family is a union of Cartesian sums of small factors
+  (path representatives, couplings, generators of the linear part); a word
+  is a dense Z_q row of ANF coefficients, one per monomial mask the family
+  uses, built as a row sum mod q in blocks of bounded size, deduplicated on
+  the row bytes for the union codes, and turned into a ``GbfPoly`` only when
+  yielded.  The word count comes in closed form from the factor sizes, and
+  any family above 2^22 words is refused before anything is built;
 * exhaustive minimum-distance computation for the bounded-effective-degree
   code (:func:`erm_min_distances`), by direct enumeration when the code is
   small enough — codewords held as packed bit planes, one per bit of the
@@ -38,13 +44,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .construct import indicator_poly, path_quadratic, standard_golay_gbfs
 from .errors import EnumerationError
-from .gbf import GbfPoly, Restriction
+from .gbf import GbfPoly
 
 __all__ = [
     "log2_f_count",
@@ -103,8 +108,9 @@ def enumerate_f_polys(
     """All polynomials of effective degree <= r on k chosen variables.
 
     By default the variables are x0..x{k-1} of a k-variable polynomial; pass
-    ``m`` and ``variables`` to embed them in a larger domain (used for the
-    coset codes, whose ingredient functions live on the top k variables).
+    ``m`` and ``variables`` to embed them in a larger domain (as the coset
+    codes do with their ingredient functions on the top k variables).
+    Raises :class:`EnumerationError` above 2^22 polynomials.
     """
     if variables is None:
         variables = list(range(k))
@@ -112,20 +118,9 @@ def enumerate_f_polys(
         m = k
     if len(variables) != k:
         raise ValueError("need exactly k variable indices")
-    q = 1 << h
-    gens = _f_generators(r, k, h)
-    if sum(math.log2(cnt) for _, _, cnt in gens) > 22:
-        raise EnumerationError("more than 2^22 polynomials requested")
-    embedded = []
-    for mask, step, count in gens:
-        big = 0
-        for a in range(k):
-            if (mask >> a) & 1:
-                big |= 1 << variables[a]
-        embedded.append((big, step, count))
-    for combo in itertools.product(*(range(cnt) for _, _, cnt in embedded)):
-        terms = [(mask, a * step) for (mask, step, _), a in zip(embedded, combo) if a]
-        yield GbfPoly.from_terms(q, m, terms)
+    factors = _f_factors(r, k, h, variables)
+    _refuse_above_limit([factors], "polynomials")
+    return _coefficient_words([factors], 1 << h, m)
 
 
 # -- complementary-set family sizes ---------------------------------------------
@@ -431,6 +426,176 @@ def erm_min_distances(r: int, m: int, h: int, method: str = "auto") -> tuple[int
 
 # -- explicit codebook enumerators ----------------------------------------------
 
+# Every family is a union of Cartesian sums.  A factor is a list of
+# polynomials given by their ANF coefficients on the factor's own monomial
+# masks; a word of a Cartesian sum adds one polynomial from each factor, and
+# words come in lexicographic order of the picks (the last factor fastest).
+# Words are held as Z_q coefficient rows over the family's columns (the sorted
+# union of the factor masks), so a sum is a row sum mod q, and a GbfPoly is
+# made only for a word that is yielded.
+
+_MAX_WORDS = 1 << 22
+_YIELD_ROWS = 1 << 10  # rows turned into polynomials at a time
+
+
+@dataclass(frozen=True)
+class _Gen:
+    """The multiples a * step, 0 <= a < n, of one monomial."""
+
+    mask: int
+    step: int
+    n: int
+
+    def masks(self) -> list[int]:
+        return [self.mask]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo, hi, dtype=np.int64)[:, None] * self.step
+
+
+class _Paths:
+    """``weight * ind * (edge sum of a path)``, one polynomial per path class
+    on ``verts`` (up to reversal, in permutation order); ``ind`` is an ANF
+    ``{mask: coefficient}`` on variables outside ``verts``."""
+
+    def __init__(self, verts: Sequence[int], ind: dict[int, int], weight: int) -> None:
+        self.verts = list(verts)
+        self.ind = ind
+        self.weight = weight
+        self.n = _path_class_count(len(self.verts))
+        self.pairs = sorted((1 << a) | (1 << b) for a, b in itertools.combinations(self.verts, 2))
+        self._orders: np.ndarray | None = None
+
+    def masks(self) -> list[int]:
+        return [pair | t for pair in self.pairs for t in self.ind]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        if self._orders is None:  # built on first use, after the size check
+            orders = _paths_up_to_reversal(self.verts)
+            self._orders = np.array(orders, dtype=np.int64).reshape(self.n, len(self.verts))
+        orders = self._orders[lo:hi]
+        edges = np.searchsorted(self.pairs, (1 << orders[:, :-1]) | (1 << orders[:, 1:]))
+        hit = np.zeros((len(orders), len(self.pairs)), dtype=np.int64)
+        np.put_along_axis(hit, edges, 1, axis=1)
+        coeffs = self.weight * np.array(list(self.ind.values()), dtype=np.int64)
+        return (hit[:, :, None] * coeffs).reshape(len(orders), -1)
+
+
+class _Couplings:
+    """``weight * x_l * sum_j e_j x_{m-1-j}`` for e = 1 .. 2^k - 1, bit j of
+    e selecting the restricted variable m-1-j."""
+
+    def __init__(self, l: int, m: int, k: int, weight: int) -> None:
+        self.l, self.m, self.k, self.weight = l, m, k, weight
+        self.n = (1 << k) - 1
+
+    def masks(self) -> list[int]:
+        return [(1 << self.l) | (1 << (self.m - 1 - j)) for j in range(self.k)]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        e = np.arange(lo + 1, hi + 1, dtype=np.int64)[:, None]
+        return ((e >> np.arange(self.k)) & 1) * self.weight
+
+
+def _indicator_anf(variables: Sequence[int], words: Iterable[int], q: int) -> dict[int, int]:
+    """ANF of the sum over ``words`` of the indicator that ``variables[a]``
+    equals bit a of the word: each indicator is the sum over subsets S of its
+    0-bits of (-1)^|S| x_{ones + S}.  Coefficients mod q, masks ascending."""
+    acc: dict[int, int] = {}
+    for word in words:
+        bits = [(1 << v, (word >> a) & 1) for a, v in enumerate(variables)]
+        ones = sum(b for b, bit in bits if bit)
+        zeros = [b for b, bit in bits if not bit]
+        for sub in itertools.product((0, 1), repeat=len(zeros)):
+            mask = ones + sum(z for z, s in zip(zeros, sub) if s)
+            acc[mask] = acc.get(mask, 0) + (-1) ** sum(sub)
+    return {mask: c % q for mask, c in sorted(acc.items()) if c % q}
+
+
+def _row_blocks(factors: Sequence, cols: np.ndarray, q: int) -> Iterator[np.ndarray]:
+    """Coefficient rows over ``cols`` of every word of one Cartesian sum, in
+    order, in blocks of at most ``_BLOCK_WORDS`` rows and ``_BLOCK_SYMBOLS``
+    symbols.
+
+    The longest run of trailing factors that fits in a block is summed once
+    (``inner``).  Each pick of the other factors but the last of them is one
+    offset row; the offset plus a chunk of rows of that last factor, each
+    plus every row of ``inner``, is a block.
+    """
+    sym = np.min_scalar_type(q - 1)
+    width = len(cols)
+    pos = [np.searchsorted(cols, f.masks()) for f in factors]
+
+    def rows(i: int, lo: int, hi: int) -> np.ndarray:
+        out = np.zeros((hi - lo, width), dtype=sym)
+        out[:, pos[i]] = factors[i].rows(lo, hi) & (q - 1)
+        return out
+
+    limit = max(1, min(_BLOCK_WORDS, _BLOCK_SYMBOLS // max(width, 1)))
+    split, size = len(factors), 1
+    while split and size * factors[split - 1].n <= limit:
+        split -= 1
+        size *= factors[split].n
+    inner = np.zeros((1, width), dtype=sym)
+    for i in range(split, len(factors)):
+        inner = (inner[:, None] + rows(i, 0, factors[i].n)[None]).reshape(-1, width) & (q - 1)
+    if not split or not len(inner):
+        yield inner
+        return
+    last = factors[split - 1]
+    step = max(1, limit // len(inner))
+    for pick in itertools.product(*(range(f.n) for f in factors[: split - 1])):
+        offset = np.zeros((1, width), dtype=sym)
+        for i, a in enumerate(pick):
+            offset += rows(i, a, a + 1)
+        for lo in range(0, last.n, step):
+            head = offset + rows(split - 1, lo, min(lo + step, last.n))
+            yield (head[:, None] + inner[None]).reshape(-1, width) & (q - 1)
+
+
+def _coefficient_words(parts: Sequence[Sequence], q: int, m: int, *, dedup: bool = False) -> Iterator[GbfPoly]:
+    """The words of a union of Cartesian sums (one factor list per part), in
+    order.  With ``dedup`` a word equal to an earlier one is skipped; the ANF
+    is canonical, so equal coefficient rows are exactly equal functions."""
+    cols = np.unique(np.array([mask for part in parts for f in part for mask in f.masks()], dtype=np.int64))
+    seen: set[bytes] = set()
+    for part in parts:
+        for block in _row_blocks(part, cols, q):
+            for start in range(0, len(block), _YIELD_ROWS):
+                chunk = block[start : start + _YIELD_ROWS]
+                if dedup:
+                    keys = chunk.view(np.dtype((np.void, chunk.shape[1] * chunk.itemsize))).ravel().tolist()
+                    if len(set(keys)) == len(keys) and seen.isdisjoint(keys):
+                        seen.update(keys)  # the usual case: every row is new
+                    else:
+                        keep = []
+                        for i, key in enumerate(keys):
+                            if key not in seen:
+                                seen.add(key)
+                                keep.append(i)
+                        chunk = chunk[keep]
+                rr, cc = np.nonzero(chunk)
+                terms = tuple(zip(cols[cc].tolist(), chunk[rr, cc].tolist()))
+                ends = np.cumsum(np.count_nonzero(chunk, axis=1)).tolist()
+                for at, end in zip([0, *ends], ends):
+                    yield GbfPoly(q, m, terms[at:end])
+
+
+def _refuse_above_limit(parts: Sequence[Sequence], what: str) -> None:
+    """Raise :class:`EnumerationError` when the parts hold more than 2^22
+    words in all (before deduplication), before anything is built."""
+    words = sum(math.prod(f.n for f in part) for part in parts)
+    if words > _MAX_WORDS:
+        raise EnumerationError(f"{words} {what} requested, more than 2^22")
+
+
+def _f_factors(r: int, k: int, h: int, variables: Sequence[int]) -> list[_Gen]:
+    """F(r, k, h) on the given variables: one factor per generator."""
+    out = []
+    for mask, step, n in _f_generators(r, k, h):
+        out.append(_Gen(sum(1 << v for a, v in enumerate(variables) if (mask >> a) & 1), step, n))
+    return out
+
 
 def _paths_up_to_reversal(verts: Sequence[int]) -> list[tuple[int, ...]]:
     verts = list(verts)
@@ -439,26 +604,18 @@ def _paths_up_to_reversal(verts: Sequence[int]) -> list[tuple[int, ...]]:
     return [p for p in itertools.permutations(verts) if p[0] < p[-1]]
 
 
-def _coset_polys(m: int, k: int, r: int, h: int, *, excl: bool = False) -> Iterator[GbfPoly]:
-    """The linear code behind :func:`log2_coset_count`, explicitly."""
-    q = 1 << h
+def _coset_factors(m: int, k: int, r: int, h: int, *, excl: bool = False) -> list[_Gen]:
+    """The linear code behind :func:`log2_coset_count`: couplings x_i * g_i
+    with g_i in F(r-1, k, h), then g in F(r, k, h), on the top k variables."""
     top = list(range(m - k, m))
     couplers = list(range(m - k))
     if excl:
         couplers.remove(m - k - 1)
-    gi_polys = list(enumerate_f_polys(r - 1, k, h, m=m, variables=top))
-    g_polys = list(enumerate_f_polys(r, k, h, m=m, variables=top))
-    if (len(couplers) * math.log2(len(gi_polys)) + math.log2(len(g_polys))) > 22:
-        raise EnumerationError("coset code too large to enumerate")
-    for combo in itertools.product(gi_polys, repeat=len(couplers)):
-        base = GbfPoly.zero(q, m)
-        for i, gi in zip(couplers, combo):
-            base = base + GbfPoly.variable(q, m, i) * gi
-        for g in g_polys:
-            yield base + g
+    gi = _f_factors(r - 1, k, h, top)
+    return [_Gen(g.mask | 1 << i, g.step, g.n) for i in couplers for g in gi] + _f_factors(r, k, h, top)
 
 
-def _path_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
+def _path_rep_factors(m: int, k: int, h: int, r: int) -> list[_Paths]:
     """Representatives: one path class per restriction, a junta of the first
     min(r+h-3, k) restricted bits."""
     if m - k < 2:
@@ -467,17 +624,11 @@ def _path_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
         raise ValueError("need r + h >= 3")
     q = 1 << h
     t = min(r + h - 3, k)
-    classes = _paths_up_to_reversal(range(m - k))
-    prefix_vars = list(range(m - k, m - k + t))
-    for assignment in itertools.product(classes, repeat=1 << t):
-        f = GbfPoly.zero(q, m)
-        for word, path in enumerate(assignment):
-            ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
-            f = f + ind * path_quadratic(q, m, path, q // 2)
-        yield f
+    prefix = range(m - k, m - k + t)
+    return [_Paths(range(m - k), _indicator_anf(prefix, [w], q), q // 2) for w in range(1 << t)]
 
 
-def _isolated_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
+def _isolated_rep_factors(m: int, k: int, h: int, r: int) -> list:
     """Representatives whose every restriction isolates the vertex m-k-1,
     with a balanced linear coupling to the restricted variables."""
     if m - k < 3:
@@ -485,28 +636,17 @@ def _isolated_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
     if r + h < 3:
         raise ValueError("need r + h >= 3")
     q = 1 << h
-    half = q // 2
-    l1 = m - k - 1
     t = min(r + h - 3, k)
-    classes = _paths_up_to_reversal(range(m - k - 1))
-    prefix_vars = list(range(m - k, m - k + t))
-    for e in range(1, 1 << k):
-        coupling = GbfPoly.zero(q, m)
-        for j in range(k):
-            if (e >> j) & 1:
-                coupling = coupling + GbfPoly.monomial(q, m, [l1, m - 1 - j], half)
-        for assignment in itertools.product(classes, repeat=1 << t):
-            f = coupling
-            for word, path in enumerate(assignment):
-                ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
-                f = f + ind * path_quadratic(q, m, path, half)
-            yield f
+    prefix = range(m - k, m - k + t)
+    paths = [_Paths(range(m - k - 1), _indicator_anf(prefix, [w], q), q // 2) for w in range(1 << t)]
+    return [_Couplings(m - k - 1, m, k, q // 2), *paths]
 
 
-def _multi_isolated_reps(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -> Iterator[GbfPoly]:
+def _multi_isolated_rep_factors(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -> list[_Paths]:
     """Representatives with p >= 2 isolated vertices: restriction words are
     split into lexicographic blocks of the given sizes, block a isolating
-    vertex m-k-1-a, with min(2^{r+h-3}, N_a) free path choices per block."""
+    vertex m-k-1-a, with j = min(2^{r+h-3}, N_a) free path choices per block
+    (the j-th choice serving the rest of the block)."""
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or sum(sizes) != 1 << k or any(n < 1 for n in sizes):
         raise ValueError("block sizes must be >= 1, at least two blocks, summing to 2^k")
@@ -515,39 +655,77 @@ def _multi_isolated_reps(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -
     if r + h < 3:
         raise ValueError("need r + h >= 3")
     q = 1 << h
-    half = q // 2
-    restricted = list(range(m - k, m))
+    restricted = range(m - k, m)
     free = 1 << (r + h - 3)
-    blocks: list[tuple[int, list[int], int]] = []  # (isolated vertex, words, free choices)
+    factors = []
     at = 0
     for a, n in enumerate(sizes):
-        blocks.append((m - k - 1 - a, list(range(at, at + n)), min(free, n)))
+        verts = [v for v in range(m - k) if v != m - k - 1 - a]
+        words = range(at, at + n)
+        j = min(free, n)
+        factors += [_Paths(verts, _indicator_anf(restricted, [w], q), q // 2) for w in words[: j - 1]]
+        factors.append(_Paths(verts, _indicator_anf(restricted, words[j - 1 :], q), q // 2))
         at += n
-    choice_spaces = []
-    for l, _, j in blocks:
-        classes = _paths_up_to_reversal([v for v in range(m - k) if v != l])
-        choice_spaces.append(list(itertools.product(classes, repeat=j)))
-    for picks in itertools.product(*choice_spaces):
-        f = GbfPoly.zero(q, m)
-        for (l, words, j), paths in zip(blocks, picks):
-            for rank, word in enumerate(words):
-                ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-                f = f + ind * path_quadratic(q, m, paths[min(rank, j - 1)], half)
-        yield f
+    return factors
 
 
-def _union_codebook(parts: Sequence[tuple[Iterator[GbfPoly], Iterator[GbfPoly]]]) -> Iterator[GbfPoly]:
-    """Union of rep + linear-code sums, deduplicated by value vector."""
-    seen: set[bytes] = set()
-    for reps, code in parts:
-        code_list = list(code)
-        for rep in reps:
-            for g in code_list:
-                f = rep + g
-                key = f.value_vector().astype(np.int8).tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    yield f
+def _golay_factors(m: int, h: int) -> list:
+    """Path classes on all m variables, then x_{m-1} .. x_0, then the constant."""
+    if m < 2:
+        raise ValueError("path polynomials need at least two variables")
+    q = 1 << h
+    return [_Paths(range(m), {0: 1}, q // 2), *(_Gen(1 << i, 1, q) for i in reversed(range(m))), _Gen(0, 1, q)]
+
+
+def standard_golay_gbfs(m: int, h: int) -> Iterator[GbfPoly]:
+    """All (m!/2) * q^{m+1} standard path polynomials, q = 2**h.
+
+    ``(q/2) * sum_i x_{pi(i)} x_{pi(i+1)} + sum_i g_i x_i + g'`` over vertex
+    orderings ``pi`` (up to reversal), all linear coefficients, and all
+    constants, in a fixed deterministic order: orderings in permutation
+    order, then the linear coefficients as a base-q counter with g_0 fastest,
+    then the constant.  Lazy and unbounded; ``enumerate_codebook("GOLAY")``
+    refuses above 2^22 words.
+    """
+    return _coefficient_words([_golay_factors(m, h)], 1 << h, m)
+
+
+_FAMILIES = ("ERM", "A", "A1", "R", "R1", "R2", "C4", "C8", "GOLAY")
+
+
+def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, sizes: Sequence[int]) -> list[list]:
+    """The factor lists of a named family, one per union part."""
+    if fam == "GOLAY":
+        return [_golay_factors(m, h)]
+    if r is None:
+        raise ValueError(f"family {fam!r} needs r")
+    if fam == "ERM":
+        return [_f_factors(r, m, h, range(m))]
+    if fam == "C4":
+        rp = min(r, 2)
+        return [
+            _path_rep_factors(m, 1, h, r) + _coset_factors(m, 1, rp, h),
+            _isolated_rep_factors(m, 1, h, r) + _coset_factors(m, 1, rp, h, excl=True),
+        ]
+    if fam == "C8":
+        rpp = min(r, 3)
+        parts = [
+            _path_rep_factors(m, 2, h, r) + _coset_factors(m, 2, rpp, h),
+            _isolated_rep_factors(m, 2, h, r) + _coset_factors(m, 2, rpp, h, excl=True),
+        ]
+        if (h == 1 and 2 <= r <= 3) or (h > 1 and 1 <= r <= 2):
+            rp = min(r, 2)
+            parts.append(_multi_isolated_rep_factors(m, 1, h, r, (1, 1)) + _coset_factors(m, 1, rp, h))
+        return parts
+    if k is None:
+        raise ValueError(f"family {fam!r} needs k")
+    if fam in ("A", "A1"):
+        return [_coset_factors(m, k, r, h, excl=fam == "A1")]
+    if fam == "R":
+        return [_path_rep_factors(m, k, h, r)]
+    if fam == "R1":
+        return [_isolated_rep_factors(m, k, h, r)]
+    return [_multi_isolated_rep_factors(m, k, h, r, sizes)]
 
 
 def enumerate_codebook(
@@ -559,57 +737,28 @@ def enumerate_codebook(
     k: int | None = None,
     sizes: Sequence[int] = (),
 ) -> Iterator[GbfPoly]:
-    """Generate the polynomials of a named codebook family.
+    """Generate the polynomials of a named codebook family, lazily.
 
     Families: ``ERM`` (all effective degree <= r), ``A``/``A1`` (linear coset
     codes, with/without the designated coupling), ``R``/``R1``/``R2``
     (path / single-isolated / multi-isolated representatives), ``C4``/``C8``
     (the PMEPR-4 and PMEPR-8 union codes), ``GOLAY`` (standard path
-    polynomials).  Raises :class:`EnumerationError` when the request exceeds
-    2^22 words.
+    polynomials).
+
+    Every family is a union of Cartesian sums of factors (representatives,
+    couplings, generators of the linear part), each word a Z_q row of ANF
+    coefficients; C4/C8 skip a word whose row equals an earlier one, which is
+    deduplication by function.  The word count before deduplication comes in
+    closed form from the factor sizes (m!/2 * q^{m+1} for GOLAY, classes^(2^t)
+    for R, reps times code words for a union part), and a request above 2^22
+    words raises :class:`EnumerationError` before anything is built.
     """
     fam = family.upper()
-    if fam == "GOLAY":
-        return standard_golay_gbfs(m, h)
-    if r is None:
-        raise ValueError(f"family {family!r} needs r")
-    if fam == "ERM":
-        return enumerate_f_polys(r, m, h)
-    if fam in ("A", "A1"):
-        if k is None:
-            raise ValueError(f"family {family!r} needs k")
-        return _coset_polys(m, k, r, h, excl=fam == "A1")
-    if fam == "R":
-        if k is None:
-            raise ValueError("family 'R' needs k")
-        return _path_reps(m, k, h, r)
-    if fam == "R1":
-        if k is None:
-            raise ValueError("family 'R1' needs k")
-        return _isolated_reps(m, k, h, r)
-    if fam == "R2":
-        if k is None:
-            raise ValueError("family 'R2' needs k")
-        return _multi_isolated_reps(m, k, h, r, sizes)
-    if fam == "C4":
-        rp = min(r, 2)
-        return _union_codebook(
-            [
-                (_path_reps(m, 1, h, r), _coset_polys(m, 1, rp, h)),
-                (_isolated_reps(m, 1, h, r), _coset_polys(m, 1, rp, h, excl=True)),
-            ]
-        )
-    if fam == "C8":
-        rpp = min(r, 3)
-        parts = [
-            (_path_reps(m, 2, h, r), _coset_polys(m, 2, rpp, h)),
-            (_isolated_reps(m, 2, h, r), _coset_polys(m, 2, rpp, h, excl=True)),
-        ]
-        if (h == 1 and 2 <= r <= 3) or (h > 1 and 1 <= r <= 2):
-            rp = min(r, 2)
-            parts.append((_multi_isolated_reps(m, 1, h, r, (1, 1)), _coset_polys(m, 1, rp, h)))
-        return _union_codebook(parts)
-    raise ValueError(f"unknown family {family!r}")
+    if fam not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    parts = _codebook_parts(fam, m, h, r, k, sizes)
+    _refuse_above_limit(parts, f"{fam} words")
+    return _coefficient_words(parts, 1 << h, m, dedup=fam in ("C4", "C8"))
 
 
 def codeword_matrix(polys: Iterator[GbfPoly] | Sequence[GbfPoly]) -> np.ndarray:

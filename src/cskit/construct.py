@@ -27,13 +27,13 @@ members, so callers can confront prediction with brute-force measurement.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .codebook import standard_golay_gbfs  # re-exported: the standard Golay codebook
 from .correlation import AacfVector, write_sequences
 from .cyclo import CycloValue, cyclo_sum
 from .errors import BalanceError, GraphShapeError, ParseError
@@ -255,32 +255,6 @@ def golay_pair(f: GbfPoly, add0: int = 0, add1: int = 0) -> tuple[GbfPoly, GbfPo
     """
     a, b = path_restriction_cs(f).members
     return (a + add0, b + add1)
-
-
-def standard_golay_gbfs(m: int, h: int) -> Iterator[GbfPoly]:
-    """All (m!/2) * q^{m+1} standard path polynomials, q = 2**h.
-
-    ``(q/2) * sum_i x_{pi(i)} x_{pi(i+1)} + sum_i g_i x_i + g'`` over vertex
-    orderings ``pi`` (up to reversal), all linear coefficients, and all
-    constants, in a fixed deterministic order.
-    """
-    if m < 2:
-        raise ValueError("path polynomials need at least two variables")
-    q = 1 << h
-    half = q // 2
-    for pi in itertools.permutations(range(m)):
-        if pi[0] > pi[-1]:
-            continue
-        quad = path_quadratic(q, m, pi, half)
-        for gword in range(q**m):
-            lin = quad
-            w = gword
-            for i in range(m):
-                w, g = divmod(w, q)
-                if g:
-                    lin = lin + GbfPoly.monomial(q, m, [i], g)
-            for const in range(q):
-                yield lin + const if const else lin
 
 
 def random_qualifying_gbf(

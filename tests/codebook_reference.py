@@ -1,0 +1,255 @@
+"""Brute-force reference for the codebook enumerators.
+
+These are the enumerators as they stood before the coefficient-row core:
+every word is built by ``GbfPoly`` algebra, and the union codes deduplicate
+by value vector.  ``test_properties.py`` checks that the library yields the
+same polynomials in the same order.
+"""
+
+import itertools
+import math
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from cskit import GbfPoly, Restriction
+from cskit.codebook import _f_generators
+from cskit.construct import indicator_poly, path_quadratic
+from cskit.errors import EnumerationError
+
+
+def enumerate_f_polys(
+    r: int, k: int, h: int, *, m: int | None = None, variables: Sequence[int] | None = None
+) -> Iterator[GbfPoly]:
+    """All polynomials of effective degree <= r on k chosen variables.
+
+    By default the variables are x0..x{k-1} of a k-variable polynomial; pass
+    ``m`` and ``variables`` to embed them in a larger domain (used for the
+    coset codes, whose ingredient functions live on the top k variables).
+    """
+    if variables is None:
+        variables = list(range(k))
+    if m is None:
+        m = k
+    if len(variables) != k:
+        raise ValueError("need exactly k variable indices")
+    q = 1 << h
+    gens = _f_generators(r, k, h)
+    if sum(math.log2(cnt) for _, _, cnt in gens) > 22:
+        raise EnumerationError("more than 2^22 polynomials requested")
+    embedded = []
+    for mask, step, count in gens:
+        big = 0
+        for a in range(k):
+            if (mask >> a) & 1:
+                big |= 1 << variables[a]
+        embedded.append((big, step, count))
+    for combo in itertools.product(*(range(cnt) for _, _, cnt in embedded)):
+        terms = [(mask, a * step) for (mask, step, _), a in zip(embedded, combo) if a]
+        yield GbfPoly.from_terms(q, m, terms)
+
+
+def _paths_up_to_reversal(verts: Sequence[int]) -> list[tuple[int, ...]]:
+    verts = list(verts)
+    if len(verts) == 1:
+        return [tuple(verts)]
+    return [p for p in itertools.permutations(verts) if p[0] < p[-1]]
+
+
+def _coset_polys(m: int, k: int, r: int, h: int, *, excl: bool = False) -> Iterator[GbfPoly]:
+    """The linear code behind :func:`log2_coset_count`, explicitly."""
+    q = 1 << h
+    top = list(range(m - k, m))
+    couplers = list(range(m - k))
+    if excl:
+        couplers.remove(m - k - 1)
+    gi_polys = list(enumerate_f_polys(r - 1, k, h, m=m, variables=top))
+    g_polys = list(enumerate_f_polys(r, k, h, m=m, variables=top))
+    if (len(couplers) * math.log2(len(gi_polys)) + math.log2(len(g_polys))) > 22:
+        raise EnumerationError("coset code too large to enumerate")
+    for combo in itertools.product(gi_polys, repeat=len(couplers)):
+        base = GbfPoly.zero(q, m)
+        for i, gi in zip(couplers, combo):
+            base = base + GbfPoly.variable(q, m, i) * gi
+        for g in g_polys:
+            yield base + g
+
+
+def _path_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
+    """Representatives: one path class per restriction, a junta of the first
+    min(r+h-3, k) restricted bits."""
+    if m - k < 2:
+        raise ValueError("need at least two path vertices")
+    if r + h < 3:
+        raise ValueError("need r + h >= 3")
+    q = 1 << h
+    t = min(r + h - 3, k)
+    classes = _paths_up_to_reversal(range(m - k))
+    prefix_vars = list(range(m - k, m - k + t))
+    for assignment in itertools.product(classes, repeat=1 << t):
+        f = GbfPoly.zero(q, m)
+        for word, path in enumerate(assignment):
+            ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
+            f = f + ind * path_quadratic(q, m, path, q // 2)
+        yield f
+
+
+def _isolated_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
+    """Representatives whose every restriction isolates the vertex m-k-1,
+    with a balanced linear coupling to the restricted variables."""
+    if m - k < 3:
+        raise ValueError("need at least three unrestricted variables")
+    if r + h < 3:
+        raise ValueError("need r + h >= 3")
+    q = 1 << h
+    half = q // 2
+    l1 = m - k - 1
+    t = min(r + h - 3, k)
+    classes = _paths_up_to_reversal(range(m - k - 1))
+    prefix_vars = list(range(m - k, m - k + t))
+    for e in range(1, 1 << k):
+        coupling = GbfPoly.zero(q, m)
+        for j in range(k):
+            if (e >> j) & 1:
+                coupling = coupling + GbfPoly.monomial(q, m, [l1, m - 1 - j], half)
+        for assignment in itertools.product(classes, repeat=1 << t):
+            f = coupling
+            for word, path in enumerate(assignment):
+                ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
+                f = f + ind * path_quadratic(q, m, path, half)
+            yield f
+
+
+def _multi_isolated_reps(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -> Iterator[GbfPoly]:
+    """Representatives with p >= 2 isolated vertices: restriction words are
+    split into lexicographic blocks of the given sizes, block a isolating
+    vertex m-k-1-a, with min(2^{r+h-3}, N_a) free path choices per block."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < 2 or sum(sizes) != 1 << k or any(n < 1 for n in sizes):
+        raise ValueError("block sizes must be >= 1, at least two blocks, summing to 2^k")
+    if m - k < 3 or len(sizes) > m - k:
+        raise ValueError("not enough unrestricted vertices")
+    if r + h < 3:
+        raise ValueError("need r + h >= 3")
+    q = 1 << h
+    half = q // 2
+    restricted = list(range(m - k, m))
+    free = 1 << (r + h - 3)
+    blocks: list[tuple[int, list[int], int]] = []  # (isolated vertex, words, free choices)
+    at = 0
+    for a, n in enumerate(sizes):
+        blocks.append((m - k - 1 - a, list(range(at, at + n)), min(free, n)))
+        at += n
+    choice_spaces = []
+    for l, _, j in blocks:
+        classes = _paths_up_to_reversal([v for v in range(m - k) if v != l])
+        choice_spaces.append(list(itertools.product(classes, repeat=j)))
+    for picks in itertools.product(*choice_spaces):
+        f = GbfPoly.zero(q, m)
+        for (l, words, j), paths in zip(blocks, picks):
+            for rank, word in enumerate(words):
+                ind = indicator_poly(q, m, Restriction.assign(restricted, word))
+                f = f + ind * path_quadratic(q, m, paths[min(rank, j - 1)], half)
+        yield f
+
+
+def _union_codebook(parts: Sequence[tuple[Iterator[GbfPoly], Iterator[GbfPoly]]]) -> Iterator[GbfPoly]:
+    """Union of rep + linear-code sums, deduplicated by value vector."""
+    seen: set[bytes] = set()
+    for reps, code in parts:
+        code_list = list(code)
+        for rep in reps:
+            for g in code_list:
+                f = rep + g
+                key = f.value_vector().astype(np.int8).tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    yield f
+
+
+def enumerate_codebook(
+    family: str,
+    m: int,
+    h: int,
+    *,
+    r: int | None = None,
+    k: int | None = None,
+    sizes: Sequence[int] = (),
+) -> Iterator[GbfPoly]:
+    """Generate the polynomials of a named codebook family.
+
+    Families: ``ERM`` (all effective degree <= r), ``A``/``A1`` (linear coset
+    codes, with/without the designated coupling), ``R``/``R1``/``R2``
+    (path / single-isolated / multi-isolated representatives), ``C4``/``C8``
+    (the PMEPR-4 and PMEPR-8 union codes), ``GOLAY`` (standard path
+    polynomials).  Raises :class:`EnumerationError` when the request exceeds
+    2^22 words.
+    """
+    fam = family.upper()
+    if fam == "GOLAY":
+        return standard_golay_gbfs(m, h)
+    if r is None:
+        raise ValueError(f"family {family!r} needs r")
+    if fam == "ERM":
+        return enumerate_f_polys(r, m, h)
+    if fam in ("A", "A1"):
+        if k is None:
+            raise ValueError(f"family {family!r} needs k")
+        return _coset_polys(m, k, r, h, excl=fam == "A1")
+    if fam == "R":
+        if k is None:
+            raise ValueError("family 'R' needs k")
+        return _path_reps(m, k, h, r)
+    if fam == "R1":
+        if k is None:
+            raise ValueError("family 'R1' needs k")
+        return _isolated_reps(m, k, h, r)
+    if fam == "R2":
+        if k is None:
+            raise ValueError("family 'R2' needs k")
+        return _multi_isolated_reps(m, k, h, r, sizes)
+    if fam == "C4":
+        rp = min(r, 2)
+        return _union_codebook(
+            [
+                (_path_reps(m, 1, h, r), _coset_polys(m, 1, rp, h)),
+                (_isolated_reps(m, 1, h, r), _coset_polys(m, 1, rp, h, excl=True)),
+            ]
+        )
+    if fam == "C8":
+        rpp = min(r, 3)
+        parts = [
+            (_path_reps(m, 2, h, r), _coset_polys(m, 2, rpp, h)),
+            (_isolated_reps(m, 2, h, r), _coset_polys(m, 2, rpp, h, excl=True)),
+        ]
+        if (h == 1 and 2 <= r <= 3) or (h > 1 and 1 <= r <= 2):
+            rp = min(r, 2)
+            parts.append((_multi_isolated_reps(m, 1, h, r, (1, 1)), _coset_polys(m, 1, rp, h)))
+        return _union_codebook(parts)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def standard_golay_gbfs(m: int, h: int) -> Iterator[GbfPoly]:
+    """All (m!/2) * q^{m+1} standard path polynomials, q = 2**h.
+
+    ``(q/2) * sum_i x_{pi(i)} x_{pi(i+1)} + sum_i g_i x_i + g'`` over vertex
+    orderings ``pi`` (up to reversal), all linear coefficients, and all
+    constants, in a fixed deterministic order.
+    """
+    if m < 2:
+        raise ValueError("path polynomials need at least two variables")
+    q = 1 << h
+    half = q // 2
+    for pi in itertools.permutations(range(m)):
+        if pi[0] > pi[-1]:
+            continue
+        quad = path_quadratic(q, m, pi, half)
+        for gword in range(q**m):
+            lin = quad
+            w = gword
+            for i in range(m):
+                w, g = divmod(w, q)
+                if g:
+                    lin = lin + GbfPoly.monomial(q, m, [i], g)
+            for const in range(q):
+                yield lin + const if const else lin

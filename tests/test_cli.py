@@ -1,6 +1,7 @@
 """End-to-end CLI checks, driven through main(argv) for speed."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -145,6 +146,52 @@ def test_enumerate_limit(capsys):
     lines = [l for l in out.splitlines() if l.strip() and not l.startswith("#")]
     assert len(lines) == 5
     assert "truncated" in out
+
+
+def test_enumerate_limit_lines(capsys):
+    # the first words of a union code and of the standard path codebook, as
+    # the GbfPoly-algebra enumerators printed them
+    code, out, _ = run(capsys, "enumerate", "--family", "c8", "-m", "5", "-r", "2", "--q", "2", "--limit", "5")
+    assert code == 0
+    assert out.splitlines() == [
+        "q=2;m=5; x0*x1 + x1*x2",
+        "q=2;m=5; x0*x1 + x1*x2 + x3*x4",
+        "q=2;m=5; x0*x1 + x1*x2 + x4",
+        "q=2;m=5; x0*x1 + x1*x2 + x3*x4 + x4",
+        "q=2;m=5; x0*x1 + x1*x2 + x3",
+        "# ... truncated at 5",
+    ]
+    code, out, _ = run(capsys, "enumerate", "--family", "golay", "-m", "3", "--q", "4", "--limit", "5")
+    assert code == 0
+    assert out.splitlines() == [
+        "q=4;m=3; 2*x0*x1 + 2*x1*x2",
+        "q=4;m=3; 2*x0*x1 + 2*x1*x2 + 1",
+        "q=4;m=3; 2*x0*x1 + 2*x1*x2 + 2",
+        "q=4;m=3; 2*x0*x1 + 2*x1*x2 + 3",
+        "q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0",
+        "# ... truncated at 5",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--family", "golay", "-m", "9", "--q", "4"], id="golay"),
+        pytest.param(["--family", "r", "-m", "10", "-k", "3", "-r", "3", "--q", "8"], id="r"),
+    ],
+)
+def test_enumerate_refuses_oversized_family(capsys, args):
+    # both families are counted in closed form and refused before any word
+    # is built
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "enumerate", *args, "--count-only")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "EnumerationError" in err
+    assert peak < 1 << 20
 
 
 def test_enumerate_rejects_bad_q(capsys):

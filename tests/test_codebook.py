@@ -128,10 +128,47 @@ def test_union_code_sizes_match_enumerators():
         union_code_size_pmepr8(5, 5, 1)
 
 
-@pytest.mark.slow
 def test_union_enumerators_match_closed_forms_larger():
     assert sum(1 for _ in enumerate_codebook("C4", 4, 2, r=1)) == 25600
     assert sum(1 for _ in enumerate_codebook("C8", 5, 1, r=2)) == 36864
+
+
+@pytest.mark.parametrize(
+    "family, m, h, kw",
+    [
+        pytest.param("GOLAY", 9, 2, {}, id="golay"),  # 9!/2 * 4^10 words
+        pytest.param("R", 10, 3, dict(k=3, r=3), id="r"),  # (7!/2)^(2^3) representatives
+        pytest.param("R1", 10, 3, dict(k=3, r=3), id="r1"),
+        pytest.param("R2", 12, 3, dict(k=2, r=3, sizes=(2, 2)), id="r2"),
+        pytest.param("C4", 9, 1, dict(r=2), id="c4"),  # 8!/2 path representatives times the coset code
+        pytest.param("ERM", 6, 2, dict(r=3), id="erm"),
+        pytest.param("A", 8, 2, dict(k=2, r=2), id="a"),
+    ],
+)
+def test_enumerate_codebook_refuses_before_building(family, m, h, kw):
+    # the word count comes in closed form from the factor sizes, so the
+    # refusal allocates nothing of the family
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationError):
+            enumerate_codebook(family, m, h, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_enumerate_codebook_is_lazy():
+    # the first words of a 2^22-word code come from one block of at most
+    # 2^16 coefficient rows, without the rest of the code
+    tracemalloc.start()
+    try:
+        head = list(itertools.islice(enumerate_codebook("ERM", 6, 1, r=2), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.terms for f in head] == [(), ((0b110000, 1),), ((0b101000, 1),)]  # x4*x5, then x3*x5
+    assert peak < 16 << 20
 
 
 # -- representative enumerators ---------------------------------------------------

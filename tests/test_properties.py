@@ -12,14 +12,18 @@ A counter records how many cases each suite actually executed; the final
 test pins the totals so a silently-shrunk search would fail loudly.
 
 A fifth suite checks the FFT correlation core against the exact shift loop,
-and a sixth the bit-sliced minimum-distance kernel against brute force.
+a sixth the bit-sliced minimum-distance kernel against brute force, and a
+seventh the coefficient-row codebook enumerators against the GbfPoly-algebra
+reference in ``codebook_reference.py``.
 """
 
 import itertools
+import math
 from collections import Counter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -38,6 +42,10 @@ from cskit import (
     set_aacf,
 )
 from cskit import codebook
+from cskit.construct import standard_golay_gbfs
+from cskit.errors import EnumerationError
+
+import codebook_reference as reference
 from cskit.correlation import _corr_coeff_matrix, _fft_coeffs
 
 CASES = Counter()
@@ -250,6 +258,132 @@ def test_bit_sliced_min_weights_match_brute_force(case):
     nonzero = want_lee > 0
     assert lee == want_lee[nonzero].min()
     assert abs(euc - want_euc[nonzero].min()) <= 1e-9
+
+
+# -- coefficient-row enumerators against the GbfPoly-algebra reference ----------
+
+# block caps small enough that every family splits into many blocks, and the
+# default; likewise for the rows turned into polynomials at a time
+SPLITS = st.sampled_from([1, 3, 40, 1 << 24])
+YIELDS = st.sampled_from([1, 7, 1 << 10])
+HEAD = 600  # words compared per request
+
+
+@st.composite
+def codebook_request(draw):
+    """A small named family and its parameters."""
+    family = draw(st.sampled_from(["ERM", "A", "A1", "R", "R1", "R2", "C4", "C8", "GOLAY"]))
+    h = draw(st.integers(1, 3))
+    kw = {}
+    if family == "GOLAY":
+        m = draw(st.integers(2, 4))
+    elif family == "ERM":
+        m = draw(st.integers(1, 4))
+        kw["r"] = draw(st.integers(-1, m))
+    elif family in ("A", "A1"):
+        m = draw(st.integers(2, 5))
+        kw["k"] = draw(st.integers(0, min(2, m - 1)))
+        kw["r"] = draw(st.integers(0, 3))
+    elif family in ("R", "R1"):
+        m = draw(st.integers(3, 6))
+        kw["k"] = draw(st.integers(0, m - 3))
+        kw["r"] = 3 - h + draw(st.integers(0, 1))
+    elif family == "R2":
+        m = draw(st.integers(4, 6))
+        k = draw(st.integers(1, min(2, m - 3)))
+        blocks = draw(st.integers(2, min(1 << k, m - k)))
+        cuts = sorted(draw(st.lists(st.integers(1, (1 << k) - 1), min_size=blocks - 1, max_size=blocks - 1, unique=True)))
+        kw.update(k=k, r=3 - h + draw(st.integers(0, 1)), sizes=[b - a for a, b in zip([0, *cuts], [*cuts, 1 << k])])
+    else:  # the unions: the reference builds every code word first, so keep the codes small
+        h = 1
+        m = draw(st.integers(4, 5)) if family == "C4" else 5
+        kw["r"] = draw(st.integers(2, 3 if family == "C4" and m == 4 else 2))
+    return family, m, h, kw
+
+
+def outcome(make):
+    """The first HEAD words, or the type of the error raised on the way."""
+    try:
+        return list(itertools.islice(make(), HEAD))
+    except ValueError as exc:  # EnumerationError included
+        return type(exc)
+
+
+def split_enumeration(block_symbols, yield_rows):
+    return mock.patch.multiple(codebook, _BLOCK_SYMBOLS=block_symbols, _YIELD_ROWS=yield_rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(codebook_request(), SPLITS, YIELDS)
+def test_enumerators_match_the_reference(request, block_symbols, yield_rows):
+    """Every family yields the reference's polynomials in the reference's
+    order, or raises the same error; above 2^22 words it refuses at the call,
+    where the reference streams the representatives lazily."""
+    family, m, h, kw = request
+    try:
+        words = sum(math.prod(f.n for f in part) for part in codebook._codebook_parts(family, m, h, kw.get("r"), kw.get("k"), kw.get("sizes", ())))
+    except ValueError:
+        words = 0
+    with split_enumeration(block_symbols, yield_rows):
+        if words > 1 << 22:
+            with pytest.raises(EnumerationError):
+                codebook.enumerate_codebook(family, m, h, **kw)
+            return
+        got = outcome(lambda: codebook.enumerate_codebook(family, m, h, **kw))
+    assert got == outcome(lambda: reference.enumerate_codebook(family, m, h, **kw))
+    if isinstance(got, list) and words <= HEAD and family not in ("C4", "C8"):
+        assert len(got) == words
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(2, 4), SPLITS, YIELDS)
+def test_embedded_f_polys_and_golay_match_the_reference(h, m, block_symbols, yield_rows):
+    """``enumerate_f_polys`` on the top variables of a larger domain, and
+    ``standard_golay_gbfs`` without the size refusal."""
+    with split_enumeration(block_symbols, yield_rows):
+        f_polys = outcome(lambda: codebook.enumerate_f_polys(1, 2, h, m=m, variables=[m - 2, m - 1]))
+        golay = outcome(lambda: standard_golay_gbfs(m, h))
+    assert f_polys == outcome(lambda: reference.enumerate_f_polys(1, 2, h, m=m, variables=[m - 2, m - 1]))
+    assert golay == outcome(lambda: reference.standard_golay_gbfs(m, h))
+
+
+def overlapping_unions(kind, m, h, r):
+    """Two-part unions whose parts share words, as (coefficient-row parts,
+    reference (reps, code) parts)."""
+    q = 1 << h
+    zero = [GbfPoly.zero(q, m)]
+    if kind == "nested":  # F(r) then F(r+1), which contains it
+        new = [codebook._f_factors(r, m, h, range(m)), codebook._f_factors(r + 1, m, h, range(m))]
+        ref = [(zero, reference.enumerate_f_polys(r, m, h)), (zero, reference.enumerate_f_polys(r + 1, m, h))]
+    elif kind == "cosets":  # C4's path part over the coset code, then over its subcode
+        new = [codebook._path_rep_factors(m, 1, h, r) + codebook._coset_factors(m, 1, r, h, excl=excl) for excl in (False, True)]
+        ref = [(reference._path_reps(m, 1, h, r), reference._coset_polys(m, 1, r, h, excl=excl)) for excl in (False, True)]
+    else:  # "self-sum": every sum a + b of two constants repeats within the part
+        gen = codebook._Gen(0, 1, q)
+        consts = [GbfPoly.const(q, m, c) for c in range(q)]
+        new = [[gen, gen]]
+        ref = [(consts, consts)]
+    return new, ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["nested", "cosets", "self-sum"]),
+    st.sampled_from([(2, 1, 0), (2, 2, 0), (3, 1, 0), (3, 1, 1), (2, 2, 1)]),
+    SPLITS,
+    YIELDS,
+)
+def test_union_dedup_drops_what_value_vectors_drop(kind, shape, block_symbols, yield_rows):
+    """Deduplication on coefficient rows keeps exactly the words, in order,
+    that deduplication by value vector keeps, and does drop some."""
+    m, h, r = shape
+    if kind == "cosets":
+        m, h, r = 4, 1, 2
+    new, ref = overlapping_unions(kind, m, h, r)
+    with split_enumeration(block_symbols, yield_rows):
+        got = list(codebook._coefficient_words(new, 1 << h, m, dedup=True))
+    assert got == list(reference._union_codebook(ref))
+    assert len(got) < sum(math.prod(f.n for f in part) for part in new)
 
 
 def test_case_totals():
