@@ -67,15 +67,14 @@ from .construct import (
     cs_to_text,
     doubled_cs,
     golay_pair,
-    indicator_poly,
     offset_set,
-    path_quadratic,
     path_restriction_cs,
     random_qualifying_gbf,
     standard_golay_gbfs,
 )
 from .codebook import (
     coset_code_size,
+    count_codebook,
     enumerate_codebook,
     erm_distance_formulas,
     erm_min_distances,

@@ -167,11 +167,11 @@ def _cmd_random(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     h = _require_power_of_two(args.q, "enumerate")
     sizes = tuple(_parse_int_list(args.sizes)) if args.sizes else ()
-    polys = codebook.enumerate_codebook(args.family, args.m, h, r=args.r, k=args.k, sizes=sizes)
     if args.count_only:
-        n = sum(1 for _ in polys)
+        n = codebook.count_codebook(args.family, args.m, h, r=args.r, k=args.k, sizes=sizes)
         _write_text(args.out, str(n))
         return 0
+    polys = codebook.enumerate_codebook(args.family, args.m, h, r=args.r, k=args.k, sizes=sizes)
     lines = []
     for i, f in enumerate(polys):
         if args.limit is not None and i >= args.limit:

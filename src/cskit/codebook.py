@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EnumerationError
-from .gbf import GbfPoly
+from .gbf import GbfPoly, polys_from_rows
 
 __all__ = [
     "log2_f_count",
@@ -65,6 +65,7 @@ __all__ = [
     "erm_min_distances",
     "rm_min_weight",
     "enumerate_codebook",
+    "count_codebook",
     "codeword_matrix",
     "rate_rows",
     "golden_report",
@@ -553,11 +554,16 @@ def _row_blocks(factors: Sequence, cols: np.ndarray, q: int) -> Iterator[np.ndar
             yield (head[:, None] + inner[None]).reshape(-1, width) & (q - 1)
 
 
-def _coefficient_words(parts: Sequence[Sequence], q: int, m: int, *, dedup: bool = False) -> Iterator[GbfPoly]:
-    """The words of a union of Cartesian sums (one factor list per part), in
-    order.  With ``dedup`` a word equal to an earlier one is skipped; the ANF
-    is canonical, so equal coefficient rows are exactly equal functions."""
-    cols = np.unique(np.array([mask for part in parts for f in part for mask in f.masks()], dtype=np.int64))
+def _columns(parts: Sequence[Sequence]) -> np.ndarray:
+    """The sorted union of the monomial masks of every factor."""
+    return np.unique(np.array([mask for part in parts for f in part for mask in f.masks()], dtype=np.int64))
+
+
+def _coefficient_rows(parts: Sequence[Sequence], cols: np.ndarray, q: int, *, dedup: bool = False) -> Iterator[np.ndarray]:
+    """The rows over ``cols`` of the words of a union of Cartesian sums (one
+    factor list per part), in order, at most ``_YIELD_ROWS`` at a time.  With
+    ``dedup`` a row equal to an earlier one is dropped; the ANF is canonical,
+    so equal rows are exactly equal functions."""
     seen: set[bytes] = set()
     for part in parts:
         for block in _row_blocks(part, cols, q):
@@ -574,19 +580,23 @@ def _coefficient_words(parts: Sequence[Sequence], q: int, m: int, *, dedup: bool
                                 seen.add(key)
                                 keep.append(i)
                         chunk = chunk[keep]
-                rr, cc = np.nonzero(chunk)
-                terms = tuple(zip(cols[cc].tolist(), chunk[rr, cc].tolist()))
-                ends = np.cumsum(np.count_nonzero(chunk, axis=1)).tolist()
-                for at, end in zip([0, *ends], ends):
-                    yield GbfPoly(q, m, terms[at:end])
+                yield chunk
 
 
-def _refuse_above_limit(parts: Sequence[Sequence], what: str) -> None:
-    """Raise :class:`EnumerationError` when the parts hold more than 2^22
-    words in all (before deduplication), before anything is built."""
+def _coefficient_words(parts: Sequence[Sequence], q: int, m: int, *, dedup: bool = False) -> Iterator[GbfPoly]:
+    """The words of :func:`_coefficient_rows` as polynomials."""
+    cols = _columns(parts)
+    for chunk in _coefficient_rows(parts, cols, q, dedup=dedup):
+        yield from polys_from_rows(q, m, cols, chunk)
+
+
+def _refuse_above_limit(parts: Sequence[Sequence], what: str) -> int:
+    """The number of words of the parts (before deduplication); raise
+    :class:`EnumerationError` when it is above 2^22, before anything is built."""
     words = sum(math.prod(f.n for f in part) for part in parts)
     if words > _MAX_WORDS:
         raise EnumerationError(f"{words} {what} requested, more than 2^22")
+    return words
 
 
 def _f_factors(r: int, k: int, h: int, variables: Sequence[int]) -> list[_Gen]:
@@ -694,7 +704,9 @@ _FAMILIES = ("ERM", "A", "A1", "R", "R1", "R2", "C4", "C8", "GOLAY")
 
 
 def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, sizes: Sequence[int]) -> list[list]:
-    """The factor lists of a named family, one per union part."""
+    """The factor lists of a named family (upper case), one per union part."""
+    if fam not in _FAMILIES:
+        raise ValueError(f"unknown family {fam!r}")
     if fam == "GOLAY":
         return [_golay_factors(m, h)]
     if r is None:
@@ -754,11 +766,21 @@ def enumerate_codebook(
     words raises :class:`EnumerationError` before anything is built.
     """
     fam = family.upper()
-    if fam not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     parts = _codebook_parts(fam, m, h, r, k, sizes)
     _refuse_above_limit(parts, f"{fam} words")
     return _coefficient_words(parts, 1 << h, m, dedup=fam in ("C4", "C8"))
+
+
+def count_codebook(family: str, m: int, h: int, *, r: int | None = None, k: int | None = None, sizes: Sequence[int] = ()) -> int:
+    """The number of words :func:`enumerate_codebook` yields, with no
+    polynomial built: the closed-form factor product, or for C4/C8 the
+    number of distinct coefficient rows.  Refused above 2^22 words alike."""
+    fam = family.upper()
+    parts = _codebook_parts(fam, m, h, r, k, sizes)
+    words = _refuse_above_limit(parts, f"{fam} words")
+    if fam not in ("C4", "C8"):
+        return words
+    return sum(len(rows) for rows in _coefficient_rows(parts, _columns(parts), 1 << h, dedup=True))
 
 
 def codeword_matrix(polys: Iterator[GbfPoly] | Sequence[GbfPoly]) -> np.ndarray:

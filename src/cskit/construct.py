@@ -21,29 +21,43 @@ vertex), with exactly predictable values.  Three refinements are provided:
   and for k = 0 the Golay pair of Davis & Jedwab (1999)
   (:func:`golay_pair`).
 
-Every candidate records the exact predicted correlation alongside its
-members, so callers can confront prediction with brute-force measurement.
+Every family is a Cartesian sum of two-element factors over one f: the
+members are f plus every pick from {0, (q/2) t}, {0, (q/2) x_{j_a}} for
+each restricted variable and, when doubled, {0, (q/2) sum_l x_l}.  A
+candidate holds f and the factors as Z_q ANF coefficient rows over the
+union of their monomials, and reads its members, its sequences (one phase
+matrix) and its JSON export off those rows.  It records the exact predicted
+correlation alongside, so callers can confront prediction with brute-force
+measurement.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .codebook import standard_golay_gbfs  # re-exported: the standard Golay codebook
+from .codebook import _indicator_anf, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
 from .correlation import AacfVector, write_sequences
 from .cyclo import CycloValue, cyclo_sum
 from .errors import BalanceError, GraphShapeError, ParseError
-from .gbf import GbfPoly, PolyphaseSeq, Restriction, _require_power_of_two, _require_value_vector_size, psi
+from .gbf import (
+    GbfPoly,
+    PolyphaseSeq,
+    _require_power_of_two,
+    _require_value_vector_size,
+    anf_values,
+    polys_from_rows,
+)
 from .graphs import RestrictionProfile, analyze
 
 __all__ = [
     "CsCandidate",
-    "indicator_poly",
-    "path_quadratic",
     "offset_set",
     "balanced_cs",
     "doubled_cs",
@@ -56,79 +70,83 @@ __all__ = [
 ]
 
 
-def indicator_poly(q: int, m: int, restriction: Restriction) -> GbfPoly:
-    """The 0/1-valued polynomial that is 1 exactly on the restricted pattern.
-
-    Product over the fixed variables of ``x_j`` (bit 1) or ``1 - x_j``
-    (bit 0); the empty restriction gives the constant 1.
-    """
-    out = GbfPoly.const(q, m, 1)
-    for j, b in restriction.pairs():
-        xj = GbfPoly.variable(q, m, j)
-        out = out * (xj if b else (GbfPoly.const(q, m, 1) - xj))
-    return out
-
-
-def path_quadratic(q: int, m: int, order: Sequence[int], weight: int) -> GbfPoly:
-    """``weight * sum_i x_{order[i]} x_{order[i+1]}`` — the path's edge sum."""
-    pairs = ((1 << order[i]) | (1 << order[i + 1]) for i in range(len(order) - 1))
-    return GbfPoly.from_terms(q, m, ((mask, weight) for mask in pairs))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsCandidate:
     """A constructed family of polynomials with its predicted correlation.
 
-    ``members`` are ordered by their offset pattern (endpoint bit first,
-    then the restricted-variable bits as an increasing word), ``predicted``
-    is the exact summed autocorrelation the construction guarantees, and
-    ``pmepr_bound`` bounds every member's peak-to-mean envelope power ratio.
+    ``factors`` are Z_q ANF coefficient rows over the monomial masks
+    ``cols``: f, then one row r per two-element factor {0, r}.  ``rows``
+    holds f plus every pick of the factors (the first factor slowest), one
+    row per member; ``members`` are those rows as polynomials, ordered by
+    offset pattern (doubling shift, endpoint bit, then the restricted
+    variables as an increasing word).  ``predicted`` is the exact summed
+    autocorrelation the construction guarantees, and ``pmepr_bound`` bounds
+    every member's peak-to-mean envelope power ratio.
     """
 
     q: int
     m: int
-    members: tuple[GbfPoly, ...]
+    cols: np.ndarray
+    factors: np.ndarray
     provenance: str
     pmepr_bound: float
     predicted: AacfVector
     profile: RestrictionProfile
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _cartesian_sum(self.factors, self.q)
+
+    @cached_property
+    def members(self) -> tuple[GbfPoly, ...]:
+        return tuple(polys_from_rows(self.q, self.m, self.cols, self.rows))
+
     @property
     def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def L(self) -> int:
-        return 1 << self.m
+        return 1 << (len(self.factors) - 1)
 
     def sequences(self) -> list[PolyphaseSeq]:
-        return [psi(g) for g in self.members]
+        """The members' sequences, read from one ``(size, L)`` phase matrix:
+        the value vectors of the factor rows, summed like the rows."""
+        phases = _cartesian_sum(anf_values(self.q, self.m, self.cols, self.factors), self.q)
+        return [PolyphaseSeq(self.q, row) for row in phases]
 
     def is_complementary_prediction(self) -> bool:
         return self.predicted.offpeak_is_zero()
 
     def to_json(self) -> dict:
-        from .gbf import gbf_to_json
+        """The candidate as a dict; each member in the form of ``gbf_to_json``.
 
+        The terms are rendered once per column and coefficient: members
+        with the same coefficient on a monomial share one term dict (and its
+        ``vars`` list), so copy a member before changing it in place.
+        """
+        order = np.lexsort((self.cols, np.bitwise_count(self.cols)))  # gbf_to_json's (degree, mask) order
+        rows = self.rows[:, order]
+        rr, cc = np.nonzero(rows)
+        keys, at = np.unique(cc * self.q + rows[rr, cc], return_inverse=True)
+        variables = [[i for i in range(mask.bit_length()) if (mask >> i) & 1] for mask in self.cols[order].tolist()]
+        table = [{"vars": variables[key // self.q], "coeff": key % self.q} for key in keys.tolist()]
+        terms = [table[i] for i in at.tolist()]
+        ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
         return {
             "q": self.q,
             "m": self.m,
             "size": self.size,
             "provenance": self.provenance,
             "pmepr_bound": self.pmepr_bound,
-            "members": [gbf_to_json(g) for g in self.members],
+            "members": [{"q": self.q, "m": self.m, "terms": terms[a:b]} for a, b in zip([0, *ends], ends)],
             "predicted_aacf": self.predicted.to_json(),
         }
 
 
-def _endpoint_poly(profile: RestrictionProfile) -> GbfPoly:
-    """Indicator-weighted sum of the per-restriction path endpoints."""
-    q, m = profile.q, profile.m
-    total = GbfPoly.zero(q, m)
-    for word, t in profile.endpoints:
-        ind = indicator_poly(q, m, Restriction.assign(profile.restricted, word))
-        total = total + ind * GbfPoly.variable(q, m, t)
-    return total
+def _cartesian_sum(factors: np.ndarray, q: int) -> np.ndarray:
+    """Every sum ``factors[0] + (a pick of the other rows)`` mod q, a power of
+    two, one row per pick, with the first factor slowest and the last fastest."""
+    out = factors[:1]
+    for step in factors[1:]:
+        out = np.stack((out, (out + step) & (q - 1)), axis=1).reshape(-1, factors.shape[1])
+    return out
 
 
 def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
@@ -145,21 +163,33 @@ def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
     return AacfVector(q, coeffs)
 
 
-def _offset_members(f: GbfPoly, profile: RestrictionProfile) -> tuple[GbfPoly, ...]:
-    q, m = f.q, f.m
-    half = q // 2
-    t_poly = _endpoint_poly(profile)
-    members = []
-    for d in (0, 1):
-        for word in range(1 << profile.k):
-            off = GbfPoly.zero(q, m)
-            if d:
-                off = off + t_poly
-            for a, j in enumerate(profile.restricted):
-                if (word >> a) & 1:
-                    off = off + GbfPoly.variable(q, m, j)
-            members.append(f + half * off)
-    return tuple(members)
+def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str, bound: int, doubled: bool = False) -> CsCandidate:
+    """The offset family of f as factor rows: f, then (doubled only) the
+    shift (q/2) * sum of the isolated vertices, then (q/2) * t with t the
+    indicator-weighted sum of the path endpoints, then (q/2) * x_j for the
+    restricted variables, the largest first."""
+    predicted = _predicted_aacf(profile, doubled)  # refuses an oversized domain before any row is built
+    q, half = f.q, f.q // 2
+    words_of: dict[int, list[int]] = {}
+    for word, t in profile.endpoints:
+        words_of.setdefault(t, []).append(word)
+    # (q/2) * c mod q depends on c mod 2 only, so t is summed over Z_2
+    t_poly = {mask | 1 << t: half for t, words in words_of.items() for mask in _indicator_anf(profile.restricted, words, 2)}
+    factors = [dict(f.terms), t_poly, *({1 << j: half} for j in reversed(profile.restricted))]
+    if doubled:
+        factors.insert(1, {1 << g.l: half for g in profile.groups})
+    cols = np.array(sorted(set().union(*factors)), dtype=np.int64)
+    rows = np.zeros((len(factors), len(cols)), dtype=np.min_scalar_type(q - 1))
+    for row, terms in zip(rows, factors):
+        row[np.searchsorted(cols, np.array(list(terms), dtype=np.int64))] = list(terms.values())
+    return CsCandidate(q, f.m, cols, rows, provenance, float(bound), predicted, profile)
+
+
+def _profile(f: GbfPoly, profile: RestrictionProfile | None, restricted: Sequence[int]) -> RestrictionProfile:
+    """The given profile, or ``analyze(f, restricted)``; a modulus that is
+    not a power of two is refused first."""
+    _require_power_of_two(f.q, "a complementary-set construction")
+    return analyze(f, restricted) if profile is None else profile
 
 
 def offset_set(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -169,21 +199,10 @@ def offset_set(f: GbfPoly, profile: RestrictionProfile | None = None, *, restric
     for you).  The prediction: peak 2^{m+k+1}; at shift 2^l for each isolated
     vertex l the value ``2^m * omega^{g_l} * sum_c omega^{L_c}``; conjugates
     at negative shifts; zero everywhere else.  The per-member envelope bound
-    is 2^{k+2} - 2M.
+    is 2^{k+2} - 2M.  Raises :class:`ModulusError` unless q is a power of two.
     """
-    if profile is None:
-        profile = analyze(f, restricted)
-    members = _offset_members(f, profile)
-    bound = (1 << (profile.k + 2)) - 2 * profile.M
-    return CsCandidate(
-        q=f.q,
-        m=f.m,
-        members=members,
-        provenance="offset",
-        pmepr_bound=float(bound),
-        predicted=_predicted_aacf(profile, doubled=False),
-        profile=profile,
-    )
+    profile = _profile(f, profile, restricted)
+    return _family(f, profile, "offset", (1 << (profile.k + 2)) - 2 * profile.M)
 
 
 def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -193,8 +212,7 @@ def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restri
     half of the coupling surpluses are 0 and the other half q/2 — which
     forces the residual off-peak terms to cancel.  PMEPR bound 2^{k+1}.
     """
-    if profile is None:
-        profile = analyze(f, restricted)
+    profile = _profile(f, profile, restricted)
     for g in profile.groups:
         if not g.is_balanced(profile.q):
             zeros = sum(1 for v in g.l_values if v == 0)
@@ -203,9 +221,9 @@ def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restri
                 f"isolated vertex x{g.l}: surpluses {list(g.l_values)} "
                 f"(size {g.size}, {zeros} zeros, {halves} of value q/2) are not half/half"
             )
-    base = offset_set(f, profile)
-    assert base.predicted.offpeak_is_zero(), "balance must cancel every off-peak term"
-    return replace(base, provenance="balanced", pmepr_bound=float(1 << (profile.k + 1)))
+    cand = _family(f, profile, "balanced", 1 << (profile.k + 1))
+    assert cand.predicted.offpeak_is_zero(), "balance must cancel every off-peak term"
+    return cand
 
 
 def doubled_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -217,16 +235,8 @@ def doubled_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restric
     zero summed autocorrelation at every nonzero shift.  Per-member PMEPR
     bound 2^{k+2} - 2M.
     """
-    if profile is None:
-        profile = analyze(f, restricted)
-    base = offset_set(f, profile)
-    shift = GbfPoly.from_terms(f.q, f.m, ((1 << g.l, f.q // 2) for g in profile.groups))
-    return replace(
-        base,
-        members=base.members + tuple(g + shift for g in base.members),
-        provenance="doubled",
-        predicted=_predicted_aacf(profile, doubled=True),
-    )
+    profile = _profile(f, profile, restricted)
+    return _family(f, profile, "doubled", (1 << (profile.k + 2)) - 2 * profile.M, doubled=True)
 
 
 def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -239,11 +249,10 @@ def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *
     the provenance is ``"path-restriction"``.  Raises
     :class:`GraphShapeError` if some restriction isolates a vertex.
     """
-    if profile is None:
-        profile = analyze(f, restricted)
+    profile = _profile(f, profile, restricted)
     if not profile.all_paths:
         raise GraphShapeError("every restriction must reduce to a path (no isolated vertices)")
-    return replace(offset_set(f, profile), provenance="golay" if profile.k == 0 else "path-restriction")
+    return _family(f, profile, "golay" if profile.k == 0 else "path-restriction", 1 << (profile.k + 1))
 
 
 def golay_pair(f: GbfPoly, add0: int = 0, add1: int = 0) -> tuple[GbfPoly, GbfPoly]:
@@ -300,54 +309,41 @@ def random_qualifying_gbf(
 
     words = list(range(1 << k))
     rng.shuffle(words)
-    blocks = [words[:M]]
-    at = M
-    for n in sizes:
-        blocks.append(words[at : at + n])
-        at += n
+    cuts = list(itertools.accumulate((M, *sizes)))
+    blocks = [words[a:b] for a, b in zip([0, *cuts], cuts)]
 
-    f = GbfPoly.zero(q, m)
-    for word in blocks[0]:
-        ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-        order = unrestricted[:]
+    terms: Counter[int] = Counter()
+
+    def add(words: Sequence[int], masks: Sequence[int], coeff: int) -> None:
+        """terms += coeff * (sum of the indicators of words) * x_mask, per mask."""
+        for ind, c in _indicator_anf(restricted, words, q).items():
+            for mask in masks:
+                terms[ind | mask] += c * coeff
+
+    def add_path(word: int, verts: list[int]) -> None:
+        order = verts[:]
         rng.shuffle(order)
-        f = f + ind * path_quadratic(q, m, order, half)
+        add([word], [(1 << a) | (1 << b) for a, b in zip(order, order[1:])], half)
+
+    for word in blocks[0]:
+        add_path(word, unrestricted)
     for l, block in zip(isolated, blocks[1:]):
-        others = [v for v in unrestricted if v != l]
         for word in block:
-            ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-            order = others[:]
-            rng.shuffle(order)
-            f = f + ind * path_quadratic(q, m, order, half)
-        xl = GbfPoly.variable(q, m, l)
+            add_path(word, [v for v in unrestricted if v != l])
         if balanced:
-            for word in rng.sample(block, len(block) // 2):
-                ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-                f = f + half * (ind * xl)
+            add(rng.sample(block, len(block) // 2), [1 << l], half)
         else:
             for word in block:
-                rho = rng.randrange(q)
-                if rho:
-                    ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-                    f = f + rho * (ind * xl)
+                add([word], [1 << l], rng.randrange(q))
 
     # free ingredients: any polynomial in the restricted variables, any
     # linear part, any constant
     for mask_bits in range(1, 1 << k):
-        mask = 0
-        for a in range(k):
-            if (mask_bits >> a) & 1:
-                mask |= 1 << restricted[a]
-        coeff = rng.randrange(q)
-        if coeff:
-            f = f + GbfPoly(q, m, ((mask, coeff),))
+        terms[sum(1 << v for a, v in enumerate(restricted) if (mask_bits >> a) & 1)] += rng.randrange(q)
     for i in range(m):
-        g = rng.randrange(q)
-        if g:
-            f = f + GbfPoly.monomial(q, m, [i], g)
-    gp = rng.randrange(q)
-    if gp:
-        f = f + gp
+        terms[1 << i] += rng.randrange(q)
+    terms[0] += rng.randrange(q)
+    f = GbfPoly.from_terms(q, m, terms)
 
     check = analyze(f, restricted)
     assert check.M == M and tuple(sorted(check.group_sizes)) == tuple(sorted(sizes))

@@ -35,6 +35,8 @@ __all__ = [
     "gbf_from_json",
     "psi",
     "psi_restricted",
+    "polys_from_rows",
+    "anf_values",
 ]
 
 
@@ -251,15 +253,12 @@ class GbfPoly:
     def value_vector(self) -> np.ndarray:
         """All ``2^m`` values ``f(0) .. f(2^m - 1)`` as an int64 array.
 
-        Raises :class:`SizeLimitError`, before allocating, when m exceeds
-        :data:`MAX_VALUE_VECTOR_M`.
+        The zeta (Moebius) transform of the coefficients over the Boolean
+        lattice (:func:`anf_values`): O(m * 2^m) whatever the number of
+        terms.  Raises :class:`SizeLimitError`, before allocating, when m
+        exceeds :data:`MAX_VALUE_VECTOR_M`.
         """
-        _require_value_vector_size(self.m)
-        idx = np.arange(1 << self.m, dtype=np.int64)
-        total = np.zeros(1 << self.m, dtype=np.int64)
-        for tm, c in self.terms:
-            total += c * ((idx & tm) == tm)
-        return total % self.q
+        return anf_values(self.q, self.m, [tm for tm, _ in self.terms], [[c for _, c in self.terms]])[0]
 
     # -- restriction -------------------------------------------------------
 
@@ -291,6 +290,34 @@ class GbfPoly:
     @staticmethod
     def parse(text: str) -> GbfPoly:
         return parse_gbf(text)
+
+
+def polys_from_rows(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[GbfPoly]:
+    """One polynomial per row of Z_q ANF coefficients over the monomial masks
+    ``cols``, trusted: with ``cols`` strictly ascending below 2^m and every
+    entry in [0, q), a row's nonzero entries are a canonical term table, so
+    no validation runs."""
+    rr, cc = np.nonzero(rows)
+    terms = tuple(zip(cols[cc].tolist(), rows[rr, cc].tolist()))
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    out = [object.__new__(GbfPoly) for _ in ends]
+    for poly, at, end in zip(out, [0, *ends], ends):
+        poly.__dict__.update(q=q, m=m, terms=terms[at:end])
+    return out
+
+
+def anf_values(q: int, m: int, cols: np.ndarray | Sequence[int], rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """The ``(n, 2^m)`` int64 value vectors, mod q, of n rows of ANF
+    coefficients over the distinct masks ``cols``: the zeta transform over the
+    Boolean lattice, adding each point's coefficient into the points above it
+    one variable at a time.  Refuses m above the size limit before allocating."""
+    _require_value_vector_size(m)
+    vals = np.zeros((len(rows), 1 << m), dtype=np.int64)
+    vals[:, cols] = rows
+    for i in range(m):
+        pairs = vals.reshape(len(rows), -1, 2, 1 << i)
+        pairs[:, :, 1] += pairs[:, :, 0]
+    return vals % q
 
 
 @dataclass(frozen=True)

@@ -241,12 +241,6 @@ class RestrictionProfile:
         """True when every isolated group satisfies the half/half condition."""
         return all(g.is_balanced(self.q) for g in self.groups)
 
-    def endpoint(self, word: int) -> int:
-        for w, t in self.endpoints:
-            if w == word:
-                return t
-        raise KeyError(f"no restriction word {word}")
-
     def to_json(self) -> dict:
         return {
             "q": self.q,

@@ -14,7 +14,7 @@ import numpy as np
 
 from cskit import GbfPoly, Restriction
 from cskit.codebook import _f_generators
-from cskit.construct import indicator_poly, path_quadratic
+from construct_reference import indicator_poly, path_quadratic
 from cskit.errors import EnumerationError
 
 

@@ -242,6 +242,30 @@ def test_non_power_of_two_modulus_exit_2(tmp_path, capsys, verb):
     assert not out and "ModulusError" in err
 
 
+@pytest.mark.parametrize(
+    "gbf",
+    [
+        pytest.param("q=6;m=3; 3*x0*x1 + 3*x1*x2", id="all-paths"),
+        pytest.param("q=6;m=3; 3*x0*x1", id="isolated-vertex"),
+    ],
+)
+def test_construct_non_power_of_two_modulus_exit_2(capsys, gbf):
+    # Z[omega_6] has no power-of-two basis: no family is built, whether or
+    # not a restriction isolates a vertex
+    code, out, err = run(capsys, "construct", "--gbf", gbf, "--format", "json")
+    assert code == 2
+    assert not out and "ModulusError" in err
+
+
+def test_enumerate_count_only_builds_no_polynomial(capsys, monkeypatch):
+    # 2^22 words counted from the factor sizes; C4/C8 from their distinct rows
+    monkeypatch.setattr("cskit.codebook.polys_from_rows", None)
+    code, out, _ = run(capsys, "enumerate", "--family", "erm", "-m", "6", "-r", "2", "--q", "2", "--count-only")
+    assert code == 0 and out.strip() == str(1 << 22)
+    code, out, _ = run(capsys, "enumerate", "--family", "c8", "-m", "5", "-r", "2", "--q", "2", "--count-only")
+    assert code == 0 and out.strip() == "36864"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_oversized_domain_exit_2(capsys, fmt):
     # a Golay path on 64 variables parses, but its 2^64-entry sequence is refused

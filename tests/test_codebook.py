@@ -11,6 +11,7 @@ from cskit.codebook import (
     KNOWN_DISCREPANCIES,
     codeword_matrix,
     coset_code_size,
+    count_codebook,
     enumerate_codebook,
     enumerate_f_polys,
     erm_distance_formulas,
@@ -213,6 +214,21 @@ def test_codeword_matrix():
     mat = codeword_matrix(enumerate_codebook("ERM", 1, 2, r=1))
     assert mat.shape == (16, 2)
     assert len({tuple(row) for row in mat}) == 16
+
+
+@pytest.mark.parametrize(
+    "family, m, h, kw",
+    [
+        ("ERM", 4, 2, dict(r=1)),
+        ("A1", 5, 1, dict(k=2, r=2)),
+        ("R2", 6, 1, dict(k=2, r=2, sizes=(2, 2))),
+        ("C4", 4, 1, dict(r=2)),
+        ("C8", 5, 1, dict(r=2)),
+        ("GOLAY", 3, 1, {}),
+    ],
+)
+def test_count_codebook_counts_what_enumerate_yields(family, m, h, kw):
+    assert count_codebook(family, m, h, **kw) == sum(1 for _ in enumerate_codebook(family, m, h, **kw))
 
 
 def test_enumerate_codebook_argument_errors():

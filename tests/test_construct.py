@@ -1,21 +1,23 @@
 """Construction-level checks: set sizes, orderings, predictions, verifications."""
 
+import hashlib
+import json
+
 import pytest
 
 from cskit import (
     BalanceError,
     GraphShapeError,
+    ModulusError,
     analyze,
     balanced_cs,
     cs_meta_from_text,
     cs_to_text,
     doubled_cs,
     golay_pair,
-    indicator_poly,
     is_cs,
     offset_set,
     parse_gbf,
-    path_quadratic,
     path_restriction_cs,
     pmepr,
     psi,
@@ -23,18 +25,23 @@ from cskit import (
     set_aacf,
     standard_golay_gbfs,
 )
+from cskit.codebook import _indicator_anf
 from cskit.gbf import GbfPoly, Restriction
+
+import construct_reference as reference
 
 
 def test_indicator_poly():
-    ind = indicator_poly(4, 3, Restriction.assign([0, 2], 0b10))
+    # the indicator ANF the constructions sum, here (1 - x0) * x2
+    ind = GbfPoly.from_terms(4, 3, _indicator_anf([0, 2], [0b10], 4))
     for i in range(8):
         want = 1 if (i & 1) == 0 and (i >> 2) & 1 else 0
         assert ind(i) == want
+    assert ind == reference.indicator_poly(4, 3, Restriction.assign([0, 2], 0b10))
 
 
 def test_path_quadratic():
-    f = path_quadratic(4, 4, (2, 0, 3, 1), 2)
+    f = reference.path_quadratic(4, 4, (2, 0, 3, 1), 2)
     assert f == parse_gbf("q=4;m=4; 2*x0*x2 + 2*x0*x3 + 2*x1*x3")
 
 
@@ -168,3 +175,41 @@ def test_cs_text_roundtrip():
     meta = cs_meta_from_text(text)
     assert meta["q"] == 2 and meta["m"] == 4
     assert meta["size"] == 8 and meta["provenance"] == "doubled"
+
+
+@pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])
+def test_builders_refuse_non_power_of_two_modulus(build):
+    # the rows are reduced with & (q-1), so q = 6 is refused before analysis
+    with pytest.raises(ModulusError):
+        build(parse_gbf("q=6;m=3; 3*x0*x1 + 3*x1*x2"), restricted=[])
+
+
+# sha256 of json.dumps(to_json()) and of cs_to_text, computed with the
+# constructions as they were before the coefficient-row family core
+GOLDEN = [
+    (
+        offset_set, (7, 2, 4, (3,), False, 11), 8,
+        "9d97f74d3356999e8fae0651aec9a5cff52af70836cde4a1922134ba76c6555c",
+        "7af9438993ab60aadd39b4157e692337d63e2ea9db7d94f52ec9a14c8058faa8",
+    ),
+    (
+        balanced_cs, (8, 3, 8, (2, 4), True, 12), 16,
+        "e460f1c9bf4090858229cf666a9770a24a4e4fca1df6641a3b4ccd7ba3d5b8d2",
+        "27cf899abb3f5b964f264d7ccc7d9406d7ed0abfadfd92cd0d9dc2e976fbe0ad",
+    ),
+    (
+        doubled_cs, (9, 3, 2, (3, 1), False, 13), 32,
+        "6af1f77aa07756ab08423fa8743181330691ec69c4226730ee961889bf2f8a56",
+        "89535228a34958c10988fcf611d0599051b0917a7a4c5f950fbe8852c5603d3a",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, shape, size, json_digest, text_digest", GOLDEN, ids=["offset", "balanced", "doubled"])
+def test_export_bytes_are_pinned(build, shape, size, json_digest, text_digest):
+    m, k, q, sizes, balanced, seed = shape
+    f, restricted = random_qualifying_gbf(m, k, q, sizes, balanced=balanced, seed=seed)
+    cand = build(f, restricted=restricted)
+    assert cand.size == size
+    assert hashlib.sha256(json.dumps(cand.to_json()).encode()).hexdigest() == json_digest
+    assert hashlib.sha256(cs_to_text(cand).encode()).hexdigest() == text_digest

@@ -1,0 +1,129 @@
+"""The coefficient-row family core against the GbfPoly-algebra reference.
+
+Every builder is checked on random qualifying polynomials (m 3..10,
+q in {2, 4, 8}, random isolated-group shapes) against
+``construct_reference.py``: equal members, equal phases, and byte-equal JSON
+and sequence text.  The trusted row constructor is checked against
+``GbfPoly.from_terms`` and the zeta-transform value vector against the
+term-by-term one.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cskit import (
+    BalanceError,
+    GbfPoly,
+    analyze,
+    balanced_cs,
+    cs_to_text,
+    doubled_cs,
+    golay_pair,
+    offset_set,
+    path_restriction_cs,
+    random_qualifying_gbf,
+)
+from cskit.gbf import anf_values, polys_from_rows
+
+import construct_reference as reference
+
+FAMILY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def qualifying_shapes(draw):
+    """(m, k, q, group sizes, balanced, seed) that random_qualifying_gbf
+    accepts, drawn uniformly from one seed: Hypothesis alone favors m = 3."""
+    rng = random.Random(draw(st.integers(0, (1 << 32) - 1)))
+    q = rng.choice([2, 4, 8])
+    m = rng.randint(3, 10)
+    k = rng.randint(0, min(4, m - 1))
+    balanced = rng.random() < 0.5
+    sizes = []
+    room = 1 << k
+    if m - k >= 3:
+        for _ in range(rng.randint(0, min(2, m - k))):
+            choices = [n for n in range(1, room + 1) if not balanced or n % 2 == 0]
+            if not choices:
+                break
+            sizes.append(rng.choice(choices))
+            room -= sizes[-1]
+    return m, k, q, tuple(sizes), balanced, rng.randrange(1 << 31)
+
+
+def assert_same_family(cand, ref_members):
+    assert cand.members == ref_members
+    phases = [s.phases for s in cand.sequences()]
+    assert len(phases) == len(ref_members)
+    for got, g in zip(phases, ref_members):
+        assert np.array_equal(got, reference.value_vector(g))
+    assert json.dumps(cand.to_json()) == json.dumps(reference.to_json(cand, ref_members))
+    assert cs_to_text(cand) == reference.cs_to_text(cand, ref_members)
+
+
+@FAMILY
+@given(qualifying_shapes())
+def test_builders_match_reference(shape):
+    m, k, q, sizes, balanced, seed = shape
+    f, restricted = random_qualifying_gbf(m, k, q, sizes, balanced=balanced, seed=seed)
+    assert (f, restricted) == reference.random_qualifying_gbf(m, k, q, sizes, balanced=balanced, seed=seed)
+    profile = analyze(f, restricted)
+    offset = reference.members(f, profile, doubled=False)
+    assert_same_family(offset_set(f, profile), offset)
+    assert_same_family(doubled_cs(f, profile), reference.members(f, profile, doubled=True))
+    if profile.is_balanced():
+        assert_same_family(balanced_cs(f, profile), offset)
+    else:
+        with pytest.raises(BalanceError):
+            balanced_cs(f, profile)
+    if profile.all_paths:
+        assert_same_family(path_restriction_cs(f, profile), offset)
+        if k == 0:
+            assert golay_pair(f, 1, q - 1) == (offset[0] + 1, offset[1] + (q - 1))
+
+
+@st.composite
+def coefficient_rows(draw):
+    q = draw(st.sampled_from([2, 4, 8, 16]))
+    m = draw(st.integers(1, 8))
+    cols = sorted(draw(st.sets(st.integers(0, (1 << m) - 1), max_size=24)))
+    n = draw(st.integers(0, 6))
+    rows = [[draw(st.integers(0, q - 1)) for _ in cols] for _ in range(n)]
+    return q, m, np.array(cols, dtype=np.int64), np.array(rows, dtype=np.uint8).reshape(n, len(cols))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coefficient_rows())
+def test_trusted_constructor_equals_from_terms(case):
+    q, m, cols, rows = case
+    got = polys_from_rows(q, m, cols, rows)
+    want = [GbfPoly.from_terms(q, m, zip(cols.tolist(), row.tolist())) for row in rows]
+    assert got == want
+    assert [hash(g) for g in got] == [hash(w) for w in want]
+    for g in got:
+        assert all(type(x) is int for term in g.terms for x in term)
+        GbfPoly(g.q, g.m, g.terms)  # passes the validation it skipped
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 6, 8]), st.integers(1, 10), st.data())
+def test_zeta_value_vector_equals_term_by_term(q, m, data):
+    terms = data.draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, q - 1)), max_size=40))
+    f = GbfPoly.from_terms(q, m, terms)
+    got = f.value_vector()
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference.value_vector(f))
+
+
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_zeta_value_vector_small_cases(q):
+    for m in (1, 2):
+        assert np.array_equal(GbfPoly.zero(q, m).value_vector(), np.zeros(1 << m, dtype=np.int64))
+    f = GbfPoly.from_terms(q, 1, {0: 1, 1: q - 1})
+    assert f.value_vector().tolist() == [1, 0]
+    cols = np.array([0, 1], dtype=np.int64)
+    assert anf_values(q, 1, cols, np.array([[1, q - 1], [0, 1]])).tolist() == [[1, 0], [0, 1]]

@@ -63,7 +63,7 @@ def test_analyze_example_shape():
     assert len(prof.groups) == 1
     g = prof.groups[0]
     assert g.l == 3 and g.members == (0,) and g.g_l == 0 and g.l_values == (0,)
-    assert prof.endpoint(0) == 2 and prof.endpoint(1) == 2
+    assert dict(prof.endpoints) == {0: 2, 1: 2}
 
 
 def test_analyze_rejects_wrong_weights():
