@@ -24,9 +24,10 @@ Three kinds of results live here:
   yielded.  The word count comes in closed form from the factor sizes, and
   any family above 2^22 words is refused before anything is built;
 * exhaustive minimum-distance computation for the bounded-effective-degree
-  code (:func:`erm_min_distances`), by direct enumeration when the code is
-  small enough — codewords held as packed bit planes, one per bit of the
-  symbol, with symbol counts taken by popcount — and otherwise by an
+  code (:func:`erm_min_distances`), by direct enumeration up to 2^24
+  codewords and 2^28 symbols — codewords held as packed bit planes, one per
+  bit of the symbol, with symbol counts taken by popcount and weighed with
+  the symbol tables of :mod:`cskit.correlation` — and beyond that by an
   exhaustive per-stratum argument (every codeword is 2^i times a polynomial
   with an odd coefficient; the binary residue is a Reed–Muller word,
   enumerated in full, and explicit monomial witnesses attain the resulting
@@ -35,7 +36,9 @@ Three kinds of results live here:
 Printed rate tables from the literature are embedded as fixtures with their
 original spellings; :func:`golden_report` confronts them entry by entry with
 the closed forms and records which entries cannot be reproduced (they are
-carried as documented discrepancies, not silently patched).
+carried as documented discrepancies, not silently patched), and
+:func:`rate_rows` exports the computed rates.  Both walk the same list of
+fixtures, one size formula per table.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .correlation import _weight_tables
 from .errors import EnumerationError
 from .gbf import GbfPoly, polys_from_rows
 
@@ -282,10 +286,6 @@ def rm_min_weight(r: int, m: int) -> int:
     return _min_weights_direct(_f_generators(r, m, 1), 2, m)[0]
 
 
-def _euclid_table(q: int) -> np.ndarray:
-    return 4.0 * np.sin(np.pi * np.arange(q) / q) ** 2
-
-
 # A prefix block holds at most 2^16 codewords and 2^24 symbols (one byte each
 # for q <= 256), so it stays within 16 MiB before packing.
 _BLOCK_WORDS = 1 << 16
@@ -334,8 +334,7 @@ def _span_weights(gens: list[tuple[int, int, int]], q: int, m: int) -> Iterator[
         block = (block[:, None, :] + mults[None, :, None] * cols[mask]).reshape(-1, L) & (q - 1)
     planes = _bit_planes(block, h, word)
     del block
-    lee_tab = np.minimum(np.arange(1, q), q - np.arange(1, q))
-    etab = _euclid_table(q)[1:]
+    lee_tab, etab = (t[1:] for t in _weight_tables(q))
     for combo in itertools.product(*(range(cnt) for _, _, cnt in outer)):
         offset = np.zeros((1, L), dtype=sym)
         for (mask, step, _), a in zip(outer, combo):
@@ -379,13 +378,13 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
     |T| = min(r+i, m) attain the bounds exactly.
     """
     q = 1 << h
-    etab = _euclid_table(q)
+    lee_tab, etab = _weight_tables(q)
     best_lee = None
     best_euc = None
     for i in range(h):
-        sub = 1 << (h - i)  # the symbols 2^i * u (u odd) live on a 2^{h-i} grid
-        odd_lee = min(min(((1 << i) * u) % q, q - ((1 << i) * u) % q) for u in range(1, sub, 2))
-        odd_euc = min(float(etab[((1 << i) * u) % q]) for u in range(1, sub, 2))
+        odd = ((1 << i) * np.arange(1, 1 << (h - i), 2)) % q  # the symbols 2^i * u, u odd
+        odd_lee = int(lee_tab[odd].min())
+        odd_euc = float(etab[odd].min())
         assert odd_lee == 1 << i
         rm_wt = rm_min_weight(min(r + i, m), m)
         lee_bound = (1 << i) * rm_wt
@@ -403,24 +402,20 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
     return best_lee, best_euc
 
 
-def erm_min_distances(r: int, m: int, h: int, method: str = "auto") -> tuple[int, float]:
+def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
     """Minimum Lee and squared Euclidean distances of the code of all
     effective-degree-<= r polynomials on m variables over Z_{2^h}.
 
-    The code is linear, so distances equal minimum nonzero weights.  With
-    ``method="direct"`` every codeword is enumerated: a prefix block of
-    codewords is packed into bit planes once, every combination of the other
-    generators is added to it by a bit-sliced ripple-carry adder, and the
-    weights come from popcount symbol histograms;
-    ``"layered"`` uses the per-stratum exhaustion described in the module
-    docstring; ``"auto"`` enumerates directly when the code has at most 2^24
-    codewords and at most 2^28 symbols in all (codewords times length 2^m),
-    and layers beyond that.
+    The code is linear, so distances equal minimum nonzero weights.  A code
+    of at most 2^24 codewords and at most 2^28 symbols in all (codewords
+    times length 2^m) is enumerated in full: a prefix block of codewords is
+    packed into bit planes once, every combination of the other generators
+    is added to it by a bit-sliced ripple-carry adder, and the weights come
+    from popcount symbol histograms.  A larger code gets the per-stratum
+    exhaustion described in the module docstring.
     """
-    if method not in ("auto", "direct", "layered"):
-        raise ValueError(f"unknown method {method!r}")
     s = log2_f_count(r, m, h)
-    if method == "layered" or (method == "auto" and (s > 24 or s + m > 28)):
+    if s > 24 or s + m > 28:
         return _min_weights_layered(r, m, h)
     return _min_weights_direct(_f_generators(r, m, h), 1 << h, m)
 
@@ -892,6 +887,19 @@ TABLE_BOUNDS = [
     (2, "doubled", 4, 0, 8, "8"),
 ]
 
+# The walk of golden_report and rate_rows over the rate fixtures, in order:
+# (table, family, fixture, PMEPR bound) for the complementary-set families and
+# (table, family, comparison family, k, fixture, size formula) for the union
+# codes, whose comparison is the coset code with k restricted variables.
+_FAMILY_TABLES = (
+    ("rate4", "S1", TABLE_RATE4, 4),
+    ("rate6", "S2", TABLE_RATE6, 6),
+    ("rate8", "S3", TABLE_RATE8, 8),
+)
+_UNION_TABLES = (
+    ("union4", "C4", "COSET-K1", 1, TABLE_UNION4, union_code_size_pmepr4),
+    ("union8", "C8", "COSET-K2", 2, TABLE_UNION8, union_code_size_pmepr8),
+)
 
 # Printed entries that the stated formulas provably do not reproduce.  They
 # are kept verbatim in the fixtures and reported as failures; this registry
@@ -967,26 +975,19 @@ def golden_report() -> list[GoldenEntry]:
     These stay red in the report on purpose.
     """
     out: list[GoldenEntry] = []
-    for m, q, prop, ref in TABLE_RATE4:
-        _check("rate4", (m, q), "proposed", rate(family_size(m, q, 4), m), prop, out)
-        out.append(GoldenEntry("rate4", (m, q), "reference", None, ref, None, "printed-only comparison"))
-    for m, q, prop in TABLE_RATE6:
-        _check("rate6", (m, q), "proposed", rate(family_size(m, q, 6), m), prop, out)
-    for m, q, prop, ref in TABLE_RATE8:
-        _check("rate8", (m, q), "proposed", rate(family_size(m, q, 8), m), prop, out)
-        out.append(GoldenEntry("rate8", (m, q), "reference", None, ref, None, "printed-only comparison"))
-    for m, h, r, prop, ref, d_lee, d_euc in TABLE_UNION4:
-        _check("union4", (m, h, r), "proposed", rate(union_code_size_pmepr4(m, r, h), m), prop, out)
-        _check("union4", (m, h, r), "comparison", rate(coset_code_size(m, 1, r, h), m), ref, out)
-        fl, fe = erm_distance_formulas(r, m, h)
-        out.append(GoldenEntry("union4", (m, h, r), "d_L", fl, str(d_lee), fl == d_lee))
-        out.append(GoldenEntry("union4", (m, h, r), "d_E2", fe, d_euc, abs(fe - float(d_euc)) < 5e-3))
-    for m, h, r, prop, ref, d_lee, d_euc in TABLE_UNION8:
-        _check("union8", (m, h, r), "proposed", rate(union_code_size_pmepr8(m, r, h), m), prop, out)
-        _check("union8", (m, h, r), "comparison", rate(coset_code_size(m, 2, r, h), m), ref, out)
-        fl, fe = erm_distance_formulas(r, m, h)
-        out.append(GoldenEntry("union8", (m, h, r), "d_L", fl, str(d_lee), fl == d_lee))
-        out.append(GoldenEntry("union8", (m, h, r), "d_E2", fe, d_euc, abs(fe - float(d_euc)) < 5e-3))
+    for table, _, fixture, bound in _FAMILY_TABLES:
+        for m, q, prop, *ref in fixture:
+            _check(table, (m, q), "proposed", rate(family_size(m, q, bound), m), prop, out)
+            if ref:
+                out.append(GoldenEntry(table, (m, q), "reference", None, ref[0], None, "printed-only comparison"))
+    for table, _, _, k, fixture, size in _UNION_TABLES:
+        for m, h, r, prop, ref, d_lee, d_euc in fixture:
+            key = (m, h, r)
+            _check(table, key, "proposed", rate(size(m, r, h), m), prop, out)
+            _check(table, key, "comparison", rate(coset_code_size(m, k, r, h), m), ref, out)
+            fl, fe = erm_distance_formulas(r, m, h)
+            out.append(GoldenEntry(table, key, "d_L", fl, str(d_lee), fl == d_lee))
+            out.append(GoldenEntry(table, key, "d_E2", fe, d_euc, abs(fe - float(d_euc)) < 5e-3))
     for k, kind, bigm, p, prop, ref in TABLE_BOUNDS:
         formula = (1 << (k + 1)) if kind == "balanced" else (1 << (k + 2)) - 2 * bigm
         out.append(
@@ -1003,6 +1004,11 @@ def golden_report() -> list[GoldenEntry]:
 # -- rate-table rows for export ---------------------------------------------------
 
 
+def _rate_row(family: str, m: int, q_or_h: int, r: int | str, size: int, printed: str, d_L="", d_E2="") -> dict:
+    return dict(family=family, m=m, q_or_h=q_or_h, r=r, log2_size=round(math.log2(size), 6),
+                rate=round(rate(size, m), 6), rate_reference=printed, d_L=d_L, d_E2=d_E2)
+
+
 def rate_rows() -> list[dict]:
     """Computed codebook rates as flat records (for the CSV export).
 
@@ -1010,46 +1016,12 @@ def rate_rows() -> list[dict]:
     table entry when one exists.
     """
     rows: list[dict] = []
-    for m, q, prop, ref in TABLE_RATE4:
-        size = family_size(m, q, 4)
-        rows.append(
-            dict(family="S1", m=m, q_or_h=q, r="", log2_size=round(math.log2(size), 6),
-                 rate=round(rate(size, m), 6), rate_reference=prop, d_L="", d_E2="")
-        )
-    for m, q, prop in TABLE_RATE6:
-        size = family_size(m, q, 6)
-        rows.append(
-            dict(family="S2", m=m, q_or_h=q, r="", log2_size=round(math.log2(size), 6),
-                 rate=round(rate(size, m), 6), rate_reference=prop, d_L="", d_E2="")
-        )
-    for m, q, prop, ref in TABLE_RATE8:
-        size = family_size(m, q, 8)
-        rows.append(
-            dict(family="S3", m=m, q_or_h=q, r="", log2_size=round(math.log2(size), 6),
-                 rate=round(rate(size, m), 6), rate_reference=prop, d_L="", d_E2="")
-        )
-    for m, h, r, prop, ref, d_lee, d_euc in TABLE_UNION4:
-        size = union_code_size_pmepr4(m, r, h)
-        fl, fe = erm_distance_formulas(r, m, h)
-        rows.append(
-            dict(family="C4", m=m, q_or_h=h, r=r, log2_size=round(math.log2(size), 6),
-                 rate=round(rate(size, m), 6), rate_reference=prop, d_L=fl, d_E2=round(fe, 2))
-        )
-        csize = coset_code_size(m, 1, r, h)
-        rows.append(
-            dict(family="COSET-K1", m=m, q_or_h=h, r=r, log2_size=round(math.log2(csize), 6),
-                 rate=round(rate(csize, m), 6), rate_reference=ref, d_L=fl, d_E2=round(fe, 2))
-        )
-    for m, h, r, prop, ref, d_lee, d_euc in TABLE_UNION8:
-        size = union_code_size_pmepr8(m, r, h)
-        fl, fe = erm_distance_formulas(r, m, h)
-        rows.append(
-            dict(family="C8", m=m, q_or_h=h, r=r, log2_size=round(math.log2(size), 6),
-                 rate=round(rate(size, m), 6), rate_reference=prop, d_L=fl, d_E2=round(fe, 2))
-        )
-        csize = coset_code_size(m, 2, r, h)
-        rows.append(
-            dict(family="COSET-K2", m=m, q_or_h=h, r=r, log2_size=round(math.log2(csize), 6),
-                 rate=round(rate(csize, m), 6), rate_reference=ref, d_L=fl, d_E2=round(fe, 2))
-        )
+    for _, family, fixture, bound in _FAMILY_TABLES:
+        for m, q, prop, *_ in fixture:
+            rows.append(_rate_row(family, m, q, "", family_size(m, q, bound), prop))
+    for _, family, comparison, k, fixture, size in _UNION_TABLES:
+        for m, h, r, prop, ref, *_ in fixture:
+            fl, fe = erm_distance_formulas(r, m, h)
+            rows.append(_rate_row(family, m, h, r, size(m, r, h), prop, fl, round(fe, 2)))
+            rows.append(_rate_row(comparison, m, h, r, coset_code_size(m, k, r, h), ref, fl, round(fe, 2)))
     return rows

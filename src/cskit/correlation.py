@@ -71,7 +71,7 @@ import numpy as np
 
 from .cyclo import CycloValue
 from .errors import EmptySequenceError, ParseError
-from .gbf import PolyphaseSeq
+from .gbf import PolyphaseSeq, _roots
 
 __all__ = [
     "CorrVector",
@@ -117,11 +117,6 @@ def _corr_coeff_matrix(a: PolyphaseSeq, b: PolyphaseSeq) -> np.ndarray:
     for tau in range(len(a)):
         out[tau] = _shift_row(a, b, tau)
     return out
-
-
-def _roots(q: int) -> np.ndarray:
-    """``omega^e`` for e = 0 .. q-1."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
 
 
 def _spectrum(a: PolyphaseSeq, exponents: np.ndarray, n: int) -> np.ndarray:
@@ -284,35 +279,29 @@ def _phase_array(x: PolyphaseSeq | Sequence[int] | np.ndarray, q: int | None) ->
     return np.asarray(x, dtype=np.int64) % q, q
 
 
-def _lee_weight(x: PolyphaseSeq | Sequence[int], q: int | None = None) -> int:
-    """Sum over symbols of min(a, q - a)."""
-    arr, q = _phase_array(x, q)
-    return int(np.minimum(arr, q - arr).sum())
+def _weight_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol Lee weights min(a, q - a) and squared Euclidean weights
+    |omega^a - 1|^2 = 4 sin^2(pi a / q), for a = 0 .. q-1."""
+    a = np.arange(q)
+    return np.minimum(a, q - a), 4.0 * np.sin(np.pi * a / q) ** 2
 
 
-def _euclid_sq_weight(x: PolyphaseSeq | Sequence[int], q: int | None = None) -> float:
-    """Squared Euclidean distance of omega^x from the all-ones sequence.
-
-    Per symbol this is |omega^a - 1|^2 = 4 sin^2(pi a / q).
-    """
-    arr, q = _phase_array(x, q)
-    return float(np.sum(4.0 * np.sin(np.pi * arr / q) ** 2))
+def _diff(a, b, q: int | None) -> tuple[np.ndarray, int]:
+    xa, qa = _phase_array(a, q)
+    xb, qb = _phase_array(b, q)
+    if qa != qb or len(xa) != len(xb):
+        raise ValueError("distance needs equal-length sequences over one modulus")
+    return (xa - xb) % qa, qa
 
 
 def lee_dist(a, b, q: int | None = None) -> int:
-    xa, qa = _phase_array(a, q)
-    xb, qb = _phase_array(b, q)
-    if qa != qb or len(xa) != len(xb):
-        raise ValueError("distance needs equal-length sequences over one modulus")
-    return _lee_weight((xa - xb) % qa, qa)
+    diff, q = _diff(a, b, q)
+    return int(_weight_tables(q)[0][diff].sum())
 
 
 def euclid_sq_dist(a, b, q: int | None = None) -> float:
-    xa, qa = _phase_array(a, q)
-    xb, qb = _phase_array(b, q)
-    if qa != qb or len(xa) != len(xb):
-        raise ValueError("distance needs equal-length sequences over one modulus")
-    return _euclid_sq_weight((xa - xb) % qa, qa)
+    diff, q = _diff(a, b, q)
+    return float(np.sum(_weight_tables(q)[1][diff]))
 
 
 def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = None) -> tuple[int, float]:
@@ -329,6 +318,7 @@ def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = 
     if len(arrs) < 2:
         raise ValueError("need at least two sequences")
     mat = np.stack(arrs)
+    lee_tab, euc_tab = _weight_tables(q)
     best_lee: int | None = None
     best_euc: float | None = None
     dupes = 0
@@ -339,8 +329,8 @@ def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = 
         if not nz.any():
             continue
         live = diff[nz]
-        lee = np.minimum(live, q - live).sum(axis=1).min()
-        euc = (4.0 * np.sin(np.pi * live / q) ** 2).sum(axis=1).min()
+        lee = lee_tab[live].sum(axis=1).min()
+        euc = euc_tab[live].sum(axis=1).min()
         best_lee = int(lee) if best_lee is None else min(best_lee, int(lee))
         best_euc = float(euc) if best_euc is None else min(best_euc, float(euc))
     if dupes:

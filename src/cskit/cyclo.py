@@ -15,6 +15,8 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .gbf import _require_power_of_two
+
 __all__ = ["CycloValue"]
 
 
@@ -31,9 +33,7 @@ class CycloValue:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        h = self.q.bit_length() - 1
-        if self.q < 2 or self.q != 1 << h:
-            raise ValueError(f"modulus must be a power of two >= 2, got {self.q}")
+        _require_power_of_two(self.q, "a cyclotomic value")
         if len(self.coeffs) != self.q // 2:
             raise ValueError(f"need exactly q/2 = {self.q // 2} coefficients")
 

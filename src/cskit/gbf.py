@@ -65,6 +65,11 @@ def _require_power_of_two(q: int, what: str) -> int:
     return q.bit_length() - 1
 
 
+def _roots(q: int) -> np.ndarray:
+    """``omega^e`` for e = 0 .. q-1."""
+    return np.exp(2j * np.pi * np.arange(q) / q)
+
+
 @dataclass(frozen=True)
 class GbfPoly:
     """Canonical multilinear polynomial ``{0,1}^m -> Z_q``.
@@ -424,8 +429,7 @@ class PolyphaseSeq:
 
     def complex_values(self) -> np.ndarray:
         """The sequence as complex values (masked entries are exactly 0)."""
-        roots = np.exp(2j * np.pi * np.arange(self.q) / self.q)
-        return np.where(self.mask, roots[self.phases], 0.0)
+        return np.where(self.mask, _roots(self.q)[self.phases], 0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyphaseSeq):

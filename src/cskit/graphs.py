@@ -71,12 +71,6 @@ class RestrictionGraph:
     def weights(self) -> set[int]:
         return {w for _, _, w in self.edges}
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [{"u": u, "v": v, "weight": w} for u, v, w in self.edges],
-        }
-
 
 @dataclass(frozen=True)
 class ShapeClass:

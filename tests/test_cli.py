@@ -1,5 +1,6 @@
 """End-to-end CLI checks, driven through main(argv) for speed."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -206,6 +207,22 @@ def test_tables_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",")[:3] == ["family", "m", "q_or_h"]
     assert len(lines) == 1 + 12 + 14 + 4 + 24 + 24
+
+
+# sha256 of the stdout of each tables form: the tables reproduce printed
+# results, so any change to the code behind them must keep them byte for byte
+TABLES_DIGESTS = {
+    (): "98e7999edd0348d43c048539f20789f49fc1fa20a62b6d568e48fa7af8058bd8",
+    ("--format", "json"): "a8f5345704dddcd864f27e0b8594b0ae3158bcf701dd1c469ec4b02d14e92d6a",
+    ("--golden",): "f67e31c6681b7111ebaad1d77c41651bffbcbe2fd3fbbb2b4ac36f49a58a4f37",
+}
+
+
+@pytest.mark.parametrize("extra", list(TABLES_DIGESTS))
+def test_tables_bytes_pinned(capsys, extra):
+    code, out, _ = run(capsys, "tables", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLES_DIGESTS[extra]
 
 
 def test_tables_golden_documented_only(capsys):

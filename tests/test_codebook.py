@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from cskit import GbfPoly, analyze, is_cs, offset_set, psi
+from cskit import GbfPoly, analyze, codebook, is_cs, offset_set, psi
 from cskit.codebook import (
     KNOWN_DISCREPANCIES,
     codeword_matrix,
@@ -264,7 +264,7 @@ def test_rm_min_weight():
 def test_rm_min_weight_refuses_before_allocating(call):
     # dimensions 18 and 1351: refused from the dimension alone, with no
     # 2^m-column or span array built first; erm(1, 20, 1) has 2^21 codewords
-    # but 2^41 symbols, so "auto" sends it to the layered path, which refuses
+    # but 2^41 symbols, so the size rule sends it to the layered path, which refuses
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationError):
@@ -277,8 +277,8 @@ def test_rm_min_weight_refuses_before_allocating(call):
 
 @pytest.mark.parametrize("r,m,h", [(1, 3, 1), (2, 3, 2), (1, 4, 2), (2, 4, 1)])
 def test_erm_min_distances_methods_agree(r, m, h):
-    direct = erm_min_distances(r, m, h, "direct")
-    layered = erm_min_distances(r, m, h, "layered")
+    direct = codebook._min_weights_direct(codebook._f_generators(r, m, h), 1 << h, m)
+    layered = codebook._min_weights_layered(r, m, h)
     formulas = erm_distance_formulas(r, m, h)
     assert direct[0] == layered[0] == formulas[0]
     assert direct[1] == pytest.approx(formulas[1], abs=1e-9)
@@ -289,7 +289,7 @@ def test_erm_min_distances_methods_agree(r, m, h):
 def test_erm_min_distances_direct_large():
     # 2^26-word code: a 2^16-word prefix block packed into bit planes, with
     # each of the 2^10 outer combinations added by the ripple-carry adder
-    direct = erm_min_distances(2, 4, 2, "direct")
+    direct = codebook._min_weights_direct(codebook._f_generators(2, 4, 2), 1 << 2, 4)
     formulas = erm_distance_formulas(2, 4, 2)
     assert direct[0] == formulas[0]
     assert direct[1] == pytest.approx(formulas[1], abs=1e-9)

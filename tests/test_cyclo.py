@@ -3,6 +3,7 @@ import cmath
 import pytest
 
 from cskit.cyclo import CycloValue, cyclo_sum
+from cskit.errors import ModulusError
 
 
 def w(q, e):
@@ -42,6 +43,9 @@ def test_zero_and_truthiness():
     nz = CycloValue.from_int(8, 3)
     assert nz and not nz.is_zero()
     assert (nz - nz).is_zero()
+    for q in (6, 1, 0):  # the package's one modulus check; ModulusError is a ValueError
+        with pytest.raises(ModulusError):
+            CycloValue.zero(q)
 
 
 def test_exactness_where_floats_would_wobble():
