@@ -49,6 +49,7 @@ from .errors import BalanceError, GraphShapeError, ParseError
 from .gbf import (
     GbfPoly,
     PolyphaseSeq,
+    _full_seqs,
     _require_power_of_two,
     _require_value_vector_size,
     anf_values,
@@ -109,7 +110,7 @@ class CsCandidate:
         """The members' sequences, read from one ``(size, L)`` phase matrix:
         the value vectors of the factor rows, summed like the rows."""
         phases = _cartesian_sum(anf_values(self.q, self.m, self.cols, self.factors), self.q)
-        return [PolyphaseSeq(self.q, row) for row in phases]
+        return _full_seqs(self.q, phases)
 
     def is_complementary_prediction(self) -> bool:
         return self.predicted.offpeak_is_zero()

@@ -53,7 +53,9 @@ instantaneous envelope power of the OFDM-style signal built from ``a`` is
          = A(0) + 2 * Re sum_{tau=1}^{L-1} A(tau) * exp(2j*pi*tau*t),
 
 with t normalized to one symbol period.  :func:`pmepr` samples the first form
-directly, as ``|fft(a, oversample * L)|^2``; :func:`envelope_power` and
+directly at the ``oversample * L`` points ``t = -k / (oversample * L)``, as
+``oversample`` length-L FFTs of the sequence times cached twiddles (the
+polyphase split of the zero-padded FFT); :func:`envelope_power` and
 :func:`pmepr_autocorr_bound` use the exact autocorrelation of the second.
 
 Masked sequences are supported throughout: positions removed by a restriction
@@ -63,6 +65,8 @@ the number of live positions, i.e. A(0).
 
 from __future__ import annotations
 
+import functools
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -364,22 +368,71 @@ def envelope_power(a: PolyphaseSeq, t: float | Sequence[float] | np.ndarray) -> 
     return vals if tt.ndim else float(vals[0])
 
 
+# Complex entries per block of grid rows (256 KiB): about 16 rows at L = 1024,
+# so a block and its FFT stay in cache while the grid is swept.
+_GRID_BLOCK = 1 << 14
+
+
+def _grid_factor(oversample: int) -> int:
+    """``oversample`` as a plain int >= 1; bools and non-integers are refused."""
+    try:
+        factor = operator.index(oversample)
+    except TypeError:
+        factor = 0
+    if isinstance(oversample, bool) or factor < 1:
+        raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+    return factor
+
+
+@functools.lru_cache(maxsize=8)
+def _twiddles(L: int, oversample: int) -> np.ndarray:
+    """Read-only ``(oversample, L)`` matrix ``w[r, n] = exp(-2 pi i r n / N)``,
+    N = oversample * L.  Each angle is 2 pi times the quotient ``r n / N``
+    (r n < N, so no reduction mod N is needed) rounded once; a correctly
+    rounded quotient depends only on the reduced fraction, so the grids O
+    and c O share bit-identical twiddles at their shared points."""
+    N = oversample * L
+    w = np.exp(-2j * np.pi * (np.outer(np.arange(oversample), np.arange(L)) / N))
+    w.flags.writeable = False
+    return w
+
+
 def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     """Peak-to-mean envelope power ratio, sampled on an oversampled grid.
 
-    The grid is ``|fft(a, oversample * L)|^2``: P(t) at the ``oversample * L``
-    equispaced points ``t = -k / (oversample * L)`` of one symbol period, a
-    point set symmetric under ``t -> -t``.  The mean power equals A(0), the
-    number of live positions (= L for a full sequence); a sequence with none
-    raises :class:`~cskit.errors.EmptySequenceError`.  The returned value is
-    a slight underestimate of the true supremum, while
+    The grid is P(t) at the ``N = oversample * L`` equispaced points
+    ``t = -k / N`` of one symbol period, a point set symmetric under
+    ``t -> -t``: the values ``|fft(a, N)|^2`` of the zero-padded FFT.  They
+    are computed by its polyphase split (FFT pruning for an input that is
+    zero past L): ``X[oversample * j + r] = FFT_L(a * w_r)[j]``, one
+    length-L FFT per residue r, with the twiddles ``w_r`` of
+    :func:`_twiddles`, whose angles come from the reduced fraction
+    ``r n / N``, so a grid and its refinement by 2 agree exactly at their
+    shared points.  The FFTs run over blocks of rows, about 16 rows
+    at L = 1024.  For q = 2 the sequence is real, so ``|X[N-k]| = |X[k]|``
+    and rows 0 .. oversample // 2 cover the grid.  The twiddles of the last
+    eight ``(L, oversample)`` pairs are cached, 16 * oversample * L bytes
+    each (4 MiB at L = 4096, oversample = 64).
+
+    ``oversample`` must be an integer >= 1 (bools are refused), else
+    ``ValueError``.  The mean power equals A(0), the number of live
+    positions (= L for a full sequence); a sequence with none raises
+    :class:`~cskit.errors.EmptySequenceError`.  The returned value is a
+    slight underestimate of the true supremum, while
     :func:`pmepr_autocorr_bound` gives a certified overestimate.
     """
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
+    oversample = _grid_factor(oversample)
     live = _live_count(a)
-    spectrum = np.fft.fft(a.complex_values(), oversample * len(a))
-    return float((spectrum.real**2 + spectrum.imag**2).max()) / live
+    x, rows = a.complex_values(), oversample
+    if a.q == 2:
+        x, rows = x.real, oversample // 2 + 1
+    w = _twiddles(len(a), oversample)
+    step = max(1, _GRID_BLOCK // len(a))
+    peak = 0.0
+    for r in range(0, rows, step):
+        spectrum = np.fft.fft(w[r : min(r + step, rows)] * x, axis=1)
+        peak = max(peak, float((spectrum.real**2 + spectrum.imag**2).max()))
+    return peak / live
 
 
 def _autocorr_bound(vec: AacfVector) -> float:
@@ -398,11 +451,30 @@ def pmepr_autocorr_bound(a: PolyphaseSeq) -> float:
 
 
 def aacf_report(a: PolyphaseSeq, oversample: int = 64) -> dict:
-    """JSON-ready summary of one sequence: exact AACF plus envelope numbers."""
+    """JSON-ready summary of one sequence: exact AACF plus envelope numbers.
+
+    ``pmepr_grid`` is :func:`pmepr` on the ``N = oversample * L`` grid and
+    ``pmepr_bound`` is :func:`pmepr_autocorr_bound`.  ``pmepr_upper`` closes
+    the interval ``[pmepr_grid, pmepr_upper]`` that holds the true PMEPR.
+    P(t) is a nonnegative trigonometric polynomial of degree L - 1 in
+    ``2 pi t``, so Bernstein's inequality gives ``|P''| <= (2 pi (L-1))^2 M``
+    with M = max P.  At the maximiser P' = 0, and some grid point lies within
+    ``1 / (2N)`` of it, so by Taylor's theorem the grid holds a value of at
+    least ``M (1 - (pi (L-1) / N)^2 / 2)``.  Hence ``pmepr_upper`` is
+    ``pmepr_grid / (1 - (pi (L-1) / N)^2 / 2)`` when that denominator is
+    positive, capped by ``pmepr_bound``, and ``pmepr_bound`` otherwise.
+    The upper end only bounds the PMEPR from above: it never proves that a
+    bound is attained with equality (only a grid value equal to the bound
+    could).
+    """
+    oversample = _grid_factor(oversample)
     vec = aacf(a)
     report = vec.to_json()
-    report["pmepr_grid"] = pmepr(a, oversample)
-    report["pmepr_bound"] = _autocorr_bound(vec)
+    grid, bound = pmepr(a, oversample), _autocorr_bound(vec)
+    denominator = 1.0 - (np.pi * (len(a) - 1) / (oversample * len(a))) ** 2 / 2
+    report["pmepr_grid"] = grid
+    report["pmepr_bound"] = bound
+    report["pmepr_upper"] = min(grid / denominator, bound) if denominator > 0 else bound
     report["oversample"] = oversample
     return report
 

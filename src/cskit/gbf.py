@@ -445,6 +445,18 @@ class PolyphaseSeq:
         return f"<PolyphaseSeq q={self.q} L={len(self)}{masked}>"
 
 
+def _full_seqs(q: int, phases: np.ndarray) -> list[PolyphaseSeq]:
+    """One full sequence per row of an ``(n, L)`` int64 matrix already reduced
+    mod q, a power of two, trusted: the rows are used as they are (views, no
+    copy) and every sequence shares one read-only all-true mask."""
+    mask = np.ones(phases.shape[1], dtype=bool)
+    mask.flags.writeable = False
+    out = [object.__new__(PolyphaseSeq) for _ in range(len(phases))]
+    for seq, row in zip(out, phases):
+        seq.q, seq.phases, seq.mask = q, row, mask
+    return out
+
+
 def psi(f: GbfPoly) -> PolyphaseSeq:
     """The polyphase sequence ``omega^{f(i)}``, i = 0 .. 2^m - 1."""
     _require_power_of_two(f.q, "sequence construction")

@@ -111,6 +111,9 @@ def test_pmepr_report(tmp_path, capsys):
     assert len(reports) == 1
     assert reports[0]["q"] == 2 and reports[0]["oversample"] == 16
     assert reports[0]["pmepr_grid"] <= reports[0]["pmepr_bound"]
+    assert reports[0]["pmepr_grid"] <= reports[0]["pmepr_upper"] <= reports[0]["pmepr_bound"] + 1e-12
+    code, out, err = run(capsys, "pmepr", str(f), "--oversample", "0")
+    assert code == 2 and not out and "oversample" in err
 
 
 def test_random_reproducible(capsys):

@@ -8,6 +8,7 @@ and sequence text.  The trusted row constructor is checked against
 term-by-term one.
 """
 
+import itertools
 import json
 import random
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from cskit import (
     BalanceError,
     GbfPoly,
+    PolyphaseSeq,
     analyze,
     balanced_cs,
     cs_to_text,
@@ -84,6 +86,29 @@ def test_builders_match_reference(shape):
         assert_same_family(path_restriction_cs(f, profile), offset)
         if k == 0:
             assert golay_pair(f, 1, q - 1) == (offset[0] + 1, offset[1] + (q - 1))
+
+
+def test_sequences_equal_the_reference_sequences():
+    """``sequences()`` wraps the rows of its phase matrix without copying:
+    on the instances of acceptance criterion 2 (plus the doubled families)
+    every sequence equals the one built from the reference value vector,
+    with equal phase and mask arrays, and shares one read-only mask."""
+    checked = 0
+    for m, k, q in itertools.product(range(4, 9), range(3), (2, 4)):
+        for seed in range(7):
+            sizes = (1,) if m - k >= 3 else ()
+            f, restricted = random_qualifying_gbf(m, k, q, sizes, seed=1000 * m + 100 * k + 10 * q + seed)
+            profile = analyze(f, restricted)
+            for build, doubled in ((offset_set, False), (doubled_cs, True)):
+                seqs = build(f, profile).sequences()
+                want = [PolyphaseSeq(q, reference.value_vector(g)) for g in reference.members(f, profile, doubled)]
+                assert seqs == want
+                for got, ref in zip(seqs, want):
+                    assert got.q == q and got.phases.dtype == np.int64
+                    assert np.array_equal(got.phases, ref.phases) and np.array_equal(got.mask, ref.mask)
+                    assert got.mask is seqs[0].mask and not got.mask.flags.writeable
+                checked += 1
+    assert checked == 420
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Correlation, PMEPR and distance checks against small hand-computable cases."""
 
 import cmath
+import json
 import math
 import warnings
 
@@ -289,6 +290,20 @@ def test_fft_size_limit_meets_the_error_bound():
         L = 1 << log_l
         assert _fft_error_bound(limit // L, L, 1 << 63) < 0.13
     assert _fft_error_bound(64, 1 << 12, 8) < 1e-6  # 64 sequences of length 2^12
+
+
+def test_pmepr_refuses_a_non_integer_oversample():
+    s = psi(parse_gbf("q=4;m=3; 2*x0*x1 + 2*x1*x2 + x2"))
+    for bad in (2.5, 4.0, True, np.True_, 0, -3, "4", None):
+        with pytest.raises(ValueError, match="oversample"):
+            pmepr(s, bad)
+        with pytest.raises(ValueError, match="oversample"):
+            aacf_report(s, bad)
+    correlation._twiddles.cache_clear()
+    assert pmepr(s, np.int64(4)) == pmepr(s, 4)
+    assert correlation._twiddles.cache_info().currsize == 1
+    rep = aacf_report(s, np.int64(4))
+    assert type(rep["oversample"]) is int and json.dumps(rep)
 
 
 def test_pmepr_all_masked_is_a_typed_error():

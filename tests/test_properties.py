@@ -14,7 +14,8 @@ test pins the totals so a silently-shrunk search would fail loudly.
 A fifth suite checks the FFT correlation core against the exact shift loop,
 a sixth the bit-sliced minimum-distance kernel against brute force, and a
 seventh the coefficient-row codebook enumerators against the GbfPoly-algebra
-reference in ``codebook_reference.py``.
+reference in ``codebook_reference.py``, and an eighth the polyphase-split
+PMEPR grid against one zero-padded FFT, with exact nesting of refined grids.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cskit import (
@@ -41,7 +42,7 @@ from cskit import (
     psi_restricted,
     set_aacf,
 )
-from cskit import codebook
+from cskit import codebook, correlation
 from cskit.construct import standard_golay_gbfs
 from cskit.errors import EnumerationError
 
@@ -391,3 +392,46 @@ def test_case_totals():
     assert CASES["oracle"] >= 1000
     assert CASES["partition"] >= 1000
     assert CASES["sandwich"] >= 1000
+
+
+@st.composite
+def grid_case(draw):
+    """A sequence (q in {2, 4, 8, 16}, L < 300, masked or full, at least one
+    live position) and a grid factor."""
+    q = draw(st.sampled_from([2, 4, 8, 16]))
+    L = draw(st.integers(1, 299))
+    phases = draw(arrays(np.int64, L, elements=st.integers(0, q - 1)))
+    mask = draw(arrays(bool, L) | st.just(np.ones(L, dtype=bool)))
+    mask[draw(st.integers(0, L - 1))] = True
+    return PolyphaseSeq(q, phases, mask), draw(st.sampled_from([1, 2, 3, 5, 8, 64]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(grid_case())
+@example((PolyphaseSeq(4, [3]), 64))
+@example((PolyphaseSeq(2, [1]), 3))
+@example((PolyphaseSeq(16, [5, 9], [False, True]), 1))
+def test_pmepr_grid_matches_the_zero_padded_fft(case):
+    """The polyphase-split grid against one zero-padded FFT of length O*L."""
+    a, oversample = case
+    spectrum = np.fft.fft(a.complex_values(), oversample * len(a))
+    want = float((np.abs(spectrum) ** 2).max()) / int(a.mask.sum())
+    assert pmepr(a, oversample) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(grid_case())
+def test_pmepr_refined_grid_contains_the_coarse_one(case):
+    """The grid O is a subset of the grid 2*O, computed bit-identically there."""
+    a, oversample = case
+    assert pmepr(a, 2 * oversample) >= pmepr(a, oversample)
+
+
+def test_pmepr_twiddle_cache_is_bounded_and_read_only():
+    twiddles = correlation._twiddles
+    assert twiddles.cache_info().maxsize is not None
+    pmepr(PolyphaseSeq(4, [0, 1, 2, 3, 0]), 3)
+    w = twiddles(5, 3)
+    assert w.shape == (3, 5) and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 0
