@@ -21,8 +21,10 @@ Three kinds of results live here:
   is a dense Z_q row of ANF coefficients, one per monomial mask the family
   uses, built as a row sum mod q in blocks of bounded size, deduplicated on
   the row bytes for the union codes, and turned into a ``GbfPoly`` only when
-  yielded.  The word count comes in closed form from the factor sizes, and
-  any family above 2^22 words is refused before anything is built;
+  yielded.  One blocked engine (:func:`_cartesian_blocks`) sums these words
+  and the codewords of the distance kernel below.  The word count comes in
+  closed form from the factor sizes, and any family above 2^22 words is
+  refused before anything is built;
 * exhaustive minimum-distance computation for the bounded-effective-degree
   code (:func:`erm_min_distances`), by direct enumeration up to 2^24
   codewords and 2^28 symbols — codewords held as packed bit planes, one per
@@ -47,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,20 +81,35 @@ __all__ = [
 # -- bounded-effective-degree polynomial counting -------------------------------
 
 
-def _f_generators(r: int, m: int, h: int) -> list[tuple[int, int, int]]:
-    """Generators of F(r, m, h) as (monomial mask, coefficient step, order).
+class _Gen(NamedTuple):
+    """The multiples a * step, 0 <= a < n, of one monomial."""
+
+    mask: int
+    step: int
+    n: int
+
+    def masks(self) -> list[int]:
+        return [self.mask]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo, hi, dtype=np.int64)[:, None] * self.step
+
+
+def _f_generators(r: int, m: int, h: int, variables: Sequence[int] | None = None) -> list[_Gen]:
+    """Generators of F(r, m, h), on ``variables`` (x0..x{m-1} by default).
 
     A coefficient on a degree-d monomial must be divisible by
     2^max(0, d - r); the allowed coefficients form the cyclic group generated
     by that power of two.
     """
-    q = 1 << h
     gens = []
     for mask in range(1 << m):
         v = max(0, mask.bit_count() - r)
         if v < h:
-            gens.append((mask, 1 << v, 1 << (h - v)))
-    return gens
+            gens.append(_Gen(mask, 1 << v, 1 << (h - v)))
+    if variables is None:
+        return gens
+    return [g._replace(mask=sum(1 << x for a, x in enumerate(variables) if (g.mask >> a) & 1)) for g in gens]
 
 
 def log2_f_count(r: int, m: int, h: int) -> int:
@@ -117,13 +134,11 @@ def enumerate_f_polys(
     codes do with their ingredient functions on the top k variables).
     Raises :class:`EnumerationError` above 2^22 polynomials.
     """
-    if variables is None:
-        variables = list(range(k))
     if m is None:
         m = k
-    if len(variables) != k:
+    if variables is not None and len(variables) != k:
         raise ValueError("need exactly k variable indices")
-    factors = _f_factors(r, k, h, variables)
+    factors = _f_generators(r, k, h, variables)
     _refuse_above_limit([factors], "polynomials")
     return _coefficient_words([factors], 1 << h, m)
 
@@ -263,6 +278,53 @@ def union_code_size_pmepr8(m: int, r: int, h: int) -> int:
     raise ValueError(f"(r={r}, h={h}) outside the stated range")
 
 
+# -- Cartesian sums of Z_q rows --------------------------------------------------
+
+# A block holds at most 2^16 rows and 2^24 symbols (one byte each for
+# q <= 256), so it stays within 16 MiB.
+_BLOCK_WORDS = 1 << 16
+_BLOCK_SYMBOLS = 1 << 24
+
+
+def _cartesian_sum(row_sets: Iterable[np.ndarray], q: int, out: np.ndarray) -> np.ndarray:
+    """Each row of ``out`` plus every pick of one row from each set, mod q (a
+    power of two), one row per pick: the rows of ``out`` slowest, then the
+    first set, the last set fastest."""
+    for rows in row_sets:
+        out = (out[:, None] + rows[None]).reshape(len(out) * len(rows), out.shape[1]) & (q - 1)
+    return out
+
+
+def _cartesian_blocks(sizes: Sequence[int], rows: Callable, width: int, q: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The Cartesian sum of factors whose ``rows(i, lo, hi)`` are rows lo..hi-1
+    of factor i, as ``(block, heads)``: each head row plus each block row, in
+    order, is each word in order.  ``block`` sums the longest trailing run of
+    factors that fits ``_BLOCK_WORDS`` rows and ``_BLOCK_SYMBOLS`` symbols;
+    a head is one pick of the other factors but the last, plus a chunk of
+    rows of that last factor (the zero row when there is no other factor).
+    """
+    zero = np.zeros((1, width), dtype=np.min_scalar_type(q - 1))
+    if 0 in sizes:  # an empty sum: one empty block, with nothing built
+        return zero[:0], iter([zero])
+    limit = max(1, min(_BLOCK_WORDS, _BLOCK_SYMBOLS // max(width, 1)))
+    split, size = len(sizes), 1
+    while split and size * sizes[split - 1] <= limit:
+        split -= 1
+        size *= sizes[split]
+    block = _cartesian_sum((rows(i, 0, sizes[i]) for i in range(split, len(sizes))), q, zero)
+    if not split:
+        return block, iter([zero])
+    step, last = max(1, limit // size), sizes[split - 1]
+
+    def heads() -> Iterator[np.ndarray]:
+        for pick in itertools.product(*map(range, sizes[: split - 1])):
+            offset = sum((rows(i, a, a + 1) for i, a in enumerate(pick)), zero)
+            for lo in range(0, last, step):
+                yield (offset + rows(split - 1, lo, min(lo + step, last))) & (q - 1)
+
+    return block, heads()
+
+
 # -- minimum distances of the bounded-effective-degree code --------------------
 
 
@@ -286,12 +348,6 @@ def rm_min_weight(r: int, m: int) -> int:
     return _min_weights_direct(_f_generators(r, m, 1), 2, m)[0]
 
 
-# A prefix block holds at most 2^16 codewords and 2^24 symbols (one byte each
-# for q <= 256), so it stays within 16 MiB before packing.
-_BLOCK_WORDS = 1 << 16
-_BLOCK_SYMBOLS = 1 << 24
-
-
 def _bit_planes(words: np.ndarray, h: int, word: np.dtype) -> np.ndarray:
     """(h, B, W) bit planes of a (B, L) symbol array: bit b of every symbol,
     packed little-endian into W words of ``word`` per row."""
@@ -300,61 +356,47 @@ def _bit_planes(words: np.ndarray, h: int, word: np.dtype) -> np.ndarray:
     )
 
 
-def _span_weights(gens: list[tuple[int, int, int]], q: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _span_weights(gens: Sequence[_Gen], q: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Lee and squared Euclidean weights of every span element of the
     generators (the zero word included), one block of codewords at a time.
 
-    A prefix block of codewords is packed once into h = log2 q bit planes;
-    each combination of the remaining (outer) generators is a constant word
-    added to every row by a ripple-carry adder on the planes (the carry out
-    of the top plane is the reduction mod q).  Per codeword, the count of
-    each nonzero symbol a is the popcount of the AND of the planes or their
-    complements selected by the bits of a, so the weights are exact integer
-    histograms times the Lee and Euclidean symbol tables.
+    The generators' rows ``a * step * (indicator of the monomial)``, by
+    ascending order, go through :func:`_cartesian_blocks`.  Its block is
+    packed once into h = log2 q bit planes; each head row is added to every
+    row by a ripple-carry adder on the planes (the carry out of the top plane
+    is the reduction mod q).  Per codeword, the count of each nonzero symbol
+    a is the popcount of the AND of the planes or their complements selected
+    by the bits of a, so the weights are exact integer histograms times the
+    Lee and Euclidean symbol tables.
     """
     h = q.bit_length() - 1
     L = 1 << m
     sym = np.min_scalar_type(q - 1)
     word = np.dtype(f"u{max(1, min(L, 64) // 8)}")
     idx = np.arange(L, dtype=np.int64)
-    cols = {mask: ((idx & mask) == mask).astype(sym) for mask, _, _ in gens}
-    order = sorted(gens, key=lambda g: g[2], reverse=True)
-    limit = max(1, min(_BLOCK_WORDS, _BLOCK_SYMBOLS // L))
-    prefix: list[tuple[int, int, int]] = []
-    size = 1
-    for g in order:
-        if size * g[2] > limit:
-            break
-        prefix.append(g)
-        size *= g[2]
-    outer = order[len(prefix) :]
-    block = np.zeros((1, L), dtype=sym)
-    for mask, step, count in prefix:
-        mults = np.arange(count, dtype=sym) * step  # count * step == q
-        block = (block[:, None, :] + mults[None, :, None] * cols[mask]).reshape(-1, L) & (q - 1)
+    order = sorted(gens, key=lambda g: g.n)
+    values = [((idx & g.mask) == g.mask).astype(sym) for g in order]
+    block, heads = _cartesian_blocks([g.n for g in order], lambda i, lo, hi: order[i].rows(lo, hi).astype(sym) * values[i], L, q)
     planes = _bit_planes(block, h, word)
     del block
     lee_tab, etab = (t[1:] for t in _weight_tables(q))
-    for combo in itertools.product(*(range(cnt) for _, _, cnt in outer)):
-        offset = np.zeros((1, L), dtype=sym)
-        for (mask, step, _), a in zip(outer, combo):
-            offset += (a * step) * cols[mask]
-        ys = _bit_planes(offset & (q - 1), h, word)
-        digits = [planes[0] ^ ys[0]]
-        carry = planes[0] & ys[0]
-        for x, y in zip(planes[1:], ys[1:]):
-            s = x ^ y
-            digits.append(s ^ carry)
-            carry = (x & y) | (carry & s)
-        # sel[a] marks the positions holding symbol a, built one plane at a time
-        sel = [~digits[0], digits[0]]
-        for d in digits[1:]:
-            sel = [t & ~d for t in sel] + [t & d for t in sel]
-        hist = np.bitwise_count(np.stack(sel[1:], axis=-1)).sum(axis=-2, dtype=np.int64)
-        yield hist @ lee_tab, hist @ etab
+    for head in heads:
+        for ys in _bit_planes(head, h, word).swapaxes(0, 1):
+            digits = [planes[0] ^ ys[0]]
+            carry = planes[0] & ys[0]
+            for x, y in zip(planes[1:], ys[1:]):
+                s = x ^ y
+                digits.append(s ^ carry)
+                carry = (x & y) | (carry & s)
+            # sel[a] marks the positions holding symbol a, built one plane at a time
+            sel = [~digits[0], digits[0]]
+            for d in digits[1:]:
+                sel = [t & ~d for t in sel] + [t & d for t in sel]
+            hist = np.bitwise_count(np.stack(sel[1:], axis=-1)).sum(axis=-2, dtype=np.int64)
+            yield hist @ lee_tab, hist @ etab
 
 
-def _min_weights_direct(gens: list[tuple[int, int, int]], q: int, m: int) -> tuple[int, float]:
+def _min_weights_direct(gens: Sequence[_Gen], q: int, m: int) -> tuple[int, float]:
     """Visit every nonzero span element of the generators, tracking minimum
     Lee and squared Euclidean weights.  Exact and exhaustive."""
     best_lee, best_euc = q << m, math.inf  # above every weight of a length-2^m word
@@ -408,11 +450,10 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
 
     The code is linear, so distances equal minimum nonzero weights.  A code
     of at most 2^24 codewords and at most 2^28 symbols in all (codewords
-    times length 2^m) is enumerated in full: a prefix block of codewords is
-    packed into bit planes once, every combination of the other generators
-    is added to it by a bit-sliced ripple-carry adder, and the weights come
-    from popcount symbol histograms.  A larger code gets the per-stratum
-    exhaustion described in the module docstring.
+    times length 2^m) is enumerated in full by :func:`_span_weights`: bit
+    planes, a bit-sliced ripple-carry adder and popcount symbol histograms.
+    A larger code gets the per-stratum exhaustion described in the module
+    docstring.
     """
     s = log2_f_count(r, m, h)
     if s > 24 or s + m > 28:
@@ -427,26 +468,11 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
 # masks; a word of a Cartesian sum adds one polynomial from each factor, and
 # words come in lexicographic order of the picks (the last factor fastest).
 # Words are held as Z_q coefficient rows over the family's columns (the sorted
-# union of the factor masks), so a sum is a row sum mod q, and a GbfPoly is
-# made only for a word that is yielded.
+# union of the factor masks), so a sum is a row sum mod q (summed in blocks by
+# _cartesian_blocks), and a GbfPoly is made only for a word that is yielded.
 
 _MAX_WORDS = 1 << 22
 _YIELD_ROWS = 1 << 10  # rows turned into polynomials at a time
-
-
-@dataclass(frozen=True)
-class _Gen:
-    """The multiples a * step, 0 <= a < n, of one monomial."""
-
-    mask: int
-    step: int
-    n: int
-
-    def masks(self) -> list[int]:
-        return [self.mask]
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return np.arange(lo, hi, dtype=np.int64)[:, None] * self.step
 
 
 class _Paths:
@@ -510,43 +536,18 @@ def _indicator_anf(variables: Sequence[int], words: Iterable[int], q: int) -> di
 
 def _row_blocks(factors: Sequence, cols: np.ndarray, q: int) -> Iterator[np.ndarray]:
     """Coefficient rows over ``cols`` of every word of one Cartesian sum, in
-    order, in blocks of at most ``_BLOCK_WORDS`` rows and ``_BLOCK_SYMBOLS``
-    symbols.
-
-    The longest run of trailing factors that fits in a block is summed once
-    (``inner``).  Each pick of the other factors but the last of them is one
-    offset row; the offset plus a chunk of rows of that last factor, each
-    plus every row of ``inner``, is a block.
-    """
+    order, one head of :func:`_cartesian_blocks` plus its block at a time."""
     sym = np.min_scalar_type(q - 1)
-    width = len(cols)
     pos = [np.searchsorted(cols, f.masks()) for f in factors]
 
     def rows(i: int, lo: int, hi: int) -> np.ndarray:
-        out = np.zeros((hi - lo, width), dtype=sym)
+        out = np.zeros((hi - lo, len(cols)), dtype=sym)
         out[:, pos[i]] = factors[i].rows(lo, hi) & (q - 1)
         return out
 
-    limit = max(1, min(_BLOCK_WORDS, _BLOCK_SYMBOLS // max(width, 1)))
-    split, size = len(factors), 1
-    while split and size * factors[split - 1].n <= limit:
-        split -= 1
-        size *= factors[split].n
-    inner = np.zeros((1, width), dtype=sym)
-    for i in range(split, len(factors)):
-        inner = (inner[:, None] + rows(i, 0, factors[i].n)[None]).reshape(-1, width) & (q - 1)
-    if not split or not len(inner):
-        yield inner
-        return
-    last = factors[split - 1]
-    step = max(1, limit // len(inner))
-    for pick in itertools.product(*(range(f.n) for f in factors[: split - 1])):
-        offset = np.zeros((1, width), dtype=sym)
-        for i, a in enumerate(pick):
-            offset += rows(i, a, a + 1)
-        for lo in range(0, last.n, step):
-            head = offset + rows(split - 1, lo, min(lo + step, last.n))
-            yield (head[:, None] + inner[None]).reshape(-1, width) & (q - 1)
+    block, heads = _cartesian_blocks([f.n for f in factors], rows, len(cols), q)
+    for head in heads:
+        yield _cartesian_sum([block], q, head)
 
 
 def _columns(parts: Sequence[Sequence]) -> np.ndarray:
@@ -594,14 +595,6 @@ def _refuse_above_limit(parts: Sequence[Sequence], what: str) -> int:
     return words
 
 
-def _f_factors(r: int, k: int, h: int, variables: Sequence[int]) -> list[_Gen]:
-    """F(r, k, h) on the given variables: one factor per generator."""
-    out = []
-    for mask, step, n in _f_generators(r, k, h):
-        out.append(_Gen(sum(1 << v for a, v in enumerate(variables) if (mask >> a) & 1), step, n))
-    return out
-
-
 def _paths_up_to_reversal(verts: Sequence[int]) -> list[tuple[int, ...]]:
     verts = list(verts)
     if len(verts) == 1:
@@ -616,35 +609,32 @@ def _coset_factors(m: int, k: int, r: int, h: int, *, excl: bool = False) -> lis
     couplers = list(range(m - k))
     if excl:
         couplers.remove(m - k - 1)
-    gi = _f_factors(r - 1, k, h, top)
-    return [_Gen(g.mask | 1 << i, g.step, g.n) for i in couplers for g in gi] + _f_factors(r, k, h, top)
+    gi = _f_generators(r - 1, k, h, top)
+    return [g._replace(mask=g.mask | 1 << i) for i in couplers for g in gi] + _f_generators(r, k, h, top)
 
 
-def _path_rep_factors(m: int, k: int, h: int, r: int) -> list[_Paths]:
-    """Representatives: one path class per restriction, a junta of the first
-    min(r+h-3, k) restricted bits."""
-    if m - k < 2:
+def _junta_paths(verts: Sequence[int], m: int, k: int, h: int, r: int) -> list[_Paths]:
+    """One path class on ``verts`` per restriction, a junta of the first
+    min(r+h-3, k) restricted bits: one factor per value of those bits."""
+    if len(verts) < 2:
         raise ValueError("need at least two path vertices")
     if r + h < 3:
         raise ValueError("need r + h >= 3")
     q = 1 << h
     t = min(r + h - 3, k)
     prefix = range(m - k, m - k + t)
-    return [_Paths(range(m - k), _indicator_anf(prefix, [w], q), q // 2) for w in range(1 << t)]
+    return [_Paths(verts, _indicator_anf(prefix, [w], q), q // 2) for w in range(1 << t)]
+
+
+def _path_rep_factors(m: int, k: int, h: int, r: int) -> list[_Paths]:
+    """Representatives: a path on every unrestricted vertex per restriction."""
+    return _junta_paths(range(m - k), m, k, h, r)
 
 
 def _isolated_rep_factors(m: int, k: int, h: int, r: int) -> list:
     """Representatives whose every restriction isolates the vertex m-k-1,
     with a balanced linear coupling to the restricted variables."""
-    if m - k < 3:
-        raise ValueError("need at least three unrestricted variables")
-    if r + h < 3:
-        raise ValueError("need r + h >= 3")
-    q = 1 << h
-    t = min(r + h - 3, k)
-    prefix = range(m - k, m - k + t)
-    paths = [_Paths(range(m - k - 1), _indicator_anf(prefix, [w], q), q // 2) for w in range(1 << t)]
-    return [_Couplings(m - k - 1, m, k, q // 2), *paths]
+    return [_Couplings(m - k - 1, m, k, (1 << h) // 2), *_junta_paths(range(m - k - 1), m, k, h, r)]
 
 
 def _multi_isolated_rep_factors(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -> list[_Paths]:
@@ -707,7 +697,7 @@ def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, size
     if r is None:
         raise ValueError(f"family {fam!r} needs r")
     if fam == "ERM":
-        return [_f_factors(r, m, h, range(m))]
+        return [_f_generators(r, m, h)]
     if fam == "C4":
         rp = min(r, 2)
         return [

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import _indicator_anf, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
+from .codebook import _cartesian_sum, _indicator_anf, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
 from .correlation import AacfVector, write_sequences
 from .cyclo import CycloValue, cyclo_sum
 from .errors import BalanceError, GraphShapeError, ParseError
@@ -52,6 +52,7 @@ from .gbf import (
     _full_seqs,
     _require_power_of_two,
     _require_value_vector_size,
+    _rows_json,
     anf_values,
     polys_from_rows,
 )
@@ -96,7 +97,7 @@ class CsCandidate:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return _cartesian_sum(self.factors, self.q)
+        return _family_sum(self.factors, self.q)
 
     @cached_property
     def members(self) -> tuple[GbfPoly, ...]:
@@ -109,8 +110,7 @@ class CsCandidate:
     def sequences(self) -> list[PolyphaseSeq]:
         """The members' sequences, read from one ``(size, L)`` phase matrix:
         the value vectors of the factor rows, summed like the rows."""
-        phases = _cartesian_sum(anf_values(self.q, self.m, self.cols, self.factors), self.q)
-        return _full_seqs(self.q, phases)
+        return _full_seqs(self.q, _family_sum(anf_values(self.q, self.m, self.cols, self.factors), self.q))
 
     def is_complementary_prediction(self) -> bool:
         return self.predicted.offpeak_is_zero()
@@ -118,36 +118,24 @@ class CsCandidate:
     def to_json(self) -> dict:
         """The candidate as a dict; each member in the form of ``gbf_to_json``.
 
-        The terms are rendered once per column and coefficient: members
-        with the same coefficient on a monomial share one term dict (and its
-        ``vars`` list), so copy a member before changing it in place.
+        Members with the same coefficient on a monomial share one term dict
+        (and its ``vars`` list), so copy a member before changing it in place.
         """
-        order = np.lexsort((self.cols, np.bitwise_count(self.cols)))  # gbf_to_json's (degree, mask) order
-        rows = self.rows[:, order]
-        rr, cc = np.nonzero(rows)
-        keys, at = np.unique(cc * self.q + rows[rr, cc], return_inverse=True)
-        variables = [[i for i in range(mask.bit_length()) if (mask >> i) & 1] for mask in self.cols[order].tolist()]
-        table = [{"vars": variables[key // self.q], "coeff": key % self.q} for key in keys.tolist()]
-        terms = [table[i] for i in at.tolist()]
-        ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
         return {
             "q": self.q,
             "m": self.m,
             "size": self.size,
             "provenance": self.provenance,
             "pmepr_bound": self.pmepr_bound,
-            "members": [{"q": self.q, "m": self.m, "terms": terms[a:b]} for a, b in zip([0, *ends], ends)],
+            "members": _rows_json(self.q, self.m, self.cols, self.rows),
             "predicted_aacf": self.predicted.to_json(),
         }
 
 
-def _cartesian_sum(factors: np.ndarray, q: int) -> np.ndarray:
-    """Every sum ``factors[0] + (a pick of the other rows)`` mod q, a power of
-    two, one row per pick, with the first factor slowest and the last fastest."""
-    out = factors[:1]
-    for step in factors[1:]:
-        out = np.stack((out, (out + step) & (q - 1)), axis=1).reshape(-1, factors.shape[1])
-    return out
+def _family_sum(rows: np.ndarray, q: int) -> np.ndarray:
+    """``rows[0]`` plus every pick from {0, r} for each later row r, mod q: one
+    row per member, the first factor slowest and the last fastest."""
+    return _cartesian_sum(np.stack((np.zeros_like(rows[1:]), rows[1:]), axis=1), q, rows[:1])
 
 
 def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:

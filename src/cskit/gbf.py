@@ -550,13 +550,25 @@ def render_gbf(f: GbfPoly) -> str:
 # -- JSON --------------------------------------------------------------------
 
 
+def _rows_json(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[dict]:
+    """:func:`gbf_to_json` of each row of Z_q ANF coefficients over the masks
+    ``cols``, terms in (degree, mask) order.  Rows with the same coefficient
+    on a monomial share one term dict (and its ``vars`` list)."""
+    order = np.lexsort((cols, np.bitwise_count(cols)))
+    rows = rows[:, order]
+    rr, cc = np.nonzero(rows)
+    keys, at = np.unique(cc * q + rows[rr, cc], return_inverse=True)
+    variables = [[i for i in range(mask.bit_length()) if (mask >> i) & 1] for mask in cols[order].tolist()]
+    table = [{"vars": variables[key // q], "coeff": key % q} for key in keys.tolist()]
+    terms = [table[i] for i in at.tolist()]
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    return [{"q": q, "m": m, "terms": terms[a:b]} for a, b in zip([0, *ends], ends)]
+
+
 def gbf_to_json(f: GbfPoly) -> dict:
     """A stable dict form: ``{"q": .., "m": .., "terms": [{"vars": [...], "coeff": ..}]}``."""
-    items = []
-    for mask, coeff in sorted(f.terms, key=lambda t: (t[0].bit_count(), t[0])):
-        variables = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-        items.append({"vars": variables, "coeff": int(coeff)})
-    return {"q": f.q, "m": f.m, "terms": items}
+    cols = np.array([mask for mask, _ in f.terms], dtype=np.int64)
+    return _rows_json(f.q, f.m, cols, np.array([[c for _, c in f.terms]], dtype=np.int64))[0]
 
 
 def gbf_from_json(obj: dict | str) -> GbfPoly:

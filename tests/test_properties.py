@@ -354,7 +354,7 @@ def overlapping_unions(kind, m, h, r):
     q = 1 << h
     zero = [GbfPoly.zero(q, m)]
     if kind == "nested":  # F(r) then F(r+1), which contains it
-        new = [codebook._f_factors(r, m, h, range(m)), codebook._f_factors(r + 1, m, h, range(m))]
+        new = [codebook._f_generators(r, m, h), codebook._f_generators(r + 1, m, h)]
         ref = [(zero, reference.enumerate_f_polys(r, m, h)), (zero, reference.enumerate_f_polys(r + 1, m, h))]
     elif kind == "cosets":  # C4's path part over the coset code, then over its subcode
         new = [codebook._path_rep_factors(m, 1, h, r) + codebook._coset_factors(m, 1, r, h, excl=excl) for excl in (False, True)]
