@@ -417,12 +417,12 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
     symbol 2^i * odd has Lee value at least 2^i and squared Euclidean value
     at least 4 sin^2(pi / 2^{h-i}) — both finite per-residue checks — which
     bounds each stratum from below; the monomial witnesses 2^i * x_T with
-    |T| = min(r+i, m) attain the bounds exactly.
+    |T| = min(r+i, m) attain the bounds exactly.  The answer is exact because
+    the smallest lower bound equals the smallest witness, which is asserted.
     """
     q = 1 << h
     lee_tab, etab = _weight_tables(q)
-    best_lee = None
-    best_euc = None
+    best_lee = best_euc = bound_lee = bound_euc = math.inf
     for i in range(h):
         odd = ((1 << i) * np.arange(1, 1 << (h - i), 2)) % q  # the symbols 2^i * u, u odd
         odd_lee = int(lee_tab[odd].min())
@@ -437,10 +437,9 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
         wit_lee = (1 << i) * wit_ones
         wit_euc = float(etab[(1 << i) % q]) * wit_ones
         assert wit_lee >= lee_bound and wit_euc >= euc_bound - 1e-12
-        best_lee = wit_lee if best_lee is None else min(best_lee, wit_lee)
-        best_euc = wit_euc if best_euc is None else min(best_euc, wit_euc)
-        # the bound for this stratum can never undercut the global witnesses
-        assert lee_bound <= wit_lee and euc_bound <= wit_euc + 1e-12
+        best_lee, best_euc = min(best_lee, wit_lee), min(best_euc, wit_euc)
+        bound_lee, bound_euc = min(bound_lee, lee_bound), min(bound_euc, euc_bound)
+    assert bound_lee == best_lee and abs(bound_euc - best_euc) <= 1e-12, "the smallest stratum bound is not attained"
     return best_lee, best_euc
 
 
@@ -456,6 +455,8 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
     docstring.
     """
     s = log2_f_count(r, m, h)
+    if not s:
+        raise ValueError(f"F({r}, {m}, {h}) = {{0}}: a code with no nonzero word has no minimum distance")
     if s > 24 or s + m > 28:
         return _min_weights_layered(r, m, h)
     return _min_weights_direct(_f_generators(r, m, h), 1 << h, m)

@@ -370,11 +370,10 @@ def cs_meta_from_text(text: str) -> dict | None:
             if "=" not in tok:
                 raise ParseError(f"bad header token {tok!r}")
             key, val = tok.split("=", 1)
-            if key in ("q", "m", "size"):
-                meta[key] = int(val)
-            elif key == "bound":
-                meta[key] = float(val)
-            else:
-                meta[key] = val
+            convert = int if key in ("q", "m", "size") else float if key == "bound" else str
+            try:
+                meta[key] = convert(val)
+            except ValueError:
+                raise ParseError(f"bad header value {tok!r}") from None
         return meta
     return None

@@ -54,8 +54,9 @@ instantaneous envelope power of the OFDM-style signal built from ``a`` is
 
 with t normalized to one symbol period.  :func:`pmepr` samples the first form
 directly at the ``oversample * L`` points ``t = -k / (oversample * L)``, as
-``oversample`` length-L FFTs of the sequence times cached twiddles (the
-polyphase split of the zero-padded FFT); :func:`envelope_power` and
+``oversample`` length-L FFTs of the sequence times twiddles (the polyphase
+split of the zero-padded FFT), cached for grids of at most 2^18 points and
+refused above 2^30 points; :func:`envelope_power` and
 :func:`pmepr_autocorr_bound` use the exact autocorrelation of the second.
 
 Masked sequences are supported throughout: positions removed by a restriction
@@ -74,7 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from .cyclo import CycloValue
-from .errors import EmptySequenceError, ParseError
+from .errors import EmptySequenceError, ParseError, SizeLimitError
 from .gbf import PolyphaseSeq, _roots
 
 __all__ = [
@@ -371,28 +372,42 @@ def envelope_power(a: PolyphaseSeq, t: float | Sequence[float] | np.ndarray) -> 
 # Complex entries per block of grid rows (256 KiB): about 16 rows at L = 1024,
 # so a block and its FFT stay in cache while the grid is swept.
 _GRID_BLOCK = 1 << 14
+# Grids of at most this many points keep their twiddles cached (at most 4 MiB
+# each, 32 MiB for the eight cached); larger grids compute them per block.
+_CACHED_GRID = 1 << 18
+# The largest grid sampled: L = 2^24, the longest sequence, at oversample 64.
+_MAX_GRID = 1 << 30
 
 
-def _grid_factor(oversample: int) -> int:
-    """``oversample`` as a plain int >= 1; bools and non-integers are refused."""
+def _grid_factor(oversample: int, L: int) -> int:
+    """``oversample`` as a plain int >= 1; bools and non-integers are refused
+    (``ValueError``), and so is a grid of more than 2^30 points
+    (:class:`~cskit.errors.SizeLimitError`)."""
     try:
         factor = operator.index(oversample)
     except TypeError:
         factor = 0
     if isinstance(oversample, bool) or factor < 1:
         raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
+    if factor * L > _MAX_GRID:
+        raise SizeLimitError(f"a grid of {factor} * {L} points exceeds the limit of 2^30")
     return factor
+
+
+def _twiddle_rows(L: int, oversample: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the ``(oversample, L)`` matrix ``w[r, n] = exp(-2 pi
+    i r n / N)``, N = oversample * L.  Each angle is 2 pi times the quotient
+    ``r n / N`` (r n < N, so no reduction mod N is needed) rounded once; a
+    correctly rounded quotient depends only on the reduced fraction, so the
+    grids O and c O share bit-identical twiddles at their shared points."""
+    return np.exp(-2j * np.pi * (np.outer(np.arange(lo, hi), np.arange(L)) / (oversample * L)))
 
 
 @functools.lru_cache(maxsize=8)
 def _twiddles(L: int, oversample: int) -> np.ndarray:
-    """Read-only ``(oversample, L)`` matrix ``w[r, n] = exp(-2 pi i r n / N)``,
-    N = oversample * L.  Each angle is 2 pi times the quotient ``r n / N``
-    (r n < N, so no reduction mod N is needed) rounded once; a correctly
-    rounded quotient depends only on the reduced fraction, so the grids O
-    and c O share bit-identical twiddles at their shared points."""
-    N = oversample * L
-    w = np.exp(-2j * np.pi * (np.outer(np.arange(oversample), np.arange(L)) / N))
+    """All of :func:`_twiddle_rows`, read-only, for a grid of at most
+    ``_CACHED_GRID`` points."""
+    w = _twiddle_rows(L, oversample, 0, oversample)
     w.flags.writeable = False
     return w
 
@@ -410,27 +425,33 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     ``r n / N``, so a grid and its refinement by 2 agree exactly at their
     shared points.  The FFTs run over blocks of rows, about 16 rows
     at L = 1024.  For q = 2 the sequence is real, so ``|X[N-k]| = |X[k]|``
-    and rows 0 .. oversample // 2 cover the grid.  The twiddles of the last
-    eight ``(L, oversample)`` pairs are cached, 16 * oversample * L bytes
-    each (4 MiB at L = 4096, oversample = 64).
+    and rows 0 .. oversample // 2 cover the grid.  For a grid of at most
+    2^18 points the twiddles of the last eight ``(L, oversample)`` pairs are
+    cached, 16 * oversample * L bytes each (4 MiB at L = 4096, oversample =
+    64); a larger grid computes each block's rows with the same expression,
+    bit-identical, and holds one block at a time.
 
     ``oversample`` must be an integer >= 1 (bools are refused), else
-    ``ValueError``.  The mean power equals A(0), the number of live
+    ``ValueError``; a grid of more than 2^30 points (L = 2^24 at oversample
+    64) raises :class:`~cskit.errors.SizeLimitError` before anything is
+    allocated.  The mean power equals A(0), the number of live
     positions (= L for a full sequence); a sequence with none raises
     :class:`~cskit.errors.EmptySequenceError`.  The returned value is a
     slight underestimate of the true supremum, while
     :func:`pmepr_autocorr_bound` gives a certified overestimate.
     """
-    oversample = _grid_factor(oversample)
+    L = len(a)
+    oversample = _grid_factor(oversample, L)
     live = _live_count(a)
     x, rows = a.complex_values(), oversample
     if a.q == 2:
         x, rows = x.real, oversample // 2 + 1
-    w = _twiddles(len(a), oversample)
-    step = max(1, _GRID_BLOCK // len(a))
+    w = _twiddles(L, oversample) if oversample * L <= _CACHED_GRID else None
+    step = max(1, _GRID_BLOCK // L)
     peak = 0.0
     for r in range(0, rows, step):
-        spectrum = np.fft.fft(w[r : min(r + step, rows)] * x, axis=1)
+        hi = min(r + step, rows)
+        spectrum = np.fft.fft((_twiddle_rows(L, oversample, r, hi) if w is None else w[r:hi]) * x, axis=1)
         peak = max(peak, float((spectrum.real**2 + spectrum.imag**2).max()))
     return peak / live
 
@@ -467,7 +488,7 @@ def aacf_report(a: PolyphaseSeq, oversample: int = 64) -> dict:
     bound is attained with equality (only a grid value equal to the bound
     could).
     """
-    oversample = _grid_factor(oversample)
+    oversample = _grid_factor(oversample, len(a))
     vec = aacf(a)
     report = vec.to_json()
     grid, bound = pmepr(a, oversample), _autocorr_bound(vec)

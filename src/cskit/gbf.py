@@ -579,19 +579,18 @@ def gbf_from_json(obj: dict | str) -> GbfPoly:
             raise ParseError(f"bad JSON: {exc}") from None
     try:
         q, m = obj["q"], obj["m"]
-        pairs = []
-        for item in obj["terms"]:
-            mask = 0
-            for v in item["vars"]:
-                mask |= 1 << int(v)
-            pairs.append((mask, int(item["coeff"])))
+        terms = [(list(item["vars"]), item["coeff"]) for item in obj["terms"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed polynomial object: {exc}") from None
     if not isinstance(q, int) or q < 2 or q % 2:
         raise ParseError(f"modulus must be even and >= 2, got q={q!r}")
     if not isinstance(m, int) or m < 1:
         raise ParseError(f"need at least one variable, got m={m!r}")
-    for mask, _ in pairs:
-        if mask >> m:
+    pairs = []
+    for variables, coeff in terms:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in [*variables, coeff]) or min(variables, default=0) < 0:
+            raise ParseError(f"need integer variable indices >= 0 and an integer coefficient, got {variables!r}, {coeff!r}")
+        if max(variables, default=0) >= m:
             raise ParseError(f"variable out of range for m={m}")
+        pairs.append((sum(1 << v for v in set(variables)), coeff))
     return GbfPoly.from_terms(q, m, pairs)

@@ -116,6 +116,13 @@ def test_pmepr_report(tmp_path, capsys):
     assert code == 2 and not out and "oversample" in err
 
 
+def test_pmepr_refuses_an_oversized_grid(tmp_path, capsys):
+    f = tmp_path / "s.txt"
+    f.write_text("0 1 2 3\n")
+    code, out, err = run(capsys, "pmepr", str(f), "--q", "4", "--oversample", "10000000000")
+    assert code == 2 and not out and "SizeLimitError" in err
+
+
 def test_random_reproducible(capsys):
     args = ["random", "-m", "5", "-k", "1", "--q", "4", "--groups", "2", "--balanced",
             "--seed", "7", "--construct", "balanced"]

@@ -285,6 +285,21 @@ def test_erm_min_distances_methods_agree(r, m, h):
     assert layered[1] == pytest.approx(formulas[1], abs=1e-9)
 
 
+def test_layered_distances_prove_the_bound_is_attained(monkeypatch):
+    # a Reed-Muller weight one too small lowers every stratum bound below
+    # the witnesses, so the exactness obligation fails
+    true_weight = codebook.rm_min_weight
+    monkeypatch.setattr(codebook, "rm_min_weight", lambda r, m: true_weight(r, m) - 1)
+    with pytest.raises(AssertionError):
+        codebook._min_weights_layered(1, 4, 2)
+
+
+def test_erm_min_distances_of_the_zero_code_is_refused():
+    assert log2_f_count(-1, 3, 1) == 0
+    with pytest.raises(ValueError, match="no minimum distance"):
+        erm_min_distances(-1, 3, 1)
+
+
 @pytest.mark.slow
 def test_erm_min_distances_direct_large():
     # 2^26-word code: a 2^16-word prefix block packed into bit planes, with

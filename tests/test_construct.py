@@ -9,6 +9,7 @@ from cskit import (
     BalanceError,
     GraphShapeError,
     ModulusError,
+    ParseError,
     analyze,
     balanced_cs,
     cs_meta_from_text,
@@ -175,6 +176,12 @@ def test_cs_text_roundtrip():
     meta = cs_meta_from_text(text)
     assert meta["q"] == 2 and meta["m"] == 4
     assert meta["size"] == 8 and meta["provenance"] == "doubled"
+
+
+@pytest.mark.parametrize("header", ["# CS q=x", "# CS q=4 bound=four"])
+def test_cs_header_values_are_parsed_or_refused(header):
+    with pytest.raises(ParseError):
+        cs_meta_from_text(header)
 
 
 @pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from cskit import (
     EmptySequenceError,
     ModulusError,
     ParseError,
+    SizeLimitError,
     aacf,
     aacf_report,
     cross_corr,
@@ -304,6 +306,35 @@ def test_pmepr_refuses_a_non_integer_oversample():
     assert correlation._twiddles.cache_info().currsize == 1
     rep = aacf_report(s, np.int64(4))
     assert type(rep["oversample"]) is int and json.dumps(rep)
+
+
+def test_pmepr_caches_twiddles_only_for_small_grids():
+    # 2^19 points: the twiddles are computed per block, bit-identically, so
+    # the refined grid still contains the cached coarse one exactly
+    rng = np.random.default_rng(9)
+    before = correlation._twiddles.cache_info().currsize
+    pmepr(PolyphaseSeq(4, rng.integers(0, 4, 1 << 13)), 64)
+    assert correlation._twiddles.cache_info().currsize == before
+    for q in (2, 4, 8):
+        a = PolyphaseSeq(q, rng.integers(0, q, 4096))
+        fine = pmepr(a, 128)
+        assert fine >= pmepr(a, 64)
+        want = float((np.abs(np.fft.fft(a.complex_values(), 128 * 4096)) ** 2).max()) / 4096
+        assert fine == pytest.approx(want, rel=1e-12)
+
+
+def test_pmepr_refuses_an_oversized_grid_before_allocating():
+    s = PolyphaseSeq(4, (0, 1, 2, 3))
+    tracemalloc.start()
+    try:
+        for call in (pmepr, aacf_report):
+            for oversample in (10**10, (1 << 28) + 1):  # 2^30 points is the largest grid
+                with pytest.raises(SizeLimitError, match="grid"):
+                    call(s, oversample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pmepr_all_masked_is_a_typed_error():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -128,6 +131,46 @@ def test_json_roundtrip():
     # terms are sorted by (degree, mask) for deterministic output
     degrees = [len(t["vars"]) for t in blob["terms"]]
     assert degrees == sorted(degrees)
+
+
+# sha256 of json.dumps(..., sort_keys=True) of gbf_to_json over the polynomials
+# below, computed before gbf_to_json and CsCandidate.to_json shared one writer
+GBF_JSON_DIGEST = "14626be9e229160ebd608e93a0f5fbcb84a7b2ef5dc3bd0ca8c45fca111db791"
+
+
+def test_gbf_to_json_bytes_are_pinned():
+    rng = random.Random(20261018)
+    polys = [GbfPoly.zero(4, 3), GbfPoly.const(8, 2, 5)]
+    while len(polys) < 200:
+        q = rng.choice([2, 4, 8, 16, 6])
+        m = rng.randint(1, 9)
+        terms = {rng.randrange(1 << m): rng.randrange(q) for _ in range(rng.randint(0, 3 * m))}
+        polys.append(GbfPoly.from_terms(q, m, terms))
+    blob = json.dumps([gbf_to_json(f) for f in polys], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GBF_JSON_DIGEST
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"vars": [0.9], "coeff": 1},
+        {"vars": [0], "coeff": 2.7},
+        {"vars": [0], "coeff": "3"},
+        {"vars": ["1"], "coeff": 1},
+        {"vars": [0], "coeff": True},
+        {"vars": [True], "coeff": 1},
+        {"vars": [-1], "coeff": 1},
+        {"vars": [3], "coeff": 1},
+    ],
+)
+def test_json_terms_must_hold_plain_integers(term):
+    with pytest.raises(ParseError):
+        gbf_from_json({"q": 4, "m": 3, "terms": [term]})
+
+
+def test_json_coefficients_of_any_sign_reduce_mod_q():
+    f = gbf_from_json({"q": 4, "m": 3, "terms": [{"vars": [2, 0, 2], "coeff": -1}, {"vars": [], "coeff": 9}]})
+    assert f == parse_gbf("q=4;m=3; 3*x0*x2 + 1")
 
 
 @pytest.mark.parametrize("m", [MAX_VALUE_VECTOR_M + 1, 64])

@@ -261,6 +261,40 @@ def test_bit_sliced_min_weights_match_brute_force(case):
     assert abs(euc - want_euc[nonzero].min()) <= 1e-9
 
 
+BLOCK_CAPS = st.sampled_from([1, 2, 8, None])  # None: the default
+
+
+@st.composite
+def cartesian_case(draw):
+    """Up to six factors of 0..5 rows each, rows of width 0..4 over Z_q, and
+    block caps that split the sum into blocks of a few rows."""
+    q = draw(st.sampled_from([2, 4, 16]))
+    width = draw(st.integers(0, 4))
+    sizes = draw(st.lists(st.integers(0, 5), max_size=6))
+    factors = [draw(arrays(np.uint8, (n, width), elements=st.integers(0, q - 1))) for n in sizes]
+    caps = {"_BLOCK_WORDS": draw(BLOCK_CAPS), "_BLOCK_SYMBOLS": draw(BLOCK_CAPS)}
+    return q, width, factors, {name: getattr(codebook, name) if cap is None else cap for name, cap in caps.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cartesian_case())
+def test_cartesian_blocks_match_the_unblocked_sum(case):
+    """Every head plus the block, in order, is the unblocked sum, which is
+    every pick of one row per factor (the first factor slowest), mod q; and
+    no head times the block exceeds the caps."""
+    q, width, factors, caps = case
+    zero = np.zeros((1, width), dtype=np.uint8)
+    with mock.patch.multiple(codebook, **caps):
+        block, heads = codebook._cartesian_blocks([len(f) for f in factors], lambda i, lo, hi: factors[i][lo:hi], width, q)
+        parts = [codebook._cartesian_sum([block], q, head) for head in heads]
+    limit = max(1, min(caps["_BLOCK_WORDS"], caps["_BLOCK_SYMBOLS"] // max(width, 1)))
+    assert all(len(part) <= limit for part in parts)
+    unblocked = codebook._cartesian_sum(factors, q, zero)
+    assert np.array_equal(np.concatenate(parts), unblocked)
+    picks = [sum(pick, np.zeros(width, dtype=np.int64)) % q for pick in itertools.product(*factors)]
+    assert np.array_equal(unblocked, np.array(picks, dtype=np.int64).reshape(len(picks), width))
+
+
 # -- coefficient-row enumerators against the GbfPoly-algebra reference ----------
 
 # block caps small enough that every family splits into many blocks, and the
