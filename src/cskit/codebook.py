@@ -291,7 +291,8 @@ def _cartesian_sum(row_sets: Iterable[np.ndarray], q: int, out: np.ndarray) -> n
     power of two), one row per pick: the rows of ``out`` slowest, then the
     first set, the last set fastest."""
     for rows in row_sets:
-        out = (out[:, None] + rows[None]).reshape(len(out) * len(rows), out.shape[1]) & (q - 1)
+        out = (out[:, None] + rows[None]).reshape(len(out) * len(rows), out.shape[1])
+        out &= q - 1
     return out
 
 
