@@ -361,8 +361,8 @@ def _span_weights(gens: Sequence[_Gen], q: int, m: int) -> Iterator[tuple[np.nda
     """Lee and squared Euclidean weights of every span element of the
     generators (the zero word included), one block of codewords at a time.
 
-    The generators' rows ``a * step * (indicator of the monomial)``, by
-    ascending order, go through :func:`_cartesian_blocks`.  Its block is
+    The generators' rows ``a * step * (indicator of the monomial)``, in
+    ascending order of size, go through :func:`_cartesian_blocks`.  Its block is
     packed once into h = log2 q bit planes; each head row is added to every
     row by a ripple-carry adder on the planes (the carry out of the top plane
     is the reduction mod q).  Per codeword, the count of each nonzero symbol

@@ -584,7 +584,7 @@ def gbf_from_json(obj: dict | str) -> GbfPoly:
         raise ParseError(f"malformed polynomial object: {exc}") from None
     if not isinstance(q, int) or q < 2 or q % 2:
         raise ParseError(f"modulus must be even and >= 2, got q={q!r}")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParseError(f"need at least one variable, got m={m!r}")
     pairs = []
     for variables, coeff in terms:

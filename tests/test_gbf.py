@@ -168,6 +168,11 @@ def test_json_terms_must_hold_plain_integers(term):
         gbf_from_json({"q": 4, "m": 3, "terms": [term]})
 
 
+def test_json_variable_count_must_be_a_plain_integer():
+    with pytest.raises(ParseError):
+        gbf_from_json({"q": 4, "m": True, "terms": [{"vars": [0], "coeff": 1}]})
+
+
 def test_json_coefficients_of_any_sign_reduce_mod_q():
     f = gbf_from_json({"q": 4, "m": 3, "terms": [{"vars": [2, 0, 2], "coeff": -1}, {"vars": [], "coeff": 9}]})
     assert f == parse_gbf("q=4;m=3; 3*x0*x2 + 1")
