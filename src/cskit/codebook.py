@@ -636,6 +636,8 @@ def _path_rep_factors(m: int, k: int, h: int, r: int) -> list[_Paths]:
 def _isolated_rep_factors(m: int, k: int, h: int, r: int) -> list:
     """Representatives whose every restriction isolates the vertex m-k-1,
     with a balanced linear coupling to the restricted variables."""
+    if m - k < 3:
+        raise ValueError("need at least three unrestricted variables")
     return [_Couplings(m - k - 1, m, k, (1 << h) // 2), *_junta_paths(range(m - k - 1), m, k, h, r)]
 
 

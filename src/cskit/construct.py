@@ -127,7 +127,7 @@ class CsCandidate:
             "size": self.size,
             "provenance": self.provenance,
             "pmepr_bound": self.pmepr_bound,
-            "members": _rows_json(self.q, self.m, self.cols, self.rows),
+            "members": _rows_json(self.q, self.m, self.cols.tolist(), self.rows),
             "predicted_aacf": self.predicted.to_json(),
         }
 

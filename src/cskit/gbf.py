@@ -550,16 +550,22 @@ def render_gbf(f: GbfPoly) -> str:
 # -- JSON --------------------------------------------------------------------
 
 
-def _rows_json(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[dict]:
-    """:func:`gbf_to_json` of each row of Z_q ANF coefficients over the masks
-    ``cols``, terms in (degree, mask) order.  Rows with the same coefficient
-    on a monomial share one term dict (and its ``vars`` list)."""
-    order = np.lexsort((cols, np.bitwise_count(cols)))
+def _rows_json(q: int, m: int, masks: list[int], rows: np.ndarray) -> list[dict]:
+    """:func:`gbf_to_json` of each row of Z_q ANF coefficients over the
+    monomial ``masks``, terms in (degree, mask) order.  Rows with the same
+    coefficient on a monomial share one term dict (and its ``vars`` list).
+
+    The masks are Python ints, so any m renders; pass ``rows`` with object
+    dtype when a coefficient may not fit in int64."""
+    n = len(masks)
+    order = sorted(range(n), key=lambda j: (masks[j].bit_count(), masks[j]))
     rows = rows[:, order]
     rr, cc = np.nonzero(rows)
-    keys, at = np.unique(cc * q + rows[rr, cc], return_inverse=True)
-    variables = [[i for i in range(mask.bit_length()) if (mask >> i) & 1] for mask in cols[order].tolist()]
-    table = [{"vars": variables[key // q], "coeff": key % q} for key in keys.tolist()]
+    coeffs = rows[rr, cc]
+    # one key per (coefficient, column), widened so that a narrow row dtype cannot wrap
+    keys, at = np.unique(coeffs.astype(np.result_type(coeffs, np.int64)) * n + cc, return_inverse=True)
+    variables = [[i for i in range(masks[j].bit_length()) if (masks[j] >> i) & 1] for j in order]
+    table = [{"vars": variables[key % n], "coeff": int(key // n)} for key in keys.tolist()]
     terms = [table[i] for i in at.tolist()]
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
     return [{"q": q, "m": m, "terms": terms[a:b]} for a, b in zip([0, *ends], ends)]
@@ -567,8 +573,7 @@ def _rows_json(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[dict]
 
 def gbf_to_json(f: GbfPoly) -> dict:
     """A stable dict form: ``{"q": .., "m": .., "terms": [{"vars": [...], "coeff": ..}]}``."""
-    cols = np.array([mask for mask, _ in f.terms], dtype=np.int64)
-    return _rows_json(f.q, f.m, cols, np.array([[c for _, c in f.terms]], dtype=np.int64))[0]
+    return _rows_json(f.q, f.m, [mask for mask, _ in f.terms], np.array([[c for _, c in f.terms]], dtype=object))[0]
 
 
 def gbf_from_json(obj: dict | str) -> GbfPoly:

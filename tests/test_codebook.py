@@ -192,6 +192,12 @@ def test_isolated_reps():
         assert prof.group_sizes == (2,)
 
 
+@pytest.mark.parametrize("family, k, message", [("R", 3, "two path vertices"), ("R1", 2, "three unrestricted variables")])
+def test_representatives_name_the_missing_vertices(family, k, message):
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_codebook(family, 4, 1, r=2, k=k))
+
+
 def test_multi_isolated_reps_exceed_degree_claim():
     # regression pin: these representatives do NOT stay within effective
     # degree r at the bottom of the parameter range — the enumerator is

@@ -151,6 +151,24 @@ def test_gbf_to_json_bytes_are_pinned():
 
 
 @pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("q=4;m=64; x0*x63 + 2*x1", [{"vars": [1], "coeff": 2}, {"vars": [0, 63], "coeff": 1}]),
+        (
+            f"q={2**71};m=70; {2**70 - 1}*x0*x69 + 5",
+            [{"vars": [], "coeff": 5}, {"vars": [0, 69], "coeff": 2**70 - 1}],
+        ),
+    ],
+)
+def test_json_roundtrip_beyond_int64(text, terms):
+    # a mask on x63 or above, or a coefficient of 2^63 or more, fits no int64
+    f = parse_gbf(text)
+    blob = gbf_to_json(f)
+    assert blob["terms"] == terms
+    assert gbf_from_json(json.dumps(blob)) == f
+
+
+@pytest.mark.parametrize(
     "term",
     [
         {"vars": [0.9], "coeff": 1},
