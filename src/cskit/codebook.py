@@ -55,7 +55,7 @@ import numpy as np
 
 from .correlation import _weight_tables
 from .errors import EnumerationError
-from .gbf import GbfPoly, polys_from_rows
+from .gbf import GbfPoly, _require_value_vector_size, polys_from_rows
 
 __all__ = [
     "log2_f_count",
@@ -102,11 +102,9 @@ def _f_generators(r: int, m: int, h: int, variables: Sequence[int] | None = None
     2^max(0, d - r); the allowed coefficients form the cyclic group generated
     by that power of two.
     """
-    gens = []
-    for mask in range(1 << m):
-        v = max(0, mask.bit_count() - r)
-        if v < h:
-            gens.append(_Gen(mask, 1 << v, 1 << (h - v)))
+    degrees = range(min(m, r + h - 1) + 1)  # from degree r + h on, only 0 is allowed
+    masks = sorted(sum(1 << i for i in c) for d in degrees for c in itertools.combinations(range(m), d))
+    gens = [_Gen(mask, 1 << v, 1 << (h - v)) for mask in masks if (v := max(0, mask.bit_count() - r)) < h]
     if variables is None:
         return gens
     return [g._replace(mask=sum(1 << x for a, x in enumerate(variables) if (g.mask >> a) & 1)) for g in gens]
@@ -152,6 +150,10 @@ def _exact_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
+# the least m of each complementary-set family, by its PMEPR bound
+_FAMILY_M_MIN = {4: 5, 6: 4, 8: 6}
+
+
 def family_size(m: int, q: int, bound: int) -> int:
     """Guaranteed codebook size at PMEPR at most ``bound`` (4, 6, or 8).
 
@@ -161,32 +163,24 @@ def family_size(m: int, q: int, bound: int) -> int:
     """
     if q < 2 or q % 2:
         raise ValueError(f"modulus must be even, got {q}")
+    if bound not in _FAMILY_M_MIN:
+        raise ValueError(f"no family with PMEPR bound {bound}")
+    if m < _FAMILY_M_MIN[bound]:
+        raise ValueError(f"the PMEPR-{bound} family needs m >= {_FAMILY_M_MIN[bound]}")
     fact = math.factorial
     if bound == 4:
-        if m < 5:
-            raise ValueError("the PMEPR-4 family needs m >= 5")
         count = Fraction(fact(m), 2) * (Fraction(fact(m - 2), 2) - 1) * q ** (2 * m - 3) * (q - 1) ** 2
     elif bound == 6:
-        if m < 4:
-            raise ValueError("the PMEPR-6 family needs m >= 4")
         count = (2 * fact(m) + Fraction(fact(m) * fact(m - 2) * (m - 3), 4)) * q ** (2 * m - 2) * (q - 1) ** 2
-    elif bound == 8:
-        if m < 6:
-            raise ValueError("the PMEPR-8 family needs m >= 6")
+    else:
         count = Fraction(3 * fact(m), 4) * (Fraction(fact(m - 3), 2) - 1) * q ** (3 * m - 8) * (q - 1) ** 2
         count += m * (m - 2) * Fraction(fact(m - 2), 2) ** 2 * q ** (2 * m - 3) * (q - 1) ** 2
-    else:
-        raise ValueError(f"no family with PMEPR bound {bound}")
     return _exact_int(count, f"family size (bound {bound}, m={m})")
 
 
 def pmepr_family_sizes(m: int, q: int) -> dict[int, int]:
     """Sizes of the PMEPR-4/6/8 families that are defined at this m."""
-    out = {}
-    for bound, m_min in ((4, 5), (6, 4), (8, 6)):
-        if m >= m_min:
-            out[bound] = family_size(m, q, bound)
-    return out
+    return {bound: family_size(m, q, bound) for bound, m_min in _FAMILY_M_MIN.items() if m >= m_min}
 
 
 def rate(size: int, m: int) -> float:
@@ -213,6 +207,23 @@ def log2_coset_count(m: int, k: int, r: int, h: int, *, excl: bool = False) -> i
     return couplings * log2_f_count(r - 1, k, h) + log2_f_count(r, k, h)
 
 
+def _pmepr_bound(k: int, M: int, balanced: bool) -> int:
+    """The per-member PMEPR bound with k restricted variables and M path restrictions."""
+    return 1 << (k + 1) if balanced else (1 << (k + 2)) - 2 * M
+
+
+def _free_bits(r: int, h: int) -> int:
+    """r + h - 3, the restricted bits a representative's path class may follow."""
+    if r + h < 3:
+        raise ValueError("need r + h >= 3")
+    return r + h - 3
+
+
+def _lower_range(r: int, h: int) -> bool:
+    """The PMEPR-4 union code's r range, where the PMEPR-8 one has a third part."""
+    return (h == 1 and 2 <= r <= 3) or (h > 1 and 1 <= r <= 2)
+
+
 def _path_class_count(n: int) -> int:
     """Paths on n labelled vertices up to reversal."""
     if n < 1:
@@ -230,9 +241,7 @@ def coset_code_size(m: int, k: int, r: int, h: int) -> int:
     """
     if m - k < 2:
         raise ValueError("representatives need at least two path vertices")
-    if r + h < 3:
-        raise ValueError("need r + h >= 3")
-    t = min(r + h - 3, k)
+    t = min(_free_bits(r, h), k)
     return (1 << log2_coset_count(m, k, r, h)) * _path_class_count(m - k) ** (1 << t)
 
 
@@ -241,21 +250,17 @@ def union_code_size_pmepr4(m: int, r: int, h: int) -> int:
     variable; path cosets plus isolated-vertex cosets)."""
     if m <= 3:
         raise ValueError("needs m > 3")
-    if not ((h == 1 and 2 <= r <= 3) or (h > 1 and 1 <= r <= 2)):
+    if not _lower_range(r, h):
         raise ValueError(f"(r={r}, h={h}) outside the stated range")
-    rp = min(r, 2)
-    exp = 1 << min(r + h - 3, 1)
-    first = (1 << log2_coset_count(m, 1, rp, h)) * _path_class_count(m - 1) ** exp
-    second = (1 << log2_coset_count(m, 1, rp, h, excl=True)) * _path_class_count(m - 2) ** exp
-    return first + second
+    return _union_parts(m, 1, r, h, 1)
 
 
-def _pmepr8_first_two(m: int, r: int, h: int) -> int:
-    rpp = min(r, 3)
-    exp = 1 << min(r + h - 3, 2)
-    first = (1 << log2_coset_count(m, 2, rpp, h)) * _path_class_count(m - 2) ** exp
-    second = 3 * (1 << log2_coset_count(m, 2, rpp, h, excl=True)) * _path_class_count(m - 3) ** exp
-    return first + second
+def _union_parts(m: int, k: int, r: int, h: int, isolated: int) -> int:
+    """The path-representative cosets plus ``isolated`` times the
+    isolated-vertex cosets, with k restricted variables."""
+    rr, exp = min(r, k + 1), 1 << min(r + h - 3, k)
+    first = (1 << log2_coset_count(m, k, rr, h)) * _path_class_count(m - k) ** exp
+    return first + isolated * (1 << log2_coset_count(m, k, rr, h, excl=True)) * _path_class_count(m - k - 1) ** exp
 
 
 def _pmepr8_third(m: int, r: int, h: int) -> int:
@@ -269,12 +274,11 @@ def union_code_size_pmepr8(m: int, r: int, h: int) -> int:
     plus — in the lower part of the r range — two-isolated-vertex cosets)."""
     if m <= 4:
         raise ValueError("needs m > 4")
-    if r + h < 3:
-        raise ValueError("need r + h >= 3")
-    if (h == 1 and 2 <= r <= 3) or (h > 1 and 1 <= r <= 2):
-        return _pmepr8_first_two(m, r, h) + _pmepr8_third(m, r, h)
+    _free_bits(r, h)  # refuses r + h < 3
+    if _lower_range(r, h):
+        return _union_parts(m, 2, r, h, 3) + _pmepr8_third(m, r, h)
     if (h == 1 and r == 4) or (h > 1 and r == 3):
-        return _pmepr8_first_two(m, r, h)
+        return _union_parts(m, 2, r, h, 3)
     raise ValueError(f"(r={r}, h={h}) outside the stated range")
 
 
@@ -399,7 +403,9 @@ def _span_weights(gens: Sequence[_Gen], q: int, m: int) -> Iterator[tuple[np.nda
 
 def _min_weights_direct(gens: Sequence[_Gen], q: int, m: int) -> tuple[int, float]:
     """Visit every nonzero span element of the generators, tracking minimum
-    Lee and squared Euclidean weights.  Exact and exhaustive."""
+    Lee and squared Euclidean weights.  Exact and exhaustive; a word of more
+    than 2^24 symbols raises :class:`~cskit.errors.SizeLimitError` before any allocation."""
+    _require_value_vector_size(m)
     best_lee, best_euc = q << m, math.inf  # above every weight of a length-2^m word
     for lee, euc in _span_weights(gens, q, m):
         nz = lee > 0  # only the zero codeword has Lee weight 0
@@ -620,10 +626,8 @@ def _junta_paths(verts: Sequence[int], m: int, k: int, h: int, r: int) -> list[_
     min(r+h-3, k) restricted bits: one factor per value of those bits."""
     if len(verts) < 2:
         raise ValueError("need at least two path vertices")
-    if r + h < 3:
-        raise ValueError("need r + h >= 3")
+    t = min(_free_bits(r, h), k)
     q = 1 << h
-    t = min(r + h - 3, k)
     prefix = range(m - k, m - k + t)
     return [_Paths(verts, _indicator_anf(prefix, [w], q), q // 2) for w in range(1 << t)]
 
@@ -651,11 +655,9 @@ def _multi_isolated_rep_factors(m: int, k: int, h: int, r: int, sizes: Sequence[
         raise ValueError("block sizes must be >= 1, at least two blocks, summing to 2^k")
     if m - k < 3 or len(sizes) > m - k:
         raise ValueError("not enough unrestricted vertices")
-    if r + h < 3:
-        raise ValueError("need r + h >= 3")
+    free = 1 << _free_bits(r, h)
     q = 1 << h
     restricted = range(m - k, m)
-    free = 1 << (r + h - 3)
     factors = []
     at = 0
     for a, n in enumerate(sizes):
@@ -714,7 +716,7 @@ def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, size
             _path_rep_factors(m, 2, h, r) + _coset_factors(m, 2, rpp, h),
             _isolated_rep_factors(m, 2, h, r) + _coset_factors(m, 2, rpp, h, excl=True),
         ]
-        if (h == 1 and 2 <= r <= 3) or (h > 1 and 1 <= r <= 2):
+        if _lower_range(r, h):
             rp = min(r, 2)
             parts.append(_multi_isolated_rep_factors(m, 1, h, r, (1, 1)) + _coset_factors(m, 1, rp, h))
         return parts
@@ -983,7 +985,7 @@ def golden_report() -> list[GoldenEntry]:
             out.append(GoldenEntry(table, key, "d_L", fl, str(d_lee), fl == d_lee))
             out.append(GoldenEntry(table, key, "d_E2", fe, d_euc, abs(fe - float(d_euc)) < 5e-3))
     for k, kind, bigm, p, prop, ref in TABLE_BOUNDS:
-        formula = (1 << (k + 1)) if kind == "balanced" else (1 << (k + 2)) - 2 * bigm
+        formula = _pmepr_bound(k, bigm, kind == "balanced")
         out.append(
             GoldenEntry("bounds", (k, kind, bigm, p), "proposed", formula, str(prop), formula == prop)
         )

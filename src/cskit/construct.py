@@ -42,9 +42,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import _cartesian_sum, _indicator_anf, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
+from .codebook import _cartesian_sum, _indicator_anf, _pmepr_bound, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
 from .correlation import AacfVector, write_sequences
-from .cyclo import CycloValue, cyclo_sum
+from .cyclo import _fold
 from .errors import BalanceError, GraphShapeError, ParseError
 from .gbf import (
     GbfPoly,
@@ -147,12 +147,11 @@ def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
     coeffs[0, 0] = (1 << (k + 2) if doubled else 1 << (k + 1)) << m
     if not doubled:
         for g in profile.groups:
-            total = cyclo_sum(q, (CycloValue.from_power(q, v) for v in g.l_values))
-            coeffs[1 << g.l] = total.times_power(g.g_l).scale(1 << m).coeffs
+            coeffs[1 << g.l] = _fold(np.bincount((g.g_l + np.array(g.l_values)) % q, minlength=q)) << m
     return AacfVector(q, coeffs)
 
 
-def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str, bound: int, doubled: bool = False) -> CsCandidate:
+def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str, balanced: bool, doubled: bool = False) -> CsCandidate:
     """The offset family of f as factor rows: f, then (doubled only) the
     shift (q/2) * sum of the isolated vertices, then (q/2) * t with t the
     indicator-weighted sum of the path endpoints, then (q/2) * x_j for the
@@ -171,7 +170,7 @@ def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str, bound: int
     rows = np.zeros((len(factors), len(cols)), dtype=np.min_scalar_type(q - 1))
     for row, terms in zip(rows, factors):
         row[np.searchsorted(cols, np.array(list(terms), dtype=np.int64))] = list(terms.values())
-    return CsCandidate(q, f.m, cols, rows, provenance, float(bound), predicted, profile)
+    return CsCandidate(q, f.m, cols, rows, provenance, float(_pmepr_bound(profile.k, profile.M, balanced)), predicted, profile)
 
 
 def _profile(f: GbfPoly, profile: RestrictionProfile | None, restricted: Sequence[int]) -> RestrictionProfile:
@@ -191,7 +190,7 @@ def offset_set(f: GbfPoly, profile: RestrictionProfile | None = None, *, restric
     is 2^{k+2} - 2M.  Raises :class:`ModulusError` unless q is a power of two.
     """
     profile = _profile(f, profile, restricted)
-    return _family(f, profile, "offset", (1 << (profile.k + 2)) - 2 * profile.M)
+    return _family(f, profile, "offset", False)
 
 
 def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -210,7 +209,7 @@ def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restri
                 f"isolated vertex x{g.l}: surpluses {list(g.l_values)} "
                 f"(size {g.size}, {zeros} zeros, {halves} of value q/2) are not half/half"
             )
-    cand = _family(f, profile, "balanced", 1 << (profile.k + 1))
+    cand = _family(f, profile, "balanced", True)
     assert cand.predicted.offpeak_is_zero(), "balance must cancel every off-peak term"
     return cand
 
@@ -225,7 +224,7 @@ def doubled_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restric
     bound 2^{k+2} - 2M.
     """
     profile = _profile(f, profile, restricted)
-    return _family(f, profile, "doubled", (1 << (profile.k + 2)) - 2 * profile.M, doubled=True)
+    return _family(f, profile, "doubled", False, doubled=True)
 
 
 def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -241,7 +240,7 @@ def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *
     profile = _profile(f, profile, restricted)
     if not profile.all_paths:
         raise GraphShapeError("every restriction must reduce to a path (no isolated vertices)")
-    return _family(f, profile, "golay" if profile.k == 0 else "path-restriction", 1 << (profile.k + 1))
+    return _family(f, profile, "golay" if profile.k == 0 else "path-restriction", True)
 
 
 def golay_pair(f: GbfPoly, add0: int = 0, add1: int = 0) -> tuple[GbfPoly, GbfPoly]:

@@ -9,19 +9,18 @@ of :mod:`cskit.cyclo`: a correlation vector is one int64 array of shape
 ``(L, q/2)``, and :class:`~cskit.cyclo.CycloValue` objects are built only
 when a single value is asked for.
 
-**Exact values from floating-point FFTs.**  An element ``c = sum_j c_j
-omega^j`` is fixed by its q/2 Galois conjugates ``sigma_s(c) = sum_j c_j
-omega^((2s+1) j)``, s < q/2.  This Vandermonde system is a size-q/2 DFT
-scaled by ``diag(omega^j)``, so its inverse is ``V^H / (q/2)`` and it is
-perfectly conditioned.  Conjugation commutes with ``sigma_s``, so
-``sigma_s(C_{a,b}(tau))`` is the ordinary complex correlation of the embedded
-sequences ``x_s[i] = omega^((2s+1) p[i])`` (0 where masked), which the
+**Exact values from floating-point FFTs.**  An element of Z[omega] is fixed
+by its Galois conjugates ``sigma_e``, e odd, and ``cyclo._from_conjugates``
+solves for its coordinates from the first ceil(q/4) of them (the basis, its
+fold, its float embedding and this perfectly conditioned solve are described
+in :mod:`cskit.cyclo`).  Conjugation commutes with ``sigma_e``, so
+``sigma_e(C_{a,b}(tau))`` is the ordinary complex correlation of the embedded
+sequences ``x_e[i] = omega^(e p[i])`` (0 where masked), which the
 Wiener-Khinchin theorem gives as ``ifft(F_a * conj(F_b))`` with FFTs of
 length N, the least power of two >= 2L - 1 (so no shift wraps around).  A set
 sums ``|F|^2`` over its members before its one inverse transform per
-embedding, and the embeddings s and q/2-1-s are complex conjugates, so a set
-of n sequences costs n * ceil(q/4) forward and ceil(q/4) inverse FFTs.  The
-coefficients are then solved for and rounded.
+embedding, so a set of n sequences costs n * ceil(q/4) forward and ceil(q/4)
+inverse FFTs.  The coefficients are then solved for and rounded.
 
 The rounded result is returned only when it is proven; otherwise the exact
 shift loop runs (a phase-difference histogram per shift, O(L^2)), which is
@@ -74,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclo import CycloValue
+from .cyclo import CycloValue, _embed, _fold, _from_conjugates
 from .errors import EmptySequenceError, ParseError, SizeLimitError
 from .gbf import PolyphaseSeq, _roots
 
@@ -103,25 +102,17 @@ FFT_SIZE_LIMIT = 1 << 25  # largest n * L the FFT path accepts; derivation in th
 
 def _shift_row(a: PolyphaseSeq, b: PolyphaseSeq, tau: int) -> np.ndarray:
     """Integer basis coefficients of C_{a,b}(tau), from a phase-difference histogram."""
-    q, L, half = a.q, len(a), a.q // 2
+    q, L = a.q, len(a)
     live = a.mask[tau:] & b.mask[: L - tau]
     diff = (a.phases[tau:][live] - b.phases[: L - tau][live]) % q
-    counts = np.bincount(diff, minlength=q)
-    return counts[:half] - counts[half:]
+    return _fold(np.bincount(diff, minlength=q))
 
 
 def _corr_coeff_matrix(a: PolyphaseSeq, b: PolyphaseSeq) -> np.ndarray:
-    """Integer basis coefficients of C_{a,b}(tau) for tau = 0 .. L-1.
-
-    Row tau holds q/2 integers c_j with C(tau) = sum_j c_j * omega^j.  Exact:
-    the phase differences over the overlap are counted with ``bincount`` and
-    the upper half of the histogram is folded in with a sign flip.  This is
-    the fallback of :func:`_coeff_sum` and the reference for its FFT path.
-    """
-    out = np.zeros((len(a), a.q // 2), dtype=np.int64)
-    for tau in range(len(a)):
-        out[tau] = _shift_row(a, b, tau)
-    return out
+    """The exact ``(L, q/2)`` coordinates of C_{a,b}(tau), tau = 0 .. L-1, one
+    folded phase-difference histogram per shift: the fallback of
+    :func:`_coeff_sum` and the reference for its FFT path."""
+    return np.stack([_shift_row(a, b, tau) for tau in range(len(a))]).astype(np.int64, copy=False)
 
 
 def _spectrum(a: PolyphaseSeq, exponents: np.ndarray, n: int) -> np.ndarray:
@@ -137,22 +128,16 @@ def _fft_coeffs(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]], q: int, L: i
     One spectrum per sequence and embedding lives at a time, so memory grows
     with L, not with the number of pairs.
     """
-    half = q // 2
-    exponents = np.arange(1, half + 1, 2)  # 2s+1 for s < ceil(q/4); the rest are conjugates
     n = 1 << (2 * L - 2).bit_length()
-    total = None
-    for a, b in pairs:
-        fa = _spectrum(a, exponents, n)
-        prod = fa.real**2 + fa.imag**2 if b is a else fa * _spectrum(b, exponents, n).conj()
-        if total is None:
-            total = prod
-        else:
-            total += prod
-    conjugates = np.fft.ifft(total, axis=1)[:, :L]  # sigma_s of every shift
-    if half > 1:
-        conjugates = np.concatenate([conjugates, conjugates[::-1].conj()])
-    solved = np.fft.fft(conjugates, axis=0) * _roots(q)[-np.arange(half) % q, None]
-    return solved.real.T / half
+
+    def sigma(exponents: np.ndarray) -> np.ndarray:  # sigma_e of every shift
+        total = 0
+        for a, b in pairs:
+            fa = _spectrum(a, exponents, n)
+            total += fa.real**2 + fa.imag**2 if b is a else fa * _spectrum(b, exponents, n).conj()
+        return np.fft.ifft(total, axis=1)[:, :L]
+
+    return _from_conjugates(sigma, q)
 
 
 def _coeff_sum(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]]) -> np.ndarray:
@@ -211,10 +196,11 @@ class CorrVector:
         return (np.flatnonzero(self.coeffs[1:].any(axis=1)) + 1).tolist()
 
     def to_json(self) -> dict:
-        off = []
-        for tau in self.nonzero_shifts():
-            value = self.at(tau)
-            off.append({"tau": tau, "value": list(value.coeffs), "abs": abs(value)})
+        taus = self.nonzero_shifts()
+        rows = self.coeffs[taus]
+        z = _embed(rows, self.q)
+        mags = np.hypot(z.real, z.imag).tolist()
+        off = [{"tau": t, "value": v, "abs": a} for t, v, a in zip(taus, rows.tolist(), mags)]
         return {
             "L": self.L,
             "q": self.q,
@@ -348,10 +334,6 @@ def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = 
 # -- envelope statistics -------------------------------------------------------
 
 
-def _acf_complex(vec: AacfVector) -> np.ndarray:
-    return vec.coeffs @ _roots(vec.q)[: vec.q // 2]
-
-
 def _live_count(a: PolyphaseSeq) -> int:
     live = int(a.mask.sum())
     if not live:
@@ -361,7 +343,7 @@ def _live_count(a: PolyphaseSeq) -> int:
 
 def envelope_power(a: PolyphaseSeq, t: float | Sequence[float] | np.ndarray) -> np.ndarray | float:
     """Instantaneous power P(t) at normalized time(s) t in [0, 1)."""
-    acf = _acf_complex(aacf(a))
+    acf = _embed(aacf(a).coeffs, a.q)
     tt = np.asarray(t, dtype=float)
     tau = np.arange(1, len(a))
     osc = np.exp(2j * np.pi * np.outer(tt, tau))
@@ -457,9 +439,9 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
 
 
 def _autocorr_bound(vec: AacfVector) -> float:
-    acf = _acf_complex(vec)
+    acf = _embed(vec.coeffs, vec.q)
     a0 = acf[0].real
-    return float((a0 + 2.0 * np.abs(acf[1:]).sum()) / a0)
+    return float((a0 + 2.0 * np.hypot(acf[1:].real, acf[1:].imag).sum()) / a0)
 
 
 def pmepr_autocorr_bound(a: PolyphaseSeq) -> float:

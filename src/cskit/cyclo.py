@@ -7,27 +7,61 @@ powers ``omega^0 .. omega^{q/2 - 1}`` form an integral basis and the
 representation below is canonical: equality of :class:`CycloValue` instances
 is exact equality of the underlying algebraic numbers.  This is what lets the
 toolkit decide "is this correlation exactly zero?" without floating point.
+
+This module is the one place that knows the basis.  An element is held as
+its q/2 integer coordinates (a row of an int64 array, or ``coeffs``), and
+``_fold`` turns a residue histogram (``counts[e]`` copies of ``omega^e``)
+into coordinates by ``omega^(j + q/2) = -omega^j``.  ``_embed`` is the one
+float embedding, ``sum_j c_j omega^j`` with ``omega^j = cmath.exp(2 pi i /
+q) ** j`` summed in ascending j.  ``_from_conjugates`` is the conjugate
+solve: an element is fixed by its Galois conjugates ``sigma_e = sum_j c_j
+omega^(e j)`` at the odd e < q (``sigma_(q-e)`` is ``conj(sigma_e)``), whose
+Vandermonde matrix is a size-q/2 DFT scaled by ``diag(omega^j)``, so its
+inverse is ``V^H / (q/2)``.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .gbf import _require_power_of_two
+import numpy as np
+
+from .gbf import _require_power_of_two, _roots
 
 __all__ = ["CycloValue"]
 
 
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """Coordinates of ``sum_e counts[..., e] omega^e``: a residue histogram of
+    length q on the last axis becomes q/2 coordinates."""
+    half = counts.shape[-1] // 2
+    return counts[..., :half] - counts[..., half:]
+
+
+def _embed(coeffs: np.ndarray | Sequence[int], q: int) -> np.ndarray:
+    """The complex value ``sum_j c_j omega^j`` of the coordinates on the last axis."""
+    c, omega = np.asarray(coeffs, dtype=np.float64), cmath.exp(2j * cmath.pi / q)
+    return sum(c[..., j] * omega**j for j in range(q // 2))
+
+
+def _from_conjugates(sigma: Callable[[np.ndarray], np.ndarray], q: int) -> np.ndarray:
+    """Float ``(n, q/2)`` coordinates of n elements from their conjugates:
+    ``sigma(e)`` takes the exponents e = 2s+1, s < ceil(q/4), and returns one
+    row per exponent, ``sigma_e`` of each of the n elements."""
+    half = q // 2
+    conjugates = sigma(np.arange(1, half + 1, 2))
+    if half > 1:
+        conjugates = np.concatenate([conjugates, conjugates[::-1].conj()])
+    solved = np.fft.fft(conjugates, axis=0) * _roots(q)[-np.arange(half) % q, None]
+    return solved.real.T / half
+
+
 @dataclass(frozen=True, order=False)
 class CycloValue:
-    """An element of Z[omega], omega a primitive q-th root of unity, q = 2**h.
-
-    ``coeffs[j]`` is the integer coefficient of ``omega^j`` for
-    ``0 <= j < q/2``; higher powers are reduced with
-    ``omega^(j + q/2) = -omega^j``.
-    """
+    """An element of Z[omega], omega a primitive q-th root of unity, q = 2**h:
+    ``sum_j coeffs[j] * omega^j`` over ``0 <= j < q/2``."""
 
     q: int
     coeffs: tuple[int, ...]
@@ -57,22 +91,21 @@ class CycloValue:
         """Sum of ``counts[e]`` copies of ``omega^e`` for e = 0 .. q-1."""
         if len(counts) != q:
             raise ValueError(f"need q = {q} counts")
-        half = q // 2
-        return cls(q, tuple(int(counts[j]) - int(counts[j + half]) for j in range(half)))
+        return cls(q, tuple(int(c) for c in _fold(np.asarray(counts, dtype=object))))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: CycloValue) -> CycloValue:
         if not isinstance(other, CycloValue):
             return NotImplemented
-        self._check(other)
+        if self.q != other.q:
+            raise ValueError(f"mixed moduli: {self.q} vs {other.q}")
         return CycloValue(self.q, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: CycloValue) -> CycloValue:
         if not isinstance(other, CycloValue):
             return NotImplemented
-        self._check(other)
-        return CycloValue(self.q, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> CycloValue:
         return CycloValue(self.q, tuple(-a for a in self.coeffs))
@@ -80,34 +113,21 @@ class CycloValue:
     def scale(self, n: int) -> CycloValue:
         return CycloValue(self.q, tuple(n * a for a in self.coeffs))
 
+    def _mapped(self, exponents: np.ndarray) -> CycloValue:
+        """Send each ``omega^j`` to ``omega^exponents[j]`` (distinct mod q) and fold."""
+        counts = np.zeros(self.q, dtype=object)
+        counts[exponents % self.q] = self.coeffs
+        return CycloValue.from_counts(self.q, counts)
+
     def times_power(self, exponent: int) -> CycloValue:
         """Multiply by ``omega^exponent`` (an exact rotation of the basis)."""
-        half = self.q // 2
-        out = [0] * half
-        for j, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            k = (j + exponent) % self.q
-            if k < half:
-                out[k] += a
-            else:
-                out[k - half] -= a
-        return CycloValue(self.q, tuple(out))
+        return self._mapped(np.arange(self.q // 2) + exponent % self.q)
 
     def conj(self) -> CycloValue:
         """Complex conjugate: ``omega^j -> omega^{-j}``."""
-        half = self.q // 2
-        out = [0] * half
-        out[0] = self.coeffs[0]
-        for j in range(1, half):
-            out[half - j] -= self.coeffs[j]
-        return CycloValue(self.q, tuple(out))
+        return self._mapped(-np.arange(self.q // 2))
 
     # -- queries -----------------------------------------------------------
-
-    def _check(self, other: CycloValue) -> None:
-        if self.q != other.q:
-            raise ValueError(f"mixed moduli: {self.q} vs {other.q}")
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -116,8 +136,7 @@ class CycloValue:
         return not self.is_zero()
 
     def __complex__(self) -> complex:
-        omega = cmath.exp(2j * cmath.pi / self.q)
-        return sum(a * omega**j for j, a in enumerate(self.coeffs) if a) or 0j
+        return complex(_embed(self.coeffs, self.q))
 
     def __abs__(self) -> float:
         return abs(complex(self))
@@ -130,7 +149,4 @@ class CycloValue:
 
 
 def cyclo_sum(q: int, values: Iterable[CycloValue]) -> CycloValue:
-    total = CycloValue.zero(q)
-    for v in values:
-        total = total + v
-    return total
+    return sum(values, CycloValue.zero(q))

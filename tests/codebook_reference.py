@@ -18,6 +18,17 @@ from construct_reference import indicator_poly, path_quadratic
 from cskit.errors import EnumerationError
 
 
+def f_generators(r: int, m: int, h: int, variables: Sequence[int] | None = None) -> list[tuple[int, int, int]]:
+    """(mask, step, count) of F(r, m, h) from a loop over all 2^m masks."""
+    gens = []
+    for mask in range(1 << m):
+        v = max(0, mask.bit_count() - r)
+        if v < h:
+            big = mask if variables is None else sum(1 << x for a, x in enumerate(variables) if (mask >> a) & 1)
+            gens.append((big, 1 << v, 1 << (h - v)))
+    return gens
+
+
 def enumerate_f_polys(
     r: int, k: int, h: int, *, m: int | None = None, variables: Sequence[int] | None = None
 ) -> Iterator[GbfPoly]:

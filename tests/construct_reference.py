@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cskit import GbfPoly, PolyphaseSeq, Restriction, analyze, gbf_to_json, write_sequences
+from cskit import CycloValue, GbfPoly, PolyphaseSeq, Restriction, analyze, cyclo_sum, gbf_to_json, write_sequences
 from cskit.graphs import RestrictionProfile
 
 
@@ -81,6 +81,27 @@ def members(f: GbfPoly, profile: RestrictionProfile, doubled: bool) -> tuple[Gbf
         return base
     shift = GbfPoly.from_terms(f.q, f.m, ((1 << g.l, f.q // 2) for g in profile.groups))
     return base + tuple(g + shift for g in base)
+
+
+def predicted_coeffs(profile: RestrictionProfile, doubled: bool) -> np.ndarray:
+    """The predicted summed autocorrelation built by ``CycloValue`` algebra:
+    peak n * 2^m, and unless doubled the row ``2^m * omega^{g_l} * sum_c
+    omega^{L_c}`` at shift 2^l for each isolated group."""
+    q, m, k = profile.q, profile.m, profile.k
+    coeffs = np.zeros((1 << m, q // 2), dtype=np.int64)
+    coeffs[0, 0] = (1 << (k + 2) if doubled else 1 << (k + 1)) << m
+    if not doubled:
+        for g in profile.groups:
+            total = cyclo_sum(q, (CycloValue.from_power(q, v) for v in g.l_values))
+            coeffs[1 << g.l] = total.times_power(g.g_l).scale(1 << m).coeffs
+    return coeffs
+
+
+def pmepr_bound(profile: RestrictionProfile, provenance: str) -> int:
+    """The per-member PMEPR bound each construction states."""
+    if provenance in ("balanced", "golay", "path-restriction"):
+        return 1 << (profile.k + 1)
+    return (1 << (profile.k + 2)) - 2 * profile.M
 
 
 def to_json(cand, polys: Sequence[GbfPoly]) -> dict:

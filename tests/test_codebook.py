@@ -27,7 +27,9 @@ from cskit.codebook import (
     union_code_size_pmepr4,
     union_code_size_pmepr8,
 )
-from cskit.errors import EnumerationError
+from cskit.errors import EnumerationError, SizeLimitError
+
+import codebook_reference as reference
 
 
 # -- counting the bounded-effective-degree polynomials --------------------------
@@ -274,6 +276,32 @@ def test_rm_min_weight_refuses_before_allocating(call):
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_f_generators_match_the_mask_loop():
+    for m, h in itertools.product(range(11), range(1, 4)):
+        variables = [3 * a + 1 for a in reversed(range(m))]
+        for r in range(-1, m + 1):
+            assert codebook._f_generators(r, m, h) == reference.f_generators(r, m, h)
+            assert codebook._f_generators(r, m, h, variables) == reference.f_generators(r, m, h, variables)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: rm_min_weight(0, 25), lambda: erm_min_distances(0, 25, 1), lambda: rm_min_weight(0, 30)],
+    ids=["rm-0-25", "erm-0-25-1", "rm-0-30"],
+)
+def test_direct_weights_refuse_a_long_word_before_allocating(call):
+    # a two-word code of 2^25 symbols passes the dimension and codeword
+    # rules; the direct path refuses its length before building anything
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
             call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

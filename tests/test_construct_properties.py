@@ -88,6 +88,23 @@ def test_builders_match_reference(shape):
             assert golay_pair(f, 1, q - 1) == (offset[0] + 1, offset[1] + (q - 1))
 
 
+@FAMILY
+@given(qualifying_shapes())
+def test_predictions_match_the_cyclo_chain(shape):
+    m, k, q, sizes, balanced, seed = shape
+    f, restricted = random_qualifying_gbf(m, k, q, sizes, balanced=balanced, seed=seed)
+    profile = analyze(f, restricted)
+    builds = [(offset_set, False), (doubled_cs, True)]
+    if profile.is_balanced():
+        builds.append((balanced_cs, False))
+    if profile.all_paths:
+        builds.append((path_restriction_cs, False))
+    for build, doubled in builds:
+        cand = build(f, profile)
+        assert np.array_equal(cand.predicted.coeffs, reference.predicted_coeffs(profile, doubled))
+        assert cand.pmepr_bound == reference.pmepr_bound(profile, cand.provenance)
+
+
 def test_sequences_equal_the_reference_sequences():
     """``sequences()`` wraps the rows of its phase matrix without copying:
     on the instances of acceptance criterion 2 (plus the doubled families)

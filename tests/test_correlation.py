@@ -1,6 +1,7 @@
 """Correlation, PMEPR and distance checks against small hand-computable cases."""
 
 import cmath
+import hashlib
 import json
 import math
 import tracemalloc
@@ -353,3 +354,59 @@ def test_sequences_need_a_power_of_two_modulus():
     with pytest.raises(ModulusError):
         read_sequences("0 1 2 3\n0 1 5 3\n", 6)
     assert issubclass(ModulusError, ValueError)
+
+
+# -- the JSON export reads the coefficient array once --------------------------------
+
+
+def per_shift_json(vec):
+    """The export built one shift at a time from ``at`` and ``abs(at)``."""
+    off = [{"tau": tau, "value": list(vec.at(tau).coeffs), "abs": abs(vec.at(tau))} for tau in vec.nonzero_shifts()]
+    return {"L": vec.L, "q": vec.q, "peak": vec.coeffs[0].tolist(), "offpeak": off}
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_to_json_equals_the_per_shift_form(q):
+    rng = np.random.default_rng(q)
+    for trial in range(40):
+        L = int(rng.integers(1, 90))
+        masked = trial % 2 == 1
+
+        def seq():
+            return PolyphaseSeq(q, rng.integers(0, q, L), rng.random(L) < 0.7 if masked else None)
+
+        a, b = seq(), seq()
+        auto = (aacf(a), set_aacf([a, b, seq()]))
+        for vec in (*auto, cross_corr(a, b)):
+            assert json.dumps(vec.to_json()) == json.dumps(per_shift_json(vec))
+        for vec in auto:
+            assert all(vec.at(-tau) == vec.at(tau).conj() for tau in range(1, L))
+
+
+def seeded_sequences(seed, n):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        q = int(rng.choice([2, 4, 8, 16]))
+        L = int(rng.integers(1, 70))
+        phases = rng.integers(0, q, L)
+        if i % 3:
+            out.append(PolyphaseSeq(q, phases))
+        else:
+            mask = rng.random(L) < 0.8
+            mask[0] |= not mask.any()
+            out.append(PolyphaseSeq(q, phases, mask))
+    return out
+
+
+def test_aacf_reports_are_pinned():
+    # sha256 of 24 seeded reports (full and masked, q up to 16) without the
+    # autocorrelation-bound fields, computed before the coordinates had one
+    # float embedding; the bound fields may move in the last bit
+    reports = []
+    for s in seeded_sequences(10, 24):
+        report = aacf_report(s)
+        del report["pmepr_bound"], report["pmepr_upper"]
+        reports.append(report)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "82abdafca8f61025fc4e16a5b5c874185ac48a8dc011c5d208be2a706e6e48fd"

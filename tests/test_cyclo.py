@@ -1,4 +1,5 @@
 import cmath
+import random
 
 import pytest
 
@@ -60,3 +61,68 @@ def test_abs():
     v = CycloValue.from_int(4, 3)
     assert abs(v) == pytest.approx(3.0)
     assert abs(CycloValue.from_power(8, 5)) == pytest.approx(1.0)
+
+
+# -- the basis against exact histogram references -------------------------------
+
+
+def folded(q, counts):
+    """Coordinates of sum_e counts[e] * w^e, one residue at a time."""
+    half = q // 2
+    out = [0] * half
+    for e, c in enumerate(counts):
+        e %= q
+        if e < half:
+            out[e] += c
+        else:
+            out[e - half] -= c
+    return tuple(out)
+
+
+def histogram(q, pairs):
+    """The length-q residue histogram of (exponent, multiplicity) pairs."""
+    counts = [0] * q
+    for e, c in pairs:
+        counts[e % q] += c
+    return counts
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+def test_basis_operations_match_the_histogram_reference(q):
+    rng = random.Random(q)
+    half = q // 2
+    for _ in range(50):
+        counts = [rng.randint(-9, 9) for _ in range(q)]
+        v = CycloValue.from_counts(q, counts)
+        assert v.coeffs == folded(q, counts)
+        assert all(type(a) is int for a in v.coeffs)
+        for e in [rng.randint(-3 * q, -1), rng.randint(0, q - 1), rng.randint(2 * q, 5 * q), -2 * q, 2 * q]:
+            assert CycloValue.from_power(q, e).coeffs == folded(q, histogram(q, [(e, 1)]))
+            rotated = histogram(q, [(j + e, a) for j, a in enumerate(v.coeffs)])
+            assert v.times_power(e).coeffs == folded(q, rotated)
+        assert v.conj().coeffs == folded(q, histogram(q, [(-j, a) for j, a in enumerate(v.coeffs)]))
+    big = [10**30 + e for e in range(q)]  # beyond int64: the reduction stays exact
+    assert CycloValue.from_counts(q, big).coeffs == folded(q, big)
+    assert CycloValue(q, (10**30,) * half).times_power(half).coeffs == (-(10**30),) * half
+
+
+def test_basis_operations_keep_their_errors_and_repr():
+    with pytest.raises(ValueError, match="need q = 8 counts"):
+        CycloValue.from_counts(8, [1] * 7)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        CycloValue.zero(4) - CycloValue.zero(8)
+    assert repr(CycloValue.from_counts(8, [3, 0, 1, 0, 1, 0, 0, 2])) == "<CycloValue q=8: 2*w0 + 1*w2 + -2*w3>"
+    assert repr(CycloValue.from_power(4, 2) + CycloValue.from_power(4, 0)) == "CycloValue.zero(4)"
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+def test_complex_is_the_ordered_power_sum(q):
+    # the embedding is sum_j c_j * w^j with w^j = cmath.exp(2 pi i / q) ** j,
+    # summed in ascending j: the form the exported abs values were pinned with
+    omega = cmath.exp(2j * cmath.pi / q)
+    rng = random.Random(q)
+    for _ in range(50):
+        coeffs = tuple(rng.choice([0, 0, rng.randint(-40, 40)]) for _ in range(q // 2))
+        want = sum(a * omega**j for j, a in enumerate(coeffs) if a) or 0j
+        assert complex(CycloValue(q, coeffs)) == want  # bit for bit, up to the sign of a zero
+        assert abs(CycloValue(q, coeffs)) == abs(want)
