@@ -116,11 +116,8 @@ class CsCandidate:
         return self.predicted.offpeak_is_zero()
 
     def to_json(self) -> dict:
-        """The candidate as a dict; each member in the form of ``gbf_to_json``.
-
-        Members with the same coefficient on a monomial share one term dict
-        (and its ``vars`` list), so copy a member before changing it in place.
-        """
+        """The candidate as a dict; each member in the form of ``gbf_to_json``,
+        ``{"q", "m", "text"}`` with ``text`` equal to ``render_gbf(member)``."""
         return {
             "q": self.q,
             "m": self.m,

@@ -523,10 +523,21 @@ def parse_gbf(text: str) -> GbfPoly:
     return GbfPoly.from_terms(q, m, terms)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def _term_key(mask: int) -> tuple[int, list[int]]:
+    """The order of terms in the text form: highest degree first, ties broken
+    by the variable indices, the constant last."""
+    return (-mask.bit_count(), _bits(mask))
+
+
 def _term_text(mask: int, coeff: int) -> str:
     if mask == 0:
         return str(coeff)
-    vars_part = "*".join(f"x{i}" for i in range(mask.bit_length()) if (mask >> i) & 1)
+    vars_part = "*".join(f"x{i}" for i in _bits(mask))
     return vars_part if coeff == 1 else f"{coeff}*{vars_part}"
 
 
@@ -536,15 +547,8 @@ def render_gbf(f: GbfPoly) -> str:
     Terms are printed highest degree first, ties broken by variable indices,
     with the constant last.
     """
-
-    def key(item: tuple[int, int]):
-        mask, _ = item
-        return (-mask.bit_count(), [i for i in range(mask.bit_length()) if (mask >> i) & 1])
-
-    body = " + ".join(_term_text(mask, c) for mask, c in sorted(f.terms, key=key))
-    if not body:
-        body = "0"
-    return f"q={f.q};m={f.m}; {body}"
+    body = " + ".join(_term_text(mask, c) for mask, c in sorted(f.terms, key=lambda t: _term_key(t[0])))
+    return f"q={f.q};m={f.m}; {body or '0'}"
 
 
 # -- JSON --------------------------------------------------------------------
@@ -552,31 +556,39 @@ def render_gbf(f: GbfPoly) -> str:
 
 def _rows_json(q: int, m: int, masks: list[int], rows: np.ndarray) -> list[dict]:
     """:func:`gbf_to_json` of each row of Z_q ANF coefficients over the
-    monomial ``masks``, terms in (degree, mask) order.  Rows with the same
-    coefficient on a monomial share one term dict (and its ``vars`` list).
+    monomial ``masks``.  Each distinct (coefficient, monomial) term is
+    rendered once and joined into the text of every row that holds it.
 
     The masks are Python ints, so any m renders; pass ``rows`` with object
     dtype when a coefficient may not fit in int64."""
     n = len(masks)
-    order = sorted(range(n), key=lambda j: (masks[j].bit_count(), masks[j]))
+    order = sorted(range(n), key=lambda j: _term_key(masks[j]))
     rows = rows[:, order]
     rr, cc = np.nonzero(rows)
     coeffs = rows[rr, cc]
     # one key per (coefficient, column), widened so that a narrow row dtype cannot wrap
     keys, at = np.unique(coeffs.astype(np.result_type(coeffs, np.int64)) * n + cc, return_inverse=True)
-    variables = [[i for i in range(masks[j].bit_length()) if (masks[j] >> i) & 1] for j in order]
-    table = [{"vars": variables[key % n], "coeff": int(key // n)} for key in keys.tolist()]
+    table = [_term_text(masks[order[key % n]], key // n) for key in keys.tolist()]
     terms = [table[i] for i in at.tolist()]
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
-    return [{"q": q, "m": m, "terms": terms[a:b]} for a, b in zip([0, *ends], ends)]
+    head = f"q={q};m={m}; "
+    return [{"q": q, "m": m, "text": head + (" + ".join(terms[a:b]) or "0")} for a, b in zip([0, *ends], ends)]
 
 
 def gbf_to_json(f: GbfPoly) -> dict:
-    """A stable dict form: ``{"q": .., "m": .., "terms": [{"vars": [...], "coeff": ..}]}``."""
+    """A stable dict form, ``{"q": .., "m": .., "text": render_gbf(f)}``.
+
+    :func:`gbf_from_json` reads it back, and also reads the older form
+    ``{"q": .., "m": .., "terms": [{"vars": [...], "coeff": ..}, ...]}``."""
     return _rows_json(f.q, f.m, [mask for mask, _ in f.terms], np.array([[c for _, c in f.terms]], dtype=object))[0]
 
 
 def gbf_from_json(obj: dict | str) -> GbfPoly:
+    """The polynomial of a :func:`gbf_to_json` dict (or its JSON text).
+
+    ``text`` is read by :func:`parse_gbf` and must agree with the ``q`` and
+    ``m`` keys; the older ``terms`` list is read too.  Anything else raises
+    :class:`ParseError`."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -584,13 +596,21 @@ def gbf_from_json(obj: dict | str) -> GbfPoly:
             raise ParseError(f"bad JSON: {exc}") from None
     try:
         q, m = obj["q"], obj["m"]
-        terms = [(list(item["vars"]), item["coeff"]) for item in obj["terms"]]
+        text = obj["text"] if "text" in obj else None
+        terms = [] if text is not None else [(list(item["vars"]), item["coeff"]) for item in obj["terms"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed polynomial object: {exc}") from None
     if not isinstance(q, int) or q < 2 or q % 2:
         raise ParseError(f"modulus must be even and >= 2, got q={q!r}")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParseError(f"need at least one variable, got m={m!r}")
+    if text is not None:
+        if "terms" in obj or not isinstance(text, str):
+            raise ParseError("need one 'text' string and no 'terms' list")
+        f = parse_gbf(text)
+        if (f.q, f.m) != (q, m):
+            raise ParseError(f"keys q={q}, m={m} disagree with the text's q={f.q}, m={f.m}")
+        return f
     pairs = []
     for variables, coeff in terms:
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in [*variables, coeff]) or min(variables, default=0) < 0:

@@ -20,10 +20,11 @@ isolated vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, Sequence
 
 from .errors import DegreeError, GraphShapeError, MixedCouplingError
-from .gbf import GbfPoly, Restriction
+from .gbf import GbfPoly, Restriction, _bits
 
 __all__ = [
     "RestrictionGraph",
@@ -52,9 +53,8 @@ class RestrictionGraph:
         for mask, coeff in reduced.terms:
             deg = mask.bit_count()
             if deg >= 3:
-                bad = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
                 raise DegreeError(
-                    f"term of degree {deg} on variables {bad} survives the restriction; "
+                    f"term of degree {deg} on variables {_bits(mask)} survives the restriction; "
                     "no pairwise-coupling graph exists"
                 )
             if deg == 2:
@@ -164,9 +164,8 @@ def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
     reduced = f.restrict(r)
     for mask, _ in reduced.terms:
         if (mask >> l) & 1 and mask.bit_count() >= 2:
-            bad = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
             raise MixedCouplingError(
-                f"x{l} is still coupled through {bad} at assignment {r.bitstring()}"
+                f"x{l} is still coupled through {_bits(mask)} at assignment {r.bitstring()}"
             )
     return (reduced.linear_coeff(l) - f.linear_coeff(l)) % f.q
 
@@ -269,9 +268,19 @@ def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:
     path plus one isolated vertex, and every path edge must weigh exactly
     q/2; otherwise :class:`GraphShapeError` (or :class:`DegreeError`, for
     surviving cubic terms) is raised with the offending assignment.
+
+    The profiles of the last few ``(f, restricted)`` pairs are kept, so
+    analyzing the same polynomial again (as the callers of
+    :func:`cskit.construct.random_qualifying_gbf` do after its self-check)
+    is free; both the polynomial and the profile are immutable.
     """
+    return _analyze(f, tuple(restricted))
+
+
+@lru_cache(maxsize=8)
+def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
     idx = tuple(sorted(set(restricted)))
-    if len(idx) != len(tuple(restricted)):
+    if len(idx) != len(restricted):
         raise ValueError("restricted indices must be distinct")
     k = len(idx)
     if any(i < 0 or i >= f.m for i in idx):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cskit import CycloValue, GbfPoly, PolyphaseSeq, Restriction, analyze, cyclo_sum, gbf_to_json, write_sequences
+from cskit import CycloValue, GbfPoly, PolyphaseSeq, Restriction, analyze, cyclo_sum, render_gbf, write_sequences
 from cskit.graphs import RestrictionProfile
 
 
@@ -105,14 +105,14 @@ def pmepr_bound(profile: RestrictionProfile, provenance: str) -> int:
 
 
 def to_json(cand, polys: Sequence[GbfPoly]) -> dict:
-    """``CsCandidate.to_json`` with every member exported term by term."""
+    """``CsCandidate.to_json`` with every member rendered on its own."""
     return {
         "q": cand.q,
         "m": cand.m,
         "size": len(polys),
         "provenance": cand.provenance,
         "pmepr_bound": cand.pmepr_bound,
-        "members": [gbf_to_json(g) for g in polys],
+        "members": [{"q": g.q, "m": g.m, "text": render_gbf(g)} for g in polys],
         "predicted_aacf": cand.predicted.to_json(),
     }
 

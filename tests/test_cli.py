@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from cskit import doubled_cs, gbf_from_json, parse_gbf
 from cskit.cli import build_parser, main
 
 EX1 = "q=2;m=4; x0*x1*x3 + x0*x2*x3 + x0*x1*x2 + x1*x2"
@@ -134,6 +135,18 @@ def test_random_reproducible(capsys):
     assert len(blob["restricted"]) == 1
     assert blob["construction"]["size"] == 4
     assert blob["construction"]["provenance"] == "balanced"
+
+
+def test_random_doubled_members_reload(capsys):
+    code, out, _ = run(capsys, "random", "-m", "8", "-k", "2", "--q", "4", "--groups", "1,1",
+                       "--seed", "3", "--construct", "doubled")
+    assert code == 0
+    blob = json.loads(out)
+    f = parse_gbf(blob["gbf"])
+    assert gbf_from_json(blob["gbf_json"]) == f
+    members = doubled_cs(f, restricted=blob["restricted"]).members
+    assert [gbf_from_json(member) for member in blob["construction"]["members"]] == list(members)
+    assert len(members) == 16
 
 
 def test_random_different_seeds_differ(capsys):

@@ -1,6 +1,7 @@
 """Construction-level checks: set sizes, orderings, predictions, verifications."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -27,9 +28,10 @@ from cskit import (
     standard_golay_gbfs,
 )
 from cskit.codebook import _indicator_anf
-from cskit.gbf import GbfPoly, Restriction
+from cskit.gbf import GbfPoly, Restriction, render_gbf
 
 import construct_reference as reference
+from test_acceptance import SHAPE_MIXES
 
 
 def test_indicator_poly():
@@ -191,22 +193,24 @@ def test_builders_refuse_non_power_of_two_modulus(build):
         build(parse_gbf("q=6;m=3; 3*x0*x1 + 3*x1*x2"), restricted=[])
 
 
-# sha256 of json.dumps(to_json()) and of cs_to_text, computed with the
-# constructions as they were before the coefficient-row family core
+# sha256 of json.dumps(to_json()) and of cs_to_text.  The text digests date
+# from before the coefficient-row family core; the JSON digests from when
+# members became their render_gbf text, and equal the earlier export with
+# each member's term list replaced by that text
 GOLDEN = [
     (
         offset_set, (7, 2, 4, (3,), False, 11), 8,
-        "9d97f74d3356999e8fae0651aec9a5cff52af70836cde4a1922134ba76c6555c",
+        "4df0f8673aff3f166cbe286339126d97c9a52d5280dfa4994c44f54073b65966",
         "7af9438993ab60aadd39b4157e692337d63e2ea9db7d94f52ec9a14c8058faa8",
     ),
     (
         balanced_cs, (8, 3, 8, (2, 4), True, 12), 16,
-        "e460f1c9bf4090858229cf666a9770a24a4e4fca1df6641a3b4ccd7ba3d5b8d2",
+        "673203080733ea5a1c6a9e611e6d0fe4b4578039bf53a7bad45769affb9f5c3a",
         "27cf899abb3f5b964f264d7ccc7d9406d7ed0abfadfd92cd0d9dc2e976fbe0ad",
     ),
     (
         doubled_cs, (9, 3, 2, (3, 1), False, 13), 32,
-        "6af1f77aa07756ab08423fa8743181330691ec69c4226730ee961889bf2f8a56",
+        "daa2a15b69f068201efd2a378a1487e23f92a56e0f5b47e2a5d0f9fb3c6bb612",
         "89535228a34958c10988fcf611d0599051b0917a7a4c5f950fbe8852c5603d3a",
     ),
 ]
@@ -220,3 +224,29 @@ def test_export_bytes_are_pinned(build, shape, size, json_digest, text_digest):
     assert cand.size == size
     assert hashlib.sha256(json.dumps(cand.to_json()).encode()).hexdigest() == json_digest
     assert hashlib.sha256(cs_to_text(cand).encode()).hexdigest() == text_digest
+
+
+def criterion_2_instances():
+    """The 210 (f, restricted) pairs that acceptance criterion 2 draws."""
+    counters = {0: 0, 1: 0, 2: 0}
+    for m, k, q in itertools.product(range(4, 9), range(3), (2, 4)):
+        for seed in range(7):
+            sizes = ()
+            if m - k >= 3:
+                sizes = SHAPE_MIXES[k][counters[k] % len(SHAPE_MIXES[k])]
+                counters[k] += 1
+            yield random_qualifying_gbf(m, k, q, group_sizes=sizes, balanced=False, seed=1000 * m + 100 * k + 10 * q + seed)
+
+
+@pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])
+def test_member_text_is_the_rendered_member(build):
+    built = 0
+    for f, restricted in criterion_2_instances():
+        try:
+            cand = build(f, restricted=restricted)
+        except (BalanceError, GraphShapeError):
+            continue
+        members = cand.to_json()["members"]
+        assert members == [{"q": g.q, "m": g.m, "text": render_gbf(g)} for g in cand.members]
+        built += 1
+    assert built >= 20

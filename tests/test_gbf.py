@@ -127,15 +127,16 @@ def test_json_roundtrip():
     f = parse_gbf("q=8;m=4; 4*x0*x1*x2*x3 + 2*x1 + 7")
     blob = gbf_to_json(f)
     assert gbf_from_json(blob) == f
-    assert blob["q"] == 8 and blob["m"] == 4
-    # terms are sorted by (degree, mask) for deterministic output
-    degrees = [len(t["vars"]) for t in blob["terms"]]
-    assert degrees == sorted(degrees)
+    assert blob == {"q": 8, "m": 4, "text": render_gbf(f)}
+    # terms fall in degree, highest first, for deterministic output
+    degrees = [term.count("x") for term in blob["text"].split("; ", 1)[1].split(" + ")]
+    assert degrees == sorted(degrees, reverse=True) == [4, 1, 0]
 
 
 # sha256 of json.dumps(..., sort_keys=True) of gbf_to_json over the polynomials
-# below, computed before gbf_to_json and CsCandidate.to_json shared one writer
-GBF_JSON_DIGEST = "14626be9e229160ebd608e93a0f5fbcb84a7b2ef5dc3bd0ca8c45fca111db791"
+# below, computed when members became their render_gbf text; it equals the
+# earlier term-list export with each term list replaced by that text
+GBF_JSON_DIGEST = "86fd6e2746c6e6498b6faee2da9811262cc5fbe3e2f738c1f5d96ec5347a5976"
 
 
 def test_gbf_to_json_bytes_are_pinned():
@@ -164,8 +165,48 @@ def test_json_roundtrip_beyond_int64(text, terms):
     # a mask on x63 or above, or a coefficient of 2^63 or more, fits no int64
     f = parse_gbf(text)
     blob = gbf_to_json(f)
-    assert blob["terms"] == terms
+    assert blob["text"] == text
     assert gbf_from_json(json.dumps(blob)) == f
+    assert gbf_from_json(json.dumps({"q": f.q, "m": f.m, "terms": terms})) == f
+
+
+def legacy_json(f):
+    """The term-list form gbf_to_json wrote before the text form."""
+    return {"q": f.q, "m": f.m, "terms": [{"vars": [i for i in range(f.m) if (mask >> i) & 1], "coeff": c} for mask, c in f.terms]}
+
+
+def test_both_json_forms_roundtrip():
+    rng = random.Random(20261019)
+    polys = [GbfPoly.zero(4, 64), parse_gbf(f"q={2**64};m=64; {2**63 + 3}*x0*x63 + {2**64 - 1}")]
+    while len(polys) < 100:
+        q = rng.choice([2, 4, 8, 6, 2**64, 2**70])
+        m = rng.choice([1, 3, 9, 63, 64, 70])
+        terms = {rng.randrange(1 << m): rng.randrange(q) for _ in range(rng.randint(0, 8))}
+        polys.append(GbfPoly.from_terms(q, m, terms))
+    for f in polys:
+        blob = gbf_to_json(f)
+        assert blob == {"q": f.q, "m": f.m, "text": render_gbf(f)}
+        assert gbf_from_json(json.dumps(blob)) == f
+        assert gbf_from_json(json.dumps(legacy_json(f))) == f
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"q": 8, "m": 3, "text": "q=4;m=3; x0"},
+        {"q": 4, "m": 4, "text": "q=4;m=3; x0"},
+        {"q": 4, "m": 3, "text": "q=4;m=3; x3"},
+        {"q": 4, "m": 3, "text": "q=4;m=3;"},
+        {"q": 4, "m": 3, "text": "q=4;m=3; x0 ++ x1"},
+        {"q": 4, "m": 3, "text": "x0 + x1"},
+        {"q": 4, "m": 3, "text": 5},
+        {"q": 4, "m": 3, "text": None},
+        {"q": 4, "m": 3, "text": "q=4;m=3; x0", "terms": [{"vars": [0], "coeff": 1}]},
+    ],
+)
+def test_json_text_must_parse_and_agree_with_its_keys(obj):
+    with pytest.raises(ParseError):
+        gbf_from_json(obj)
 
 
 @pytest.mark.parametrize(
