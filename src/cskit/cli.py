@@ -40,7 +40,7 @@ from .construct import (
 )
 from .correlation import aacf_report, read_sequences, set_report, write_sequences
 from .errors import BalanceError, CskitError, DegreeError, GraphShapeError, MixedCouplingError, ParseError
-from .gbf import GbfPoly, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
+from .gbf import GbfPoly, PolyphaseSeq, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
 from .graphs import RestrictionProfile, analyze
 
 HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, MixedCouplingError, BalanceError)
@@ -71,11 +71,12 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _load_gbf(args: argparse.Namespace) -> GbfPoly:
@@ -118,29 +119,22 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_q(args: argparse.Namespace, text: str) -> int:
-    if args.q is not None:
-        return args.q
-    meta = cs_meta_from_text(text)
-    if meta and "q" in meta:
-        return meta["q"]
-    raise ParseError("cannot determine the modulus: pass --q or use a file with a 'CS q=..' header")
+def _read_set(args: argparse.Namespace) -> list[PolyphaseSeq]:
+    text = _read_text(args.path)
+    q = args.q if args.q is not None else (cs_meta_from_text(text) or {}).get("q")
+    if q is None:
+        raise ParseError("cannot determine the modulus: pass --q or use a file with a 'CS q=..' header")
+    return read_sequences(text, q)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    text = _read_text(args.path)
-    q = _resolve_q(args, text)
-    seqs = read_sequences(text, q)
-    report = set_report(seqs)
+    report = set_report(_read_set(args))
     _dump_json(report, args.out)
     return 0 if report["is_cs"] else 1
 
 
 def _cmd_pmepr(args: argparse.Namespace) -> int:
-    text = _read_text(args.path)
-    q = _resolve_q(args, text)
-    seqs = read_sequences(text, q)
-    reports = [aacf_report(s, oversample=args.oversample) for s in seqs]
+    reports = [aacf_report(s, oversample=args.oversample) for s in _read_set(args)]
     _dump_json(reports, args.out)
     return 0
 

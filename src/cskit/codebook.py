@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from .correlation import _weight_tables
 from .errors import EnumerationError
-from .gbf import GbfPoly, _require_value_vector_size, polys_from_rows
+from .gbf import GbfPoly, _check_domain, _require_value_vector_size, polys_from_rows
 
 __all__ = [
     "log2_f_count",
@@ -161,8 +161,7 @@ def family_size(m: int, q: int, bound: int) -> int:
     (bound 4 and part of 8) and the doubled construction (bound 6 and the
     other part of 8) with one or two restricted variables.
     """
-    if q < 2 or q % 2:
-        raise ValueError(f"modulus must be even, got {q}")
+    _check_domain(q, m)
     if bound not in _FAMILY_M_MIN:
         raise ValueError(f"no family with PMEPR bound {bound}")
     if m < _FAMILY_M_MIN[bound]:
@@ -459,7 +458,10 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
     times length 2^m) is enumerated in full by :func:`_span_weights`: bit
     planes, a bit-sliced ripple-carry adder and popcount symbol histograms.
     A larger code gets the per-stratum exhaustion described in the module
-    docstring.
+    docstring.  Words longer than 2^24 symbols are refused on both paths,
+    although the budgets above admit some: ``erm_min_distances(0, 25, 1)``
+    raises :class:`~cskit.errors.SizeLimitError`, as the per-stratum path
+    enumerates Reed–Muller residues of the same length.
     """
     s = log2_f_count(r, m, h)
     if not s:
@@ -941,15 +943,7 @@ class GoldenEntry:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "table": self.table,
-            "key": list(self.key),
-            "column": self.column,
-            "computed": self.computed,
-            "printed": self.printed,
-            "ok": self.ok,
-            "note": self.note,
-        }
+        return {**asdict(self), "key": list(self.key)}
 
 
 def _check(table: str, key: tuple, column: str, computed: float, printed: str, out: list[GoldenEntry]) -> None:

@@ -148,11 +148,13 @@ def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
     return AacfVector(q, coeffs)
 
 
-def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str, balanced: bool, doubled: bool = False) -> CsCandidate:
+def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str) -> CsCandidate:
     """The offset family of f as factor rows: f, then (doubled only) the
     shift (q/2) * sum of the isolated vertices, then (q/2) * t with t the
     indicator-weighted sum of the path endpoints, then (q/2) * x_j for the
-    restricted variables, the largest first."""
+    restricted variables, the largest first.  All-paths families (M = 2^k)
+    meet the balanced bound 2^{k+1} with the offset one, 2^{k+2} - 2M."""
+    doubled = provenance == "doubled"
     predicted = _predicted_aacf(profile, doubled)  # refuses an oversized domain before any row is built
     q, half = f.q, f.q // 2
     words_of: dict[int, list[int]] = {}
@@ -167,7 +169,7 @@ def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str, balanced: 
     rows = np.zeros((len(factors), len(cols)), dtype=np.min_scalar_type(q - 1))
     for row, terms in zip(rows, factors):
         row[np.searchsorted(cols, np.array(list(terms), dtype=np.int64))] = list(terms.values())
-    return CsCandidate(q, f.m, cols, rows, provenance, float(_pmepr_bound(profile.k, profile.M, balanced)), predicted, profile)
+    return CsCandidate(q, f.m, cols, rows, provenance, float(_pmepr_bound(profile.k, profile.M, provenance == "balanced")), predicted, profile)
 
 
 def _profile(f: GbfPoly, profile: RestrictionProfile | None, restricted: Sequence[int]) -> RestrictionProfile:
@@ -187,7 +189,7 @@ def offset_set(f: GbfPoly, profile: RestrictionProfile | None = None, *, restric
     is 2^{k+2} - 2M.  Raises :class:`ModulusError` unless q is a power of two.
     """
     profile = _profile(f, profile, restricted)
-    return _family(f, profile, "offset", False)
+    return _family(f, profile, "offset")
 
 
 def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -206,7 +208,7 @@ def balanced_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restri
                 f"isolated vertex x{g.l}: surpluses {list(g.l_values)} "
                 f"(size {g.size}, {zeros} zeros, {halves} of value q/2) are not half/half"
             )
-    cand = _family(f, profile, "balanced", True)
+    cand = _family(f, profile, "balanced")
     assert cand.predicted.offpeak_is_zero(), "balance must cancel every off-peak term"
     return cand
 
@@ -221,7 +223,7 @@ def doubled_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restric
     bound 2^{k+2} - 2M.
     """
     profile = _profile(f, profile, restricted)
-    return _family(f, profile, "doubled", False, doubled=True)
+    return _family(f, profile, "doubled")
 
 
 def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()) -> CsCandidate:
@@ -237,7 +239,7 @@ def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *
     profile = _profile(f, profile, restricted)
     if not profile.all_paths:
         raise GraphShapeError("every restriction must reduce to a path (no isolated vertices)")
-    return _family(f, profile, "golay" if profile.k == 0 else "path-restriction", True)
+    return _family(f, profile, "golay" if profile.k == 0 else "path-restriction")
 
 
 def golay_pair(f: GbfPoly, add0: int = 0, add1: int = 0) -> tuple[GbfPoly, GbfPoly]:

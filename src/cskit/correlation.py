@@ -22,18 +22,21 @@ sums ``|F|^2`` over its members before its one inverse transform per
 embedding, so a set of n sequences costs n * ceil(q/4) forward and ceil(q/4)
 inverse FFTs.  The coefficients are then solved for and rounded.
 
-The rounded result is returned only when it is proven; otherwise the exact
-shift loop runs (a phase-difference histogram per shift, O(L^2)), which is
-also the reference the tests compare against.  The proof has three parts:
+The pairs are summed in chunks of at most ``FFT_SIZE_LIMIT // L`` pairs,
+whose exact int64 parts add exactly.  A chunk's rounded result is used only
+when it is proven; otherwise that chunk runs the exact shift loop (a
+phase-difference histogram per shift, O(L^2)), which is also the reference
+the tests compare against.  The proof has three parts:
 
-1. ``n * L <= FFT_SIZE_LIMIT = 2^25`` for n correlated pairs of length L.
+1. ``n * L <= FFT_SIZE_LIMIT = 2^25`` for the n pairs of length L of a chunk;
+   only a single pair with L > 2^25 (longer than any polynomial's) misses it.
    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.,
    section 24.1, Thm 24.2) bounds the relative 2-norm error of a length-N
    FFT by ``eps_N = log2(N) eta / (1 - log2(N) eta)``, with ``eta = mu +
    gamma_4 (sqrt(2) + mu)``, ``gamma_4 = 4u / (1 - 4u)``, unit roundoff
    ``u = 2^-53`` and twiddle error ``mu <= u``.  Carried through the
    embedding (|x_s[i]| <= 1), the forward transforms, the products, the
-   running sum over the set, the inverse transform (whose input has 2-norm
+   running sum over the chunk, the inverse transform (whose input has 2-norm
    at most ``n L^(3/2) sqrt(N)``) and the size-q/2 solve, every coefficient
    is off by at most ``B = 1.01 n L (eps_N (sqrt(L) + 2) + eps_(q/2) +
    (n + 64) u)``.  Over every split of ``n * L <= 2^25`` into n and L,
@@ -97,7 +100,7 @@ __all__ = [
     "write_sequences",
 ]
 
-FFT_SIZE_LIMIT = 1 << 25  # largest n * L the FFT path accepts; derivation in the module docstring
+FFT_SIZE_LIMIT = 1 << 25  # largest n * L of one FFT chunk; derivation in the module docstring
 
 
 def _shift_row(a: PolyphaseSeq, b: PolyphaseSeq, tau: int) -> np.ndarray:
@@ -141,19 +144,26 @@ def _fft_coeffs(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]], q: int, L: i
 
 
 def _coeff_sum(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]]) -> np.ndarray:
-    """Exact sum over the pairs of the ``(L, q/2)`` matrices of C_{a,b}.
-
-    The FFT estimate is returned rounded when the three-part guard of the
-    module docstring proves it; otherwise the exact shift loop runs.
+    """Exact sum over the pairs of the ``(L, q/2)`` matrices of C_{a,b}, in
+    chunks of at most ``FFT_SIZE_LIMIT // L`` pairs (at least one): a chunk's
+    FFT estimate is used rounded when the three-part guard of the module
+    docstring proves it; otherwise that chunk runs the exact shift loop.
     """
     q, L = pairs[0][0].q, len(pairs[0][0])
-    row0 = sum(_shift_row(a, b, 0) for a, b in pairs)
-    if 0 < len(pairs) * L <= FFT_SIZE_LIMIT:
-        estimate = _fft_coeffs(pairs, q, L)
-        coeffs = np.rint(estimate)
-        if np.abs(estimate - coeffs).max() < 0.25 and np.array_equal(coeffs[0], row0):
-            return coeffs.astype(np.int64, order="C")
-    return sum(_corr_coeff_matrix(a, b) for a, b in pairs)
+    if any(s.q != q or len(s) != L for pair in pairs for s in pair):
+        raise ValueError("correlated sequences must share modulus and length")
+    step = max(1, FFT_SIZE_LIMIT // max(L, 1))
+    total = 0
+    for chunk in (pairs[i : i + step] for i in range(0, len(pairs), step)):
+        if 0 < len(chunk) * L <= FFT_SIZE_LIMIT:
+            estimate = _fft_coeffs(chunk, q, L)
+            coeffs = np.rint(estimate)
+            row0 = sum(_shift_row(a, b, 0) for a, b in chunk)
+            if np.abs(estimate - coeffs).max() < 0.25 and np.array_equal(coeffs[0], row0):
+                total += coeffs.astype(np.int64)
+                continue
+        total += sum(_corr_coeff_matrix(a, b) for a, b in chunk)
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +240,6 @@ def cross_corr(a: PolyphaseSeq, b: PolyphaseSeq) -> CorrVector:
 
     For negative shifts use ``cross_corr(b, a).at(tau).conj()``.
     """
-    if a.q != b.q:
-        raise ValueError(f"mixed moduli: {a.q} vs {b.q}")
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return CorrVector(a.q, _coeff_sum([(a, b)]))
 
 
@@ -246,10 +252,7 @@ def set_aacf(seqs: Sequence[PolyphaseSeq]) -> AacfVector:
     """Sum of the member autocorrelations, exactly."""
     if not seqs:
         raise ValueError("empty sequence set")
-    q, L = seqs[0].q, len(seqs[0])
-    if any(s.q != q or len(s) != L for s in seqs):
-        raise ValueError("sequences in a set must share modulus and length")
-    return AacfVector(q, _coeff_sum([(s, s) for s in seqs]))
+    return AacfVector(seqs[0].q, _coeff_sum([(s, s) for s in seqs]))
 
 
 def is_cs(seqs: Sequence[PolyphaseSeq]) -> bool:
@@ -260,14 +263,24 @@ def is_cs(seqs: Sequence[PolyphaseSeq]) -> bool:
 # -- symbol-wise weights and distances ----------------------------------------
 
 
-def _phase_array(x: PolyphaseSeq | Sequence[int] | np.ndarray, q: int | None) -> tuple[np.ndarray, int]:
-    if isinstance(x, PolyphaseSeq):
-        if not x.is_full:
-            raise ValueError("weights and distances are defined for full sequences only")
-        return x.phases, x.q
-    if q is None:
-        raise ValueError("q is required when passing a bare symbol array")
-    return np.asarray(x, dtype=np.int64) % q, q
+def _symbols(seqs: Sequence[PolyphaseSeq | Sequence[int] | np.ndarray], q: int | None) -> tuple[list[np.ndarray], int | None]:
+    """The symbol rows of full sequences (each with its own modulus) and of
+    bare arrays (reduced mod ``q``, which they require), and the one modulus
+    of them all; a second modulus or length raises ``ValueError``."""
+    rows, moduli = [], set() if q is None else {q}
+    for s in seqs:
+        if isinstance(s, PolyphaseSeq):
+            if not s.is_full:
+                raise ValueError("weights and distances are defined for full sequences only")
+            rows.append(s.phases)
+            moduli.add(s.q)
+        elif q is None:
+            raise ValueError("q is required when passing a bare symbol array")
+        else:
+            rows.append(np.asarray(s, dtype=np.int64) % q)
+    if len(moduli) > 1 or len({len(r) for r in rows}) > 1:
+        raise ValueError("distance needs equal-length sequences over one modulus")
+    return rows, moduli.pop() if moduli else q
 
 
 def _weight_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,22 +290,14 @@ def _weight_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, q - a), 4.0 * np.sin(np.pi * a / q) ** 2
 
 
-def _diff(a, b, q: int | None) -> tuple[np.ndarray, int]:
-    xa, qa = _phase_array(a, q)
-    xb, qb = _phase_array(b, q)
-    if qa != qb or len(xa) != len(xb):
-        raise ValueError("distance needs equal-length sequences over one modulus")
-    return (xa - xb) % qa, qa
-
-
 def lee_dist(a, b, q: int | None = None) -> int:
-    diff, q = _diff(a, b, q)
-    return int(_weight_tables(q)[0][diff].sum())
+    (xa, xb), q = _symbols((a, b), q)
+    return int(_weight_tables(q)[0][(xa - xb) % q].sum())
 
 
 def euclid_sq_dist(a, b, q: int | None = None) -> float:
-    diff, q = _diff(a, b, q)
-    return float(np.sum(_weight_tables(q)[1][diff]))
+    (xa, xb), q = _symbols((a, b), q)
+    return float(np.sum(_weight_tables(q)[1][(xa - xb) % q]))
 
 
 def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = None) -> tuple[int, float]:
@@ -301,14 +306,10 @@ def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = 
     Duplicate sequences are reported with a warning and the offending pairs
     are skipped, so the result describes the distinct codewords.
     """
-    arrs = []
-    for s in seqs:
-        arr, qq = _phase_array(s, q)
-        q = qq
-        arrs.append(arr)
-    if len(arrs) < 2:
+    rows, q = _symbols(seqs, q)
+    if len(rows) < 2:
         raise ValueError("need at least two sequences")
-    mat = np.stack(arrs)
+    mat = np.stack(rows)
     lee_tab, euc_tab = _weight_tables(q)
     best_lee: int | None = None
     best_euc: float | None = None

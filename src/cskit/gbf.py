@@ -41,9 +41,9 @@ __all__ = [
 
 
 # Largest m whose 2^m-entry value vector is built.  At m = 24 the build peaks
-# near three int64 arrays of 2^24 entries (384 MiB), and a 2^24-symbol
-# sequence is the longest the exact FFT correlation core certifies for a pair
-# of sequences (n*L <= 2^25); longer ones fall back to the O(L^2) shift loop.
+# near three int64 arrays of 2^24 entries (384 MiB), and a pair of 2^24-symbol
+# sequences fits one chunk of the exact FFT correlation core (n*L <= 2^25), so
+# a set of any size from polynomials is summed chunk by chunk on the FFT path.
 MAX_VALUE_VECTOR_M = 24
 
 
@@ -53,9 +53,12 @@ def _require_value_vector_size(m: int) -> None:
         raise SizeLimitError(f"a sequence of 2^{m} entries exceeds the limit of 2^{MAX_VALUE_VECTOR_M}")
 
 
-def _check_modulus(q: int) -> None:
-    if not isinstance(q, int) or q < 2 or q % 2:
-        raise ValueError(f"modulus must be an even integer >= 2, got {q!r}")
+def _check_domain(q: int, m: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless q is an even int >= 2 and m an int >= 1 (bools refused)."""
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2 or q % 2:
+        raise error(f"modulus must be an even integer >= 2, got q={q!r}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise error(f"need at least one variable, got m={m!r}")
 
 
 def _require_power_of_two(q: int, what: str) -> int:
@@ -86,9 +89,7 @@ class GbfPoly:
     terms: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        _check_modulus(self.q)
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"need at least one variable, got m={self.m!r}")
+        _check_domain(self.q, self.m)
         prev = -1
         for mask, coeff in self.terms:
             if mask <= prev:
@@ -108,7 +109,7 @@ class GbfPoly:
         Repeated masks are summed and everything is reduced mod q; zero
         coefficients disappear.
         """
-        _check_modulus(q)
+        _check_domain(q, m)
         acc: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mask, coeff in items:
@@ -126,9 +127,7 @@ class GbfPoly:
 
     @classmethod
     def variable(cls, q: int, m: int, index: int) -> GbfPoly:
-        if not 0 <= index < m:
-            raise ValueError(f"variable index {index} out of range for m={m}")
-        return cls(q, m, ((1 << index, 1),))
+        return cls.monomial(q, m, [index])
 
     @classmethod
     def monomial(cls, q: int, m: int, variables: Iterable[int], coeff: int = 1) -> GbfPoly:
@@ -213,9 +212,7 @@ class GbfPoly:
         return GbfPoly(self.q, self.m, tuple((tm, self.q - c) for tm, c in self.terms))
 
     def __sub__(self, other: GbfPoly | int) -> GbfPoly:
-        if isinstance(other, int):
-            other = GbfPoly.const(self.q, self.m, other)
-        if not isinstance(other, GbfPoly):
+        if not isinstance(other, (GbfPoly, int)):
             return NotImplemented
         return self + (-other)
 
@@ -490,10 +487,7 @@ def parse_gbf(text: str) -> GbfPoly:
     if not match:
         raise ParseError("expected 'q=<int>;m=<int>;<terms>'")
     q, m, body = int(match.group(1)), int(match.group(2)), match.group(3)
-    if q < 2 or q % 2:
-        raise ParseError(f"modulus must be even and >= 2, got q={q}")
-    if m < 1:
-        raise ParseError(f"need at least one variable, got m={m}")
+    _check_domain(q, m, ParseError)
     if not body:
         raise ParseError("empty term list (write an explicit 0 for the zero polynomial)")
     terms: list[tuple[int, int]] = []
@@ -556,19 +550,14 @@ def render_gbf(f: GbfPoly) -> str:
 
 def _rows_json(q: int, m: int, masks: list[int], rows: np.ndarray) -> list[dict]:
     """:func:`gbf_to_json` of each row of Z_q ANF coefficients over the
-    monomial ``masks``.  Each distinct (coefficient, monomial) term is
-    rendered once and joined into the text of every row that holds it.
-
-    The masks are Python ints, so any m renders; pass ``rows`` with object
-    dtype when a coefficient may not fit in int64."""
-    n = len(masks)
-    order = sorted(range(n), key=lambda j: _term_key(masks[j]))
+    monomial ``masks`` (a candidate's members).  Each distinct (coefficient,
+    monomial) term is rendered once and joined into the text of every row
+    that holds it."""
+    order = sorted(range(len(masks)), key=lambda j: _term_key(masks[j]))
     rows = rows[:, order]
     rr, cc = np.nonzero(rows)
-    coeffs = rows[rr, cc]
-    # one key per (coefficient, column), widened so that a narrow row dtype cannot wrap
-    keys, at = np.unique(coeffs.astype(np.result_type(coeffs, np.int64)) * n + cc, return_inverse=True)
-    table = [_term_text(masks[order[key % n]], key // n) for key in keys.tolist()]
+    keys, at = np.unique(cc * q + rows[rr, cc], return_inverse=True)  # one key per (column, coefficient)
+    table = [_term_text(masks[order[key // q]], key % q) for key in keys.tolist()]
     terms = [table[i] for i in at.tolist()]
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
     head = f"q={q};m={m}; "
@@ -580,7 +569,7 @@ def gbf_to_json(f: GbfPoly) -> dict:
 
     :func:`gbf_from_json` reads it back, and also reads the older form
     ``{"q": .., "m": .., "terms": [{"vars": [...], "coeff": ..}, ...]}``."""
-    return _rows_json(f.q, f.m, [mask for mask, _ in f.terms], np.array([[c for _, c in f.terms]], dtype=object))[0]
+    return {"q": f.q, "m": f.m, "text": render_gbf(f)}
 
 
 def gbf_from_json(obj: dict | str) -> GbfPoly:
@@ -600,10 +589,7 @@ def gbf_from_json(obj: dict | str) -> GbfPoly:
         terms = [] if text is not None else [(list(item["vars"]), item["coeff"]) for item in obj["terms"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed polynomial object: {exc}") from None
-    if not isinstance(q, int) or q < 2 or q % 2:
-        raise ParseError(f"modulus must be even and >= 2, got q={q!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ParseError(f"need at least one variable, got m={m!r}")
+    _check_domain(q, m, ParseError)
     if text is not None:
         if "terms" in obj or not isinstance(text, str):
             raise ParseError("need one 'text' string and no 'terms' list")

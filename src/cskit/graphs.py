@@ -235,30 +235,27 @@ class RestrictionProfile:
         return all(g.is_balanced(self.q) for g in self.groups)
 
     def to_json(self) -> dict:
+        bits = {w: Restriction.assign(self.restricted, w).bitstring() for w in range(1 << self.k)}
         return {
             "q": self.q,
             "m": self.m,
             "k": self.k,
             "restricted": list(self.restricted),
             "M": self.M,
-            "path_words": [_word_bits(w, self.k) for w in self.path_words],
+            "path_words": [bits[w] for w in self.path_words],
             "groups": [
                 {
                     "isolated": g.l,
-                    "words": [_word_bits(w, self.k) for w in g.members],
+                    "words": [bits[w] for w in g.members],
                     "g_l": g.g_l,
                     "l_values": list(g.l_values),
                     "balanced": g.is_balanced(self.q),
                 }
                 for g in self.groups
             ],
-            "endpoints": {_word_bits(w, self.k): t for w, t in self.endpoints},
+            "endpoints": {bits[w]: t for w, t in self.endpoints},
             "balanced": self.is_balanced(),
         }
-
-
-def _word_bits(word: int, k: int) -> str:
-    return "".join(str((word >> a) & 1) for a in range(k)) if k else ""
 
 
 def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:

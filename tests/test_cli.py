@@ -38,6 +38,12 @@ def test_analyze_parse_error_exit_2(capsys):
     assert err.strip()
 
 
+def test_analyze_repeated_restriction_exit_2(capsys):
+    code, out, err = run(capsys, "analyze", "--gbf", "q=4;m=3; 2*x0*x1", "-r", "0", "-r", "0")
+    assert code == 2 and out == ""
+    assert "ValueError" in err
+
+
 def test_construct_text_and_verify_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "set.txt"
     code, _, _ = run(

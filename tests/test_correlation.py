@@ -251,6 +251,45 @@ def test_fft_core_falls_back_over_the_size_limit(monkeypatch, shift_loop_calls):
     assert got == want
 
 
+def test_fft_core_sums_proven_chunks(monkeypatch, shift_loop_calls):
+    # 9 pairs under a limit of 3 L: three chunks, each proven on its own
+    seqs = _masked_set(8, 64, 9, seed=4)
+    want = sum(correlation._corr_coeff_matrix(s, s) for s in seqs)
+    chunks = []
+    estimate = correlation._fft_coeffs
+
+    def counted(pairs, q, L):
+        chunks.append(len(pairs))
+        return estimate(pairs, q, L)
+
+    def refused(a, b):
+        raise AssertionError("the shift loop ran on a proven chunk")
+
+    monkeypatch.setattr(correlation, "FFT_SIZE_LIMIT", 3 * 64)
+    monkeypatch.setattr(correlation, "_fft_coeffs", counted)
+    monkeypatch.setattr(correlation, "_corr_coeff_matrix", refused)
+    assert np.array_equal(set_aacf(seqs).coeffs, want)
+    assert chunks == [3, 3, 3]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_chunk_boundaries_keep_the_exact_sum(monkeypatch, shift_loop_calls, q):
+    # limits from below one pair up to past the whole set, so chunks of every
+    # size from 1 to n and a last chunk of any remainder; auto and cross pairs
+    rng = np.random.default_rng(2000 + q)
+    for trial in range(48):
+        L, n = int(rng.choice([1, 2, 5, 16, 33])), 1 + trial % 12
+        limit = L * int(rng.integers(0, n + 2)) + int(rng.integers(0, L))
+        masked, cross = rng.random(2) < 0.5
+        seqs = [PolyphaseSeq(q, rng.integers(0, q, L), rng.random(L) < 0.7 if masked else None) for _ in range(n + 1)]
+        pairs = list(zip(seqs, seqs[1:])) if cross else [(s, s) for s in seqs[:n]]
+        want = sum(correlation._corr_coeff_matrix(a, b) for a, b in pairs)
+        shift_loop_calls.clear()
+        monkeypatch.setattr(correlation, "FFT_SIZE_LIMIT", limit)
+        assert np.array_equal(correlation._coeff_sum(pairs), want), (L, n, limit)
+        assert shift_loop_calls == ([L] * n if limit < L else []), (L, n, limit)
+
+
 @pytest.mark.parametrize(
     "entry, delta",
     [((3, 1), 0.3), ((0, 0), 1.0)],  # fails the rounding margin; rounds cleanly but breaks row 0

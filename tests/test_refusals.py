@@ -1,0 +1,131 @@
+"""Each input refusal, one case per ``raise``: the exact exception type.
+
+A refusal that widens or narrows its type (say a ``ParseError`` that turns
+into a bare ``ValueError``) changes what a caller can catch, so the type is
+compared with ``is``, not with ``issubclass``.
+"""
+
+import warnings
+
+import pytest
+
+from cskit import (
+    GbfPoly,
+    ParseError,
+    PolyphaseSeq,
+    Restriction,
+    aacf,
+    analyze,
+    cross_corr,
+    euclid_sq_dist,
+    gbf_from_json,
+    lee_dist,
+    min_distances,
+    parse_gbf,
+    random_qualifying_gbf,
+    set_aacf,
+)
+from cskit.codebook import family_size
+
+PATH = parse_gbf("q=4;m=3; 2*x0*x1 + 2*x1*x2")
+FULL = PolyphaseSeq(4, [0, 1, 2, 3])
+MASKED = PolyphaseSeq(4, [0, 1, 2, 3], [True, False, True, True])
+
+REFUSALS = {
+    # the polynomial domain (q, m)
+    "gbf-odd-q": (lambda: GbfPoly(3, 2), ValueError),
+    "gbf-zero-q": (lambda: GbfPoly(0, 2), ValueError),
+    "gbf-float-q": (lambda: GbfPoly(4.0, 2), ValueError),
+    "gbf-zero-m": (lambda: GbfPoly(4, 0), ValueError),
+    "gbf-float-m": (lambda: GbfPoly(4, 2.0), ValueError),
+    "from-terms-odd-q": (lambda: GbfPoly.from_terms(5, 2, {1: 1}), ValueError),
+    "from-terms-zero-m": (lambda: GbfPoly.from_terms(4, 0, {}), ValueError),
+    "family-size-odd-q": (lambda: family_size(6, 3, 4), ValueError),
+    "parse-odd-q": (lambda: parse_gbf("q=3;m=2; x0"), ParseError),
+    "parse-zero-q": (lambda: parse_gbf("q=0;m=2; x0"), ParseError),
+    "parse-zero-m": (lambda: parse_gbf("q=4;m=0; 1"), ParseError),
+    "json-odd-q": (lambda: gbf_from_json({"q": 3, "m": 2, "text": "q=3;m=2; x0"}), ParseError),
+    "json-string-q": (lambda: gbf_from_json({"q": "4", "m": 2, "text": "q=4;m=2; x0"}), ParseError),
+    "json-zero-m": (lambda: gbf_from_json({"q": 4, "m": 0, "text": "q=4;m=0; 1"}), ParseError),
+    "json-bool-m": (lambda: gbf_from_json({"q": 4, "m": True, "terms": []}), ParseError),
+    # the term table and the variable indices
+    "terms-unsorted": (lambda: GbfPoly(4, 2, ((2, 1), (1, 1))), ValueError),
+    "terms-repeated": (lambda: GbfPoly(4, 2, ((1, 1), (1, 1))), ValueError),
+    "terms-beyond-m": (lambda: GbfPoly(4, 2, ((4, 1),)), ValueError),
+    "terms-zero-coeff": (lambda: GbfPoly(4, 2, ((1, 0),)), ValueError),
+    "terms-coeff-q": (lambda: GbfPoly(4, 2, ((1, 4),)), ValueError),
+    "variable-beyond-m": (lambda: GbfPoly.variable(4, 3, 3), ValueError),
+    "variable-negative": (lambda: GbfPoly.variable(4, 3, -1), ValueError),
+    "monomial-beyond-m": (lambda: GbfPoly.monomial(4, 3, [0, 5]), ValueError),
+    # restrictions and sequences
+    "restriction-lengths": (lambda: Restriction((0, 1), (0,)), ValueError),
+    "restriction-unsorted": (lambda: Restriction((1, 0), (0, 0)), ValueError),
+    "restriction-repeated": (lambda: Restriction((1, 1), (0, 0)), ValueError),
+    "restriction-negative": (lambda: Restriction((-1,), (0,)), ValueError),
+    "restriction-bit": (lambda: Restriction((0,), (2,)), ValueError),
+    "sequence-2d": (lambda: PolyphaseSeq(4, [[0, 1], [1, 0]]), ValueError),
+    "sequence-mask-length": (lambda: PolyphaseSeq(4, [0, 1], [True]), ValueError),
+    # correlation
+    "aacf-empty-sequence": (lambda: aacf(PolyphaseSeq(4, [])), ValueError),
+    "cross-mixed-moduli": (lambda: cross_corr(FULL, PolyphaseSeq(8, [0, 1, 2, 3])), ValueError),
+    "cross-mixed-lengths": (lambda: cross_corr(FULL, PolyphaseSeq(4, [0, 1])), ValueError),
+    "set-empty": (lambda: set_aacf([]), ValueError),
+    "set-mixed-moduli": (lambda: set_aacf([FULL, PolyphaseSeq(8, [0, 1, 2, 3])]), ValueError),
+    "set-mixed-lengths": (lambda: set_aacf([FULL, PolyphaseSeq(4, [0, 1])]), ValueError),
+    # distances
+    "lee-masked": (lambda: lee_dist(MASKED, FULL), ValueError),
+    "euclid-masked": (lambda: euclid_sq_dist(FULL, MASKED), ValueError),
+    "min-masked": (lambda: min_distances([FULL, MASKED]), ValueError),
+    "lee-bare-without-q": (lambda: lee_dist([0, 1], [1, 0]), ValueError),
+    "euclid-bare-without-q": (lambda: euclid_sq_dist([0, 1], [1, 0]), ValueError),
+    "min-bare-without-q": (lambda: min_distances([[0, 1], [1, 0]]), ValueError),
+    "lee-mixed-lengths": (lambda: lee_dist([0, 1], [1, 0, 1], 4), ValueError),
+    "euclid-mixed-lengths": (lambda: euclid_sq_dist(FULL, PolyphaseSeq(4, [0, 1])), ValueError),
+    "lee-mixed-moduli": (lambda: lee_dist(FULL, PolyphaseSeq(8, [0, 1, 2, 3])), ValueError),
+    "min-one-word": (lambda: min_distances([FULL]), ValueError),
+    "min-identical": (lambda: min_distances([FULL, FULL]), ValueError),
+    # restriction profiles
+    "analyze-repeated-index": (lambda: analyze(PATH, [0, 0]), ValueError),
+    "analyze-index-beyond-m": (lambda: analyze(PATH, [3]), ValueError),
+    "analyze-negative-index": (lambda: analyze(PATH, [-1]), ValueError),
+    "analyze-every-variable": (lambda: analyze(PATH, [0, 1, 2]), ValueError),
+    # random qualifying polynomials
+    "random-k-not-below-m": (lambda: random_qualifying_gbf(4, 4, 4, seed=1), ValueError),
+    "random-negative-k": (lambda: random_qualifying_gbf(4, -1, 4, seed=1), ValueError),
+    "random-empty-group": (lambda: random_qualifying_gbf(6, 1, 4, (0,), seed=1), ValueError),
+    "random-groups-exceed-2^k": (lambda: random_qualifying_gbf(6, 1, 4, (2, 1), seed=1), ValueError),
+    "random-groups-need-3-free": (lambda: random_qualifying_gbf(4, 2, 4, (1,), seed=1), ValueError),
+    "random-more-groups-than-vertices": (lambda: random_qualifying_gbf(5, 2, 4, (1, 1, 1, 1), seed=1), ValueError),
+    "random-balanced-odd-group": (lambda: random_qualifying_gbf(6, 1, 4, (1,), balanced=True, seed=1), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_type(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # min-identical warns about its duplicate pair first
+        with pytest.raises(ValueError) as caught:
+            call()
+    assert caught.type is error
+
+
+# Refusals that the domain rule and the distance-symbol builder added: each
+# input was accepted before and gave a wrong or unreadable answer.
+NEW_REFUSALS = {
+    # render_gbf wrote 'q=4;m=True; x0', which parse_gbf refuses
+    "gbf-bool-m": lambda: GbfPoly(4, True, ((1, 1),)),
+    "from-terms-bool-m": lambda: GbfPoly.from_terms(4, True, {1: 1}),
+    # the modulus was overwritten by each sequence's own, so (4, 4.0) came back
+    "min-mixed-moduli": lambda: min_distances([PolyphaseSeq(4, [0, 0, 0, 0]), PolyphaseSeq(8, [0, 0, 0, 4])]),
+    "min-q-disagrees": lambda: min_distances([PolyphaseSeq(4, [0, 1]), [0, 3]], 8),
+    "lee-q-disagrees": lambda: lee_dist(FULL, PolyphaseSeq(4, [1, 1, 2, 3]), 8),
+    "euclid-q-disagrees": lambda: euclid_sq_dist(FULL, PolyphaseSeq(4, [1, 1, 2, 3]), 8),
+}
+
+
+@pytest.mark.parametrize("call", NEW_REFUSALS.values(), ids=NEW_REFUSALS.keys())
+def test_refusal_of_a_drifted_copy(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is ValueError
+
