@@ -55,7 +55,7 @@ import numpy as np
 
 from .correlation import _weight_tables
 from .errors import EnumerationError
-from .gbf import GbfPoly, _check_domain, _require_value_vector_size, polys_from_rows
+from .gbf import GbfPoly, _check_domain, _require_value_vector_size, _subset_sums, _word_masks, polys_from_rows
 
 __all__ = [
     "log2_f_count",
@@ -530,18 +530,15 @@ class _Couplings:
 
 
 def _indicator_anf(variables: Sequence[int], words: Iterable[int], q: int) -> dict[int, int]:
-    """ANF of the sum over ``words`` of the indicator that ``variables[a]``
-    equals bit a of the word: each indicator is the sum over subsets S of its
-    0-bits of (-1)^|S| x_{ones + S}.  Coefficients mod q, masks ascending."""
-    acc: dict[int, int] = {}
-    for word in words:
-        bits = [(1 << v, (word >> a) & 1) for a, v in enumerate(variables)]
-        ones = sum(b for b, bit in bits if bit)
-        zeros = [b for b, bit in bits if not bit]
-        for sub in itertools.product((0, 1), repeat=len(zeros)):
-            mask = ones + sum(z for z, s in zip(zeros, sub) if s)
-            acc[mask] = acc.get(mask, 0) + (-1) ** sum(sub)
-    return {mask: c % q for mask, c in sorted(acc.items()) if c % q}
+    """ANF of the sum over ``words`` (each below 2^k, k = len(variables)) of
+    the indicator that ``variables[a]`` equals bit a of the word: the Moebius
+    transform of the words' histogram, each word w carrying coefficient
+    ``anf[w]`` on the monomial of its variables.  Coefficients mod q, masks
+    ascending."""
+    k = len(variables)
+    counts = np.bincount(np.fromiter(words, dtype=np.int64), minlength=1 << k)
+    anf = _subset_sums(counts, k, inverse=True).tolist()
+    return dict(sorted((mask, c % q) for mask, c in zip(_word_masks(variables), anf) if c % q))
 
 
 def _row_blocks(factors: Sequence, cols: np.ndarray, q: int) -> Iterator[np.ndarray]:

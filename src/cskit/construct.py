@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -49,10 +48,13 @@ from .errors import BalanceError, GraphShapeError, ParseError
 from .gbf import (
     GbfPoly,
     PolyphaseSeq,
+    _cell_dtype,
     _full_seqs,
+    _poly_from_parts,
     _require_power_of_two,
     _require_value_vector_size,
     _rows_json,
+    _subset_sums,
     anf_values,
     polys_from_rows,
 )
@@ -124,7 +126,7 @@ class CsCandidate:
             "size": self.size,
             "provenance": self.provenance,
             "pmepr_bound": self.pmepr_bound,
-            "members": _rows_json(self.q, self.m, self.cols.tolist(), self.rows),
+            "members": _rows_json(self.q, self.m, self.cols, self.rows),
             "predicted_aacf": self.predicted.to_json(),
         }
 
@@ -271,6 +273,11 @@ def random_qualifying_gbf(
     ``balanced=True`` (even sizes only) the coupling surpluses are arranged
     half 0 / half q/2 per group.  Returns ``(f, restricted_indices)``; the
     same seed always yields the same instance.
+
+    Each word's path edges and couplings are drawn as cells of f's
+    restriction table (:func:`cskit.gbf.restriction_table`), which one
+    Moebius transform over the restricted bits turns into f's coefficients;
+    the free ingredients are then added to those coefficients directly.
     """
     _require_power_of_two(q, "random_qualifying_gbf")
     if not 0 <= k < m:
@@ -299,38 +306,41 @@ def random_qualifying_gbf(
     cuts = list(itertools.accumulate((M, *sizes)))
     blocks = [words[a:b] for a, b in zip([0, *cuts], cuts)]
 
-    terms: Counter[int] = Counter()
-
-    def add(words: Sequence[int], masks: Sequence[int], coeff: int) -> None:
-        """terms += coeff * (sum of the indicators of words) * x_mask, per mask."""
-        for ind, c in _indicator_anf(restricted, words, q).items():
-            for mask in masks:
-                terms[ind | mask] += c * coeff
+    # the cells of f's restriction table: the coefficient of each unrestricted
+    # monomial (the constant, a vertex or a pair) after each word
+    units = [0, *(1 << v for v in unrestricted), *((1 << a) | (1 << b) for a, b in itertools.combinations(unrestricted, 2))]
+    row = {u: i for i, u in enumerate(units)}
+    cells: list[int] = []  # row * 2^k + word of each cell set, one path and one coupling per word
+    values: list[int] = []
 
     def add_path(word: int, verts: list[int]) -> None:
         order = verts[:]
         rng.shuffle(order)
-        add([word], [(1 << a) | (1 << b) for a, b in zip(order, order[1:])], half)
+        cells.extend(row[(1 << a) | (1 << b)] << k | word for a, b in zip(order, order[1:]))
+        values.extend([half] * (len(order) - 1))
 
     for word in blocks[0]:
         add_path(word, unrestricted)
     for l, block in zip(isolated, blocks[1:]):
         for word in block:
             add_path(word, [v for v in unrestricted if v != l])
-        if balanced:
-            add(rng.sample(block, len(block) // 2), [1 << l], half)
-        else:
-            for word in block:
-                add([word], [1 << l], rng.randrange(q))
+        coupled = rng.sample(block, len(block) // 2) if balanced else block
+        cells.extend(row[1 << l] << k | word for word in coupled)
+        values.extend([half] * len(coupled) if balanced else [rng.randrange(q) for _ in coupled])
+    table = np.zeros((len(units), 1 << k), dtype=_cell_dtype(q << (k + 1)))
+    table.ravel()[cells] = values
+    anf = _subset_sums(table, k, inverse=True)
 
     # free ingredients: any polynomial in the restricted variables, any
     # linear part, any constant
-    for mask_bits in range(1, 1 << k):
-        terms[sum(1 << v for a, v in enumerate(restricted) if (mask_bits >> a) & 1)] += rng.randrange(q)
+    anf[0, 1:] += np.array([rng.randrange(q) for _ in range(1, 1 << k)], dtype=anf.dtype)
     for i in range(m):
-        terms[1 << i] += rng.randrange(q)
-    terms[0] += rng.randrange(q)
-    f = GbfPoly.from_terms(q, m, terms)
+        if i in restricted:
+            anf[0, 1 << restricted.index(i)] += rng.randrange(q)
+        else:
+            anf[row[1 << i], 0] += rng.randrange(q)
+    anf[0, 0] += rng.randrange(q)
+    f = _poly_from_parts(q, m, restricted, units, anf % q)
 
     check = analyze(f, restricted)
     assert check.M == M and tuple(sorted(check.group_sizes)) == tuple(sorted(sizes))

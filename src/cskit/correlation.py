@@ -29,7 +29,8 @@ phase-difference histogram per shift, O(L^2)), which is also the reference
 the tests compare against.  The proof has three parts:
 
 1. ``n * L <= FFT_SIZE_LIMIT = 2^25`` for the n pairs of length L of a chunk;
-   only a single pair with L > 2^25 (longer than any polynomial's) misses it.
+   only a single pair with L > 2^25 misses it, and neither a polynomial's
+   sequence nor a line of :func:`read_sequences` exceeds 2^24 symbols.
    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.,
    section 24.1, Thm 24.2) bounds the relative 2-norm error of a length-N
    FFT by ``eps_N = log2(N) eta / (1 - log2(N) eta)``, with ``eta = mu +
@@ -78,7 +79,7 @@ import numpy as np
 
 from .cyclo import CycloValue, _embed, _fold, _from_conjugates
 from .errors import EmptySequenceError, ParseError, SizeLimitError
-from .gbf import PolyphaseSeq, _roots
+from .gbf import PolyphaseSeq, _require_sequence_length, _roots
 
 __all__ = [
     "CorrVector",
@@ -501,15 +502,20 @@ def read_sequences(text: str, q: int) -> list[PolyphaseSeq]:
     Lines starting with ``#`` (and inline ``#`` comments) are ignored.  Each
     remaining line carries one sequence as whitespace-separated symbols.  A
     file of several lines that each hold one symbol is refused: it could be
-    one sequence written as a column or a set of length-1 sequences.
+    one sequence written as a column or a set of length-1 sequences.  A line
+    longer than a polynomial's value vector may be (2^MAX_VALUE_VECTOR_M
+    symbols) raises :class:`SizeLimitError` before its symbols are read, so
+    one pair of any file fits the exact FFT core.
     """
     rows: list[list[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
+        tokens = body.split()
+        _require_sequence_length(len(tokens))
         row = []
-        for tok in body.split():
+        for tok in tokens:
             try:
                 v = int(tok)
             except ValueError:

@@ -37,6 +37,7 @@ __all__ = [
     "psi_restricted",
     "polys_from_rows",
     "anf_values",
+    "restriction_table",
 ]
 
 
@@ -51,6 +52,13 @@ def _require_value_vector_size(m: int) -> None:
     """Raise :class:`SizeLimitError` when 2^m entries exceed the limit."""
     if m > MAX_VALUE_VECTOR_M:
         raise SizeLimitError(f"a sequence of 2^{m} entries exceeds the limit of 2^{MAX_VALUE_VECTOR_M}")
+
+
+def _require_sequence_length(n: int) -> None:
+    """Raise :class:`SizeLimitError` for a sequence of more than
+    2^MAX_VALUE_VECTOR_M entries, the length of the largest value vector."""
+    if n > 1 << MAX_VALUE_VECTOR_M:
+        raise SizeLimitError(f"a sequence of {n} entries exceeds the limit of 2^{MAX_VALUE_VECTOR_M}")
 
 
 def _check_domain(q: int, m: int, error: type[ValueError] = ValueError) -> None:
@@ -311,15 +319,82 @@ def polys_from_rows(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[
 def anf_values(q: int, m: int, cols: np.ndarray | Sequence[int], rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     """The ``(n, 2^m)`` int64 value vectors, mod q, of n rows of ANF
     coefficients over the distinct masks ``cols``: the zeta transform over the
-    Boolean lattice, adding each point's coefficient into the points above it
-    one variable at a time.  Refuses m above the size limit before allocating."""
+    Boolean lattice (:func:`_subset_sums`).  Refuses m above the size limit
+    before allocating."""
     _require_value_vector_size(m)
     vals = np.zeros((len(rows), 1 << m), dtype=np.int64)
     vals[:, cols] = rows
-    for i in range(m):
-        pairs = vals.reshape(len(rows), -1, 2, 1 << i)
-        pairs[:, :, 1] += pairs[:, :, 0]
-    return vals % q
+    return _subset_sums(vals, m) % q
+
+
+def _subset_sums(vals: np.ndarray, k: int, inverse: bool = False) -> np.ndarray:
+    """In place along the last axis, of length 2^k, the zeta transform: each
+    entry becomes the sum of the entries whose index is a subset of its own,
+    each point added into the points above it one bit at a time.  With
+    ``inverse`` the points are subtracted instead: the Moebius transform."""
+    step = np.subtract if inverse else np.add
+    for i in range(k):
+        pairs = vals.reshape(*vals.shape[:-1], vals.shape[-1] >> (i + 1), 2, 1 << i)
+        step(pairs[..., 1, :], pairs[..., 0, :], out=pairs[..., 1, :])
+    return vals
+
+
+def _cell_dtype(bound: int) -> np.dtype:
+    """int64 when every intermediate stays below ``bound <= 2^63``, else
+    Python ints (object): the same transforms stay exact at any size."""
+    return np.dtype(np.int64) if bound <= 1 << 63 else np.dtype(object)
+
+
+def _mask_dtype(m: int) -> np.dtype:
+    """int64 for masks on x0 .. x62, else Python ints (object)."""
+    return _cell_dtype(1 << m)
+
+
+def _word_masks(variables: Sequence[int]) -> list[int]:
+    """The monomial mask of each k-bit word: bit a of the word selects
+    ``variables[a]``."""
+    masks = [0]
+    for v in variables:
+        masks += [mask | 1 << v for mask in masks]
+    return masks
+
+
+def restriction_table(f: GbfPoly, restricted: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """The coefficients of ``f`` after each of the 2^k restrictions of the
+    variables ``restricted`` (distinct, ascending).
+
+    Returns ``(units, table)``: ``units`` are the distinct unrestricted parts
+    u of f's monomials, ascending, and ``table[i, w]`` is, mod q, the
+    coefficient of ``x_{units[i]}`` in ``f.restrict(Restriction.assign(
+    restricted, w))``.  A term ``c x_u x_r`` survives the word w exactly when
+    r is a subset of w's ones, so the table is the zeta transform over the k
+    restricted bits of f's coefficients laid out by (u, r); its inverse, the
+    Moebius transform, gives the coefficients back (see
+    :func:`_poly_from_parts`).  Cells hold Python ints wherever a mask bit
+    is 63 or more or a sum can reach 2^63.
+    """
+    k = len(restricted)
+    masks = np.array([tm for tm, _ in f.terms], dtype=_mask_dtype(f.m))
+    words = np.zeros(len(masks), dtype=np.int64)
+    for a, v in enumerate(restricted):
+        words |= ((masks >> v) & 1).astype(np.int64) << a
+    units, row = np.unique(masks & ~sum(1 << v for v in restricted), return_inverse=True)
+    table = np.zeros((len(units), 1 << k), dtype=_cell_dtype(f.q << k))
+    table[row, words] = [c for _, c in f.terms]
+    return units.tolist(), _subset_sums(table, k) % f.q
+
+
+def _poly_from_parts(q: int, m: int, restricted: Sequence[int], units: Sequence[int], anf: np.ndarray) -> GbfPoly:
+    """The polynomial whose coefficient of ``x_{units[i]} x_r`` is
+    ``anf[i, w]``, with r the restricted variables selected by the bits of
+    w; the entries must lie in [0, q) and the units be distinct and free of
+    restricted variables, so the terms are canonical once sorted."""
+    dtype = _mask_dtype(m)
+    masks = (np.array(units, dtype=dtype)[:, None] | np.array(_word_masks(restricted), dtype=dtype)).ravel()
+    coeffs = anf.ravel()
+    live = np.flatnonzero(coeffs)
+    order = live[np.argsort(masks[live])]
+    return polys_from_rows(q, m, masks[order], coeffs[order][None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -528,11 +603,12 @@ def _term_key(mask: int) -> tuple[int, list[int]]:
     return (-mask.bit_count(), _bits(mask))
 
 
-def _term_text(mask: int, coeff: int) -> str:
-    if mask == 0:
+def _term_text(variables: str, coeff: int) -> str:
+    """One term of the text form from its variables joined by ``*`` (empty
+    for the constant)."""
+    if not variables:
         return str(coeff)
-    vars_part = "*".join(f"x{i}" for i in _bits(mask))
-    return vars_part if coeff == 1 else f"{coeff}*{vars_part}"
+    return variables if coeff == 1 else f"{coeff}*{variables}"
 
 
 def render_gbf(f: GbfPoly) -> str:
@@ -541,27 +617,51 @@ def render_gbf(f: GbfPoly) -> str:
     Terms are printed highest degree first, ties broken by variable indices,
     with the constant last.
     """
-    body = " + ".join(_term_text(mask, c) for mask, c in sorted(f.terms, key=lambda t: _term_key(t[0])))
+    body = " + ".join(_term_text("*".join(f"x{i}" for i in _bits(mask)), c) for mask, c in sorted(f.terms, key=lambda t: _term_key(t[0])))
     return f"q={f.q};m={f.m}; {body or '0'}"
 
 
 # -- JSON --------------------------------------------------------------------
 
 
-def _rows_json(q: int, m: int, masks: list[int], rows: np.ndarray) -> list[dict]:
+def _rows_json(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[dict]:
     """:func:`gbf_to_json` of each row of Z_q ANF coefficients over the
-    monomial ``masks`` (a candidate's members).  Each distinct (coefficient,
-    monomial) term is rendered once and joined into the text of every row
-    that holds it."""
-    order = sorted(range(len(masks)), key=lambda j: _term_key(masks[j]))
-    rows = rows[:, order]
-    rr, cc = np.nonzero(rows)
-    keys, at = np.unique(cc * q + rows[rr, cc], return_inverse=True)  # one key per (column, coefficient)
-    table = [_term_text(masks[order[key // q]], key % q) for key in keys.tolist()]
-    terms = [table[i] for i in at.tolist()]
-    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    distinct int64 monomial masks ``cols`` (a candidate's members).
+
+    The columns are put in the text's term order (:func:`_term_key`: highest
+    degree first; between terms of one degree, the one holding the first
+    variable where they differ comes first).  Each column's variables are
+    written once.  A row's text joins its pieces: each run of columns equal
+    in every row, joined once, and the term of each other column, rendered
+    once per (column, coefficient) through a dense index."""
+    bits = (cols[:, None] >> np.arange(m)) & 1
+    order = np.argsort(-(bits.sum(1) << m | bits @ (1 << np.arange(m)[::-1])))  # x0 read as the highest bit
+    bits, rows = bits[order], rows[:, order]
+    names = np.array([f"x{i}" for i in range(m)], dtype=object)[np.nonzero(bits)[1]].tolist()
+    ends = np.cumsum(bits.sum(1)).tolist()
+    variables = ["*".join(names[a:b]) for a, b in zip([0, *ends], ends)]
+    # pieces start at every column that differs between rows and after it
+    varying = (rows != rows[:1]).any(0)
+    bounds = [*np.flatnonzero(varying | np.r_[True, varying[:-1]]).tolist(), len(varying)]
+    runs = {a: " + ".join(_term_text(variables[j], c) for j, c in enumerate(rows[0, a:b].tolist(), a) if c) for a, b in zip(bounds, bounds[1:]) if not varying[a]}
+    var = np.flatnonzero(varying)
+    keys = rows[:, var] + q * np.arange(len(var))  # dense (column, coefficient) index
+    used = np.zeros(len(var) * q, dtype=bool)
+    used[keys] = True
+    used[::q] = False  # a zero coefficient writes no term
+    texts = np.empty(len(used), dtype=object)
+    texts[used] = [_term_text(variables[var[key // q]], key % q) for key in np.flatnonzero(used).tolist()]
+    heads = [a for a in bounds[:-1] if varying[a] or runs[a]]  # empty runs dropped
+    held = varying[heads]
+    pieces = np.empty((len(rows), len(heads)), dtype=object)
+    pieces[:, ~held] = [runs[a] for a in heads if not varying[a]]
+    pieces[:, held] = texts[keys]
+    live = np.ones(pieces.shape, dtype=bool)
+    live[:, held] = rows[:, var] != 0
+    flat = pieces[live].tolist()
+    ends = np.cumsum(live.sum(1)).tolist()
     head = f"q={q};m={m}; "
-    return [{"q": q, "m": m, "text": head + (" + ".join(terms[a:b]) or "0")} for a, b in zip([0, *ends], ends)]
+    return [{"q": q, "m": m, "text": head + (" + ".join(flat[a:b]) or "0")} for a, b in zip([0, *ends], ends)]
 
 
 def gbf_to_json(f: GbfPoly) -> dict:

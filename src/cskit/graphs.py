@@ -15,6 +15,16 @@ q/2.  :func:`analyze` checks this wholesale and returns a
 which restrictions are pure paths, which isolate which vertex, the chosen
 path endpoint per restriction, and the linear-coupling surpluses of the
 isolated vertices.
+
+:func:`analyze` reads all 2^k restrictions at once from the restriction
+table of :func:`cskit.gbf.restriction_table` (one zeta transform over the
+restricted variables): per word, the surviving coefficient of every pair
+(the edges and their weights), of every larger monomial (a surviving cubic)
+and of every vertex (the isolated-vertex surpluses).  The shapes are decided
+for every word together from the vertex degrees and one walk along each
+path.  No restricted polynomial is built unless a word fails: then that
+word alone goes through the per-restriction path (:func:`graph_of`,
+:func:`classify`), which raises the error of that restriction.
 """
 
 from __future__ import annotations
@@ -24,7 +34,9 @@ from functools import lru_cache
 from typing import Literal, Sequence
 
 from .errors import DegreeError, GraphShapeError, MixedCouplingError
-from .gbf import GbfPoly, Restriction, _bits
+import numpy as np
+
+from .gbf import GbfPoly, Restriction, _bits, restriction_table
 
 __all__ = [
     "RestrictionGraph",
@@ -266,6 +278,12 @@ def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:
     q/2; otherwise :class:`GraphShapeError` (or :class:`DegreeError`, for
     surviving cubic terms) is raised with the offending assignment.
 
+    The graphs are read from the restriction table of ``f`` (see the module
+    docstring), all words at once.  The first failing word, in word order,
+    is checked again on its own by the per-restriction path, so the error
+    names that word and says what :func:`graph_of` and :func:`classify`
+    find wrong with it.
+
     The profiles of the last few ``(f, restricted)`` pairs are kept, so
     analyzing the same polynomial again (as the callers of
     :func:`cskit.construct.random_qualifying_gbf` do after its self-check)
@@ -284,40 +302,82 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
         raise ValueError(f"restricted indices {idx} out of range for m={f.m}")
     if k >= f.m:
         raise ValueError("at least one variable must stay unrestricted")
-    half = f.q // 2
-    path_words: list[int] = []
-    endpoints: list[tuple[int, int]] = []
-    by_vertex: dict[int, list[int]] = {}
-    for word in range(1 << k):
-        r = Restriction.assign(idx, word)
-        g = graph_of(f, r)
-        shape = classify(g)
-        if shape.kind == "other":
-            raise GraphShapeError(
-                f"restriction {r.bitstring() or '(empty)'} is neither a path nor "
-                "a path plus one isolated vertex"
-            )
-        bad = {w for w in g.weights() if w != half}
-        if bad:
-            raise GraphShapeError(
-                f"restriction {r.bitstring() or '(empty)'} has edge weight(s) "
-                f"{sorted(bad)}; all must equal q/2 = {half}"
-            )
-        endpoints.append((word, max(shape.endpoints)))  # type: ignore[arg-type]
-        if shape.kind == "path":
-            path_words.append(word)
-        else:
-            by_vertex.setdefault(shape.isolated, []).append(word)  # type: ignore[arg-type]
+    units, table = restriction_table(f, idx)
+    verts = [i for i in range(f.m) if i not in idx]
+    at = {v: p for p, v in enumerate(verts)}
+    sizes = [u.bit_count() for u in units]
+    pairs = np.array([i for i, d in enumerate(sizes) if d == 2], dtype=np.intp)
+    live = table != 0
+    edges = live[pairs]
+    ok = ~live[[i for i, d in enumerate(sizes) if d >= 3]].any(0) & ~(edges & (table[pairs] != f.q // 2)).any(0)
+    ends = np.array([[at[v] for v in _bits(units[i])] for i in pairs], dtype=np.intp).reshape(-1, 2)
+    shaped, end, isolated = _path_shapes(len(verts), ends, edges)
+    ok &= shaped
+    if not ok.all():
+        _check_restriction(f, idx, int(np.argmin(ok)))
+        raise AssertionError("the restriction table and the per-restriction check disagree")
+    row = {u: i for i, u in enumerate(units)}
     groups = []
-    for l in sorted(by_vertex):
-        words = tuple(sorted(by_vertex[l]))
-        values = tuple(l_value(f, l, idx, w) for w in words)
-        groups.append(IsolatedGroup(l, words, f.linear_coeff(l), values))
+    for p in np.unique(isolated[isolated >= 0]).tolist():
+        l = verts[p]
+        members = np.flatnonzero(isolated == p)
+        linear = table[row[1 << l]] if 1 << l in row else np.zeros(1 << k, dtype=np.int64)
+        values = (linear[members] - linear[0]) % f.q
+        groups.append(IsolatedGroup(l, tuple(members.tolist()), f.linear_coeff(l), tuple(values.tolist())))
     return RestrictionProfile(
         q=f.q,
         m=f.m,
         restricted=idx,
-        path_words=tuple(path_words),
+        path_words=tuple(np.flatnonzero(isolated < 0).tolist()),
         groups=tuple(groups),
-        endpoints=tuple(endpoints),
+        endpoints=tuple(enumerate(np.array(verts)[end].tolist())),
     )
+
+
+def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shape of each word's graph on the vertex positions 0 .. n-1, whose
+    edges are the pairs ``ends`` marked live in that word's column of
+    ``edges``.  Per word: whether the graph is a path on every vertex or
+    (n >= 3) a path plus one isolated vertex; the larger end of the path;
+    and the isolated vertex, or -1."""
+    words = np.arange(edges.shape[1])
+    if n == 1:  # a lone vertex is a path
+        return np.ones(len(words), dtype=bool), np.zeros(len(words), dtype=np.intp), np.full(len(words), -1)
+    side = np.arange(n)[:, None] == ends.T[:, None, :]  # (end, vertex, edge)
+    live = edges.astype(np.int64)
+    degree = side.sum(0) @ live
+    nsum = (side[0] * ends[:, 1] + side[1] * ends[:, 0]) @ live  # the sum of each vertex's neighbours
+    lone = (degree == 0).sum(0)
+    ok = (degree.max(0) <= 2) & ((degree == 1).sum(0) == 2) & (lone <= (n >= 3))
+    start = np.where(ok, np.argmax(degree == 1, axis=0), 0)
+    end = np.where(ok, n - 1 - np.argmax(degree[::-1] == 1, axis=0), 0)
+    # walk from the smaller end: at degree <= 2 the next vertex is the
+    # neighbour sum less the vertex before; the graph is a path (plus the
+    # isolated vertex) when the walk to the other end uses every edge, so
+    # that no cycle is left over
+    cur, prev, length = start, np.zeros_like(start), np.zeros_like(start)
+    for _ in range(n - 1):
+        go = cur != end
+        cur, prev = np.where(go, nsum[cur, words] - prev, cur), np.where(go, cur, prev)
+        length += go
+    ok &= length == live.sum(0)
+    return ok, end, np.where(lone == 1, np.argmax(degree == 0, axis=0), -1)
+
+
+def _check_restriction(f: GbfPoly, idx: tuple[int, ...], word: int) -> None:
+    """The per-restriction check of one word: raise the error that word
+    earns (:class:`DegreeError` for a surviving cubic term,
+    :class:`GraphShapeError` for a wrong shape or edge weight)."""
+    r = Restriction.assign(idx, word)
+    g = graph_of(f, r)
+    if classify(g).kind == "other":
+        raise GraphShapeError(
+            f"restriction {r.bitstring() or '(empty)'} is neither a path nor "
+            "a path plus one isolated vertex"
+        )
+    bad = {w for w in g.weights() if w != f.q // 2}
+    if bad:
+        raise GraphShapeError(
+            f"restriction {r.bitstring() or '(empty)'} has edge weight(s) "
+            f"{sorted(bad)}; all must equal q/2 = {f.q // 2}"
+        )

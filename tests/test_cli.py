@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from cskit import doubled_cs, gbf_from_json, parse_gbf
+from cskit import doubled_cs, gbf, gbf_from_json, parse_gbf
 from cskit.cli import build_parser, main
 
 EX1 = "q=2;m=4; x0*x1*x3 + x0*x2*x3 + x0*x1*x2 + x1*x2"
@@ -128,6 +128,15 @@ def test_pmepr_refuses_an_oversized_grid(tmp_path, capsys):
     f.write_text("0 1 2 3\n")
     code, out, err = run(capsys, "pmepr", str(f), "--q", "4", "--oversample", "10000000000")
     assert code == 2 and not out and "SizeLimitError" in err
+
+
+def test_verify_and_pmepr_refuse_an_overlong_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gbf, "MAX_VALUE_VECTOR_M", 2)
+    f = tmp_path / "s.txt"
+    f.write_text("0 1 2 3 0\n")
+    for verb in ("verify", "pmepr"):
+        code, out, err = run(capsys, verb, str(f), "--q", "4")
+        assert code == 2 and not out and "SizeLimitError" in err
 
 
 def test_random_reproducible(capsys):

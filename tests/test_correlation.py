@@ -32,7 +32,7 @@ from cskit import (
     set_report,
     write_sequences,
 )
-from cskit import correlation
+from cskit import correlation, gbf
 from cskit.cyclo import CycloValue
 from cskit.gbf import PolyphaseSeq
 
@@ -214,6 +214,15 @@ def test_read_sequences_errors():
         read_sequences("0 1 5\n", 4)            # symbol out of range
     with pytest.raises(ParseError):
         read_sequences("# only comments\n", 4)  # no sequences at all
+
+
+def test_read_sequences_caps_the_line_length(monkeypatch):
+    """A line of more than 2^MAX_VALUE_VECTOR_M symbols is refused before
+    its symbols are read (here the limit is patched down to 2^3)."""
+    monkeypatch.setattr(gbf, "MAX_VALUE_VECTOR_M", 3)
+    assert len(read_sequences("0 1 2 3 0 1 2 3\n", 4)[0]) == 8
+    with pytest.raises(SizeLimitError, match="9 entries exceeds the limit of 2\\^3"):
+        read_sequences("0 1 2 3 0 1 2 3\n0 1 2 3 0 1 2 3 x\n", 4)
 
 
 def _masked_set(q, L, n, seed):
