@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
 
-from .errors import DegreeError, GraphShapeError, MixedCouplingError
 import numpy as np
 
+from .errors import DegreeError, GraphShapeError, MixedCouplingError
 from .gbf import GbfPoly, Restriction, _bits, restriction_table
 
 __all__ = [
