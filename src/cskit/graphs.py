@@ -318,7 +318,7 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
         raise AssertionError("the restriction table and the per-restriction check disagree")
     row = {u: i for i, u in enumerate(units)}
     groups = []
-    for p in np.unique(isolated[isolated >= 0]).tolist():
+    for p in sorted(set(isolated.tolist()) - {-1}):
         l = verts[p]
         members = np.flatnonzero(isolated == p)
         linear = table[row[1 << l]] if 1 << l in row else np.zeros(1 << k, dtype=np.int64)
