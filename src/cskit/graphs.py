@@ -310,7 +310,7 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
     live = table != 0
     edges = live[pairs]
     ok = ~live[[i for i, d in enumerate(sizes) if d >= 3]].any(0) & ~(edges & (table[pairs] != f.q // 2)).any(0)
-    ends = np.array([[at[v] for v in _bits(units[i])] for i in pairs], dtype=np.intp).reshape(-1, 2)
+    ends = np.array([(at[(units[i] & -units[i]).bit_length() - 1], at[units[i].bit_length() - 1]) for i in pairs], dtype=np.intp).reshape(-1, 2)
     shaped, end, isolated = _path_shapes(len(verts), ends, edges)
     ok &= shaped
     if not ok.all():
@@ -346,21 +346,25 @@ def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarra
     side = np.arange(n)[:, None] == ends.T[:, None, :]  # (end, vertex, edge)
     live = edges.astype(np.int64)
     degree = side.sum(0) @ live
-    nsum = (side[0] * ends[:, 1] + side[1] * ends[:, 0]) @ live  # the sum of each vertex's neighbours
     lone = (degree == 0).sum(0)
     ok = (degree.max(0) <= 2) & ((degree == 1).sum(0) == 2) & (lone <= (n >= 3))
-    start = np.where(ok, np.argmax(degree == 1, axis=0), 0)
+    start = np.where(ok, np.argmax(degree == 1, axis=0), n)
     end = np.where(ok, n - 1 - np.argmax(degree[::-1] == 1, axis=0), 0)
-    # walk from the smaller end: at degree <= 2 the next vertex is the
-    # neighbour sum less the vertex before; the graph is a path (plus the
-    # isolated vertex) when the walk to the other end uses every edge, so
-    # that no cycle is left over
-    cur, prev, length = start, np.zeros_like(start), np.zeros_like(start)
+    # Walk n-1 steps from the smaller end.  At degree <= 2 the next vertex
+    # is the sum of the neighbours less the vertex before; past the other
+    # end the walk runs down a chain of n extra positions, so the final
+    # position tells how many steps the path took.  The graph is a path
+    # (plus the isolated vertex) when that is its edge count: no cycle is
+    # left over.  Words that already failed walk the chain from its start.
+    nsum = np.zeros((2 * n, len(words)), dtype=np.int64)
+    nsum[:n] = (side[0] * ends[:, 1] + side[1] * ends[:, 0]) @ live + n * (degree == 1)
+    nsum[n] = n + 1 + end
+    nsum[n + 1 :] = 2 * np.arange(n + 1, 2 * n)[:, None]
+    cur, prev = start, np.where(ok, n, end)
     for _ in range(n - 1):
-        go = cur != end
-        cur, prev = np.where(go, nsum[cur, words] - prev, cur), np.where(go, cur, prev)
-        length += go
-    ok &= length == live.sum(0)
+        cur, prev = nsum[cur, words] - prev, cur
+    count = live.sum(0)
+    ok &= cur == np.where(count == n - 1, end, 2 * n - 2 - count)
     return ok, end, np.where(lone == 1, np.argmax(degree == 0, axis=0), -1)
 
 
