@@ -426,8 +426,11 @@ class Restriction:
 
     @classmethod
     def assign(cls, indices: Iterable[int], word: int) -> Restriction:
-        """Assign bit a of ``word`` to the a-th smallest of ``indices``."""
+        """Assign bit a of ``word`` to the a-th smallest of ``indices``;
+        ``word`` must lie in [0, 2^k) for k indices."""
         idx = sorted(indices)
+        if not 0 <= word < 1 << len(idx):
+            raise ValueError(f"word {word} out of range for {len(idx)} restricted variables")
         return cls(tuple(idx), tuple((word >> a) & 1 for a in range(len(idx))))
 
     def __len__(self) -> int:

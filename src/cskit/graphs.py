@@ -22,13 +22,15 @@ restricted variables): per word, the surviving coefficient of every pair
 (the edges and their weights), of every larger monomial (a surviving cubic)
 and of every vertex (the isolated-vertex surpluses).  The shapes are decided
 for every word together from the vertex degrees and one walk along each
-path.  No restricted polynomial is built unless a word fails: then that
-word alone goes through the per-restriction path (:func:`graph_of`,
-:func:`classify`), which raises the error of that restriction.
+path.  No restricted polynomial is built: the first failing word raises its
+error from its own column of the table.  :func:`graph_of` and
+:func:`l_value` read one column of the same table, and :func:`classify`
+runs the same walk on one graph.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
@@ -57,25 +59,10 @@ class RestrictionGraph:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
 
-    @classmethod
-    def from_poly(cls, reduced: GbfPoly, vertices: Sequence[int]) -> RestrictionGraph:
-        verts = tuple(sorted(vertices))
-        vset = set(verts)
-        edges = []
-        for mask, coeff in reduced.terms:
-            deg = mask.bit_count()
-            if deg >= 3:
-                raise DegreeError(
-                    f"term of degree {deg} on variables {_bits(mask)} survives the restriction; "
-                    "no pairwise-coupling graph exists"
-                )
-            if deg == 2:
-                u = (mask & -mask).bit_length() - 1
-                v = mask.bit_length() - 1
-                if u not in vset or v not in vset:
-                    raise ValueError(f"edge ({u},{v}) uses a vertex outside {verts}")
-                edges.append((u, v, coeff))
-        return cls(verts, tuple(sorted(edges)))
+    def __post_init__(self) -> None:
+        vset, pairs = set(self.vertices), {(u, v) for u, v, _ in self.edges}
+        if len(vset) < len(self.vertices) or len(pairs) < len(self.edges) or not all(u < v and {u, v} <= vset for u, v in pairs):
+            raise ValueError(f"not a simple graph with edges keyed u < v: {self.vertices}, {self.edges}")
 
     def degree(self, v: int) -> int:
         return sum(1 for a, b, _ in self.edges if v in (a, b))
@@ -109,55 +96,44 @@ class ShapeClass:
 def graph_of(f: GbfPoly, restriction: Restriction) -> RestrictionGraph:
     """Coupling graph of ``f`` after applying ``restriction``.
 
-    Vertices are exactly the unrestricted variable indices; raises
-    :class:`DegreeError` if a term of degree >= 3 survives the reduction.
+    Vertices are exactly the unrestricted variable indices, and the edges
+    are the pairs live in the restriction's column of the restriction table;
+    raises :class:`DegreeError` if a term of degree >= 3 survives the
+    reduction.
     """
     fixed = set(restriction.indices)
-    vertices = [i for i in range(f.m) if i not in fixed]
+    vertices = tuple(i for i in range(f.m) if i not in fixed)
     if not vertices:
         raise ValueError("restriction fixes every variable")
-    return RestrictionGraph.from_poly(f.restrict(restriction), vertices)
-
-
-def _trace_path(g: RestrictionGraph, verts: Sequence[int]) -> tuple[int, ...] | None:
-    """Ordered vertices if the induced edge set forms a path on ``verts``."""
-    n = len(verts)
-    if n == 1:
-        return (verts[0],) if not g.edges else None
-    if len(g.edges) != n - 1:
-        return None
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    degs = {v: len(ns) for v, ns in adj.items()}
-    ends = sorted(v for v, d in degs.items() if d == 1)
-    if len(ends) != 2 or any(d > 2 for d in degs.values()):
-        return None
-    order = [ends[0]]
-    seen = {ends[0]}
-    while len(order) < n:
-        nxt = [w for w in adj[order[-1]] if w not in seen]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
-        seen.add(nxt[0])
-    return tuple(order)
+    restriction.variable_mask(f.m)  # refuses a restricted index beyond x_{m-1}
+    units, table = restriction_table(f, restriction.indices)
+    column = table[:, restriction.word()].tolist()
+    _refuse_cubic(units, column)
+    edges = sorted((*_bits(u), c) for u, c in zip(units, column) if c and u.bit_count() == 2)
+    return RestrictionGraph(vertices, tuple(edges))
 
 
 def classify(g: RestrictionGraph) -> ShapeClass:
     """Decide whether ``g`` is a path, a path plus one isolated vertex, or neither."""
-    path = _trace_path(g, g.vertices)
-    if path is not None:
+    verts = sorted(g.vertices)
+    if not verts:
+        return ShapeClass("other")
+    at = {v: p for p, v in enumerate(verts)}
+    ends = np.array([(at[u], at[v]) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2)
+    ok, _, isolated, order = _path_shapes(len(verts), ends, np.ones((len(ends), 1), dtype=bool))
+    return _shape_class(verts, len(ends), ok[0], isolated[0], order[:, 0])
+
+
+def _shape_class(verts: Sequence[int], count: int, ok: bool, isolated: int, order: np.ndarray) -> ShapeClass:
+    """The :class:`ShapeClass` of one column of :func:`_path_shapes` on the
+    vertices ``verts`` (ascending) with ``count`` edges: the path is the
+    first ``count + 1`` positions of the walk."""
+    if not ok:
+        return ShapeClass("other")
+    path = tuple(verts[p] for p in order[: count + 1].tolist())
+    if isolated < 0:
         return ShapeClass("path", path=path)
-    isolated = [v for v in g.vertices if g.degree(v) == 0]
-    if len(isolated) == 1 and len(g.vertices) >= 3:
-        rest = [v for v in g.vertices if v != isolated[0]]
-        sub = RestrictionGraph(tuple(rest), g.edges)
-        path = _trace_path(sub, rest)
-        if path is not None:
-            return ShapeClass("path-plus-isolated", path=path, isolated=isolated[0])
-    return ShapeClass("other")
+    return ShapeClass("path-plus-isolated", path=path, isolated=verts[isolated])
 
 
 def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
@@ -166,20 +142,36 @@ def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
     This is the linear coefficient of ``x_l`` in the reduced restricted
     polynomial minus its global linear coefficient — i.e. the mod-q sum of
     the couplings of ``x_l`` to monomials in restricted variables, evaluated
-    at the assignment.  Defined only when ``x_l`` is isolated there: if it
-    still occurs in a term of degree >= 2, :class:`MixedCouplingError` is
-    raised.
+    at the assignment.  Both are cells of the restriction table: the column
+    of ``word`` and that of word 0.  Defined only when ``x_l`` is isolated
+    there: if it still occurs in a term of degree >= 2,
+    :class:`MixedCouplingError` is raised.
     """
     if l in restricted:
         raise ValueError(f"x{l} is itself restricted")
+    if not 0 <= l < f.m:
+        raise ValueError(f"x{l} is not a variable of a polynomial in m={f.m} variables")
     r = Restriction.assign(restricted, word)
-    reduced = f.restrict(r)
-    for mask, _ in reduced.terms:
-        if (mask >> l) & 1 and mask.bit_count() >= 2:
-            raise MixedCouplingError(
-                f"x{l} is still coupled through {_bits(mask)} at assignment {r.bitstring()}"
+    r.variable_mask(f.m)  # refuses a restricted index beyond x_{m-1}
+    units, table = restriction_table(f, r.indices)
+    for u, c in zip(units, table[:, r.word()].tolist()):
+        if c and (u >> l) & 1 and u.bit_count() >= 2:
+            raise MixedCouplingError(f"x{l} is still coupled through {_bits(u)} at assignment {r.bitstring()}")
+    if 1 << l not in units:
+        return 0
+    now, base = table[units.index(1 << l), [r.word(), 0]].tolist()
+    return (now - base) % f.q
+
+
+def _refuse_cubic(units: Sequence[int], column: Sequence[int]) -> None:
+    """Raise :class:`DegreeError` for the first unit of three or more
+    variables live in ``column``."""
+    for u, c in zip(units, column):
+        if c and u.bit_count() >= 3:
+            raise DegreeError(
+                f"term of degree {u.bit_count()} on variables {_bits(u)} survives the restriction; "
+                "no pairwise-coupling graph exists"
             )
-    return (reduced.linear_coeff(l) - f.linear_coeff(l)) % f.q
 
 
 @dataclass(frozen=True)
@@ -279,17 +271,29 @@ def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:
     surviving cubic terms) is raised with the offending assignment.
 
     The graphs are read from the restriction table of ``f`` (see the module
-    docstring), all words at once.  The first failing word, in word order,
-    is checked again on its own by the per-restriction path, so the error
-    names that word and says what :func:`graph_of` and :func:`classify`
-    find wrong with it.
+    docstring), all words at once.  The error names the first failing word,
+    in word order, and says what :func:`graph_of` and :func:`classify` find
+    wrong with it: a surviving cubic first, then the shape, then the
+    weights.  The restricted indices must be integers (bools are refused);
+    they are kept as Python ints.
 
     The profiles of the last few ``(f, restricted)`` pairs are kept, so
     analyzing the same polynomial again (as the callers of
     :func:`cskit.construct.random_qualifying_gbf` do after its self-check)
     is free; both the polynomial and the profile are immutable.
     """
-    return _analyze(f, tuple(restricted))
+    return _analyze(f, tuple(map(_index, restricted)))
+
+
+def _index(i: object) -> int:
+    """A restricted index as a Python int (``np.int64(1)`` equals 1 as a
+    cache key); bools and non-integers are refused."""
+    if not isinstance(i, bool):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise ValueError(f"restricted indices must be integers, got {i!r}")
 
 
 @lru_cache(maxsize=8)
@@ -309,19 +313,23 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
     pairs = np.array([i for i, d in enumerate(sizes) if d == 2], dtype=np.intp)
     live = table != 0
     edges = live[pairs]
-    ok = ~live[[i for i, d in enumerate(sizes) if d >= 3]].any(0) & ~(edges & (table[pairs] != f.q // 2)).any(0)
     ends = np.array([(at[(units[i] & -units[i]).bit_length() - 1], at[units[i].bit_length() - 1]) for i in pairs], dtype=np.intp).reshape(-1, 2)
-    shaped, end, isolated = _path_shapes(len(verts), ends, edges)
-    ok &= shaped
+    shaped, end, isolated, _ = _path_shapes(len(verts), ends, edges)
+    ok = shaped & ~live[[i for i, d in enumerate(sizes) if d >= 3]].any(0) & ~(edges & (table[pairs] != f.q // 2)).any(0)
     if not ok.all():
-        _check_restriction(f, idx, int(np.argmin(ok)))
-        raise AssertionError("the restriction table and the per-restriction check disagree")
-    row = {u: i for i, u in enumerate(units)}
+        word = int(np.argmin(ok))
+        column = table[:, word].tolist()
+        _refuse_cubic(units, column)
+        name = Restriction.assign(idx, word).bitstring() or "(empty)"
+        if not shaped[word]:
+            raise GraphShapeError(f"restriction {name} is neither a path nor a path plus one isolated vertex")
+        bad = sorted({c for u, c in zip(units, column) if u.bit_count() == 2 and c not in (0, f.q // 2)})
+        raise GraphShapeError(f"restriction {name} has edge weight(s) {bad}; all must equal q/2 = {f.q // 2}")
     groups = []
     for p in sorted(set(isolated.tolist()) - {-1}):
         l = verts[p]
         members = np.flatnonzero(isolated == p)
-        linear = table[row[1 << l]] if 1 << l in row else np.zeros(1 << k, dtype=np.int64)
+        linear = table[units.index(1 << l)] if 1 << l in units else np.zeros(1 << k, dtype=np.int64)
         values = (linear[members] - linear[0]) % f.q
         groups.append(IsolatedGroup(l, tuple(members.tolist()), f.linear_coeff(l), tuple(values.tolist())))
     return RestrictionProfile(
@@ -334,15 +342,18 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
     )
 
 
-def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shape of each word's graph on the vertex positions 0 .. n-1, whose
     edges are the pairs ``ends`` marked live in that word's column of
     ``edges``.  Per word: whether the graph is a path on every vertex or
     (n >= 3) a path plus one isolated vertex; the larger end of the path;
-    and the isolated vertex, or -1."""
+    the isolated vertex, or -1; and, as an ``(n, words)`` array, the
+    positions the walk visits, whose first edges + 1 are the path from its
+    smaller end."""
     words = np.arange(edges.shape[1])
     if n == 1:  # a lone vertex is a path
-        return np.ones(len(words), dtype=bool), np.zeros(len(words), dtype=np.intp), np.full(len(words), -1)
+        zeros = np.zeros(len(words), dtype=np.intp)
+        return np.ones(len(words), dtype=bool), zeros, np.full(len(words), -1), zeros[None]
     side = np.arange(n)[:, None] == ends.T[:, None, :]  # (end, vertex, edge)
     live = edges.astype(np.int64)
     degree = side.sum(0) @ live
@@ -361,27 +372,10 @@ def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarra
     nsum[n] = n + 1 + end
     nsum[n + 1 :] = 2 * np.arange(n + 1, 2 * n)[:, None]
     cur, prev = start, np.where(ok, n, end)
+    order = [cur]
     for _ in range(n - 1):
         cur, prev = nsum[cur, words] - prev, cur
+        order.append(cur)
     count = live.sum(0)
     ok &= cur == np.where(count == n - 1, end, 2 * n - 2 - count)
-    return ok, end, np.where(lone == 1, np.argmax(degree == 0, axis=0), -1)
-
-
-def _check_restriction(f: GbfPoly, idx: tuple[int, ...], word: int) -> None:
-    """The per-restriction check of one word: raise the error that word
-    earns (:class:`DegreeError` for a surviving cubic term,
-    :class:`GraphShapeError` for a wrong shape or edge weight)."""
-    r = Restriction.assign(idx, word)
-    g = graph_of(f, r)
-    if classify(g).kind == "other":
-        raise GraphShapeError(
-            f"restriction {r.bitstring() or '(empty)'} is neither a path nor "
-            "a path plus one isolated vertex"
-        )
-    bad = {w for w in g.weights() if w != f.q // 2}
-    if bad:
-        raise GraphShapeError(
-            f"restriction {r.bitstring() or '(empty)'} has edge weight(s) "
-            f"{sorted(bad)}; all must equal q/2 = {f.q // 2}"
-        )
+    return ok, end, np.where(lone == 1, np.argmax(degree == 0, axis=0), -1), np.array(order)

@@ -1,19 +1,97 @@
 """Reference for the restriction-table analysis.
 
-These are ``graphs.analyze`` and ``codebook._indicator_anf`` as they stood
-before the restriction table: one restricted ``GbfPoly`` per restriction
-word, its coupling graph built and classified on its own, the surpluses of
-the isolated vertices read by ``l_value``, and the indicator ANF expanded
-word by word.  ``test_restriction_table.py`` checks that the library gives
-equal profiles, the same refusals for the same first word, and equal
-indicator dicts in the same key order.
+These are ``graphs.analyze``, ``graph_of``, ``classify``, ``l_value`` and
+``codebook._indicator_anf`` as they stood before the restriction table: one
+restricted ``GbfPoly`` per restriction word (``GbfPoly.restrict``), its
+coupling graph built from the reduced terms and classified on its own by
+tracing the path through an adjacency list, the surpluses of the isolated
+vertices read from the restricted polynomial, and the indicator ANF
+expanded word by word.  ``test_restriction_table.py`` checks that the
+library gives equal graphs, shapes, surpluses and profiles, the same
+refusals for the same first word, and equal indicator dicts in the same
+key order.
 """
 
 import itertools
 from typing import Iterable, Sequence
 
-from cskit import GbfPoly, GraphShapeError, Restriction, graph_of, l_value
-from cskit.graphs import IsolatedGroup, RestrictionProfile, classify
+from cskit import DegreeError, GbfPoly, GraphShapeError, MixedCouplingError, Restriction
+from cskit.gbf import _bits
+from cskit.graphs import IsolatedGroup, RestrictionGraph, RestrictionProfile, ShapeClass
+
+
+def graph_of(f: GbfPoly, restriction: Restriction) -> RestrictionGraph:
+    """The coupling graph of the reduced restricted polynomial."""
+    fixed = set(restriction.indices)
+    vertices = [i for i in range(f.m) if i not in fixed]
+    if not vertices:
+        raise ValueError("restriction fixes every variable")
+    edges = []
+    for mask, coeff in f.restrict(restriction).terms:
+        deg = mask.bit_count()
+        if deg >= 3:
+            raise DegreeError(
+                f"term of degree {deg} on variables {_bits(mask)} survives the restriction; "
+                "no pairwise-coupling graph exists"
+            )
+        if deg == 2:
+            edges.append(((mask & -mask).bit_length() - 1, mask.bit_length() - 1, coeff))
+    return RestrictionGraph(tuple(vertices), tuple(sorted(edges)))
+
+
+def _trace_path(g: RestrictionGraph, verts: Sequence[int]) -> tuple[int, ...] | None:
+    """Ordered vertices if the induced edge set forms a path on ``verts``."""
+    n = len(verts)
+    if n == 1:
+        return (verts[0],) if not g.edges else None
+    if len(g.edges) != n - 1:
+        return None
+    adj: dict[int, list[int]] = {v: [] for v in verts}
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    degs = {v: len(ns) for v, ns in adj.items()}
+    ends = sorted(v for v, d in degs.items() if d == 1)
+    if len(ends) != 2 or any(d > 2 for d in degs.values()):
+        return None
+    order = [ends[0]]
+    seen = {ends[0]}
+    while len(order) < n:
+        nxt = [w for w in adj[order[-1]] if w not in seen]
+        if len(nxt) != 1:
+            return None
+        order.append(nxt[0])
+        seen.add(nxt[0])
+    return tuple(order)
+
+
+def classify(g: RestrictionGraph) -> ShapeClass:
+    """A path, a path plus one isolated vertex, or neither."""
+    path = _trace_path(g, g.vertices)
+    if path is not None:
+        return ShapeClass("path", path=path)
+    isolated = [v for v in g.vertices if g.degree(v) == 0]
+    if len(isolated) == 1 and len(g.vertices) >= 3:
+        rest = [v for v in g.vertices if v != isolated[0]]
+        path = _trace_path(RestrictionGraph(tuple(rest), g.edges), rest)
+        if path is not None:
+            return ShapeClass("path-plus-isolated", path=path, isolated=isolated[0])
+    return ShapeClass("other")
+
+
+def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
+    """The linear coefficient of ``x_l`` after the restriction, less its
+    global one, mod q; refused while ``x_l`` is still coupled."""
+    if l in restricted:
+        raise ValueError(f"x{l} is itself restricted")
+    r = Restriction.assign(restricted, word)
+    reduced = f.restrict(r)
+    for mask, _ in reduced.terms:
+        if (mask >> l) & 1 and mask.bit_count() >= 2:
+            raise MixedCouplingError(
+                f"x{l} is still coupled through {_bits(mask)} at assignment {r.bitstring()}"
+            )
+    return (reduced.linear_coeff(l) - f.linear_coeff(l)) % f.q
 
 
 def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:

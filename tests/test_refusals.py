@@ -5,8 +5,10 @@ into a bare ``ValueError``) changes what a caller can catch, so the type is
 compared with ``is``, not with ``issubclass``.
 """
 
+import json
 import warnings
 
+import numpy as np
 import pytest
 
 from cskit import (
@@ -14,11 +16,13 @@ from cskit import (
     ParseError,
     PolyphaseSeq,
     Restriction,
+    RestrictionGraph,
     aacf,
     analyze,
     cross_corr,
     euclid_sq_dist,
     gbf_from_json,
+    l_value,
     lee_dist,
     min_distances,
     parse_gbf,
@@ -26,10 +30,12 @@ from cskit import (
     set_aacf,
 )
 from cskit.codebook import family_size
+from cskit.graphs import _analyze
 
 PATH = parse_gbf("q=4;m=3; 2*x0*x1 + 2*x1*x2")
 FULL = PolyphaseSeq(4, [0, 1, 2, 3])
 MASKED = PolyphaseSeq(4, [0, 1, 2, 3], [True, False, True, True])
+COUPLED = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2 + 2*x0*x3 + x3")
 
 REFUSALS = {
     # the polynomial domain (q, m)
@@ -129,3 +135,52 @@ def test_refusal_of_a_drifted_copy(call):
         call()
     assert caught.type is ValueError
 
+
+
+# Refusals that the one restriction rule added: each input was accepted
+# before and gave a wrong answer, a profile that would not serialize, or an
+# untyped error.
+RESTRICTION_REFUSALS = {
+    # analyze: True was cached as the index 1 and written as JSON true
+    "analyze-bool-index": lambda: analyze(COUPLED, [True]),
+    "analyze-numpy-bool-index": lambda: analyze(COUPLED, [np.True_]),
+    # a NumPy TypeError
+    "analyze-float-index": lambda: analyze(COUPLED, [1.0]),
+    "analyze-text-index": lambda: analyze(COUPLED, ["1"]),
+    # l_value: x99 read as 0, x-1 a bare "negative shift count"
+    "l-value-beyond-m": lambda: l_value(COUPLED, 99, [0], 1),
+    "l-value-negative": lambda: l_value(COUPLED, -1, [0], 1),
+    # only the low k bits of the word were kept: 5 acted as 1, -2 as 0
+    "l-value-word-beyond-2^k": lambda: l_value(COUPLED, 3, [0], 5),
+    "l-value-negative-word": lambda: l_value(COUPLED, 3, [0], -2),
+    "assign-word-beyond-2^k": lambda: Restriction.assign([0, 2], 4),
+    "assign-negative-word": lambda: Restriction.assign([0], -1),
+    "assign-word-no-variable": lambda: Restriction.assign([], 1),
+    # a graph that is not simple, or keys an edge with u > v
+    "graph-repeated-vertex": lambda: RestrictionGraph((0, 1, 1), ()),
+    "graph-edge-reversed": lambda: RestrictionGraph((0, 1), ((1, 0, 2),)),
+    "graph-loop": lambda: RestrictionGraph((0, 1), ((1, 1, 2),)),
+    "graph-edge-outside": lambda: RestrictionGraph((0, 1), ((0, 2, 2),)),
+    "graph-edge-repeated": lambda: RestrictionGraph((0, 1), ((0, 1, 2), (0, 1, 2))),
+    "graph-edge-reweighted": lambda: RestrictionGraph((0, 1), ((0, 1, 1), (0, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("call", RESTRICTION_REFUSALS.values(), ids=RESTRICTION_REFUSALS.keys())
+def test_refusal_of_a_bad_restriction(call):
+    _analyze.cache_clear()
+    analyze(COUPLED, [1])  # an equal key in the cache must not let a bad one through
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is ValueError
+
+
+@pytest.mark.parametrize("first", [np.int64(1), np.uint8(1), 1])
+def test_analyze_keeps_restricted_indices_as_python_ints(first):
+    """Whichever integer type is analyzed first, the cached profile holds
+    Python ints and every later profile of the same index writes JSON."""
+    _analyze.cache_clear()
+    profiles = [analyze(COUPLED, [first]), analyze(COUPLED, [1]), analyze(COUPLED, np.array([1]))]
+    for profile in profiles:
+        assert profile.restricted == (1,) and type(profile.restricted[0]) is int
+        assert json.loads(json.dumps(profile.to_json()))["restricted"] == [1]
