@@ -55,7 +55,7 @@ import numpy as np
 
 from .correlation import _weight_tables
 from .errors import EnumerationError
-from .gbf import GbfPoly, _check_domain, _require_value_vector_size, _subset_sums, _word_masks, polys_from_rows
+from .gbf import GbfPoly, _check_domain, _index, _require_value_vector_size, _subset_sums, _word_masks, polys_from_rows
 
 __all__ = [
     "log2_f_count",
@@ -649,7 +649,7 @@ def _multi_isolated_rep_factors(m: int, k: int, h: int, r: int, sizes: Sequence[
     split into lexicographic blocks of the given sizes, block a isolating
     vertex m-k-1-a, with j = min(2^{r+h-3}, N_a) free path choices per block
     (the j-th choice serving the rest of the block)."""
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(_index(n, "block sizes must be integers") for n in sizes)
     if len(sizes) < 2 or sum(sizes) != 1 << k or any(n < 1 for n in sizes):
         raise ValueError("block sizes must be >= 1, at least two blocks, summing to 2^k")
     if m - k < 3 or len(sizes) > m - k:

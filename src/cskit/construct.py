@@ -50,6 +50,7 @@ from .gbf import (
     PolyphaseSeq,
     _cell_dtype,
     _full_seqs,
+    _index,
     _poly_from_parts,
     _require_power_of_two,
     _require_value_vector_size,
@@ -282,7 +283,7 @@ def random_qualifying_gbf(
     _require_power_of_two(q, "random_qualifying_gbf")
     if not 0 <= k < m:
         raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    sizes = tuple(int(n) for n in group_sizes)
+    sizes = tuple(_index(n, "group sizes must be integers") for n in group_sizes)
     if any(n < 1 for n in sizes):
         raise ValueError("group sizes must be positive")
     M = (1 << k) - sum(sizes)

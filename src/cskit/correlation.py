@@ -70,7 +70,6 @@ the number of live positions, i.e. A(0).
 from __future__ import annotations
 
 import functools
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -79,7 +78,7 @@ import numpy as np
 
 from .cyclo import CycloValue, _embed, _fold, _from_conjugates
 from .errors import EmptySequenceError, ParseError, SizeLimitError
-from .gbf import PolyphaseSeq, _require_sequence_length, _roots
+from .gbf import PolyphaseSeq, _index, _require_sequence_length, _roots
 
 __all__ = [
     "CorrVector",
@@ -153,10 +152,12 @@ def _coeff_sum(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]]) -> np.ndarray
     q, L = pairs[0][0].q, len(pairs[0][0])
     if any(s.q != q or len(s) != L for pair in pairs for s in pair):
         raise ValueError("correlated sequences must share modulus and length")
-    step = max(1, FFT_SIZE_LIMIT // max(L, 1))
+    if not L:
+        raise ValueError("correlation needs sequences of at least one entry")
+    step = max(1, FFT_SIZE_LIMIT // L)
     total = 0
     for chunk in (pairs[i : i + step] for i in range(0, len(pairs), step)):
-        if 0 < len(chunk) * L <= FFT_SIZE_LIMIT:
+        if len(chunk) * L <= FFT_SIZE_LIMIT:
             estimate = _fft_coeffs(chunk, q, L)
             coeffs = np.rint(estimate)
             row0 = sum(_shift_row(a, b, 0) for a, b in chunk)
@@ -364,14 +365,11 @@ _MAX_GRID = 1 << 30
 
 
 def _grid_factor(oversample: int, L: int) -> int:
-    """``oversample`` as a plain int >= 1; bools and non-integers are refused
-    (``ValueError``), and so is a grid of more than 2^30 points
-    (:class:`~cskit.errors.SizeLimitError`)."""
-    try:
-        factor = operator.index(oversample)
-    except TypeError:
-        factor = 0
-    if isinstance(oversample, bool) or factor < 1:
+    """``oversample`` as a Python int >= 1 by :func:`cskit.gbf._index` (bools,
+    non-integers and integers below 1 raise ``ValueError``); a grid of more
+    than 2^30 points raises :class:`~cskit.errors.SizeLimitError`."""
+    factor = _index(oversample, "oversample must be an integer >= 1")
+    if factor < 1:
         raise ValueError(f"oversample must be an integer >= 1, got {oversample!r}")
     if factor * L > _MAX_GRID:
         raise SizeLimitError(f"a grid of {factor} * {L} points exceeds the limit of 2^30")

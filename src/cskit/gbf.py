@@ -16,6 +16,7 @@ Under this convention the length-``2^m`` value vector of ``f`` lists
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -67,6 +68,21 @@ def _check_domain(q: int, m: int, error: type[ValueError] = ValueError) -> None:
         raise error(f"modulus must be an even integer >= 2, got q={q!r}")
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise error(f"need at least one variable, got m={m!r}")
+
+
+def _index(n: object, rule: str) -> int:
+    """``n`` as a Python int; bools and non-integers raise ``ValueError(f"{rule}, got {n!r}")``."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"{rule}, got {n!r}")
+
+
+def _word_text(word: int, k: int) -> str:
+    """The k bits of a restriction word, bit 0 (the smallest restricted index) first."""
+    return format(word, f"0{k}b")[::-1] if k else ""
 
 
 def _require_power_of_two(q: int, what: str) -> int:
@@ -141,6 +157,7 @@ class GbfPoly:
     def monomial(cls, q: int, m: int, variables: Iterable[int], coeff: int = 1) -> GbfPoly:
         mask = 0
         for v in variables:
+            v = _index(v, "variable indices must be integers")
             if not 0 <= v < m:
                 raise ValueError(f"variable index {v} out of range for m={m}")
             mask |= 1 << v
@@ -402,14 +419,16 @@ class Restriction:
     """An assignment of fixed bits to a subset of the variables.
 
     ``indices`` are distinct and sorted ascending; ``bits[a]`` is the value
-    assigned to the a-th smallest restricted index.  The empty restriction is
-    allowed and acts as the identity.
+    assigned to the a-th smallest restricted index.  Both hold Python ints
+    (bools and floats are refused); the empty restriction is the identity.
     """
 
     indices: tuple[int, ...]
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "indices", tuple(_index(i, "restricted indices must be integers") for i in self.indices))
+        object.__setattr__(self, "bits", tuple(_index(b, "bits must be 0 or 1") for b in self.bits))
         if len(self.indices) != len(self.bits):
             raise ValueError("indices and bits must have equal length")
         if list(self.indices) != sorted(set(self.indices)):
@@ -429,6 +448,7 @@ class Restriction:
         """Assign bit a of ``word`` to the a-th smallest of ``indices``;
         ``word`` must lie in [0, 2^k) for k indices."""
         idx = sorted(indices)
+        word = _index(word, "a restriction word must be an integer")
         if not 0 <= word < 1 << len(idx):
             raise ValueError(f"word {word} out of range for {len(idx)} restricted variables")
         return cls(tuple(idx), tuple((word >> a) & 1 for a in range(len(idx))))
@@ -448,11 +468,7 @@ class Restriction:
         return mask
 
     def ones_mask(self) -> int:
-        mask = 0
-        for i, b in self.pairs():
-            if b:
-                mask |= 1 << i
-        return mask
+        return sum(1 << i for i, b in self.pairs() if b)
 
     def word(self) -> int:
         """The assigned bits packed into an integer (a-th smallest index -> bit a)."""
@@ -460,7 +476,7 @@ class Restriction:
 
     def bitstring(self) -> str:
         """Bits in index order, smallest restricted index first."""
-        return "".join(str(b) for b in self.bits)
+        return _word_text(self.word(), len(self))
 
     def selector(self, m: int) -> np.ndarray:
         """Boolean mask over the 2^m points selecting those that match."""

@@ -30,7 +30,6 @@ runs the same walk on one graph.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
@@ -38,7 +37,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DegreeError, GraphShapeError, MixedCouplingError
-from .gbf import GbfPoly, Restriction, _bits, restriction_table
+from .gbf import GbfPoly, Restriction, _bits, _index, _word_text, restriction_table
 
 __all__ = [
     "RestrictionGraph",
@@ -147,6 +146,7 @@ def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
     there: if it still occurs in a term of degree >= 2,
     :class:`MixedCouplingError` is raised.
     """
+    l = _index(l, "variable indices must be integers")
     if l in restricted:
         raise ValueError(f"x{l} is itself restricted")
     if not 0 <= l < f.m:
@@ -239,7 +239,7 @@ class RestrictionProfile:
         return all(g.is_balanced(self.q) for g in self.groups)
 
     def to_json(self) -> dict:
-        bits = {w: Restriction.assign(self.restricted, w).bitstring() for w in range(1 << self.k)}
+        bits = [_word_text(w, self.k) for w in range(1 << self.k)]
         return {
             "q": self.q,
             "m": self.m,
@@ -274,26 +274,15 @@ def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:
     docstring), all words at once.  The error names the first failing word,
     in word order, and says what :func:`graph_of` and :func:`classify` find
     wrong with it: a surviving cubic first, then the shape, then the
-    weights.  The restricted indices must be integers (bools are refused);
-    they are kept as Python ints.
+    weights.  The restricted indices must be integers (bools and floats are
+    refused); they are kept as Python ints.
 
     The profiles of the last few ``(f, restricted)`` pairs are kept, so
     analyzing the same polynomial again (as the callers of
     :func:`cskit.construct.random_qualifying_gbf` do after its self-check)
     is free; both the polynomial and the profile are immutable.
     """
-    return _analyze(f, tuple(map(_index, restricted)))
-
-
-def _index(i: object) -> int:
-    """A restricted index as a Python int (``np.int64(1)`` equals 1 as a
-    cache key); bools and non-integers are refused."""
-    if not isinstance(i, bool):
-        try:
-            return operator.index(i)
-        except TypeError:
-            pass
-    raise ValueError(f"restricted indices must be integers, got {i!r}")
+    return _analyze(f, tuple(_index(i, "restricted indices must be integers") for i in restricted))
 
 
 @lru_cache(maxsize=8)
@@ -320,7 +309,7 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
         word = int(np.argmin(ok))
         column = table[:, word].tolist()
         _refuse_cubic(units, column)
-        name = Restriction.assign(idx, word).bitstring() or "(empty)"
+        name = _word_text(word, k) or "(empty)"
         if not shaped[word]:
             raise GraphShapeError(f"restriction {name} is neither a path nor a path plus one isolated vertex")
         bad = sorted({c for u, c in zip(units, column) if u.bit_count() == 2 and c not in (0, f.q // 2)})

@@ -7,11 +7,13 @@ compared with ``is``, not with ``issubclass``.
 
 import json
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 
 from cskit import (
+    CycloValue,
     GbfPoly,
     ParseError,
     PolyphaseSeq,
@@ -22,6 +24,7 @@ from cskit import (
     cross_corr,
     euclid_sq_dist,
     gbf_from_json,
+    graph_of,
     l_value,
     lee_dist,
     min_distances,
@@ -29,7 +32,11 @@ from cskit import (
     random_qualifying_gbf,
     set_aacf,
 )
-from cskit.codebook import family_size
+from cskit.cli import main
+from cskit.codebook import codeword_matrix, count_codebook, enumerate_f_polys, family_size, log2_coset_count, standard_golay_gbfs
+from cskit.construct import cs_meta_from_text
+from cskit.correlation import read_sequences, write_sequences
+from cskit.gbf import _word_text
 from cskit.graphs import _analyze
 
 PATH = parse_gbf("q=4;m=3; 2*x0*x1 + 2*x1*x2")
@@ -63,12 +70,24 @@ REFUSALS = {
     "variable-beyond-m": (lambda: GbfPoly.variable(4, 3, 3), ValueError),
     "variable-negative": (lambda: GbfPoly.variable(4, 3, -1), ValueError),
     "monomial-beyond-m": (lambda: GbfPoly.monomial(4, 3, [0, 5]), ValueError),
+    "f-polys-variable-count": (lambda: enumerate_f_polys(1, 2, 2, m=4, variables=[3]), ValueError),
+    "coset-count-k-not-below-m": (lambda: log2_coset_count(4, 4, 1, 1), ValueError),
+    "r2-one-block": (lambda: count_codebook("R2", 6, 1, r=2, k=1, sizes=(2,)), ValueError),
+    "r2-two-free-vertices": (lambda: count_codebook("R2", 4, 1, r=2, k=2, sizes=(2, 2)), ValueError),
+    "golay-one-variable": (lambda: standard_golay_gbfs(1, 1), ValueError),
+    "codewords-none": (lambda: codeword_matrix([]), ValueError),
+    "sum-mixed-domains": (lambda: GbfPoly.variable(4, 3, 0) + GbfPoly.variable(8, 3, 0), ValueError),
+    "point-bits-not-0-1": (lambda: PATH((0, 2, 1)), ValueError),
+    "point-beyond-2^m": (lambda: PATH(8), ValueError),
+    "json-bad-text": (lambda: gbf_from_json("{"), ParseError),
     # restrictions and sequences
     "restriction-lengths": (lambda: Restriction((0, 1), (0,)), ValueError),
     "restriction-unsorted": (lambda: Restriction((1, 0), (0, 0)), ValueError),
     "restriction-repeated": (lambda: Restriction((1, 1), (0, 0)), ValueError),
     "restriction-negative": (lambda: Restriction((-1,), (0,)), ValueError),
     "restriction-bit": (lambda: Restriction((0,), (2,)), ValueError),
+    "graph-index-beyond-m": (lambda: graph_of(PATH, Restriction((5,), (0,))), ValueError),
+    "graph-every-variable": (lambda: graph_of(PATH, Restriction((0, 1, 2), (0, 0, 0))), ValueError),
     "sequence-2d": (lambda: PolyphaseSeq(4, [[0, 1], [1, 0]]), ValueError),
     "sequence-mask-length": (lambda: PolyphaseSeq(4, [0, 1], [True]), ValueError),
     # correlation
@@ -78,6 +97,11 @@ REFUSALS = {
     "set-empty": (lambda: set_aacf([]), ValueError),
     "set-mixed-moduli": (lambda: set_aacf([FULL, PolyphaseSeq(8, [0, 1, 2, 3])]), ValueError),
     "set-mixed-lengths": (lambda: set_aacf([FULL, PolyphaseSeq(4, [0, 1])]), ValueError),
+    "cyclo-coefficient-count": (lambda: CycloValue(4, (1,)), ValueError),
+    # sequence and set files
+    "read-non-integer": (lambda: read_sequences("0 1 x\n", 4), ParseError),
+    "write-masked": (lambda: write_sequences([MASKED]), ValueError),
+    "meta-bad-token": (lambda: cs_meta_from_text("# CS q=4 junk\n"), ParseError),
     # distances
     "lee-masked": (lambda: lee_dist(MASKED, FULL), ValueError),
     "euclid-masked": (lambda: euclid_sq_dist(FULL, MASKED), ValueError),
@@ -184,3 +208,63 @@ def test_analyze_keeps_restricted_indices_as_python_ints(first):
     for profile in profiles:
         assert profile.restricted == (1,) and type(profile.restricted[0]) is int
         assert json.loads(json.dumps(profile.to_json()))["restricted"] == [1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: aacf(FULL).at(4), lambda: aacf(FULL).at(-4), lambda: cross_corr(FULL, FULL).at(-1)],
+    ids=["aacf-shift-L", "aacf-shift-minus-L", "cross-negative-shift"],
+)
+def test_shift_outside_the_vector(call):
+    with pytest.raises(IndexError) as caught:
+        call()
+    assert caught.type is IndexError
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["random", "-m", "6", "-k", "1", "--q", "4", "--seed", "1", "--groups", "1,x"]],
+    ids=["analyze-no-polynomial", "random-groups-not-integers"],
+)
+def test_cli_refusal_exits_2(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "ParseError" in out.err
+
+
+# Refusals that the one integer rule (cskit.gbf._index) added: each input was
+# accepted before and gave a wrong answer, or failed with an untyped error.
+INTEGER_REFUSALS = {
+    # the bitstring read 'True1', and the float index 2.0 was kept
+    "restriction-bool-bit": lambda: Restriction((0, 2), (True, np.int64(1))),
+    "restriction-float-index": lambda: Restriction((np.int64(0), 2.0), (0, 1)),
+    "restriction-pairs-bool-bit": lambda: Restriction.from_pairs([(0, True)]),
+    # True was the word 1; 1.0 a bare TypeError
+    "assign-bool-word": lambda: Restriction.assign([0], True),
+    "assign-float-word": lambda: Restriction.assign([0], 1.0),
+    # bare TypeErrors
+    "l-value-float-variable": lambda: l_value(COUPLED, 3.0, [0], 1),
+    "monomial-float-variable": lambda: GbfPoly.monomial(4, 3, [1.0]),
+    # int(n) read 1.9 as 1: a polynomial with one group of 1, and the count of sizes (1, 1)
+    "random-float-group-size": lambda: random_qualifying_gbf(6, 1, 4, (1.9,), seed=1),
+    "r2-float-block-sizes": lambda: count_codebook("R2", 6, 1, r=2, k=1, sizes=(1.9, 1.2)),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_REFUSALS.values(), ids=INTEGER_REFUSALS.keys())
+def test_refusal_of_a_non_integer(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is ValueError
+
+
+def test_restriction_keeps_numpy_integers_as_python_ints():
+    r = Restriction((np.int64(0),), (np.uint8(1),))
+    assert r.indices == (0,) and type(r.indices[0]) is int and type(r.bits[0]) is int
+    assert r.bitstring() == "1"
+
+
+def test_word_text_is_the_bits_smallest_index_first():
+    for k in range(11):
+        for w in range(1 << k):
+            assert _word_text(w, k) == "".join(str((w >> a) & 1) for a in range(k))
