@@ -4,7 +4,8 @@ The package is organised by task:
 
 * :mod:`cskit.gbf` — polynomials over Z_q on binary variables, their
   sequences, parsing and serialisation;
-* :mod:`cskit.cyclo` — exact arithmetic in Z[w], w a 2^h-th root of unity;
+* :mod:`cskit.cyclo` — exact correlation values in Z[w], w a 2^h-th root
+  of unity;
 * :mod:`cskit.correlation` — exact aperiodic correlation, complementary-set
   verification, PMEPR measurement, Lee/Euclidean distances;
 * :mod:`cskit.graphs` — coupling graphs of restricted polynomials and the
@@ -17,7 +18,7 @@ The package is organised by task:
 * :mod:`cskit.cli` — the ``cskit`` command-line tool.
 """
 
-from .cyclo import CycloValue, cyclo_sum
+from .cyclo import CycloValue
 from .errors import (
     BalanceError,
     CskitError,

@@ -1,4 +1,4 @@
-"""Exact arithmetic with power-of-two roots of unity.
+"""Exact values in Z[omega], omega a power-of-two root of unity.
 
 Correlation values of polyphase sequences with q = 2**h phases are integer
 combinations of ``omega^j`` (``omega = exp(2*pi*1j/q)``).  Because the
@@ -7,6 +7,9 @@ powers ``omega^0 .. omega^{q/2 - 1}`` form an integral basis and the
 representation below is canonical: equality of :class:`CycloValue` instances
 is exact equality of the underlying algebraic numbers.  This is what lets the
 toolkit decide "is this correlation exactly zero?" without floating point.
+Correlations are summed as integer arrays; a :class:`CycloValue` is the
+read-only view of one entry, with equality, conjugation and the complex
+embedding, and no arithmetic of its own.
 
 This module is the one place that knows the basis.  An element is held as
 its q/2 integer coordinates (a row of an int64 array, or ``coeffs``), and
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .gbf import _require_power_of_two, _roots
+from .gbf import _index, _require_power_of_two, _roots
 
 __all__ = ["CycloValue"]
 
@@ -68,6 +71,7 @@ class CycloValue:
 
     def __post_init__(self) -> None:
         _require_power_of_two(self.q, "a cyclotomic value")
+        object.__setattr__(self, "coeffs", tuple(_index(a, "coefficients must be integers") for a in self.coeffs))
         if len(self.coeffs) != self.q // 2:
             raise ValueError(f"need exactly q/2 = {self.q // 2} coefficients")
 
@@ -82,52 +86,17 @@ class CycloValue:
         return cls(q, (n,) + (0,) * (q // 2 - 1))
 
     @classmethod
-    def from_power(cls, q: int, exponent: int) -> CycloValue:
-        """The exact value ``omega^exponent``."""
-        return cls.from_int(q, 1).times_power(exponent)
-
-    @classmethod
     def from_counts(cls, q: int, counts: Sequence[int]) -> CycloValue:
         """Sum of ``counts[e]`` copies of ``omega^e`` for e = 0 .. q-1."""
         if len(counts) != q:
             raise ValueError(f"need q = {q} counts")
-        return cls(q, tuple(int(c) for c in _fold(np.asarray(counts, dtype=object))))
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: CycloValue) -> CycloValue:
-        if not isinstance(other, CycloValue):
-            return NotImplemented
-        if self.q != other.q:
-            raise ValueError(f"mixed moduli: {self.q} vs {other.q}")
-        return CycloValue(self.q, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: CycloValue) -> CycloValue:
-        if not isinstance(other, CycloValue):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self) -> CycloValue:
-        return CycloValue(self.q, tuple(-a for a in self.coeffs))
-
-    def scale(self, n: int) -> CycloValue:
-        return CycloValue(self.q, tuple(n * a for a in self.coeffs))
-
-    def _mapped(self, exponents: np.ndarray) -> CycloValue:
-        """Send each ``omega^j`` to ``omega^exponents[j]`` (distinct mod q) and fold."""
-        counts = np.zeros(self.q, dtype=object)
-        counts[exponents % self.q] = self.coeffs
-        return CycloValue.from_counts(self.q, counts)
-
-    def times_power(self, exponent: int) -> CycloValue:
-        """Multiply by ``omega^exponent`` (an exact rotation of the basis)."""
-        return self._mapped(np.arange(self.q // 2) + exponent % self.q)
-
-    def conj(self) -> CycloValue:
-        """Complex conjugate: ``omega^j -> omega^{-j}``."""
-        return self._mapped(-np.arange(self.q // 2))
+        return cls(q, tuple(_fold(np.asarray(counts, dtype=object))))
 
     # -- queries -----------------------------------------------------------
+
+    def conj(self) -> CycloValue:
+        """Complex conjugate: ``omega^{-j} = -omega^{q/2 - j}`` for 0 < j < q/2."""
+        return CycloValue(self.q, self.coeffs[:1] + tuple(-a for a in self.coeffs[:0:-1]))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -147,6 +116,3 @@ class CycloValue:
         body = " + ".join(f"{a}*w{j}" for j, a in enumerate(self.coeffs) if a)
         return f"<CycloValue q={self.q}: {body}>"
 
-
-def cyclo_sum(q: int, values: Iterable[CycloValue]) -> CycloValue:
-    return sum(values, CycloValue.zero(q))

@@ -80,6 +80,14 @@ def _index(n: object, rule: str) -> int:
     raise ValueError(f"{rule}, got {n!r}")
 
 
+def _variable_bit(v: object, m: int) -> int:
+    """``1 << v`` for a variable index v in [0, m), read by :func:`_index`."""
+    v = _index(v, "variable indices must be integers")
+    if not 0 <= v < m:
+        raise ValueError(f"variable index {v} out of range for m={m}")
+    return 1 << v
+
+
 def _word_text(word: int, k: int) -> str:
     """The k bits of a restriction word, bit 0 (the smallest restricted index) first."""
     return format(word, f"0{k}b")[::-1] if k else ""
@@ -103,9 +111,8 @@ class GbfPoly:
 
     ``terms`` maps monomial bitmasks to nonzero coefficients in ``[1, q)``;
     construct instances through :meth:`from_terms` (or the parser) so the
-    canonical invariants hold.  Instances are immutable and hashable, and
-    support ``+``, ``-``, ``*`` (both polynomial and integer-scalar
-    products), all taken modulo q.
+    canonical invariants hold.  Instances are immutable and hashable.  ``+``
+    adds a polynomial or an int and ``*`` scales by an int, both modulo q.
     """
 
     q: int
@@ -157,10 +164,7 @@ class GbfPoly:
     def monomial(cls, q: int, m: int, variables: Iterable[int], coeff: int = 1) -> GbfPoly:
         mask = 0
         for v in variables:
-            v = _index(v, "variable indices must be integers")
-            if not 0 <= v < m:
-                raise ValueError(f"variable index {v} out of range for m={m}")
-            mask |= 1 << v
+            mask |= _variable_bit(v, m)
         return cls.from_terms(q, m, {mask: coeff})
 
     # -- views -------------------------------------------------------------
@@ -174,7 +178,7 @@ class GbfPoly:
 
     def linear_coeff(self, index: int) -> int:
         """Coefficient of the bare variable ``x_index``."""
-        return self.coeff(1 << index)
+        return self.coeff(_variable_bit(index, self.m))
 
     @property
     def constant(self) -> int:
@@ -217,42 +221,23 @@ class GbfPoly:
 
     # -- algebra -----------------------------------------------------------
 
-    def _compatible(self, other: GbfPoly) -> None:
-        if self.q != other.q or self.m != other.m:
-            raise ValueError(
-                f"mixed domains: (q={self.q}, m={self.m}) vs (q={other.q}, m={other.m})"
-            )
-
     def __add__(self, other: GbfPoly | int) -> GbfPoly:
         if isinstance(other, int):
             other = GbfPoly.const(self.q, self.m, other)
         if not isinstance(other, GbfPoly):
             return NotImplemented
-        self._compatible(other)
+        if self.q != other.q or self.m != other.m:
+            raise ValueError(
+                f"mixed domains: (q={self.q}, m={self.m}) vs (q={other.q}, m={other.m})"
+            )
         return GbfPoly.from_terms(self.q, self.m, list(self.terms) + list(other.terms))
 
     __radd__ = __add__
 
-    def __neg__(self) -> GbfPoly:
-        return GbfPoly(self.q, self.m, tuple((tm, self.q - c) for tm, c in self.terms))
-
-    def __sub__(self, other: GbfPoly | int) -> GbfPoly:
-        if not isinstance(other, (GbfPoly, int)):
+    def __mul__(self, other: int) -> GbfPoly:
+        if not isinstance(other, int):
             return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: GbfPoly | int) -> GbfPoly:
-        if isinstance(other, int):
-            return GbfPoly.from_terms(self.q, self.m, ((tm, c * other) for tm, c in self.terms))
-        if not isinstance(other, GbfPoly):
-            return NotImplemented
-        self._compatible(other)
-        prods = (
-            (tm1 | tm2, c1 * c2)
-            for tm1, c1 in self.terms
-            for tm2, c2 in other.terms
-        )
-        return GbfPoly.from_terms(self.q, self.m, prods)
+        return GbfPoly.from_terms(self.q, self.m, ((tm, c * other) for tm, c in self.terms))
 
     __rmul__ = __mul__
 
@@ -264,8 +249,10 @@ class GbfPoly:
         A sequence ``(b0, b1, ...)`` assigns ``x_a = b_a``; an integer ``i``
         assigns ``x_a`` the a-th bit of ``i``.
         """
-        if not isinstance(point, int):
-            bits = list(point)
+        if not isinstance(point, Iterable):
+            point = _index(point, "a point must be an integer or a sequence of bits")
+        else:
+            bits = [_index(b, f"point must be {self.m} bits") for b in point]
             if len(bits) != self.m or any(b not in (0, 1) for b in bits):
                 raise ValueError(f"point must be {self.m} bits")
             point = sum(b << a for a, b in enumerate(bits))
@@ -286,25 +273,6 @@ class GbfPoly:
         exceeds :data:`MAX_VALUE_VECTOR_M`.
         """
         return anf_values(self.q, self.m, [tm for tm, _ in self.terms], [[c for _, c in self.terms]])[0]
-
-    # -- restriction -------------------------------------------------------
-
-    def restrict(self, restriction: Restriction) -> GbfPoly:
-        """Substitute fixed bits for the restricted variables and re-canonicalize.
-
-        The result lives on the same m variables (indices are preserved); the
-        restricted ones simply no longer occur.  Reduction mod q happens after
-        substitution, so terms may cancel.
-        """
-        fixed_mask = restriction.variable_mask(self.m)
-        ones = restriction.ones_mask()
-        out: list[tuple[int, int]] = []
-        for tm, c in self.terms:
-            hit = tm & fixed_mask
-            if hit & ~ones:
-                continue  # some factor is pinned to 0
-            out.append((tm & ~fixed_mask, c))
-        return GbfPoly.from_terms(self.q, self.m, out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -382,13 +350,13 @@ def restriction_table(f: GbfPoly, restricted: Sequence[int]) -> tuple[list[int],
 
     Returns ``(units, table)``: ``units`` are the distinct unrestricted parts
     u of f's monomials, ascending, and ``table[i, w]`` is, mod q, the
-    coefficient of ``x_{units[i]}`` in ``f.restrict(Restriction.assign(
-    restricted, w))``.  A term ``c x_u x_r`` survives the word w exactly when
-    r is a subset of w's ones, so the table is the zeta transform over the k
-    restricted bits of f's coefficients laid out by (u, r); its inverse, the
-    Moebius transform, gives the coefficients back (see
-    :func:`_poly_from_parts`).  Cells hold Python ints wherever a mask bit
-    is 63 or more or a sum can reach 2^63.
+    coefficient of ``x_{units[i]}`` once bit a of the word w is substituted
+    for ``x_{restricted[a]}``.  A term ``c x_u x_r`` survives the word w
+    exactly when r is a subset of w's ones, so the table is the zeta transform
+    over the k restricted bits of f's coefficients laid out by (u, r); its
+    inverse, the Moebius transform, gives the coefficients back (see
+    :func:`_poly_from_parts`).  Cells hold Python ints wherever a mask bit is
+    63 or more or a sum can reach 2^63.
     """
     k = len(restricted)
     masks = np.array([tm for tm, _ in f.terms], dtype=_mask_dtype(f.m))
@@ -466,9 +434,6 @@ class Restriction:
                 raise ValueError(f"restricted index {i} out of range for m={m}")
             mask |= 1 << i
         return mask
-
-    def ones_mask(self) -> int:
-        return sum(1 << i for i, b in self.pairs() if b)
 
     def word(self) -> int:
         """The assigned bits packed into an integer (a-th smallest index -> bit a)."""

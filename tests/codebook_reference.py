@@ -14,7 +14,7 @@ import numpy as np
 
 from cskit import GbfPoly, Restriction
 from cskit.codebook import _f_generators
-from construct_reference import indicator_poly, path_quadratic
+from construct_reference import indicator_poly, path_quadratic, product
 from cskit.errors import EnumerationError
 
 
@@ -81,7 +81,7 @@ def _coset_polys(m: int, k: int, r: int, h: int, *, excl: bool = False) -> Itera
     for combo in itertools.product(gi_polys, repeat=len(couplers)):
         base = GbfPoly.zero(q, m)
         for i, gi in zip(couplers, combo):
-            base = base + GbfPoly.variable(q, m, i) * gi
+            base = base + product(GbfPoly.variable(q, m, i), gi)
         for g in g_polys:
             yield base + g
 
@@ -101,7 +101,7 @@ def _path_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
         f = GbfPoly.zero(q, m)
         for word, path in enumerate(assignment):
             ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
-            f = f + ind * path_quadratic(q, m, path, q // 2)
+            f = f + product(ind, path_quadratic(q, m, path, q // 2))
         yield f
 
 
@@ -127,7 +127,7 @@ def _isolated_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
             f = coupling
             for word, path in enumerate(assignment):
                 ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
-                f = f + ind * path_quadratic(q, m, path, half)
+                f = f + product(ind, path_quadratic(q, m, path, half))
             yield f
 
 
@@ -160,7 +160,7 @@ def _multi_isolated_reps(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -
         for (l, words, j), paths in zip(blocks, picks):
             for rank, word in enumerate(words):
                 ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-                f = f + ind * path_quadratic(q, m, paths[min(rank, j - 1)], half)
+                f = f + product(ind, path_quadratic(q, m, paths[min(rank, j - 1)], half))
         yield f
 
 

@@ -14,8 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from cskit import CycloValue, GbfPoly, PolyphaseSeq, Restriction, analyze, cyclo_sum, render_gbf, write_sequences
+from cskit import GbfPoly, PolyphaseSeq, Restriction, analyze, render_gbf, write_sequences
 from cskit.graphs import RestrictionProfile
+
+from cyclo_reference import folded, histogram
+
+
+def product(f: GbfPoly, g: GbfPoly) -> GbfPoly:
+    """The pointwise product mod q: every pair of terms multiplies into the
+    monomial on the union of their variables, since ``x * x = x`` on bits."""
+    return GbfPoly.from_terms(f.q, f.m, ((a | b, c * d) for a, c in f.terms for b, d in g.terms))
 
 
 def indicator_poly(q: int, m: int, restriction: Restriction) -> GbfPoly:
@@ -27,7 +35,7 @@ def indicator_poly(q: int, m: int, restriction: Restriction) -> GbfPoly:
     out = GbfPoly.const(q, m, 1)
     for j, b in restriction.pairs():
         xj = GbfPoly.variable(q, m, j)
-        out = out * (xj if b else (GbfPoly.const(q, m, 1) - xj))
+        out = product(out, xj if b else GbfPoly.const(q, m, 1) + (q - 1) * xj)
     return out
 
 
@@ -52,7 +60,7 @@ def _endpoint_poly(profile: RestrictionProfile) -> GbfPoly:
     total = GbfPoly.zero(q, m)
     for word, t in profile.endpoints:
         ind = indicator_poly(q, m, Restriction.assign(profile.restricted, word))
-        total = total + ind * GbfPoly.variable(q, m, t)
+        total = total + product(ind, GbfPoly.variable(q, m, t))
     return total
 
 
@@ -84,16 +92,15 @@ def members(f: GbfPoly, profile: RestrictionProfile, doubled: bool) -> tuple[Gbf
 
 
 def predicted_coeffs(profile: RestrictionProfile, doubled: bool) -> np.ndarray:
-    """The predicted summed autocorrelation built by ``CycloValue`` algebra:
-    peak n * 2^m, and unless doubled the row ``2^m * omega^{g_l} * sum_c
-    omega^{L_c}`` at shift 2^l for each isolated group."""
+    """The predicted summed autocorrelation, each row folded from its
+    exponent histogram: peak n * 2^m, and unless doubled the row ``2^m *
+    sum_c omega^{g_l + L_c}`` at shift 2^l for each isolated group."""
     q, m, k = profile.q, profile.m, profile.k
     coeffs = np.zeros((1 << m, q // 2), dtype=np.int64)
     coeffs[0, 0] = (1 << (k + 2) if doubled else 1 << (k + 1)) << m
     if not doubled:
         for g in profile.groups:
-            total = cyclo_sum(q, (CycloValue.from_power(q, v) for v in g.l_values))
-            coeffs[1 << g.l] = total.times_power(g.g_l).scale(1 << m).coeffs
+            coeffs[1 << g.l] = folded(q, histogram(q, [(g.g_l + v, 1 << m) for v in g.l_values]))
     return coeffs
 
 
@@ -151,25 +158,25 @@ def random_qualifying_gbf(
         ind = indicator_poly(q, m, Restriction.assign(restricted, word))
         order = unrestricted[:]
         rng.shuffle(order)
-        f = f + ind * path_quadratic(q, m, order, half)
+        f = f + product(ind, path_quadratic(q, m, order, half))
     for l, block in zip(isolated, blocks[1:]):
         others = [v for v in unrestricted if v != l]
         for word in block:
             ind = indicator_poly(q, m, Restriction.assign(restricted, word))
             order = others[:]
             rng.shuffle(order)
-            f = f + ind * path_quadratic(q, m, order, half)
+            f = f + product(ind, path_quadratic(q, m, order, half))
         xl = GbfPoly.variable(q, m, l)
         if balanced:
             for word in rng.sample(block, len(block) // 2):
                 ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-                f = f + half * (ind * xl)
+                f = f + half * product(ind, xl)
         else:
             for word in block:
                 rho = rng.randrange(q)
                 if rho:
                     ind = indicator_poly(q, m, Restriction.assign(restricted, word))
-                    f = f + rho * (ind * xl)
+                    f = f + rho * product(ind, xl)
 
     for mask_bits in range(1, 1 << k):
         mask = 0

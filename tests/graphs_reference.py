@@ -2,7 +2,7 @@
 
 These are ``graphs.analyze``, ``graph_of``, ``classify``, ``l_value`` and
 ``codebook._indicator_anf`` as they stood before the restriction table: one
-restricted ``GbfPoly`` per restriction word (``GbfPoly.restrict``), its
+restricted ``GbfPoly`` per restriction word (:func:`restrict`), its
 coupling graph built from the reduced terms and classified on its own by
 tracing the path through an adjacency list, the surpluses of the isolated
 vertices read from the restricted polynomial, and the indicator ANF
@@ -20,6 +20,20 @@ from cskit.gbf import _bits
 from cskit.graphs import IsolatedGroup, RestrictionGraph, RestrictionProfile, ShapeClass
 
 
+def restrict(f: GbfPoly, restriction: Restriction) -> GbfPoly:
+    """Substitute the restriction's bits for its variables, term by term: a
+    term holding a variable set to 0 vanishes, and a variable set to 1 drops
+    out of its monomial.  Indices are kept; the terms are re-summed mod q."""
+    restriction.variable_mask(f.m)  # refuses a restricted index beyond x_{m-1}
+    bits = dict(restriction.pairs())
+    out = []
+    for mask, coeff in f.terms:
+        fixed = [i for i in _bits(mask) if i in bits]
+        if all(bits[i] for i in fixed):
+            out.append((mask - sum(1 << i for i in fixed), coeff))
+    return GbfPoly.from_terms(f.q, f.m, out)
+
+
 def graph_of(f: GbfPoly, restriction: Restriction) -> RestrictionGraph:
     """The coupling graph of the reduced restricted polynomial."""
     fixed = set(restriction.indices)
@@ -27,7 +41,7 @@ def graph_of(f: GbfPoly, restriction: Restriction) -> RestrictionGraph:
     if not vertices:
         raise ValueError("restriction fixes every variable")
     edges = []
-    for mask, coeff in f.restrict(restriction).terms:
+    for mask, coeff in restrict(f, restriction).terms:
         deg = mask.bit_count()
         if deg >= 3:
             raise DegreeError(
@@ -85,7 +99,7 @@ def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
     if l in restricted:
         raise ValueError(f"x{l} is itself restricted")
     r = Restriction.assign(restricted, word)
-    reduced = f.restrict(r)
+    reduced = restrict(f, r)
     for mask, _ in reduced.terms:
         if (mask >> l) & 1 and mask.bit_count() >= 2:
             raise MixedCouplingError(

@@ -33,7 +33,6 @@ from cskit import (
     write_sequences,
 )
 from cskit import correlation, gbf
-from cskit.cyclo import CycloValue
 from cskit.gbf import PolyphaseSeq
 
 
@@ -82,12 +81,8 @@ def test_masked_sequences_correlate():
     f = parse_gbf("q=4;m=3; 2*x0*x1 + x2")
     parts = [psi_restricted(f, Restriction.assign([1], c)) for c in (0, 1)]
     full = aacf(psi(f))
-    for tau in range(1, 8):
-        total = CycloValue.zero(4)
-        for p1 in parts:
-            for p2 in parts:
-                total = total + cross_corr(p1, p2).at(tau)
-        assert total == full.at(tau)
+    total = sum(cross_corr(p1, p2).coeffs for p1 in parts for p2 in parts)
+    assert np.array_equal(total, full.coeffs)
 
 
 def test_pmepr_known_value():

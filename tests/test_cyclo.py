@@ -3,21 +3,10 @@ import random
 
 import pytest
 
-from cskit.cyclo import CycloValue, cyclo_sum
+from cskit.cyclo import CycloValue
 from cskit.errors import ModulusError
 
-
-def w(q, e):
-    return cmath.exp(2j * cmath.pi * e / q)
-
-
-def test_from_power_reduction():
-    # powers in the upper half fold with a sign flip
-    assert CycloValue.from_power(4, 0).coeffs == (1, 0)
-    assert CycloValue.from_power(4, 1).coeffs == (0, 1)
-    assert CycloValue.from_power(4, 2).coeffs == (-1, 0)
-    assert CycloValue.from_power(4, 3).coeffs == (0, -1)
-    assert CycloValue.from_power(4, 5).coeffs == (0, 1)
+from cyclo_reference import folded, histogram
 
 
 def test_from_counts():
@@ -28,12 +17,6 @@ def test_from_counts():
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
 def test_complex_embedding_is_homomorphic(q):
     a = CycloValue.from_counts(q, [(i * 7 + 3) % 5 for i in range(q)])
-    b = CycloValue.from_counts(q, [(i * 3 + 1) % 4 for i in range(q)])
-    assert cmath.isclose(complex(a + b), complex(a) + complex(b), abs_tol=1e-9)
-    assert cmath.isclose(complex(a - b), complex(a) - complex(b), abs_tol=1e-9)
-    assert cmath.isclose(complex(a.scale(5)), 5 * complex(a), abs_tol=1e-9)
-    for e in range(2 * q):
-        assert cmath.isclose(complex(a.times_power(e)), complex(a) * w(q, e), abs_tol=1e-9)
     assert cmath.isclose(complex(a.conj()), complex(a).conjugate(), abs_tol=1e-9)
 
 
@@ -43,7 +26,7 @@ def test_zero_and_truthiness():
     assert complex(z) == 0
     nz = CycloValue.from_int(8, 3)
     assert nz and not nz.is_zero()
-    assert (nz - nz).is_zero()
+    assert not CycloValue.from_counts(8, [3, 0, 0, 0, 3, 0, 0, 0])  # 3 + 3 w^4 = 0
     for q in (6, 1, 0):  # the package's one modulus check; ModulusError is a ValueError
         with pytest.raises(ModulusError):
             CycloValue.zero(q)
@@ -51,40 +34,17 @@ def test_zero_and_truthiness():
 
 def test_exactness_where_floats_would_wobble():
     # w^1 + w^3 = 0 over Z_4 exactly, no epsilon
-    v = CycloValue.from_power(4, 1) + CycloValue.from_power(4, 3)
-    assert v.is_zero()
-    total = cyclo_sum(8, [CycloValue.from_power(8, e) for e in range(8)])
-    assert total.is_zero()
+    assert CycloValue.from_counts(4, [0, 1, 0, 1]).is_zero()
+    assert CycloValue.from_counts(8, [1] * 8).is_zero()
 
 
 def test_abs():
     v = CycloValue.from_int(4, 3)
     assert abs(v) == pytest.approx(3.0)
-    assert abs(CycloValue.from_power(8, 5)) == pytest.approx(1.0)
+    assert abs(CycloValue(8, (0, -1, 0, 0))) == pytest.approx(1.0)  # w^5 = -w^1
 
 
 # -- the basis against exact histogram references -------------------------------
-
-
-def folded(q, counts):
-    """Coordinates of sum_e counts[e] * w^e, one residue at a time."""
-    half = q // 2
-    out = [0] * half
-    for e, c in enumerate(counts):
-        e %= q
-        if e < half:
-            out[e] += c
-        else:
-            out[e - half] -= c
-    return tuple(out)
-
-
-def histogram(q, pairs):
-    """The length-q residue histogram of (exponent, multiplicity) pairs."""
-    counts = [0] * q
-    for e, c in pairs:
-        counts[e % q] += c
-    return counts
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
@@ -96,23 +56,17 @@ def test_basis_operations_match_the_histogram_reference(q):
         v = CycloValue.from_counts(q, counts)
         assert v.coeffs == folded(q, counts)
         assert all(type(a) is int for a in v.coeffs)
-        for e in [rng.randint(-3 * q, -1), rng.randint(0, q - 1), rng.randint(2 * q, 5 * q), -2 * q, 2 * q]:
-            assert CycloValue.from_power(q, e).coeffs == folded(q, histogram(q, [(e, 1)]))
-            rotated = histogram(q, [(j + e, a) for j, a in enumerate(v.coeffs)])
-            assert v.times_power(e).coeffs == folded(q, rotated)
         assert v.conj().coeffs == folded(q, histogram(q, [(-j, a) for j, a in enumerate(v.coeffs)]))
     big = [10**30 + e for e in range(q)]  # beyond int64: the reduction stays exact
     assert CycloValue.from_counts(q, big).coeffs == folded(q, big)
-    assert CycloValue(q, (10**30,) * half).times_power(half).coeffs == (-(10**30),) * half
+    assert CycloValue.from_counts(q, [0] * half + [10**30] * half).coeffs == (-(10**30),) * half
 
 
 def test_basis_operations_keep_their_errors_and_repr():
     with pytest.raises(ValueError, match="need q = 8 counts"):
         CycloValue.from_counts(8, [1] * 7)
-    with pytest.raises(ValueError, match="mixed moduli"):
-        CycloValue.zero(4) - CycloValue.zero(8)
     assert repr(CycloValue.from_counts(8, [3, 0, 1, 0, 1, 0, 0, 2])) == "<CycloValue q=8: 2*w0 + 1*w2 + -2*w3>"
-    assert repr(CycloValue.from_power(4, 2) + CycloValue.from_power(4, 0)) == "CycloValue.zero(4)"
+    assert repr(CycloValue.from_counts(4, [1, 0, 1, 0])) == "CycloValue.zero(4)"
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])

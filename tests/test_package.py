@@ -25,3 +25,18 @@ def test_one_integer_rule():
     sources = {path.name: path.read_text() for path in pathlib.Path(cskit.__file__).parent.glob("*.py")}
     assert [name for name, text in sources.items() if "import operator" in text] == ["gbf.py"]
     assert [name for name, text in sources.items() if "int(n) for n" in text] == []
+
+
+def test_no_ring_algebra_beyond_what_a_stage_uses():
+    """Correlation values are summed as integer arrays and polynomials built
+    from sums and integer multiples, so no other algebra is exported."""
+    assert not hasattr(cskit, "cyclo_sum")
+    retired = {
+        cskit.CycloValue: ["__add__", "__sub__", "__neg__", "scale", "_mapped", "times_power", "from_power"],
+        cskit.GbfPoly: ["__sub__", "__neg__", "restrict"],
+        cskit.Restriction: ["ones_mask"],
+    }
+    assert [(cls.__name__, n) for cls, names in retired.items() for n in names if hasattr(cls, n)] == []
+    x0 = cskit.GbfPoly.variable(4, 2, 0)
+    with pytest.raises(TypeError):
+        x0 * x0

@@ -268,3 +268,44 @@ def test_word_text_is_the_bits_smallest_index_first():
     for k in range(11):
         for w in range(1 << k):
             assert _word_text(w, k) == "".join(str((w >> a) & 1) for a in range(k))
+
+
+# Refusals that reading coefficients, points and variable indices by the one
+# integer rule added: each input was accepted before and gave a wrong or
+# inexact answer, or failed with an untyped error.
+EXACTNESS_REFUSALS = {
+    # an "exact" value that held 0.5*w0, True*w0 or a*w0
+    "cyclo-float-coefficient": lambda: CycloValue(4, (0.5, 0)),
+    "cyclo-bool-coefficient": lambda: CycloValue(4, (True, 0)),
+    "cyclo-text-coefficient": lambda: CycloValue(4, ("a", 0)),
+    # int() truncated the fold 0.5 - 1.7 to -1
+    "cyclo-float-counts": lambda: CycloValue.from_counts(4, [0.5, 0, 1.7, 0]),
+    # bare TypeErrors: "'float' object is not iterable", a float shift
+    "point-float": lambda: PATH(3.0),
+    "point-float-bit": lambda: PATH((0, 1.0, 1)),
+    # evaluated at the point 1, or at the bits (0, 1, 1)
+    "point-bool": lambda: PATH(True),
+    "point-bool-bit": lambda: PATH((0, True, 1)),
+    # a bare TypeError, "negative shift count", and 0 for x5 at m = 3
+    "linear-coeff-float": lambda: PATH.linear_coeff(1.0),
+    "linear-coeff-negative": lambda: PATH.linear_coeff(-1),
+    "linear-coeff-beyond-m": lambda: PATH.linear_coeff(5),
+    # read as x1
+    "linear-coeff-bool": lambda: PATH.linear_coeff(True),
+}
+
+
+@pytest.mark.parametrize("call", EXACTNESS_REFUSALS.values(), ids=EXACTNESS_REFUSALS.keys())
+def test_refusal_of_an_inexact_integer(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is ValueError
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    """A NumPy integer point (a bare TypeError before) is the same point, and
+    a NumPy coefficient is held as a Python int."""
+    assert PATH(np.int64(3)) == PATH(3) == PATH(np.array([1, 1, 0])) == 2
+    assert PATH.linear_coeff(np.uint8(2)) == PATH.linear_coeff(2)
+    v = CycloValue(4, (np.int64(2), 0))
+    assert type(v.coeffs[0]) is int and repr(v) == "<CycloValue q=4: 2*w0>"
