@@ -1,7 +1,8 @@
 """Brute-force reference for the codebook enumerators.
 
 These are the enumerators as they stood before the coefficient-row core:
-every word is built by ``GbfPoly`` algebra, and the union codes deduplicate
+every word is built by ``GbfPoly`` algebra (products by
+``construct_reference.product``), and the union codes deduplicate
 by value vector.  ``test_properties.py`` checks that the library yields the
 same polynomials in the same order.
 """

@@ -4,7 +4,9 @@ These are the constructions as they stood before every family was held as
 Z_q coefficient rows: members built by ``GbfPoly`` algebra, one value vector
 per member by summing every term over all 2^m points, each member exported
 term by term, and the random qualifying polynomial summed by ``GbfPoly``
-algebra, with the indicator and path polynomials it was summed from.
+algebra, with the indicator and path polynomials it was summed from.  The
+library keeps only sums and integer multiples, so the products are
+:func:`product` here.
 ``test_construct_properties.py`` checks that the library gives the same
 members, phases, text and JSON bytes, and the same random instances.
 """
