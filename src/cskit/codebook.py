@@ -25,15 +25,17 @@ Three kinds of results live here:
   and the codewords of the distance kernel below.  The word count comes in
   closed form from the factor sizes, and any family above 2^22 words is
   refused before anything is built;
-* exhaustive minimum-distance computation for the bounded-effective-degree
-  code (:func:`erm_min_distances`), by direct enumeration up to 2^24
-  codewords and 2^28 symbols — codewords held as packed bit planes, one per
-  bit of the symbol, with symbol counts taken by popcount and weighed with
-  the symbol tables of :mod:`cskit.correlation` — and beyond that by an
-  exhaustive per-stratum argument (every codeword is 2^i times a polynomial
-  with an odd coefficient; the binary residue is a Reed–Muller word,
-  enumerated in full, and explicit monomial witnesses attain the resulting
-  bound).
+* exact minimum distances of the bounded-effective-degree code
+  (:func:`erm_min_distances`), for every code by one per-stratum argument:
+  every codeword is 2^i times a polynomial with an odd coefficient, whose
+  binary residue is a Reed–Muller word, and explicit monomial witnesses
+  attain the resulting bound.  The Reed–Muller weights split by Plotkin's
+  (u | u+v) recursion down to leaves of m <= 6 and dimension <= 17, each
+  enumerated in full as 64-bit words and weighed by popcount, so a call
+  peaks under 1 MiB at any m.  The exhaustive kernel — codewords held as
+  packed bit planes, one per bit of the symbol, with symbol counts taken by
+  popcount and weighed with the symbol tables of :mod:`cskit.correlation` —
+  weighs :func:`rm_min_weight` and is the tests' oracle for Z_q codes.
 
 Printed rate tables from the literature are embedded as fixtures with their
 original spellings; :func:`golden_report` confronts them entry by entry with
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -54,7 +57,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .correlation import _weight_tables
-from .errors import EnumerationError
+from .errors import EnumerationError, SizeLimitError
 from .gbf import GbfPoly, _check_domain, _index, _require_value_vector_size, _subset_sums, _word_masks, polys_from_rows
 
 __all__ = [
@@ -414,31 +417,81 @@ def _min_weights_direct(gens: Sequence[_Gen], q: int, m: int) -> tuple[int, floa
     return best_lee, best_euc
 
 
+# A Reed–Muller code RM(r, m) with m <= 6 (every word one 64-bit integer) and
+# dimension at most 17 is a leaf of :func:`_rm_distance`, weighed in full.
+_LEAF_M = 6
+_LEAF_DIM = 17
+
+
+def _is_rm_leaf(r: int, m: int) -> bool:
+    return m <= _LEAF_M and sum(math.comb(m, d) for d in range(r + 1)) <= _LEAF_DIM
+
+
+def _rm_leaf_weight(r: int, m: int) -> int:
+    """Exhaustive minimum weight of RM(r, m), m <= 6: the span of the monomial
+    words, built by XOR doubling as 64-bit integers, weighed by popcount."""
+    gens = _f_generators(r, m, 1)
+    span = np.zeros(1 << len(gens), dtype=np.uint64)
+    for j, g in enumerate(gens):  # the first 2^j words span the first j generators
+        word = sum(1 << x for x in range(1 << m) if (x & g.mask) == g.mask)
+        np.bitwise_xor(span[: 1 << j], np.uint64(word), out=span[1 << j : 2 << j])
+    return int(np.bitwise_count(span[1:]).min())
+
+
+def _rm_distance(r: int, m: int) -> int:
+    """Minimum weight of the binary Reed–Muller code RM(r, m), r >= 0.
+
+    A leaf (m <= 6, dimension at most 17) is weighed in full by
+    :func:`_rm_leaf_weight`.  Any other code is split by Plotkin's
+    construction RM(r, m) = {(u | u + v) : u in RM(r, m-1), v in RM(r-1, m-1)}:
+    a word with v = 0 weighs 2 wt(u), any other at least wt(u) + wt(u + v) >=
+    wt(v), and (u | u) and (0 | v) attain both, so
+    d(r, m) = min(2 d(r, m-1), d(r-1, m-1)), where RM(-1, m) = {0} has no
+    nonzero word.  The orders each level needs are found from the top down and
+    the weights filled in from the bottom up, one level at a time, so nothing
+    recurses m deep and nothing is kept beyond the call.
+    """
+    levels = []  # (k, the orders of RM(., k) needed), from level m down
+    k, need = m, {min(r, m)}
+    while need:
+        levels.append((k, need))
+        need = {min(t, k - 1) for s in need if not _is_rm_leaf(s, k) for t in (s, s - 1) if t >= 0}
+        k -= 1
+    below: dict[int, int] = {}
+    for k, orders in reversed(levels):
+        below = {
+            s: _rm_leaf_weight(s, k) if _is_rm_leaf(s, k) else min(2 * below[min(s, k - 1)], below[s - 1] if s else math.inf)
+            for s in orders
+        }
+    return below[min(r, m)]
+
+
 def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
-    """Exhaustive per-stratum minimum weights of F(r, m, h).
+    """Exact per-stratum minimum weights of F(r, m, h).
 
     Every nonzero f is 2^i * g with g carrying an odd coefficient and
-    deg(g) <= min(r+i, m), so g mod 2 is a nonzero word of the (exhaustively
-    enumerated) binary Reed–Muller code of that order.  Where g is odd the
-    symbol 2^i * odd has Lee value at least 2^i and squared Euclidean value
-    at least 4 sin^2(pi / 2^{h-i}) — both finite per-residue checks — which
-    bounds each stratum from below; the monomial witnesses 2^i * x_T with
-    |T| = min(r+i, m) attain the bounds exactly.  The answer is exact because
-    the smallest lower bound equals the smallest witness, which is asserted.
+    deg(g) <= min(r+i, m), so g mod 2 is a nonzero word of the binary
+    Reed–Muller code of that order (:func:`_rm_distance`); strata with
+    r + i < 0 hold no word.  Where g is odd the symbol 2^i * odd has Lee value
+    at least 2^i and squared Euclidean value at least 4 sin^2(pi / 2^{h-i}) —
+    both finite per-residue checks — which bounds each stratum from below;
+    the monomial witnesses 2^i * x_T with |T| = min(r+i, m) attain the bounds
+    exactly.  The answer is exact because the smallest lower bound equals the
+    smallest witness, which is asserted.
     """
     q = 1 << h
     lee_tab, etab = _weight_tables(q)
     best_lee = best_euc = bound_lee = bound_euc = math.inf
-    for i in range(h):
+    for i in range(max(0, -r), h):
         odd = ((1 << i) * np.arange(1, 1 << (h - i), 2)) % q  # the symbols 2^i * u, u odd
         odd_lee = int(lee_tab[odd].min())
         odd_euc = float(etab[odd].min())
         assert odd_lee == 1 << i
-        rm_wt = rm_min_weight(min(r + i, m), m)
+        d = min(r + i, m)
+        rm_wt = _rm_distance(d, m)
         lee_bound = (1 << i) * rm_wt
         euc_bound = odd_euc * rm_wt
-        # witness: 2^i times a monomial of degree min(r+i, m)
-        d = min(r + i, m)
+        # witness: 2^i times a monomial of degree d
         wit_ones = 1 << (m - d)
         wit_lee = (1 << i) * wit_ones
         wit_euc = float(etab[(1 << i) % q]) * wit_ones
@@ -449,26 +502,30 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
     return best_lee, best_euc
 
 
+# Squared Euclidean weights of a word of 2^m symbols reach 4 * 2^m, a float
+# while m + 2 < sys.float_info.max_exp.
+_MAX_DISTANCE_M = sys.float_info.max_exp - 3
+
+
 def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
     """Minimum Lee and squared Euclidean distances of the code of all
     effective-degree-<= r polynomials on m variables over Z_{2^h}.
 
-    The code is linear, so distances equal minimum nonzero weights.  A code
-    of at most 2^24 codewords and at most 2^28 symbols in all (codewords
-    times length 2^m) is enumerated in full by :func:`_span_weights`: bit
-    planes, a bit-sliced ripple-carry adder and popcount symbol histograms.
-    A larger code gets the per-stratum exhaustion described in the module
-    docstring.  Words longer than 2^24 symbols are refused on both paths,
-    although the budgets above admit some: ``erm_min_distances(0, 25, 1)``
-    raises :class:`~cskit.errors.SizeLimitError`, as the per-stratum path
-    enumerates Reed–Muller residues of the same length.
+    The code is linear, so distances equal minimum nonzero weights, and the
+    per-stratum argument of :func:`_min_weights_layered` gives them exactly
+    for every code, with no codeword built: its binary Reed–Muller weights
+    come from :func:`_rm_distance`, whose leaves (m <= 6, dimension at most
+    17) are weighed in full and whose other codes split by Plotkin's
+    recursion.  The largest leaf that occurs, RM(2, 5) or RM(4, 4), holds
+    2^16 words of 8 bytes, so a call peaks under 1 MiB at any m.  An m above
+    1021, where squared Euclidean weights leave the float range, raises
+    :class:`~cskit.errors.SizeLimitError` before any work.
     """
-    s = log2_f_count(r, m, h)
-    if not s:
+    if m > _MAX_DISTANCE_M:
+        raise SizeLimitError(f"squared Euclidean weights of words of 2^{m} symbols exceed the float range (m <= {_MAX_DISTANCE_M})")
+    if not log2_f_count(r, m, h):
         raise ValueError(f"F({r}, {m}, {h}) = {{0}}: a code with no nonzero word has no minimum distance")
-    if s > 24 or s + m > 28:
-        return _min_weights_layered(r, m, h)
-    return _min_weights_direct(_f_generators(r, m, h), 1 << h, m)
+    return _min_weights_layered(r, m, h)
 
 
 # -- explicit codebook enumerators ----------------------------------------------

@@ -72,6 +72,8 @@ def _check_domain(q: int, m: int, error: type[ValueError] = ValueError) -> None:
 
 def _index(n: object, rule: str) -> int:
     """``n`` as a Python int; bools and non-integers raise ``ValueError(f"{rule}, got {n!r}")``."""
+    if type(n) is int:  # the common case, without the lookup of operator.index
+        return n
     if not isinstance(n, bool):
         try:
             return operator.index(n)
@@ -123,6 +125,7 @@ class GbfPoly:
         _check_domain(self.q, self.m)
         prev = -1
         for mask, coeff in self.terms:
+            mask, coeff = _index(mask, "monomial masks must be integers"), _index(coeff, "coefficients must be integers")
             if mask <= prev:
                 raise ValueError("terms must be sorted by strictly increasing mask")
             if mask >> self.m:
@@ -144,7 +147,8 @@ class GbfPoly:
         acc: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mask, coeff in items:
-            acc[mask] = (acc.get(mask, 0) + coeff) % q
+            mask = _index(mask, "monomial masks must be integers")
+            acc[mask] = (acc.get(mask, 0) + _index(coeff, "coefficients must be integers")) % q
         packed = tuple(sorted((mask, c) for mask, c in acc.items() if c))
         return cls(q, m, packed)
 
@@ -458,7 +462,8 @@ class PolyphaseSeq:
     ``phases[i]`` is the exponent of ``omega = exp(2*pi*1j/q)`` at position
     ``i``; where ``mask`` is False the entry is the complex number 0 (used for
     restricted sequences, which keep their original positions).  ``q`` must
-    be a power of two, as exact correlation in Z[omega] requires.
+    be a power of two, as exact correlation in Z[omega] requires.  Phases of
+    a bool or non-integer dtype raise ``ValueError``.
     """
 
     __slots__ = ("q", "phases", "mask")
@@ -466,7 +471,10 @@ class PolyphaseSeq:
     def __init__(self, q: int, phases: np.ndarray | Sequence[int], mask: np.ndarray | None = None):
         _require_power_of_two(q, "a polyphase sequence")
         self.q = q
-        self.phases = np.asarray(phases, dtype=np.int64) % q
+        phases = np.asarray(phases)
+        if phases.size and not np.issubdtype(phases.dtype, np.integer):  # bool is no NumPy integer
+            raise ValueError(f"phases must be integers, got an array of {phases.dtype}")
+        self.phases = phases.astype(np.int64, copy=False) % q
         if self.phases.ndim != 1:
             raise ValueError("phases must be one-dimensional")
         if mask is None:

@@ -261,18 +261,12 @@ def test_rm_min_weight():
 
 @pytest.mark.parametrize(
     "call",
-    [
-        lambda: rm_min_weight(1, 17),
-        lambda: rm_min_weight(3, 20),
-        lambda: erm_min_distances(2, 20, 1),
-        lambda: erm_min_distances(1, 20, 1),
-    ],
-    ids=["rm-1-17", "rm-3-20", "erm-layered-2-20-1", "erm-layered-1-20-1"],
+    [lambda: rm_min_weight(1, 17), lambda: rm_min_weight(3, 20)],
+    ids=["rm-1-17", "rm-3-20"],
 )
 def test_rm_min_weight_refuses_before_allocating(call):
     # dimensions 18 and 1351: refused from the dimension alone, with no
-    # 2^m-column or span array built first; erm(1, 20, 1) has 2^21 codewords
-    # but 2^41 symbols, so the size rule sends it to the layered path, which refuses
+    # 2^m-column or span array built first
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationError):
@@ -281,6 +275,71 @@ def test_rm_min_weight_refuses_before_allocating(call):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# Every Reed–Muller code that exhaustion can weigh beyond m = 0: the leaves of
+# _rm_distance up to m = 6 and, at m = 7 and 8, codes it splits.
+RM_CODES = [(r, m) for m in range(1, 9) for r in range(m + 1) if sum(math.comb(m, d) for d in range(r + 1)) <= 17]
+
+
+@pytest.mark.parametrize("leaf_dim", [1, codebook._LEAF_DIM], ids=["splits-only", "default-leaves"])
+def test_rm_distance_matches_exhaustion(monkeypatch, leaf_dim):
+    # with leaves of dimension 1, every code above RM(0, m') and RM(0, 0) is split
+    monkeypatch.setattr(codebook, "_LEAF_DIM", leaf_dim)
+    for r, m in RM_CODES:
+        assert codebook._rm_distance(r, m) == rm_min_weight(r, m), (r, m)
+
+
+# Every code with m <= 6 and h <= 3 within the exhaustive kernel's budgets:
+# at most 2^24 codewords and 2^28 symbols in all.
+DIRECT_CODES = [
+    (r, m, h)
+    for m in range(7)
+    for h in range(1, 4)
+    for r in range(-h, m + 1)
+    if 0 < (s := log2_f_count(r, m, h)) <= 24 and s + m <= 28
+]
+
+
+@pytest.mark.parametrize("r,m,h", DIRECT_CODES)
+def test_erm_min_distances_match_exhaustion(r, m, h):
+    # tuple for tuple, the float squared Euclidean distance bit for bit
+    assert erm_min_distances(r, m, h) == codebook._min_weights_direct(codebook._f_generators(r, m, h), 1 << h, m)
+
+
+# The 16 (m, h, r) rows of the union tables, then codes of 2^21 to 2^82
+# codewords and words of up to 2^40 symbols.
+LARGE_CODES = [(r, m, h) for m in (5, 6) for h in (1, 2) for r in range(1, 5)]
+LARGE_CODES += [(1, 20, 1), (2, 20, 1), (0, 25, 1), (1, 40, 2)]
+
+
+@pytest.mark.parametrize("r,m,h", LARGE_CODES)
+def test_erm_min_distances_of_a_large_code_are_the_formulas(r, m, h):
+    # no codeword is built: the largest Reed-Muller leaf holds 2^16 words
+    tracemalloc.start()
+    try:
+        lee, euc = erm_min_distances(r, m, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want_lee, want_euc = erm_distance_formulas(r, m, h)
+    assert lee == want_lee
+    assert euc == pytest.approx(want_euc, rel=1e-12)
+    assert peak < 1 << 20
+
+
+def test_erm_min_distances_refuse_beyond_the_float_range_before_any_work(monkeypatch):
+    lee, euc = erm_min_distances(0, 1021, 1)  # 4 * 2^1021 is the largest float power of two
+    assert (lee, euc) == (1 << 1021, 2.0**1023)
+
+    def weigh(r, m):
+        raise AssertionError("a refused code was weighed")
+
+    monkeypatch.setattr(codebook, "_rm_distance", weigh)
+    with pytest.raises(SizeLimitError):
+        erm_min_distances(0, 1022, 1)
+    with pytest.raises(SizeLimitError):
+        erm_min_distances(1022, 1022, 3)
 
 
 def test_f_generators_match_the_mask_loop():
@@ -293,8 +352,8 @@ def test_f_generators_match_the_mask_loop():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: rm_min_weight(0, 25), lambda: erm_min_distances(0, 25, 1), lambda: rm_min_weight(0, 30)],
-    ids=["rm-0-25", "erm-0-25-1", "rm-0-30"],
+    [lambda: rm_min_weight(0, 25), lambda: rm_min_weight(0, 30)],
+    ids=["rm-0-25", "rm-0-30"],
 )
 def test_direct_weights_refuse_a_long_word_before_allocating(call):
     # a two-word code of 2^25 symbols passes the dimension and codeword
@@ -322,8 +381,8 @@ def test_erm_min_distances_methods_agree(r, m, h):
 def test_layered_distances_prove_the_bound_is_attained(monkeypatch):
     # a Reed-Muller weight one too small lowers every stratum bound below
     # the witnesses, so the exactness obligation fails
-    true_weight = codebook.rm_min_weight
-    monkeypatch.setattr(codebook, "rm_min_weight", lambda r, m: true_weight(r, m) - 1)
+    true_weight = codebook._rm_distance
+    monkeypatch.setattr(codebook, "_rm_distance", lambda r, m: true_weight(r, m) - 1)
     with pytest.raises(AssertionError):
         codebook._min_weights_layered(1, 4, 2)
 

@@ -292,6 +292,16 @@ EXACTNESS_REFUSALS = {
     "linear-coeff-beyond-m": lambda: PATH.linear_coeff(5),
     # read as x1
     "linear-coeff-bool": lambda: PATH.linear_coeff(True),
+    # "q=4;m=2; 1.5*x0", which parse_gbf refuses, with the value vector of x0
+    "poly-float-coefficient": lambda: GbfPoly.from_terms(4, 2, {1: 1.5}),
+    "poly-float-term": lambda: GbfPoly(4, 2, ((1, 1.5),)),
+    "poly-float-constant": lambda: GbfPoly.const(4, 2, 1.5),
+    # a bare TypeError, and True read as the mask of x0
+    "poly-float-mask": lambda: GbfPoly.from_terms(4, 2, {1.0: 1}),
+    "poly-bool-mask": lambda: GbfPoly(4, 2, ((True, 1),)),
+    # truncated to the phases [0 1], and read as 1 and 0
+    "seq-float-phases": lambda: PolyphaseSeq(4, [0.5, 1.7]),
+    "seq-bool-phases": lambda: PolyphaseSeq(4, [True, False]),
 }
 
 
@@ -309,3 +319,6 @@ def test_numpy_integers_are_read_as_python_ints():
     assert PATH.linear_coeff(np.uint8(2)) == PATH.linear_coeff(2)
     v = CycloValue(4, (np.int64(2), 0))
     assert type(v.coeffs[0]) is int and repr(v) == "<CycloValue q=4: 2*w0>"
+    f = GbfPoly.from_terms(4, 2, {np.int64(1): np.uint8(3)})
+    assert f.terms == ((1, 3),) and all(type(n) is int for n in f.terms[0])
+    assert np.array_equal(PolyphaseSeq(4, np.array([5, 2], dtype=np.uint8)).phases, [1, 2])
