@@ -31,11 +31,12 @@ Three kinds of results live here:
   binary residue is a Reed–Muller word, and explicit monomial witnesses
   attain the resulting bound.  The Reed–Muller weights split by Plotkin's
   (u | u+v) recursion down to leaves of m <= 6 and dimension <= 17, each
-  enumerated in full as 64-bit words and weighed by popcount, so a call
-  peaks under 1 MiB at any m.  The exhaustive kernel — codewords held as
-  packed bit planes, one per bit of the symbol, with symbol counts taken by
-  popcount and weighed with the symbol tables of :mod:`cskit.correlation` —
-  weighs :func:`rm_min_weight` and is the tests' oracle for Z_q codes.
+  enumerated in full as 64-bit words and weighed by popcount, so the
+  Reed–Muller weights take under 1 MiB at any m.  The exhaustive kernel —
+  codewords held as packed bit planes, one per bit of the symbol, with
+  symbol counts taken by popcount and weighed with the symbol tables of
+  :mod:`cskit.correlation` — weighs :func:`rm_min_weight` and is the
+  tests' oracle for Z_q codes.
 
 Printed rate tables from the literature are embedded as fixtures with their
 original spellings; :func:`golden_report` confronts them entry by entry with
@@ -517,7 +518,7 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
     come from :func:`_rm_distance`, whose leaves (m <= 6, dimension at most
     17) are weighed in full and whose other codes split by Plotkin's
     recursion.  The largest leaf that occurs, RM(2, 5) or RM(4, 4), holds
-    2^16 words of 8 bytes, so a call peaks under 1 MiB at any m.  An m above
+    2^16 words of 8 bytes, so they take under 1 MiB at any m.  An m above
     1021, where squared Euclidean weights leave the float range, raises
     :class:`~cskit.errors.SizeLimitError` before any work.
     """
