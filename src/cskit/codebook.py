@@ -21,22 +21,21 @@ Three kinds of results live here:
   is a dense Z_q row of ANF coefficients, one per monomial mask the family
   uses, built as a row sum mod q in blocks of bounded size, deduplicated on
   the row bytes for the union codes, and turned into a ``GbfPoly`` only when
-  yielded.  One blocked engine (:func:`_cartesian_blocks`) sums these words
-  and the codewords of the distance kernel below.  The word count comes in
-  closed form from the factor sizes, and any family above 2^22 words is
-  refused before anything is built;
+  yielded.  One blocked engine (:func:`_cartesian_blocks`) sums these
+  words.  The word count comes in closed form from the factor sizes, and
+  any family above 2^22 words is refused before anything is built;
 * exact minimum distances of the bounded-effective-degree code
-  (:func:`erm_min_distances`), for every code by one per-stratum argument:
-  every codeword is 2^i times a polynomial with an odd coefficient, whose
-  binary residue is a Reed–Muller word, and explicit monomial witnesses
-  attain the resulting bound.  The Reed–Muller weights split by Plotkin's
-  (u | u+v) recursion down to leaves of m <= 6 and dimension <= 17, each
-  enumerated in full as 64-bit words and weighed by popcount, so the
-  Reed–Muller weights take under 1 MiB at any m.  The exhaustive kernel —
-  codewords held as packed bit planes, one per bit of the symbol, with
-  symbol counts taken by popcount and weighed with the symbol tables of
-  :mod:`cskit.correlation` — weighs :func:`rm_min_weight` and is the
-  tests' oracle for Z_q codes.
+  (:func:`erm_min_distances`), for every code by one per-stratum argument
+  in closed form: every codeword is 2^i times a polynomial with an odd
+  coefficient, whose binary residue is a Reed–Muller word; a symbol 2^i * u
+  with u odd has Lee weight at least 2^i, and sin^2(pi u / 2^{h-i}) over
+  odd u is least at u = 1 and its mirror, so the monomial witness
+  2^i * x_T attains the stratum's bound.  The Reed–Muller weights split by
+  Plotkin's (u | u+v) recursion down to leaves of m <= 6 and dimension
+  <= 17, each enumerated in full as 64-bit words and weighed by popcount,
+  so a distance takes under 1 MiB at any m and h and no codeword of the
+  code is built.  The exhaustive kernel that weighs every codeword is the
+  tests' oracle, in ``tests/codebook_reference.py``.
 
 Printed rate tables from the literature are embedded as fixtures with their
 original spellings; :func:`golden_report` confronts them entry by entry with
@@ -57,9 +56,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .correlation import _weight_tables
 from .errors import EnumerationError, SizeLimitError
-from .gbf import GbfPoly, _check_domain, _index, _require_value_vector_size, _subset_sums, _word_masks, polys_from_rows
+from .gbf import GbfPoly, _check_domain, _index, _subset_sums, _word_masks, polys_from_rows
 
 __all__ = [
     "log2_f_count",
@@ -73,7 +71,6 @@ __all__ = [
     "union_code_size_pmepr8",
     "erm_distance_formulas",
     "erm_min_distances",
-    "rm_min_weight",
     "enumerate_codebook",
     "count_codebook",
     "codeword_matrix",
@@ -342,82 +339,6 @@ def erm_distance_formulas(r: int, m: int, h: int) -> tuple[int, float]:
     return 1 << (m - r), float(2 ** (m - r + 2) * math.sin(math.pi / 2**h) ** 2)
 
 
-def rm_min_weight(r: int, m: int) -> int:
-    """Exhaustive minimum weight of the binary Reed–Muller code RM(r, m).
-
-    Refuses (:class:`EnumerationError`) before allocating anything when the
-    dimension sum_{d <= r} C(m, d) exceeds 17.
-    """
-    if r < 0:
-        return 1 << m  # no nonzero codewords below degree 0; weight of 'all ones' never applies
-    r = min(r, m)
-    if sum(math.comb(m, d) for d in range(r + 1)) > 17:
-        raise EnumerationError("Reed–Muller code too large for exhaustive weights")
-    return _min_weights_direct(_f_generators(r, m, 1), 2, m)[0]
-
-
-def _bit_planes(words: np.ndarray, h: int, word: np.dtype) -> np.ndarray:
-    """(h, B, W) bit planes of a (B, L) symbol array: bit b of every symbol,
-    packed little-endian into W words of ``word`` per row."""
-    return np.stack(
-        [np.packbits((words >> b) & 1, axis=-1, bitorder="little").view(word) for b in range(h)]
-    )
-
-
-def _span_weights(gens: Sequence[_Gen], q: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Lee and squared Euclidean weights of every span element of the
-    generators (the zero word included), one block of codewords at a time.
-
-    The generators' rows ``a * step * (indicator of the monomial)``, in
-    ascending order of size, go through :func:`_cartesian_blocks`.  Its block is
-    packed once into h = log2 q bit planes; each head row is added to every
-    row by a ripple-carry adder on the planes (the carry out of the top plane
-    is the reduction mod q).  Per codeword, the count of each nonzero symbol
-    a is the popcount of the AND of the planes or their complements selected
-    by the bits of a, so the weights are exact integer histograms times the
-    Lee and Euclidean symbol tables.
-    """
-    h = q.bit_length() - 1
-    L = 1 << m
-    sym = np.min_scalar_type(q - 1)
-    word = np.dtype(f"u{max(1, min(L, 64) // 8)}")
-    idx = np.arange(L, dtype=np.int64)
-    order = sorted(gens, key=lambda g: g.n)
-    values = [((idx & g.mask) == g.mask).astype(sym) for g in order]
-    block, heads = _cartesian_blocks([g.n for g in order], lambda i, lo, hi: order[i].rows(lo, hi).astype(sym) * values[i], L, q)
-    planes = _bit_planes(block, h, word)
-    del block
-    lee_tab, etab = (t[1:] for t in _weight_tables(q))
-    for head in heads:
-        for ys in _bit_planes(head, h, word).swapaxes(0, 1):
-            digits = [planes[0] ^ ys[0]]
-            carry = planes[0] & ys[0]
-            for x, y in zip(planes[1:], ys[1:]):
-                s = x ^ y
-                digits.append(s ^ carry)
-                carry = (x & y) | (carry & s)
-            # sel[a] marks the positions holding symbol a, built one plane at a time
-            sel = [~digits[0], digits[0]]
-            for d in digits[1:]:
-                sel = [t & ~d for t in sel] + [t & d for t in sel]
-            hist = np.bitwise_count(np.stack(sel[1:], axis=-1)).sum(axis=-2, dtype=np.int64)
-            yield hist @ lee_tab, hist @ etab
-
-
-def _min_weights_direct(gens: Sequence[_Gen], q: int, m: int) -> tuple[int, float]:
-    """Visit every nonzero span element of the generators, tracking minimum
-    Lee and squared Euclidean weights.  Exact and exhaustive; a word of more
-    than 2^24 symbols raises :class:`~cskit.errors.SizeLimitError` before any allocation."""
-    _require_value_vector_size(m)
-    best_lee, best_euc = q << m, math.inf  # above every weight of a length-2^m word
-    for lee, euc in _span_weights(gens, q, m):
-        nz = lee > 0  # only the zero codeword has Lee weight 0
-        best_lee = int(lee.min(where=nz, initial=best_lee))
-        best_euc = float(euc.min(where=nz, initial=best_euc))
-    assert best_lee < q << m, "span contained only the zero polynomial"
-    return best_lee, best_euc
-
-
 # A Reed–Muller code RM(r, m) with m <= 6 (every word one 64-bit integer) and
 # dimension at most 17 is a leaf of :func:`_rm_distance`, weighed in full.
 _LEAF_M = 6
@@ -468,44 +389,38 @@ def _rm_distance(r: int, m: int) -> int:
 
 
 def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
-    """Exact per-stratum minimum weights of F(r, m, h).
+    """Exact per-stratum minimum weights of F(r, m, h), in closed form.
 
     Every nonzero f is 2^i * g with g carrying an odd coefficient and
-    deg(g) <= min(r+i, m), so g mod 2 is a nonzero word of the binary
-    Reed–Muller code of that order (:func:`_rm_distance`); strata with
-    r + i < 0 hold no word.  Where g is odd the symbol 2^i * odd has Lee value
-    at least 2^i and squared Euclidean value at least 4 sin^2(pi / 2^{h-i}) —
-    both finite per-residue checks — which bounds each stratum from below;
-    the monomial witnesses 2^i * x_T with |T| = min(r+i, m) attain the bounds
-    exactly.  The answer is exact because the smallest lower bound equals the
-    smallest witness, which is asserted.
+    deg(g) <= d = min(r+i, m), so g mod 2 is a nonzero word of RM(d, m)
+    (:func:`_rm_distance`); strata with r + i < 0 hold no word.  Where g is
+    odd the symbol is 2^i * u with u odd, a nonzero multiple of 2^i mod 2^h,
+    so its Lee value is at least 2^i; its squared Euclidean value
+    4 sin^2(pi u / 2^{h-i}) is least over odd u at u = 1 and its mirror
+    2^{h-i} - 1.  A stratum weighs at least these symbol minima times the
+    Reed–Muller weight, and the monomial witness 2^i * x_T with |T| = d, of
+    2^{m-d} ones, attains that bound exactly when RM(d, m) weighs 2^{m-d},
+    which is asserted for every stratum.
     """
     q = 1 << h
-    lee_tab, etab = _weight_tables(q)
-    best_lee = best_euc = bound_lee = bound_euc = math.inf
+    best_lee = best_euc = math.inf
     for i in range(max(0, -r), h):
-        odd = ((1 << i) * np.arange(1, 1 << (h - i), 2)) % q  # the symbols 2^i * u, u odd
-        odd_lee = int(lee_tab[odd].min())
-        odd_euc = float(etab[odd].min())
-        assert odd_lee == 1 << i
         d = min(r + i, m)
-        rm_wt = _rm_distance(d, m)
-        lee_bound = (1 << i) * rm_wt
-        euc_bound = odd_euc * rm_wt
-        # witness: 2^i times a monomial of degree d
-        wit_ones = 1 << (m - d)
-        wit_lee = (1 << i) * wit_ones
-        wit_euc = float(etab[(1 << i) % q]) * wit_ones
-        assert wit_lee >= lee_bound and wit_euc >= euc_bound - 1e-12
-        best_lee, best_euc = min(best_lee, wit_lee), min(best_euc, wit_euc)
-        bound_lee, bound_euc = min(bound_lee, lee_bound), min(bound_euc, euc_bound)
-    assert bound_lee == best_lee and abs(bound_euc - best_euc) <= 1e-12, "the smallest stratum bound is not attained"
+        ones = 1 << (m - d)
+        assert _rm_distance(d, m) == ones, f"the witness of stratum {i} does not attain its bound"
+        best_lee = min(best_lee, (1 << i) * ones)
+        # the symbol weight of 2^i as correlation._weight_tables computes it, bit for bit
+        best_euc = min(best_euc, float(4.0 * np.sin(np.pi * (1 << i) / q) ** 2) * ones)
     return best_lee, best_euc
 
 
 # Squared Euclidean weights of a word of 2^m symbols reach 4 * 2^m, a float
 # while m + 2 < sys.float_info.max_exp.
 _MAX_DISTANCE_M = sys.float_info.max_exp - 3
+# The least symbol weight is 4 sin^2(pi / 2^h); for large h, sin^2(pi / 2^h)
+# is pi^2 / 4^h to within a rounding, in [2^(3-2h), 2^(4-2h)) as 8 < pi^2 < 16,
+# so it is a normal float while 3 - 2h >= sys.float_info.min_exp - 1.
+_MAX_DISTANCE_H = (4 - sys.float_info.min_exp) // 2
 
 
 def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
@@ -514,16 +429,21 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
 
     The code is linear, so distances equal minimum nonzero weights, and the
     per-stratum argument of :func:`_min_weights_layered` gives them exactly
-    for every code, with no codeword built: its binary Reed–Muller weights
-    come from :func:`_rm_distance`, whose leaves (m <= 6, dimension at most
-    17) are weighed in full and whose other codes split by Plotkin's
-    recursion.  The largest leaf that occurs, RM(2, 5) or RM(4, 4), holds
-    2^16 words of 8 bytes, so they take under 1 MiB at any m.  An m above
-    1021, where squared Euclidean weights leave the float range, raises
+    for every code, with no codeword built: the symbol minima of each
+    stratum are closed forms (Lee 2^i, squared Euclidean
+    4 sin^2(pi 2^i / 2^h)), and its binary Reed–Muller weight comes from
+    :func:`_rm_distance`, whose leaves (m <= 6, dimension at most 17) are
+    weighed in full and whose other codes split by Plotkin's recursion.  The
+    largest leaf that occurs, RM(2, 5) or RM(4, 4), holds 2^16 words of 8
+    bytes, so a call takes under 1 MiB at any m and h.  An m above 1021,
+    where squared Euclidean weights leave the float range, or an h above
+    512, where sin^2(pi / 2^h) is no longer a normal float, raises
     :class:`~cskit.errors.SizeLimitError` before any work.
     """
     if m > _MAX_DISTANCE_M:
         raise SizeLimitError(f"squared Euclidean weights of words of 2^{m} symbols exceed the float range (m <= {_MAX_DISTANCE_M})")
+    if h > _MAX_DISTANCE_H:
+        raise SizeLimitError(f"squared Euclidean symbol weights over Z_(2^{h}) fall below the normal float range (h <= {_MAX_DISTANCE_H})")
     if not log2_f_count(r, m, h):
         raise ValueError(f"F({r}, {m}, {h}) = {{0}}: a code with no nonzero word has no minimum distance")
     return _min_weights_layered(r, m, h)

@@ -1,10 +1,17 @@
-"""Brute-force reference for the codebook enumerators.
+"""Brute-force reference for the codebook enumerators and distances.
 
 These are the enumerators as they stood before the coefficient-row core:
 every word is built by ``GbfPoly`` algebra (products by
 ``construct_reference.product``), and the union codes deduplicate
 by value vector.  ``test_properties.py`` checks that the library yields the
 same polynomials in the same order.
+
+The exhaustive distance kernel is the one the library weighed codes with
+before every minimum distance came from the closed-form stratum proof:
+codewords summed by ``_cartesian_blocks``, held as packed bit planes, one
+per bit of the symbol, with symbol counts taken by popcount and weighed
+with the symbol tables of :mod:`cskit.correlation`.  ``test_codebook.py``
+checks ``erm_min_distances`` and the Reed–Muller weights against it.
 """
 
 import itertools
@@ -14,7 +21,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cskit import GbfPoly, Restriction
-from cskit.codebook import _f_generators
+from cskit.codebook import _Gen, _cartesian_blocks, _f_generators
+from cskit.correlation import _weight_tables
+from cskit.gbf import _require_value_vector_size
 from construct_reference import indicator_poly, path_quadratic, product
 from cskit.errors import EnumerationError
 
@@ -265,3 +274,65 @@ def standard_golay_gbfs(m: int, h: int) -> Iterator[GbfPoly]:
                     lin = lin + GbfPoly.monomial(q, m, [i], g)
             for const in range(q):
                 yield lin + const if const else lin
+
+
+def _bit_planes(words: np.ndarray, h: int, word: np.dtype) -> np.ndarray:
+    """(h, B, W) bit planes of a (B, L) symbol array: bit b of every symbol,
+    packed little-endian into W words of ``word`` per row."""
+    return np.stack(
+        [np.packbits((words >> b) & 1, axis=-1, bitorder="little").view(word) for b in range(h)]
+    )
+
+
+def _span_weights(gens: Sequence[_Gen], q: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Lee and squared Euclidean weights of every span element of the
+    generators (the zero word included), one block of codewords at a time.
+
+    The generators' rows ``a * step * (indicator of the monomial)``, in
+    ascending order of size, go through :func:`_cartesian_blocks`.  Its block is
+    packed once into h = log2 q bit planes; each head row is added to every
+    row by a ripple-carry adder on the planes (the carry out of the top plane
+    is the reduction mod q).  Per codeword, the count of each nonzero symbol
+    a is the popcount of the AND of the planes or their complements selected
+    by the bits of a, so the weights are exact integer histograms times the
+    Lee and Euclidean symbol tables.
+    """
+    h = q.bit_length() - 1
+    L = 1 << m
+    sym = np.min_scalar_type(q - 1)
+    word = np.dtype(f"u{max(1, min(L, 64) // 8)}")
+    idx = np.arange(L, dtype=np.int64)
+    order = sorted(gens, key=lambda g: g.n)
+    values = [((idx & g.mask) == g.mask).astype(sym) for g in order]
+    block, heads = _cartesian_blocks([g.n for g in order], lambda i, lo, hi: order[i].rows(lo, hi).astype(sym) * values[i], L, q)
+    planes = _bit_planes(block, h, word)
+    del block
+    lee_tab, etab = (t[1:] for t in _weight_tables(q))
+    for head in heads:
+        for ys in _bit_planes(head, h, word).swapaxes(0, 1):
+            digits = [planes[0] ^ ys[0]]
+            carry = planes[0] & ys[0]
+            for x, y in zip(planes[1:], ys[1:]):
+                s = x ^ y
+                digits.append(s ^ carry)
+                carry = (x & y) | (carry & s)
+            # sel[a] marks the positions holding symbol a, built one plane at a time
+            sel = [~digits[0], digits[0]]
+            for d in digits[1:]:
+                sel = [t & ~d for t in sel] + [t & d for t in sel]
+            hist = np.bitwise_count(np.stack(sel[1:], axis=-1)).sum(axis=-2, dtype=np.int64)
+            yield hist @ lee_tab, hist @ etab
+
+
+def _min_weights_direct(gens: Sequence[_Gen], q: int, m: int) -> tuple[int, float]:
+    """Visit every nonzero span element of the generators, tracking minimum
+    Lee and squared Euclidean weights.  Exact and exhaustive; a word of more
+    than 2^24 symbols raises :class:`~cskit.errors.SizeLimitError` before any allocation."""
+    _require_value_vector_size(m)
+    best_lee, best_euc = q << m, math.inf  # above every weight of a length-2^m word
+    for lee, euc in _span_weights(gens, q, m):
+        nz = lee > 0  # only the zero codeword has Lee weight 0
+        best_lee = int(lee.min(where=nz, initial=best_lee))
+        best_euc = float(euc.min(where=nz, initial=best_euc))
+    assert best_lee < q << m, "span contained only the zero polynomial"
+    return best_lee, best_euc

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cskit import GbfPoly, analyze, codebook, is_cs, offset_set, psi
@@ -23,10 +25,10 @@ from cskit.codebook import (
     pmepr_family_sizes,
     rate,
     rate_rows,
-    rm_min_weight,
     union_code_size_pmepr4,
     union_code_size_pmepr8,
 )
+from cskit.correlation import _weight_tables
 from cskit.errors import EnumerationError, SizeLimitError
 
 import codebook_reference as reference
@@ -251,30 +253,14 @@ def test_enumerate_codebook_argument_errors():
 # -- minimum distances -------------------------------------------------------------
 
 
+def exhaustive_rm_weight(r: int, m: int) -> int:
+    """The minimum weight of RM(r, m) = F(r, m, 1) by the reference kernel."""
+    return reference._min_weights_direct(codebook._f_generators(r, m, 1), 2, m)[0]
+
+
 def test_rm_min_weight():
-    assert rm_min_weight(0, 3) == 8
-    assert rm_min_weight(1, 3) == 4
-    assert rm_min_weight(2, 4) == 4
-    assert rm_min_weight(3, 3) == 1
-    assert rm_min_weight(2, 5) == 8  # dimension 16, just under the refusal point
-
-
-@pytest.mark.parametrize(
-    "call",
-    [lambda: rm_min_weight(1, 17), lambda: rm_min_weight(3, 20)],
-    ids=["rm-1-17", "rm-3-20"],
-)
-def test_rm_min_weight_refuses_before_allocating(call):
-    # dimensions 18 and 1351: refused from the dimension alone, with no
-    # 2^m-column or span array built first
-    tracemalloc.start()
-    try:
-        with pytest.raises(EnumerationError):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for r, m, weight in [(0, 3, 8), (1, 3, 4), (2, 4, 4), (3, 3, 1), (2, 5, 8)]:
+        assert codebook._rm_distance(r, m) == exhaustive_rm_weight(r, m) == weight, (r, m)
 
 
 # Every Reed–Muller code that exhaustion can weigh beyond m = 0: the leaves of
@@ -287,7 +273,7 @@ def test_rm_distance_matches_exhaustion(monkeypatch, leaf_dim):
     # with leaves of dimension 1, every code above RM(0, m') and RM(0, 0) is split
     monkeypatch.setattr(codebook, "_LEAF_DIM", leaf_dim)
     for r, m in RM_CODES:
-        assert codebook._rm_distance(r, m) == rm_min_weight(r, m), (r, m)
+        assert codebook._rm_distance(r, m) == exhaustive_rm_weight(r, m), (r, m)
 
 
 # Every code with m <= 6 and h <= 3 within the exhaustive kernel's budgets:
@@ -304,18 +290,20 @@ DIRECT_CODES = [
 @pytest.mark.parametrize("r,m,h", DIRECT_CODES)
 def test_erm_min_distances_match_exhaustion(r, m, h):
     # tuple for tuple, the float squared Euclidean distance bit for bit
-    assert erm_min_distances(r, m, h) == codebook._min_weights_direct(codebook._f_generators(r, m, h), 1 << h, m)
+    assert erm_min_distances(r, m, h) == reference._min_weights_direct(codebook._f_generators(r, m, h), 1 << h, m)
 
 
 # The 16 (m, h, r) rows of the union tables, then codes of 2^21 to 2^82
-# codewords and words of up to 2^40 symbols.
+# codewords and words of up to 2^40 symbols, then alphabets of 2^20 and
+# 2^30 symbols.
 LARGE_CODES = [(r, m, h) for m in (5, 6) for h in (1, 2) for r in range(1, 5)]
-LARGE_CODES += [(1, 20, 1), (2, 20, 1), (0, 25, 1), (1, 40, 2)]
+LARGE_CODES += [(1, 20, 1), (2, 20, 1), (0, 25, 1), (1, 40, 2), (0, 2, 20), (1, 3, 30)]
 
 
 @pytest.mark.parametrize("r,m,h", LARGE_CODES)
 def test_erm_min_distances_of_a_large_code_are_the_formulas(r, m, h):
-    # no codeword is built: the largest Reed-Muller leaf holds 2^16 words
+    # no codeword and no symbol table is built: the largest Reed-Muller leaf
+    # holds 2^16 words
     tracemalloc.start()
     try:
         lee, euc = erm_min_distances(r, m, h)
@@ -335,11 +323,35 @@ def test_erm_min_distances_refuse_beyond_the_float_range_before_any_work(monkeyp
     def weigh(r, m):
         raise AssertionError("a refused code was weighed")
 
+    h = codebook._MAX_DISTANCE_H  # the last h whose sin^2(pi / 2^h) is a normal float
+    assert math.sin(math.pi / 2**h) ** 2 >= sys.float_info.min > math.sin(math.pi / 2 ** (h + 1)) ** 2
+    lee, euc = erm_min_distances(0, 2, h)
+    assert lee == 4
+    assert euc == pytest.approx(erm_distance_formulas(0, 2, h)[1], rel=1e-12)
+
     monkeypatch.setattr(codebook, "_rm_distance", weigh)
     with pytest.raises(SizeLimitError):
         erm_min_distances(0, 1022, 1)
     with pytest.raises(SizeLimitError):
         erm_min_distances(1022, 1022, 3)
+    with pytest.raises(SizeLimitError):
+        erm_min_distances(0, 2, h + 1)
+    with pytest.raises(SizeLimitError):
+        erm_min_distances(0, 2, 600)  # sin^2(pi / 2^600) is 0.0 in floats
+
+
+def test_stratum_symbol_minima_are_the_closed_forms():
+    # F(-i, 0, h) holds the constants 2^i * c, whose least weights are those
+    # of the odd multiples 2^i * u: Lee 2^i and squared Euclidean
+    # 4 sin^2(pi 2^i / 2^h), at u = 1 and its mirror 2^(h-i) - 1, which the
+    # symbol table may read up to 3.1e-13 lower
+    for h in range(1, 13):
+        lee_tab, euc_tab = _weight_tables(1 << h)
+        for i in range(h):
+            odd = (1 << i) * np.arange(1, 1 << (h - i), 2)
+            lee, euc = erm_min_distances(-i, 0, h)
+            assert lee == lee_tab[odd].min() == 1 << i, (h, i)
+            assert euc == pytest.approx(euc_tab[odd].min(), rel=1e-12), (h, i)
 
 
 def test_f_generators_match_the_mask_loop():
@@ -352,12 +364,12 @@ def test_f_generators_match_the_mask_loop():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: rm_min_weight(0, 25), lambda: rm_min_weight(0, 30)],
+    [lambda: exhaustive_rm_weight(0, 25), lambda: exhaustive_rm_weight(0, 30)],
     ids=["rm-0-25", "rm-0-30"],
 )
 def test_direct_weights_refuse_a_long_word_before_allocating(call):
-    # a two-word code of 2^25 symbols passes the dimension and codeword
-    # rules; the direct path refuses its length before building anything
+    # a two-word code of 2^25 symbols: the reference kernel refuses its
+    # length before building anything
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError):
@@ -370,7 +382,7 @@ def test_direct_weights_refuse_a_long_word_before_allocating(call):
 
 @pytest.mark.parametrize("r,m,h", [(1, 3, 1), (2, 3, 2), (1, 4, 2), (2, 4, 1)])
 def test_erm_min_distances_methods_agree(r, m, h):
-    direct = codebook._min_weights_direct(codebook._f_generators(r, m, h), 1 << h, m)
+    direct = reference._min_weights_direct(codebook._f_generators(r, m, h), 1 << h, m)
     layered = codebook._min_weights_layered(r, m, h)
     formulas = erm_distance_formulas(r, m, h)
     assert direct[0] == layered[0] == formulas[0]
@@ -397,7 +409,7 @@ def test_erm_min_distances_of_the_zero_code_is_refused():
 def test_erm_min_distances_direct_large():
     # 2^26-word code: a 2^16-word prefix block packed into bit planes, with
     # each of the 2^10 outer combinations added by the ripple-carry adder
-    direct = codebook._min_weights_direct(codebook._f_generators(2, 4, 2), 1 << 2, 4)
+    direct = reference._min_weights_direct(codebook._f_generators(2, 4, 2), 1 << 2, 4)
     formulas = erm_distance_formulas(2, 4, 2)
     assert direct[0] == formulas[0]
     assert direct[1] == pytest.approx(formulas[1], abs=1e-9)

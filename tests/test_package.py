@@ -1,6 +1,7 @@
 """Package-level checks: every exported name exists, and the integer rule
 is written once."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -40,3 +41,21 @@ def test_no_ring_algebra_beyond_what_a_stage_uses():
     x0 = cskit.GbfPoly.variable(4, 2, 0)
     with pytest.raises(TypeError):
         x0 * x0
+
+
+def test_codebook_weighs_no_codeword():
+    """Minimum distances come from the closed-form stratum proof alone: the
+    exhaustive kernel lives with the tests, and ``codebook`` reads no symbol
+    table from ``correlation``."""
+    codebook = cskit.codebook
+    retired = ["rm_min_weight", "_min_weights_direct", "_span_weights", "_bit_planes"]
+    assert [n for n in retired if hasattr(codebook, n)] == []
+    imported = []  # every module and name imported, as a dotted path
+    for node in ast.walk(ast.parse(pathlib.Path(codebook.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cskit" if node.level else None, node.module]))
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert "cskit.gbf" in imported
+    assert [name for name in imported if name.startswith("cskit.correlation")] == []

