@@ -344,7 +344,7 @@ def test_stratum_symbol_minima_are_the_closed_forms():
     # F(-i, 0, h) holds the constants 2^i * c, whose least weights are those
     # of the odd multiples 2^i * u: Lee 2^i and squared Euclidean
     # 4 sin^2(pi 2^i / 2^h), at u = 1 and its mirror 2^(h-i) - 1, which the
-    # symbol table may read up to 3.1e-13 lower
+    # symbol table reads up to 3.1e-13 lower in relative terms for h <= 14
     for h in range(1, 13):
         lee_tab, euc_tab = _weight_tables(1 << h)
         for i in range(h):
