@@ -30,12 +30,12 @@ Three kinds of results live here:
   coefficient, whose binary residue is a Reed–Muller word; a symbol 2^i * u
   with u odd has Lee weight at least 2^i, and sin^2(pi u / 2^{h-i}) over
   odd u is least at u = 1 and its mirror, so the monomial witness
-  2^i * x_T attains the stratum's bound.  The Reed–Muller weights split by
-  Plotkin's (u | u+v) recursion down to leaves of m <= 6 and dimension
-  <= 17, each enumerated in full as 64-bit words and weighed by popcount,
-  so a distance takes under 1 MiB at any m and h and no codeword of the
-  code is built.  The exhaustive kernel that weighs every codeword is the
-  tests' oracle, in ``tests/codebook_reference.py``.
+  2^i * x_T attains the stratum's bound.  The Reed–Muller weights of every
+  stratum come from one table of Plotkin's (u | u+v) recursion, filled
+  once a call from RM(0, 0) up, level by level, so a distance takes under
+  1 MiB at any m and h and no word of any code is built.  The exhaustive
+  kernel that weighs every codeword is the tests' oracle, in
+  ``tests/codebook_reference.py``.
 
 Printed rate tables from the literature are embedded as fixtures with their
 original spellings; :func:`golden_report` confronts them entry by entry with
@@ -135,6 +135,7 @@ def enumerate_f_polys(
     """
     if m is None:
         m = k
+    _check_domain(2**h, m)
     if variables is not None and len(variables) != k:
         raise ValueError("need exactly k variable indices")
     factors = _f_generators(r, k, h, variables)
@@ -201,10 +202,14 @@ def log2_coset_count(m: int, k: int, r: int, h: int, *, excl: bool = False) -> i
     free part g from F(r, k, h); with ``excl=True`` one designated coupling
     (the vertex used by the isolated-vertex representatives) is omitted.
     """
-    if not 0 <= k < m:
-        raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
+    _check_restricted(k, m)
     couplings = (m - k - 1) if excl else (m - k)
     return couplings * log2_f_count(r - 1, k, h) + log2_f_count(r, k, h)
+
+
+def _check_restricted(k: int, m: int) -> None:
+    if not 0 <= k < m:
+        raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
 
 
 def _pmepr_bound(k: int, M: int, balanced: bool) -> int:
@@ -339,53 +344,23 @@ def erm_distance_formulas(r: int, m: int, h: int) -> tuple[int, float]:
     return 1 << (m - r), float(2 ** (m - r + 2) * math.sin(math.pi / 2**h) ** 2)
 
 
-# A Reed–Muller code RM(r, m) with m <= 6 (every word one 64-bit integer) and
-# dimension at most 17 is a leaf of :func:`_rm_distance`, weighed in full.
-_LEAF_M = 6
-_LEAF_DIM = 17
+def _rm_distances(top: int, m: int) -> list[int]:
+    """Minimum weights d(s, m) of the binary Reed–Muller codes RM(s, m), for
+    s = 0..top with top <= m.
 
-
-def _is_rm_leaf(r: int, m: int) -> bool:
-    return m <= _LEAF_M and sum(math.comb(m, d) for d in range(r + 1)) <= _LEAF_DIM
-
-
-def _rm_leaf_weight(r: int, m: int) -> int:
-    """Exhaustive minimum weight of RM(r, m), m <= 6: the span of the monomial
-    words, built by XOR doubling as 64-bit integers, weighed by popcount."""
-    gens = _f_generators(r, m, 1)
-    span = np.zeros(1 << len(gens), dtype=np.uint64)
-    for j, g in enumerate(gens):  # the first 2^j words span the first j generators
-        word = sum(1 << x for x in range(1 << m) if (x & g.mask) == g.mask)
-        np.bitwise_xor(span[: 1 << j], np.uint64(word), out=span[1 << j : 2 << j])
-    return int(np.bitwise_count(span[1:]).min())
-
-
-def _rm_distance(r: int, m: int) -> int:
-    """Minimum weight of the binary Reed–Muller code RM(r, m), r >= 0.
-
-    A leaf (m <= 6, dimension at most 17) is weighed in full by
-    :func:`_rm_leaf_weight`.  Any other code is split by Plotkin's
-    construction RM(r, m) = {(u | u + v) : u in RM(r, m-1), v in RM(r-1, m-1)}:
-    a word with v = 0 weighs 2 wt(u), any other at least wt(u) + wt(u + v) >=
-    wt(v), and (u | u) and (0 | v) attain both, so
-    d(r, m) = min(2 d(r, m-1), d(r-1, m-1)), where RM(-1, m) = {0} has no
-    nonzero word.  The orders each level needs are found from the top down and
-    the weights filled in from the bottom up, one level at a time, so nothing
-    recurses m deep and nothing is kept beyond the call.
+    The table starts from RM(0, 0) = {0, 1}, of weight 1, and fills one level
+    k at a time by Plotkin's construction
+    RM(s, k) = {(u | u + v) : u in RM(s, k-1), v in RM(s-1, k-1)}: a word with
+    v = 0 weighs 2 wt(u), any other at least wt(u) + wt(u + v) >= wt(v), and
+    (u | u) and (0 | v) attain both, so d(s, k) = min(2 d(s, k-1), d(s-1, k-1)),
+    where RM(-1, k-1) = {0} has no nonzero word and RM(s, k-1) = RM(k-1, k-1)
+    for s > k-1.  A level holds at most top + 1 ints, and only the level
+    below it is kept.
     """
-    levels = []  # (k, the orders of RM(., k) needed), from level m down
-    k, need = m, {min(r, m)}
-    while need:
-        levels.append((k, need))
-        need = {min(t, k - 1) for s in need if not _is_rm_leaf(s, k) for t in (s, s - 1) if t >= 0}
-        k -= 1
-    below: dict[int, int] = {}
-    for k, orders in reversed(levels):
-        below = {
-            s: _rm_leaf_weight(s, k) if _is_rm_leaf(s, k) else min(2 * below[min(s, k - 1)], below[s - 1] if s else math.inf)
-            for s in orders
-        }
-    return below[min(r, m)]
+    d = [1]
+    for k in range(1, m + 1):
+        d = [2 * d[0]] + [min(2 * d[min(s, k - 1)], d[s - 1]) for s in range(1, min(top, k) + 1)]
+    return d
 
 
 def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
@@ -393,7 +368,7 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
 
     Every nonzero f is 2^i * g with g carrying an odd coefficient and
     deg(g) <= d = min(r+i, m), so g mod 2 is a nonzero word of RM(d, m)
-    (:func:`_rm_distance`); strata with r + i < 0 hold no word.  Where g is
+    (:func:`_rm_distances`); strata with r + i < 0 hold no word.  Where g is
     odd the symbol is 2^i * u with u odd, a nonzero multiple of 2^i mod 2^h,
     so its Lee value is at least 2^i; its squared Euclidean value
     4 sin^2(pi u / 2^{h-i}) is least over odd u at u = 1 and its mirror
@@ -403,11 +378,12 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
     which is asserted for every stratum.
     """
     q = 1 << h
+    weights = _rm_distances(min(r + h - 1, m), m)  # the top stratum has the largest d
     best_lee = best_euc = math.inf
     for i in range(max(0, -r), h):
         d = min(r + i, m)
         ones = 1 << (m - d)
-        assert _rm_distance(d, m) == ones, f"the witness of stratum {i} does not attain its bound"
+        assert weights[d] == ones, f"the witness of stratum {i} does not attain its bound"
         best_lee = min(best_lee, (1 << i) * ones)
         # the symbol weight of 2^i as correlation._weight_tables computes it, bit for bit
         best_euc = min(best_euc, float(4.0 * np.sin(np.pi * (1 << i) / q) ** 2) * ones)
@@ -432,14 +408,19 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
     for every code, with no codeword built: the symbol minima of each
     stratum are closed forms (Lee 2^i, squared Euclidean
     4 sin^2(pi 2^i / 2^h)), and its binary Reed–Muller weight comes from
-    :func:`_rm_distance`, whose leaves (m <= 6, dimension at most 17) are
-    weighed in full and whose other codes split by Plotkin's recursion.  The
-    largest leaf that occurs, RM(2, 5) or RM(4, 4), holds 2^16 words of 8
-    bytes, so a call takes under 1 MiB at any m and h.  An m above 1021,
-    where squared Euclidean weights leave the float range, or an h above
-    512, where sin^2(pi / 2^h) is no longer a normal float, raises
-    :class:`~cskit.errors.SizeLimitError` before any work.
+    one table of Plotkin's recursion, :func:`_rm_distances`, filled once
+    per call up to the largest order a stratum needs, top = min(r + h - 1, m).
+    The table holds at most top + 1 <= m + 1 ints of at most m + 1 bits a
+    level, with two levels live, so a call takes under 1 MiB at any m and h.
+    r, m and h are read as Python ints; a bool or a float raises
+    ``ValueError``.  An m above 1021, where squared Euclidean weights leave
+    the float range, or an h above 512, where sin^2(pi / 2^h) is no longer a
+    normal float, raises :class:`~cskit.errors.SizeLimitError` before any
+    work.
     """
+    r = _index(r, "r must be an integer")
+    m = _index(m, "m must be an integer")
+    h = _index(h, "h must be an integer")
     if m > _MAX_DISTANCE_M:
         raise SizeLimitError(f"squared Euclidean weights of words of 2^{m} symbols exceed the float range (m <= {_MAX_DISTANCE_M})")
     if h > _MAX_DISTANCE_H:
@@ -672,9 +653,11 @@ _FAMILIES = ("ERM", "A", "A1", "R", "R1", "R2", "C4", "C8", "GOLAY")
 
 
 def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, sizes: Sequence[int]) -> list[list]:
-    """The factor lists of a named family (upper case), one per union part."""
+    """The factor lists of a named family (upper case), one per union part,
+    over Z_(2^h) on m >= 1 variables, with 0 <= k < m restricted ones."""
     if fam not in _FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
+    _check_domain(2**h, m)
     if fam == "GOLAY":
         return [_golay_factors(m, h)]
     if r is None:
@@ -699,6 +682,7 @@ def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, size
         return parts
     if k is None:
         raise ValueError(f"family {fam!r} needs k")
+    _check_restricted(k, m)
     if fam in ("A", "A1"):
         return [_coset_factors(m, k, r, h, excl=fam == "A1")]
     if fam == "R":

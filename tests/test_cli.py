@@ -239,6 +239,15 @@ def test_enumerate_rejects_bad_q(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_enumerate_rejects_a_degenerate_domain(capsys, m):
+    # m = -1 printed 'q=2;m=-1; 0', which parse_gbf refuses, and exited 0
+    for extra in ([], ["--count-only"]):
+        code, out, err = run(capsys, "enumerate", "--family", "erm", "-m", m, "--q", "2", "-r", "1", *extra)
+        assert code == 2 and out == ""
+        assert f"ValueError: need at least one variable, got m={m}" in err
+
+
 def test_tables_csv(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -260,20 +261,16 @@ def exhaustive_rm_weight(r: int, m: int) -> int:
 
 def test_rm_min_weight():
     for r, m, weight in [(0, 3, 8), (1, 3, 4), (2, 4, 4), (3, 3, 1), (2, 5, 8)]:
-        assert codebook._rm_distance(r, m) == exhaustive_rm_weight(r, m) == weight, (r, m)
+        assert codebook._rm_distances(r, m)[r] == exhaustive_rm_weight(r, m) == weight, (r, m)
 
 
-# Every Reed–Muller code that exhaustion can weigh beyond m = 0: the leaves of
-# _rm_distance up to m = 6 and, at m = 7 and 8, codes it splits.
+# Every Reed–Muller code that exhaustion can weigh beyond m = 0, up to m = 8.
 RM_CODES = [(r, m) for m in range(1, 9) for r in range(m + 1) if sum(math.comb(m, d) for d in range(r + 1)) <= 17]
 
 
-@pytest.mark.parametrize("leaf_dim", [1, codebook._LEAF_DIM], ids=["splits-only", "default-leaves"])
-def test_rm_distance_matches_exhaustion(monkeypatch, leaf_dim):
-    # with leaves of dimension 1, every code above RM(0, m') and RM(0, 0) is split
-    monkeypatch.setattr(codebook, "_LEAF_DIM", leaf_dim)
+def test_rm_distance_matches_exhaustion():
     for r, m in RM_CODES:
-        assert codebook._rm_distance(r, m) == exhaustive_rm_weight(r, m), (r, m)
+        assert codebook._rm_distances(r, m)[r] == exhaustive_rm_weight(r, m), (r, m)
 
 
 # Every code with m <= 6 and h <= 3 within the exhaustive kernel's budgets:
@@ -295,15 +292,14 @@ def test_erm_min_distances_match_exhaustion(r, m, h):
 
 # The 16 (m, h, r) rows of the union tables, then codes of 2^21 to 2^82
 # codewords and words of up to 2^40 symbols, then alphabets of 2^20 and
-# 2^30 symbols.
+# 2^30 symbols, and one of 2^512 symbols on words of 2^200.
 LARGE_CODES = [(r, m, h) for m in (5, 6) for h in (1, 2) for r in range(1, 5)]
-LARGE_CODES += [(1, 20, 1), (2, 20, 1), (0, 25, 1), (1, 40, 2), (0, 2, 20), (1, 3, 30)]
+LARGE_CODES += [(1, 20, 1), (2, 20, 1), (0, 25, 1), (1, 40, 2), (0, 2, 20), (1, 3, 30), (0, 200, 512)]
 
 
 @pytest.mark.parametrize("r,m,h", LARGE_CODES)
 def test_erm_min_distances_of_a_large_code_are_the_formulas(r, m, h):
-    # no codeword and no symbol table is built: the largest Reed-Muller leaf
-    # holds 2^16 words
+    # no codeword and no symbol table is built
     tracemalloc.start()
     try:
         lee, euc = erm_min_distances(r, m, h)
@@ -316,11 +312,19 @@ def test_erm_min_distances_of_a_large_code_are_the_formulas(r, m, h):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("r,m,h", [(0, 200, 512), (0, 1000, 64)])
+def test_erm_min_distances_of_many_strata_answer_within_a_second(r, m, h):
+    # 512 and 64 strata share one Reed-Muller table, filled once a call
+    start = time.perf_counter()
+    erm_min_distances(r, m, h)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_erm_min_distances_refuse_beyond_the_float_range_before_any_work(monkeypatch):
     lee, euc = erm_min_distances(0, 1021, 1)  # 4 * 2^1021 is the largest float power of two
     assert (lee, euc) == (1 << 1021, 2.0**1023)
 
-    def weigh(r, m):
+    def weigh(top, m):
         raise AssertionError("a refused code was weighed")
 
     h = codebook._MAX_DISTANCE_H  # the last h whose sin^2(pi / 2^h) is a normal float
@@ -329,7 +333,7 @@ def test_erm_min_distances_refuse_beyond_the_float_range_before_any_work(monkeyp
     assert lee == 4
     assert euc == pytest.approx(erm_distance_formulas(0, 2, h)[1], rel=1e-12)
 
-    monkeypatch.setattr(codebook, "_rm_distance", weigh)
+    monkeypatch.setattr(codebook, "_rm_distances", weigh)
     with pytest.raises(SizeLimitError):
         erm_min_distances(0, 1022, 1)
     with pytest.raises(SizeLimitError):
@@ -393,8 +397,8 @@ def test_erm_min_distances_methods_agree(r, m, h):
 def test_layered_distances_prove_the_bound_is_attained(monkeypatch):
     # a Reed-Muller weight one too small lowers every stratum bound below
     # the witnesses, so the exactness obligation fails
-    true_weight = codebook._rm_distance
-    monkeypatch.setattr(codebook, "_rm_distance", lambda r, m: true_weight(r, m) - 1)
+    true_weights = codebook._rm_distances
+    monkeypatch.setattr(codebook, "_rm_distances", lambda top, m: [w - 1 for w in true_weights(top, m)])
     with pytest.raises(AssertionError):
         codebook._min_weights_layered(1, 4, 2)
 

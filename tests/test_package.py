@@ -45,13 +45,17 @@ def test_no_ring_algebra_beyond_what_a_stage_uses():
 
 def test_codebook_weighs_no_codeword():
     """Minimum distances come from the closed-form stratum proof alone: the
-    exhaustive kernel lives with the tests, and ``codebook`` reads no symbol
-    table from ``correlation``."""
+    exhaustive kernel lives with the tests, the Reed–Muller weights come from
+    Plotkin's recursion with no word weighed, and ``codebook`` reads no
+    symbol table from ``correlation``."""
     codebook = cskit.codebook
     retired = ["rm_min_weight", "_min_weights_direct", "_span_weights", "_bit_planes"]
+    retired += ["_rm_distance", "_rm_leaf_weight", "_is_rm_leaf", "_LEAF_M", "_LEAF_DIM"]
     assert [n for n in retired if hasattr(codebook, n)] == []
+    source = pathlib.Path(codebook.__file__).read_text()
+    assert "bitwise_count" not in source
     imported = []  # every module and name imported, as a dotted path
-    for node in ast.walk(ast.parse(pathlib.Path(codebook.__file__).read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):

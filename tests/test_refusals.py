@@ -33,7 +33,16 @@ from cskit import (
     set_aacf,
 )
 from cskit.cli import main
-from cskit.codebook import codeword_matrix, count_codebook, enumerate_f_polys, family_size, log2_coset_count, standard_golay_gbfs
+from cskit.codebook import (
+    codeword_matrix,
+    count_codebook,
+    enumerate_codebook,
+    enumerate_f_polys,
+    erm_min_distances,
+    family_size,
+    log2_coset_count,
+    standard_golay_gbfs,
+)
 from cskit.construct import cs_meta_from_text
 from cskit.correlation import read_sequences, write_sequences
 from cskit.gbf import _word_text
@@ -248,6 +257,11 @@ INTEGER_REFUSALS = {
     # int(n) read 1.9 as 1: a polynomial with one group of 1, and the count of sizes (1, 1)
     "random-float-group-size": lambda: random_qualifying_gbf(6, 1, 4, (1.9,), seed=1),
     "r2-float-block-sizes": lambda: count_codebook("R2", 6, 1, r=2, k=1, sizes=(1.9, 1.2)),
+    # True was read as r = 1; 1.0 a bare TypeError
+    "erm-distance-bool-r": lambda: erm_min_distances(True, 3, 1),
+    "erm-distance-float-r": lambda: erm_min_distances(1.0, 3, 1),
+    "erm-distance-float-m": lambda: erm_min_distances(1, 3.0, 1),
+    "erm-distance-bool-h": lambda: erm_min_distances(1, 3, True),
 }
 
 
@@ -313,8 +327,10 @@ def test_refusal_of_an_inexact_integer(call):
 
 
 def test_numpy_integers_are_read_as_python_ints():
-    """A NumPy integer point (a bare TypeError before) is the same point, and
-    a NumPy coefficient is held as a Python int."""
+    """A NumPy integer point (a bare TypeError before) is the same point, a
+    NumPy coefficient is held as a Python int, and a code given by NumPy
+    integers has Python distances (NumPy ones before, which ``json.dumps``
+    refuses)."""
     assert PATH(np.int64(3)) == PATH(3) == PATH(np.array([1, 1, 0])) == 2
     assert PATH.linear_coeff(np.uint8(2)) == PATH.linear_coeff(2)
     v = CycloValue(4, (np.int64(2), 0))
@@ -322,3 +338,34 @@ def test_numpy_integers_are_read_as_python_ints():
     f = GbfPoly.from_terms(4, 2, {np.int64(1): np.uint8(3)})
     assert f.terms == ((1, 3),) and all(type(n) is int for n in f.terms[0])
     assert np.array_equal(PolyphaseSeq(4, np.array([5, 2], dtype=np.uint8)).phases, [1, 2])
+    lee, euc = erm_min_distances(np.int64(1), np.uint8(3), np.int32(1))
+    assert (lee, euc) == (4, 16.0) and type(lee) is int and type(euc) is float
+    assert json.dumps([lee, euc]) == "[4, 16.0]"
+
+
+# Refusals of a degenerate codebook domain, with the messages of the
+# polynomial domain rule and of log2_coset_count.  Each input was accepted
+# before: m = -1 counted the one word of an unparsable 'q=2;m=-1; 0', h = 0
+# yielded q = 1 polynomials, and k outside [0, m) counted 16 words of A, 1 of
+# A with k = -1, or failed with "negative shift count" or "list.remove(x)".
+DOMAIN_REFUSALS = {
+    "erm-negative-m": (lambda: count_codebook("ERM", -1, 1, r=1), "need at least one variable, got m=-1"),
+    "erm-zero-m": (lambda: enumerate_codebook("ERM", 0, 1, r=1), "need at least one variable, got m=0"),
+    "erm-zero-h": (lambda: enumerate_codebook("ERM", 3, 0, r=1), "modulus must be an even integer >= 2, got q=1"),
+    "golay-negative-h": (lambda: count_codebook("GOLAY", 3, -1), "modulus must be an even integer >= 2, got q=0.5"),
+    "f-polys-zero-k": (lambda: enumerate_f_polys(1, 0, 1), "need at least one variable, got m=0"),
+    "f-polys-zero-h": (lambda: enumerate_f_polys(1, 2, 0, m=4, variables=[2, 3]), "got q=1"),
+    "a-k-equal-to-m": (lambda: count_codebook("A", 3, 1, r=1, k=3), "need 0 <= k < m, got k=3, m=3"),
+    "a-negative-k": (lambda: count_codebook("A", 3, 1, r=1, k=-1), "need 0 <= k < m, got k=-1, m=3"),
+    "a1-k-equal-to-m": (lambda: count_codebook("A1", 3, 1, r=1, k=3), "need 0 <= k < m, got k=3, m=3"),
+    "r-negative-k": (lambda: count_codebook("R", 3, 1, r=1, k=-1), "need 0 <= k < m, got k=-1, m=3"),
+    "r1-negative-k": (lambda: enumerate_codebook("R1", 5, 1, r=2, k=-1), "need 0 <= k < m, got k=-1, m=5"),
+    "r2-negative-k": (lambda: count_codebook("R2", 6, 1, r=2, k=-1, sizes=(1, 1)), "need 0 <= k < m, got k=-1, m=6"),
+}
+
+
+@pytest.mark.parametrize("call, message", DOMAIN_REFUSALS.values(), ids=DOMAIN_REFUSALS.keys())
+def test_refusal_of_a_degenerate_codebook_domain(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert caught.type is ValueError and message in str(caught.value)
