@@ -7,9 +7,9 @@ The package is organised by task:
 * :mod:`cskit.cyclo` — exact correlation values in Z[w], w a 2^h-th root
   of unity;
 * :mod:`cskit.correlation` — exact aperiodic correlation, complementary-set
-  verification, PMEPR measurement, Lee/Euclidean distances;
-* :mod:`cskit.graphs` — coupling graphs of restricted polynomials and the
-  shape analysis the constructions depend on;
+  verification, PMEPR measurement and the sequence file format;
+* :mod:`cskit.graphs` — the shape analysis of the coupling graphs of
+  restricted polynomials that the constructions depend on;
 * :mod:`cskit.construct` — the complementary-set constructions (offset,
   balanced, doubled and path-restriction sets, the last with Golay pairs as
   its k = 0 case) plus a seeded generator of qualifying polynomials;
@@ -26,7 +26,6 @@ from .errors import (
     EmptySequenceError,
     EnumerationError,
     GraphShapeError,
-    MixedCouplingError,
     ModulusError,
     ParseError,
     SizeLimitError,
@@ -49,10 +48,7 @@ from .correlation import (
     aacf_report,
     cross_corr,
     envelope_power,
-    euclid_sq_dist,
     is_cs,
-    lee_dist,
-    min_distances,
     pmepr,
     pmepr_autocorr_bound,
     read_sequences,
@@ -60,7 +56,7 @@ from .correlation import (
     set_report,
     write_sequences,
 )
-from .graphs import IsolatedGroup, RestrictionGraph, RestrictionProfile, ShapeClass, analyze, graph_of, l_value
+from .graphs import IsolatedGroup, RestrictionProfile, analyze
 from .construct import (
     CsCandidate,
     balanced_cs,

@@ -39,11 +39,11 @@ from .construct import (
     random_qualifying_gbf,
 )
 from .correlation import aacf_report, read_sequences, set_report, write_sequences
-from .errors import BalanceError, CskitError, DegreeError, GraphShapeError, MixedCouplingError, ParseError
+from .errors import BalanceError, CskitError, DegreeError, GraphShapeError, ParseError
 from .gbf import GbfPoly, PolyphaseSeq, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
 from .graphs import RestrictionProfile, analyze
 
-HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, MixedCouplingError, BalanceError)
+HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, BalanceError)
 
 
 def _golay(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()):

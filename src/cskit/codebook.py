@@ -130,14 +130,21 @@ def enumerate_f_polys(
 
     By default the variables are x0..x{k-1} of a k-variable polynomial; pass
     ``m`` and ``variables`` to embed them in a larger domain (as the coset
-    codes do with their ingredient functions on the top k variables).
-    Raises :class:`EnumerationError` above 2^22 polynomials.
+    codes do with their ingredient functions on the top k variables).  r, k,
+    h and m are read as Python ints (a bool or a float raises
+    ``ValueError``); without ``variables`` k must lie in [0, m], and
+    ``variables`` must be k distinct indices in [0, m).  Raises
+    :class:`EnumerationError` above 2^22 polynomials.
     """
-    if m is None:
-        m = k
+    r, k, h = _index(r, "r must be an integer"), _index(k, "k must be an integer"), _index(h, "h must be an integer")
+    m = k if m is None else _index(m, "m must be an integer")
     _check_domain(2**h, m)
-    if variables is not None and len(variables) != k:
-        raise ValueError("need exactly k variable indices")
+    if variables is None and not 0 <= k <= m:
+        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
+    if variables is not None:
+        variables = [_index(v, "variable indices must be integers") for v in variables]
+        if len(variables) != k or len(set(variables)) != k or not all(0 <= v < m for v in variables):
+            raise ValueError(f"need k={k} distinct variable indices in [0, {m}), got {variables}")
     factors = _f_generators(r, k, h, variables)
     _refuse_above_limit([factors], "polynomials")
     return _coefficient_words([factors], 1 << h, m)
@@ -385,7 +392,7 @@ def _min_weights_layered(r: int, m: int, h: int) -> tuple[int, float]:
         ones = 1 << (m - d)
         assert weights[d] == ones, f"the witness of stratum {i} does not attain its bound"
         best_lee = min(best_lee, (1 << i) * ones)
-        # the symbol weight of 2^i as correlation._weight_tables computes it, bit for bit
+        # the symbol weight of 2^i as codebook_reference.weight_tables (in the tests) computes it, bit for bit
         best_euc = min(best_euc, float(4.0 * np.sin(np.pi * (1 << i) / q) ** 2) * ones)
     return best_lee, best_euc
 
@@ -657,11 +664,13 @@ def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, size
     over Z_(2^h) on m >= 1 variables, with 0 <= k < m restricted ones."""
     if fam not in _FAMILIES:
         raise ValueError(f"unknown family {fam!r}")
+    m, h = _index(m, "m must be an integer"), _index(h, "h must be an integer")
     _check_domain(2**h, m)
     if fam == "GOLAY":
         return [_golay_factors(m, h)]
     if r is None:
         raise ValueError(f"family {fam!r} needs r")
+    r = _index(r, "r must be an integer")
     if fam == "ERM":
         return [_f_generators(r, m, h)]
     if fam == "C4":
@@ -682,6 +691,7 @@ def _codebook_parts(fam: str, m: int, h: int, r: int | None, k: int | None, size
         return parts
     if k is None:
         raise ValueError(f"family {fam!r} needs k")
+    k = _index(k, "k must be an integer")
     _check_restricted(k, m)
     if fam in ("A", "A1"):
         return [_coset_factors(m, k, r, h, excl=fam == "A1")]

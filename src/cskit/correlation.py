@@ -1,4 +1,4 @@
-"""Exact aperiodic correlation, complementarity checks, distances, envelopes.
+"""Exact aperiodic correlation, complementarity checks, envelopes, sequence files.
 
 The aperiodic cross-correlation of sequences ``a`` and ``b`` of length L at
 shift ``tau >= 0`` is ``sum_{i=0}^{L-1-tau} a[i+tau] * conj(b[i])``; negative
@@ -70,7 +70,6 @@ the number of live positions, i.e. A(0).
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,9 +87,6 @@ __all__ = [
     "aacf",
     "set_aacf",
     "is_cs",
-    "lee_dist",
-    "euclid_sq_dist",
-    "min_distances",
     "envelope_power",
     "pmepr",
     "pmepr_autocorr_bound",
@@ -260,78 +256,6 @@ def set_aacf(seqs: Sequence[PolyphaseSeq]) -> AacfVector:
 def is_cs(seqs: Sequence[PolyphaseSeq]) -> bool:
     """True when the summed autocorrelation vanishes at every nonzero shift."""
     return set_aacf(seqs).offpeak_is_zero()
-
-
-# -- symbol-wise weights and distances ----------------------------------------
-
-
-def _symbols(seqs: Sequence[PolyphaseSeq | Sequence[int] | np.ndarray], q: int | None) -> tuple[list[np.ndarray], int | None]:
-    """The symbol rows of full sequences (each with its own modulus) and of
-    bare arrays (reduced mod ``q``, which they require), and the one modulus
-    of them all; a second modulus or length raises ``ValueError``."""
-    rows, moduli = [], set() if q is None else {q}
-    for s in seqs:
-        if isinstance(s, PolyphaseSeq):
-            if not s.is_full:
-                raise ValueError("weights and distances are defined for full sequences only")
-            rows.append(s.phases)
-            moduli.add(s.q)
-        elif q is None:
-            raise ValueError("q is required when passing a bare symbol array")
-        else:
-            rows.append(np.asarray(s, dtype=np.int64) % q)
-    if len(moduli) > 1 or len({len(r) for r in rows}) > 1:
-        raise ValueError("distance needs equal-length sequences over one modulus")
-    return rows, moduli.pop() if moduli else q
-
-
-def _weight_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol Lee weights min(a, q - a) and squared Euclidean weights
-    |omega^a - 1|^2 = 4 sin^2(pi a / q), for a = 0 .. q-1."""
-    a = np.arange(q)
-    return np.minimum(a, q - a), 4.0 * np.sin(np.pi * a / q) ** 2
-
-
-def lee_dist(a, b, q: int | None = None) -> int:
-    (xa, xb), q = _symbols((a, b), q)
-    return int(_weight_tables(q)[0][(xa - xb) % q].sum())
-
-
-def euclid_sq_dist(a, b, q: int | None = None) -> float:
-    (xa, xb), q = _symbols((a, b), q)
-    return float(np.sum(_weight_tables(q)[1][(xa - xb) % q]))
-
-
-def min_distances(seqs: Sequence[PolyphaseSeq | Sequence[int]], q: int | None = None) -> tuple[int, float]:
-    """Minimum pairwise (Lee, squared-Euclidean) distances over a code.
-
-    Duplicate sequences are reported with a warning and the offending pairs
-    are skipped, so the result describes the distinct codewords.
-    """
-    rows, q = _symbols(seqs, q)
-    if len(rows) < 2:
-        raise ValueError("need at least two sequences")
-    mat = np.stack(rows)
-    lee_tab, euc_tab = _weight_tables(q)
-    best_lee: int | None = None
-    best_euc: float | None = None
-    dupes = 0
-    for i in range(len(mat) - 1):
-        diff = (mat[i + 1 :] - mat[i]) % q
-        nz = diff.any(axis=1)
-        dupes += int((~nz).sum())
-        if not nz.any():
-            continue
-        live = diff[nz]
-        lee = lee_tab[live].sum(axis=1).min()
-        euc = euc_tab[live].sum(axis=1).min()
-        best_lee = int(lee) if best_lee is None else min(best_lee, int(lee))
-        best_euc = float(euc) if best_euc is None else min(best_euc, float(euc))
-    if dupes:
-        warnings.warn(f"{dupes} duplicate sequence pair(s) skipped in distance computation")
-    if best_lee is None:
-        raise ValueError("all sequences are identical; no nonzero distance exists")
-    return best_lee, best_euc
 
 
 # -- envelope statistics -------------------------------------------------------

@@ -19,11 +19,6 @@ class GraphShapeError(CskitError, ValueError):
     (wrong shape, wrong edge weight, or inconsistent isolated vertices)."""
 
 
-class MixedCouplingError(CskitError, ValueError):
-    """An isolated vertex is still coupled through a surviving term of degree
-    two or more, so its linear surplus is not a pure coupling sum."""
-
-
 class BalanceError(CskitError, ValueError):
     """The half-zero / half-opposite condition on coupling surpluses fails,
     so the balanced complementary-set construction does not apply."""

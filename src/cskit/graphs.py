@@ -22,156 +22,22 @@ restricted variables): per word, the surviving coefficient of every pair
 (the edges and their weights), of every larger monomial (a surviving cubic)
 and of every vertex (the isolated-vertex surpluses).  The shapes are decided
 for every word together from the vertex degrees and one walk along each
-path.  No restricted polynomial is built: the first failing word raises its
-error from its own column of the table.  :func:`graph_of` and
-:func:`l_value` read one column of the same table, and :func:`classify`
-runs the same walk on one graph.
+path.  No restricted polynomial and no graph of one word is built: the first
+failing word raises its error from its own column of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegreeError, GraphShapeError, MixedCouplingError
-from .gbf import GbfPoly, Restriction, _bits, _index, _word_text, restriction_table
+from .errors import DegreeError, GraphShapeError
+from .gbf import GbfPoly, _bits, _index, _word_text, restriction_table
 
-__all__ = [
-    "RestrictionGraph",
-    "ShapeClass",
-    "IsolatedGroup",
-    "RestrictionProfile",
-    "graph_of",
-    "classify",
-    "analyze",
-    "l_value",
-]
-
-
-@dataclass(frozen=True)
-class RestrictionGraph:
-    """Weighted simple graph on variable indices; edges keyed with u < v."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        vset, pairs = set(self.vertices), {(u, v) for u, v, _ in self.edges}
-        if len(vset) < len(self.vertices) or len(pairs) < len(self.edges) or not all(u < v and {u, v} <= vset for u, v in pairs):
-            raise ValueError(f"not a simple graph with edges keyed u < v: {self.vertices}, {self.edges}")
-
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b, _ in self.edges if v in (a, b))
-
-    def weights(self) -> set[int]:
-        return {w for _, _, w in self.edges}
-
-
-@dataclass(frozen=True)
-class ShapeClass:
-    """Classification of a restriction graph.
-
-    ``kind`` is ``"path"`` (a single path covering every vertex; a lone
-    vertex counts), ``"path-plus-isolated"`` (a path on n-1 >= 2 vertices
-    plus exactly one degree-zero vertex), or ``"other"``.  For the first two
-    kinds ``path`` lists the path vertices in order, starting from the
-    smaller endpoint; ``isolated`` names the degree-zero vertex if any.
-    """
-
-    kind: Literal["path", "path-plus-isolated", "other"]
-    path: tuple[int, ...] = ()
-    isolated: int | None = None
-
-    @property
-    def endpoints(self) -> tuple[int, int] | None:
-        if not self.path:
-            return None
-        return (self.path[0], self.path[-1])
-
-
-def graph_of(f: GbfPoly, restriction: Restriction) -> RestrictionGraph:
-    """Coupling graph of ``f`` after applying ``restriction``.
-
-    Vertices are exactly the unrestricted variable indices, and the edges
-    are the pairs live in the restriction's column of the restriction table;
-    raises :class:`DegreeError` if a term of degree >= 3 survives the
-    reduction.
-    """
-    fixed = set(restriction.indices)
-    vertices = tuple(i for i in range(f.m) if i not in fixed)
-    if not vertices:
-        raise ValueError("restriction fixes every variable")
-    restriction.variable_mask(f.m)  # refuses a restricted index beyond x_{m-1}
-    units, table = restriction_table(f, restriction.indices)
-    column = table[:, restriction.word()].tolist()
-    _refuse_cubic(units, column)
-    edges = sorted((*_bits(u), c) for u, c in zip(units, column) if c and u.bit_count() == 2)
-    return RestrictionGraph(vertices, tuple(edges))
-
-
-def classify(g: RestrictionGraph) -> ShapeClass:
-    """Decide whether ``g`` is a path, a path plus one isolated vertex, or neither."""
-    verts = sorted(g.vertices)
-    if not verts:
-        return ShapeClass("other")
-    at = {v: p for p, v in enumerate(verts)}
-    ends = np.array([(at[u], at[v]) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2)
-    ok, _, isolated, order = _path_shapes(len(verts), ends, np.ones((len(ends), 1), dtype=bool))
-    return _shape_class(verts, len(ends), ok[0], isolated[0], order[:, 0])
-
-
-def _shape_class(verts: Sequence[int], count: int, ok: bool, isolated: int, order: np.ndarray) -> ShapeClass:
-    """The :class:`ShapeClass` of one column of :func:`_path_shapes` on the
-    vertices ``verts`` (ascending) with ``count`` edges: the path is the
-    first ``count + 1`` positions of the walk."""
-    if not ok:
-        return ShapeClass("other")
-    path = tuple(verts[p] for p in order[: count + 1].tolist())
-    if isolated < 0:
-        return ShapeClass("path", path=path)
-    return ShapeClass("path-plus-isolated", path=path, isolated=verts[isolated])
-
-
-def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
-    """Coupling surplus of ``x_l`` under the restriction encoded by ``word``.
-
-    This is the linear coefficient of ``x_l`` in the reduced restricted
-    polynomial minus its global linear coefficient — i.e. the mod-q sum of
-    the couplings of ``x_l`` to monomials in restricted variables, evaluated
-    at the assignment.  Both are cells of the restriction table: the column
-    of ``word`` and that of word 0.  Defined only when ``x_l`` is isolated
-    there: if it still occurs in a term of degree >= 2,
-    :class:`MixedCouplingError` is raised.
-    """
-    l = _index(l, "variable indices must be integers")
-    if l in restricted:
-        raise ValueError(f"x{l} is itself restricted")
-    if not 0 <= l < f.m:
-        raise ValueError(f"x{l} is not a variable of a polynomial in m={f.m} variables")
-    r = Restriction.assign(restricted, word)
-    r.variable_mask(f.m)  # refuses a restricted index beyond x_{m-1}
-    units, table = restriction_table(f, r.indices)
-    for u, c in zip(units, table[:, r.word()].tolist()):
-        if c and (u >> l) & 1 and u.bit_count() >= 2:
-            raise MixedCouplingError(f"x{l} is still coupled through {_bits(u)} at assignment {r.bitstring()}")
-    if 1 << l not in units:
-        return 0
-    now, base = table[units.index(1 << l), [r.word(), 0]].tolist()
-    return (now - base) % f.q
-
-
-def _refuse_cubic(units: Sequence[int], column: Sequence[int]) -> None:
-    """Raise :class:`DegreeError` for the first unit of three or more
-    variables live in ``column``."""
-    for u, c in zip(units, column):
-        if c and u.bit_count() >= 3:
-            raise DegreeError(
-                f"term of degree {u.bit_count()} on variables {_bits(u)} survives the restriction; "
-                "no pairwise-coupling graph exists"
-            )
+__all__ = ["IsolatedGroup", "RestrictionProfile", "analyze"]
 
 
 @dataclass(frozen=True)
@@ -272,9 +138,8 @@ def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:
 
     The graphs are read from the restriction table of ``f`` (see the module
     docstring), all words at once.  The error names the first failing word,
-    in word order, and says what :func:`graph_of` and :func:`classify` find
-    wrong with it: a surviving cubic first, then the shape, then the
-    weights.  The restricted indices must be integers (bools and floats are
+    in word order, and says what is wrong with it: a surviving cubic first,
+    then the shape, then the weights.  The restricted indices must be integers (bools and floats are
     refused); they are kept as Python ints.
 
     The profiles of the last few ``(f, restricted)`` pairs are kept, so
@@ -303,12 +168,17 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
     live = table != 0
     edges = live[pairs]
     ends = np.array([(at[(units[i] & -units[i]).bit_length() - 1], at[units[i].bit_length() - 1]) for i in pairs], dtype=np.intp).reshape(-1, 2)
-    shaped, end, isolated, _ = _path_shapes(len(verts), ends, edges)
+    shaped, end, isolated = _path_shapes(len(verts), ends, edges)
     ok = shaped & ~live[[i for i, d in enumerate(sizes) if d >= 3]].any(0) & ~(edges & (table[pairs] != f.q // 2)).any(0)
     if not ok.all():
         word = int(np.argmin(ok))
         column = table[:, word].tolist()
-        _refuse_cubic(units, column)
+        cubic = next((u for u, c in zip(units, column) if c and u.bit_count() >= 3), 0)
+        if cubic:
+            raise DegreeError(
+                f"term of degree {cubic.bit_count()} on variables {_bits(cubic)} survives the restriction; "
+                "no pairwise-coupling graph exists"
+            )
         name = _word_text(word, k) or "(empty)"
         if not shaped[word]:
             raise GraphShapeError(f"restriction {name} is neither a path nor a path plus one isolated vertex")
@@ -331,18 +201,15 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
     )
 
 
-def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shape of each word's graph on the vertex positions 0 .. n-1, whose
     edges are the pairs ``ends`` marked live in that word's column of
     ``edges``.  Per word: whether the graph is a path on every vertex or
     (n >= 3) a path plus one isolated vertex; the larger end of the path;
-    the isolated vertex, or -1; and, as an ``(n, words)`` array, the
-    positions the walk visits, whose first edges + 1 are the path from its
-    smaller end."""
+    and the isolated vertex, or -1."""
     words = np.arange(edges.shape[1])
     if n == 1:  # a lone vertex is a path
-        zeros = np.zeros(len(words), dtype=np.intp)
-        return np.ones(len(words), dtype=bool), zeros, np.full(len(words), -1), zeros[None]
+        return np.ones(len(words), dtype=bool), np.zeros(len(words), dtype=np.intp), np.full(len(words), -1)
     side = np.arange(n)[:, None] == ends.T[:, None, :]  # (end, vertex, edge)
     live = edges.astype(np.int64)
     degree = side.sum(0) @ live
@@ -361,10 +228,8 @@ def _path_shapes(n: int, ends: np.ndarray, edges: np.ndarray) -> tuple[np.ndarra
     nsum[n] = n + 1 + end
     nsum[n + 1 :] = 2 * np.arange(n + 1, 2 * n)[:, None]
     cur, prev = start, np.where(ok, n, end)
-    order = [cur]
     for _ in range(n - 1):
         cur, prev = nsum[cur, words] - prev, cur
-        order.append(cur)
     count = live.sum(0)
     ok &= cur == np.where(count == n - 1, end, 2 * n - 2 - count)
-    return ok, end, np.where(lone == 1, np.argmax(degree == 0, axis=0), -1), np.array(order)
+    return ok, end, np.where(lone == 1, np.argmax(degree == 0, axis=0), -1)

@@ -10,7 +10,7 @@ The exhaustive distance kernel is the one the library weighed codes with
 before every minimum distance came from the closed-form stratum proof:
 codewords summed by ``_cartesian_blocks``, held as packed bit planes, one
 per bit of the symbol, with symbol counts taken by popcount and weighed
-with the symbol tables of :mod:`cskit.correlation`.  ``test_codebook.py``
+with the symbol tables of :func:`weight_tables`.  ``test_codebook.py``
 checks ``erm_min_distances`` and the Reed–Muller weights against it.
 """
 
@@ -22,10 +22,16 @@ import numpy as np
 
 from cskit import GbfPoly, Restriction
 from cskit.codebook import _Gen, _cartesian_blocks, _f_generators
-from cskit.correlation import _weight_tables
 from cskit.gbf import _require_value_vector_size
 from construct_reference import indicator_poly, path_quadratic, product
 from cskit.errors import EnumerationError
+
+
+def weight_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol Lee weights min(a, q - a) and squared Euclidean weights
+    |omega^a - 1|^2 = 4 sin^2(pi a / q), for a = 0 .. q-1."""
+    a = np.arange(q)
+    return np.minimum(a, q - a), 4.0 * np.sin(np.pi * a / q) ** 2
 
 
 def f_generators(r: int, m: int, h: int, variables: Sequence[int] | None = None) -> list[tuple[int, int, int]]:
@@ -307,7 +313,7 @@ def _span_weights(gens: Sequence[_Gen], q: int, m: int) -> Iterator[tuple[np.nda
     block, heads = _cartesian_blocks([g.n for g in order], lambda i, lo, hi: order[i].rows(lo, hi).astype(sym) * values[i], L, q)
     planes = _bit_planes(block, h, word)
     del block
-    lee_tab, etab = (t[1:] for t in _weight_tables(q))
+    lee_tab, etab = (t[1:] for t in weight_tables(q))
     for head in heads:
         for ys in _bit_planes(head, h, word).swapaxes(0, 1):
             digits = [planes[0] ^ ys[0]]

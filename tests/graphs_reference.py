@@ -1,23 +1,28 @@
 """Reference for the restriction-table analysis.
 
-These are ``graphs.analyze``, ``graph_of``, ``classify``, ``l_value`` and
-``codebook._indicator_anf`` as they stood before the restriction table: one
-restricted ``GbfPoly`` per restriction word (:func:`restrict`), its
-coupling graph built from the reduced terms and classified on its own by
-tracing the path through an adjacency list, the surpluses of the isolated
-vertices read from the restricted polynomial, and the indicator ANF
-expanded word by word.  ``test_restriction_table.py`` checks that the
-library gives equal graphs, shapes, surpluses and profiles, the same
-refusals for the same first word, and equal indicator dicts in the same
-key order.
+These are ``graphs.analyze`` and ``codebook._indicator_anf`` as they stood
+before the restriction table: one restricted ``GbfPoly`` per restriction
+word (:func:`restrict`), its coupling graph built from the reduced terms
+(:func:`graph_of`, a ``(vertices, edges)`` tuple) and classified on its own
+by tracing the path through an adjacency list (:func:`classify`, a
+``(kind, path, isolated)`` tuple), the surpluses of the isolated vertices
+read from the restricted polynomial (:func:`l_value`), and the indicator
+ANF expanded word by word.  ``test_restriction_table.py`` checks that the
+library gives equal profiles, the same refusals for the same first word,
+the same shape, isolated vertex and larger path end as the walk of
+``graphs._path_shapes`` on every small graph, and equal indicator dicts in
+the same key order.
 """
 
 import itertools
 from typing import Iterable, Sequence
 
-from cskit import DegreeError, GbfPoly, GraphShapeError, MixedCouplingError, Restriction
+from cskit import DegreeError, GbfPoly, GraphShapeError, Restriction
 from cskit.gbf import _bits
-from cskit.graphs import IsolatedGroup, RestrictionGraph, RestrictionProfile, ShapeClass
+from cskit.graphs import IsolatedGroup, RestrictionProfile
+
+Graph = tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]  # vertices, edges (u < v, weight)
+Shape = tuple[str, tuple[int, ...], int | None]  # kind, path from its smaller end, isolated vertex
 
 
 def restrict(f: GbfPoly, restriction: Restriction) -> GbfPoly:
@@ -34,7 +39,7 @@ def restrict(f: GbfPoly, restriction: Restriction) -> GbfPoly:
     return GbfPoly.from_terms(f.q, f.m, out)
 
 
-def graph_of(f: GbfPoly, restriction: Restriction) -> RestrictionGraph:
+def graph_of(f: GbfPoly, restriction: Restriction) -> Graph:
     """The coupling graph of the reduced restricted polynomial."""
     fixed = set(restriction.indices)
     vertices = [i for i in range(f.m) if i not in fixed]
@@ -50,18 +55,18 @@ def graph_of(f: GbfPoly, restriction: Restriction) -> RestrictionGraph:
             )
         if deg == 2:
             edges.append(((mask & -mask).bit_length() - 1, mask.bit_length() - 1, coeff))
-    return RestrictionGraph(tuple(vertices), tuple(sorted(edges)))
+    return tuple(vertices), tuple(sorted(edges))
 
 
-def _trace_path(g: RestrictionGraph, verts: Sequence[int]) -> tuple[int, ...] | None:
-    """Ordered vertices if the induced edge set forms a path on ``verts``."""
+def _trace_path(edges: Sequence[tuple[int, int, int]], verts: Sequence[int]) -> tuple[int, ...] | None:
+    """Ordered vertices if the edge set forms a path on ``verts``."""
     n = len(verts)
     if n == 1:
-        return (verts[0],) if not g.edges else None
-    if len(g.edges) != n - 1:
+        return (verts[0],) if not edges else None
+    if len(edges) != n - 1:
         return None
     adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v, _ in g.edges:
+    for u, v, _ in edges:
         adj[u].append(v)
         adj[v].append(u)
     degs = {v: len(ns) for v, ns in adj.items()}
@@ -79,30 +84,32 @@ def _trace_path(g: RestrictionGraph, verts: Sequence[int]) -> tuple[int, ...] | 
     return tuple(order)
 
 
-def classify(g: RestrictionGraph) -> ShapeClass:
-    """A path, a path plus one isolated vertex, or neither."""
-    path = _trace_path(g, g.vertices)
+def classify(g: Graph) -> Shape:
+    """A path, a path plus one isolated vertex, or neither ("other", with no
+    path and no isolated vertex)."""
+    vertices, edges = g
+    path = _trace_path(edges, vertices)
     if path is not None:
-        return ShapeClass("path", path=path)
-    isolated = [v for v in g.vertices if g.degree(v) == 0]
-    if len(isolated) == 1 and len(g.vertices) >= 3:
-        rest = [v for v in g.vertices if v != isolated[0]]
-        path = _trace_path(RestrictionGraph(tuple(rest), g.edges), rest)
+        return "path", path, None
+    isolated = [v for v in vertices if not any(v in (a, b) for a, b, _ in edges)]
+    if len(isolated) == 1 and len(vertices) >= 3:
+        path = _trace_path(edges, [v for v in vertices if v != isolated[0]])
         if path is not None:
-            return ShapeClass("path-plus-isolated", path=path, isolated=isolated[0])
-    return ShapeClass("other")
+            return "path-plus-isolated", path, isolated[0]
+    return "other", (), None
 
 
 def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
     """The linear coefficient of ``x_l`` after the restriction, less its
-    global one, mod q; refused while ``x_l`` is still coupled."""
+    global one, mod q; refused while ``x_l`` is still coupled, which
+    :func:`analyze` never asks for."""
     if l in restricted:
         raise ValueError(f"x{l} is itself restricted")
     r = Restriction.assign(restricted, word)
     reduced = restrict(f, r)
     for mask, _ in reduced.terms:
         if (mask >> l) & 1 and mask.bit_count() >= 2:
-            raise MixedCouplingError(
+            raise ValueError(
                 f"x{l} is still coupled through {_bits(mask)} at assignment {r.bitstring()}"
             )
     return (reduced.linear_coeff(l) - f.linear_coeff(l)) % f.q
@@ -125,23 +132,23 @@ def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:
     for word in range(1 << k):
         r = Restriction.assign(idx, word)
         g = graph_of(f, r)
-        shape = classify(g)
-        if shape.kind == "other":
+        kind, path, isolated = classify(g)
+        if kind == "other":
             raise GraphShapeError(
                 f"restriction {r.bitstring() or '(empty)'} is neither a path nor "
                 "a path plus one isolated vertex"
             )
-        bad = {w for w in g.weights() if w != half}
+        bad = {w for _, _, w in g[1] if w != half}
         if bad:
             raise GraphShapeError(
                 f"restriction {r.bitstring() or '(empty)'} has edge weight(s) "
                 f"{sorted(bad)}; all must equal q/2 = {half}"
             )
-        endpoints.append((word, max(shape.endpoints)))
-        if shape.kind == "path":
+        endpoints.append((word, max(path[0], path[-1])))
+        if kind == "path":
             path_words.append(word)
         else:
-            by_vertex.setdefault(shape.isolated, []).append(word)
+            by_vertex.setdefault(isolated, []).append(word)
     groups = []
     for l in sorted(by_vertex):
         words = tuple(sorted(by_vertex[l]))

@@ -29,7 +29,6 @@ from cskit.codebook import (
     union_code_size_pmepr4,
     union_code_size_pmepr8,
 )
-from cskit.correlation import _weight_tables
 from cskit.errors import EnumerationError, SizeLimitError
 
 import codebook_reference as reference
@@ -350,7 +349,7 @@ def test_stratum_symbol_minima_are_the_closed_forms():
     # 4 sin^2(pi 2^i / 2^h), at u = 1 and its mirror 2^(h-i) - 1, which the
     # symbol table reads up to 3.1e-13 lower in relative terms for h <= 14
     for h in range(1, 13):
-        lee_tab, euc_tab = _weight_tables(1 << h)
+        lee_tab, euc_tab = reference.weight_tables(1 << h)
         for i in range(h):
             odd = (1 << i) * np.arange(1, 1 << (h - i), 2)
             lee, euc = erm_min_distances(-i, 0, h)

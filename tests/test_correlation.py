@@ -1,11 +1,10 @@
-"""Correlation, PMEPR and distance checks against small hand-computable cases."""
+"""Correlation, PMEPR and sequence-file checks against small hand-computable cases."""
 
 import cmath
 import hashlib
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +18,7 @@ from cskit import (
     aacf_report,
     cross_corr,
     envelope_power,
-    euclid_sq_dist,
     is_cs,
-    lee_dist,
-    min_distances,
     parse_gbf,
     pmepr,
     pmepr_autocorr_bound,
@@ -128,60 +124,6 @@ def test_set_report():
     g = parse_gbf("q=2;m=3; x0*x1 + x1*x2 + x0")
     rep = set_report([psi(f), psi(g)])
     assert rep["is_cs"] is True and rep["n"] == 2
-
-
-# Distances of seeded random words, pinned exactly: every weight is one table
-# float per symbol and the sums run in a fixed order, so == holds.
-SEEDED_DISTANCES = {
-    # (q, L): (lee_dist, euclid_sq_dist, *min_distances)
-    (2, 1): (0, 0.0, 1, 4.0),
-    (2, 5): (2, 8.0, 1, 4.0),
-    (2, 64): (27, 108.0, 27, 108.0),
-    (2, 1000): (498, 1992.0, 485, 1940.0),
-    (4, 1): (1, 2.0000000000000004, 1, 1.9999999999999996),
-    (4, 5): (5, 10.0, 1, 2.0000000000000004),
-    (4, 64): (67, 134.0, 56, 112.0),
-    (4, 1000): (966, 1932.0, 962, 1924.0),
-    (8, 1): (2, 2.0000000000000004, 1, 0.585786437626905),
-    (8, 5): (10, 10.0, 6, 5.17157287525381),
-    (8, 64): (123, 121.75735931288071, 110, 108.68629150101523),
-    (8, 1000): (1961, 1946.502525316942, 1938, 1943.7989898732235),
-    (16, 1): (2, 0.585786437626905, 1, 0.15224093497742702),
-    (16, 5): (16, 7.718695432327951, 10, 4.304481869954854),
-    (16, 64): (266, 134.3086440597979, 238, 114.9962115340718),
-    (16, 1000): (4099, 2046.7183786044911, 3949, 1968.755580918336),
-}
-
-
-def _seeded_words(q, L):
-    """Two words and a six-word code over Z_q, drawn from one seed per (q, L)."""
-    rng = np.random.default_rng(1000 * q + L)
-    return rng.integers(0, q, L), rng.integers(0, q, L), rng.integers(0, q, (6, L))
-
-
-def test_distances():
-    a = PolyphaseSeq(4, (0, 0, 0, 0))
-    b = PolyphaseSeq(4, (1, 3, 2, 0))
-    assert lee_dist(a, b) == 1 + 1 + 2 + 0
-    want = sum(abs(cmath.exp(2j * cmath.pi * p / 4) - 1) ** 2 for p in (1, 3, 2, 0))
-    assert euclid_sq_dist(a, b) == pytest.approx(want)
-    for (q, L), (lee, euc, _, _) in SEEDED_DISTANCES.items():
-        x, y, _ = _seeded_words(q, L)
-        assert lee_dist(x, y, q) == lee_dist(PolyphaseSeq(q, x), PolyphaseSeq(q, y)) == lee, (q, L)
-        assert euclid_sq_dist(x, y, q) == euclid_sq_dist(PolyphaseSeq(q, x), PolyphaseSeq(q, y)) == euc, (q, L)
-
-
-def test_min_distances_pairwise():
-    seqs = [PolyphaseSeq(2, p) for p in [(0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1)]]
-    d_lee, d_euc = min_distances(seqs)
-    assert d_lee == 2 and d_euc == pytest.approx(8.0)
-    with pytest.raises(ValueError):
-        min_distances(seqs[:1])
-    for (q, L), (_, _, lee, euc) in SEEDED_DISTANCES.items():
-        code = _seeded_words(q, L)[2]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # short words repeat; duplicate pairs are skipped
-            assert min_distances(list(code), q) == (lee, euc), (q, L)
 
 
 def test_sequence_file_roundtrip():

@@ -1,57 +1,53 @@
+"""Restriction graphs and their shapes, read through ``analyze``: each
+graph is a path, a path plus one isolated vertex, or refused."""
+
 import pytest
 
-from cskit import GraphShapeError, MixedCouplingError, analyze, graph_of, l_value, parse_gbf
-from cskit.gbf import Restriction
-from cskit.graphs import classify
+from cskit import GraphShapeError, analyze, parse_gbf
 from cskit.errors import DegreeError
 
 
-def test_graph_of_unrestricted():
-    f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2 + x3")
-    g = graph_of(f, Restriction.from_pairs([]))
-    assert set(g.vertices) == {0, 1, 2, 3}
-    assert {(u, v) for u, v, _ in g.edges} == {(0, 1), (1, 2)}
-    assert g.weights() == {2}
-    assert g.degree(1) == 2 and g.degree(3) == 0
-
-
 def test_graph_respects_cancellation():
-    # x0=1 turns 2*x0*x1*x2 into 2*x1*x2, which cancels the standing 2*x1*x2
-    f = parse_gbf("q=4;m=3; 2*x0*x1*x2 + 2*x1*x2")
-    g1 = graph_of(f, Restriction.assign([0], 1))
-    assert not g1.edges
-    g0 = graph_of(f, Restriction.assign([0], 0))
-    assert {(u, v) for u, v, _ in g0.edges} == {(1, 2)}
+    # x0=1 turns 2*x0*x2*x3 into 2*x2*x3, which cancels the standing 2*x2*x3:
+    # word 0 is the path 1-2-3, word 1 the edge 1-2 with x3 isolated
+    f = parse_gbf("q=4;m=4; 2*x0*x2*x3 + 2*x2*x3 + 2*x1*x2")
+    prof = analyze(f, [0])
+    assert prof.path_words == (0,)
+    assert [(g.l, g.members) for g in prof.groups] == [(3, (1,))]
+    assert prof.endpoints == ((0, 3), (1, 2))
 
 
 def test_graph_rejects_surviving_cubics():
-    f = parse_gbf("q=2;m=4; x1*x2*x3")
-    with pytest.raises(DegreeError):
-        graph_of(f, Restriction.assign([0], 0))
+    # x0=0 leaves the edge 1-2 beside the isolated x3; x0=1 adds the cubic x1*x2*x3
+    f = parse_gbf("q=2;m=4; x0*x1*x2*x3 + x1*x2")
+    with pytest.raises(DegreeError, match=r"term of degree 3 on variables \[1, 2, 3\] survives the restriction"):
+        analyze(f, [0])
 
 
 def test_classify_path():
     f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x3 + 2*x3*x2")
-    shape = classify(graph_of(f, Restriction.from_pairs([])))
-    assert shape.kind == "path"
-    assert shape.path in ((0, 1, 3, 2), (2, 3, 1, 0))
-    assert shape.endpoints == (0, 2) or shape.endpoints == (2, 0)
+    prof = analyze(f, [])
+    assert prof.path_words == (0,) and prof.all_paths
+    assert prof.endpoints == ((0, 2),)  # the path 0-1-3-2 ends at 0 and 2; the larger is the offset vertex
 
 
 def test_classify_path_plus_isolated():
-    f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2")
-    shape = classify(graph_of(f, Restriction.from_pairs([])))
-    assert shape.kind == "path-plus-isolated"
-    assert shape.isolated == 3
+    # the unrestricted graph: edges 0-1 and 1-2 of weight 2, and x3 alone
+    f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2 + x3")
+    prof = analyze(f, [])
+    assert prof.path_words == ()
+    (g,) = prof.groups
+    assert (g.l, g.members, g.g_l, g.l_values) == (3, (0,), 1, (0,))
+    assert prof.endpoints == ((0, 2),)
 
 
 def test_classify_other():
-    star = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x0*x2 + 2*x0*x3")
-    assert classify(graph_of(star, Restriction.from_pairs([]))).kind == "other"
-    cycle = parse_gbf("q=4;m=3; 2*x0*x1 + 2*x1*x2 + 2*x0*x2")
-    assert classify(graph_of(cycle, Restriction.from_pairs([]))).kind == "other"
-    two_isolated = parse_gbf("q=4;m=4; 2*x0*x1")
-    assert classify(graph_of(two_isolated, Restriction.from_pairs([]))).kind == "other"
+    star = "q=4;m=4; 2*x0*x1 + 2*x0*x2 + 2*x0*x3"
+    cycle = "q=4;m=3; 2*x0*x1 + 2*x1*x2 + 2*x0*x2"
+    two_isolated = "q=4;m=4; 2*x0*x1"
+    for text in (star, cycle, two_isolated):
+        with pytest.raises(GraphShapeError, match=r"^restriction \(empty\) is neither a path nor a path plus one isolated vertex$"):
+            analyze(parse_gbf(text), [])
 
 
 def test_analyze_example_shape():
@@ -79,18 +75,11 @@ def test_analyze_rejects_bad_shape():
 
 
 def test_l_value_pure_coupling():
-    # x3 couples to the restricted variable x0 with weight 2
+    # x3 couples to the restricted variable x0 with weight 2: at x0=1 the
+    # coupling adds 2 on top of the global linear term, at x0=0 nothing
     f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2 + 2*x0*x3 + x3")
-    # at x0=1 the coupling contributes 2 on top of the global linear term
-    assert l_value(f, 3, [0], 1) == 2
-    assert l_value(f, 3, [0], 0) == 0
-
-
-def test_l_value_mixed_coupling_rejected():
-    # x3 sits in a surviving quadratic with an unrestricted variable
-    f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x2*x3")
-    with pytest.raises(MixedCouplingError):
-        l_value(f, 3, [0], 0)
+    (g,) = analyze(f, [0]).groups
+    assert (g.l, g.members, g.g_l, g.l_values) == (3, (0, 1), 1, (0, 2))
 
 
 def test_profile_json():

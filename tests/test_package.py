@@ -63,3 +63,19 @@ def test_codebook_weighs_no_codeword():
             imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
     assert "cskit.gbf" in imported
     assert [name for name in imported if name.startswith("cskit.correlation")] == []
+
+
+def test_analyze_is_the_one_reader_of_restriction_graphs():
+    """The per-word graph API and the pairwise distance helpers are gone:
+    ``analyze`` decides every restriction graph, the per-word graphs and
+    shapes live in ``tests/graphs_reference.py``, and minimum distances come
+    from ``codebook.erm_min_distances`` alone."""
+    retired = {
+        cskit: ["graph_of", "l_value", "RestrictionGraph", "ShapeClass", "MixedCouplingError", "lee_dist", "euclid_sq_dist", "min_distances"],
+        cskit.graphs: ["graph_of", "classify", "l_value", "RestrictionGraph", "ShapeClass", "_shape_class", "_refuse_cubic"],
+        cskit.errors: ["MixedCouplingError"],
+        cskit.correlation: ["lee_dist", "euclid_sq_dist", "min_distances", "_symbols", "_weight_tables"],
+    }
+    assert [(m.__name__, n) for m, names in retired.items() for n in names if hasattr(m, n)] == []
+    errors = cskit.errors
+    assert importlib.import_module("cskit.cli").HYPOTHESIS_ERRORS == (errors.DegreeError, errors.GraphShapeError, errors.BalanceError)

@@ -126,6 +126,7 @@ def test_cross_corr_decomposes_over_restrictions(case):
         assert np.array_equal(total, whole.coeffs)
 
 
+@pytest.mark.slow
 @COMMON
 @given(raw_seq())
 def test_aacf_matches_float_oracle_and_symmetry(a):

@@ -6,7 +6,6 @@ compared with ``is``, not with ``issubclass``.
 """
 
 import json
-import warnings
 from itertools import product
 
 import numpy as np
@@ -18,16 +17,10 @@ from cskit import (
     ParseError,
     PolyphaseSeq,
     Restriction,
-    RestrictionGraph,
     aacf,
     analyze,
     cross_corr,
-    euclid_sq_dist,
     gbf_from_json,
-    graph_of,
-    l_value,
-    lee_dist,
-    min_distances,
     parse_gbf,
     random_qualifying_gbf,
     set_aacf,
@@ -95,8 +88,6 @@ REFUSALS = {
     "restriction-repeated": (lambda: Restriction((1, 1), (0, 0)), ValueError),
     "restriction-negative": (lambda: Restriction((-1,), (0,)), ValueError),
     "restriction-bit": (lambda: Restriction((0,), (2,)), ValueError),
-    "graph-index-beyond-m": (lambda: graph_of(PATH, Restriction((5,), (0,))), ValueError),
-    "graph-every-variable": (lambda: graph_of(PATH, Restriction((0, 1, 2), (0, 0, 0))), ValueError),
     "sequence-2d": (lambda: PolyphaseSeq(4, [[0, 1], [1, 0]]), ValueError),
     "sequence-mask-length": (lambda: PolyphaseSeq(4, [0, 1], [True]), ValueError),
     # correlation
@@ -111,18 +102,6 @@ REFUSALS = {
     "read-non-integer": (lambda: read_sequences("0 1 x\n", 4), ParseError),
     "write-masked": (lambda: write_sequences([MASKED]), ValueError),
     "meta-bad-token": (lambda: cs_meta_from_text("# CS q=4 junk\n"), ParseError),
-    # distances
-    "lee-masked": (lambda: lee_dist(MASKED, FULL), ValueError),
-    "euclid-masked": (lambda: euclid_sq_dist(FULL, MASKED), ValueError),
-    "min-masked": (lambda: min_distances([FULL, MASKED]), ValueError),
-    "lee-bare-without-q": (lambda: lee_dist([0, 1], [1, 0]), ValueError),
-    "euclid-bare-without-q": (lambda: euclid_sq_dist([0, 1], [1, 0]), ValueError),
-    "min-bare-without-q": (lambda: min_distances([[0, 1], [1, 0]]), ValueError),
-    "lee-mixed-lengths": (lambda: lee_dist([0, 1], [1, 0, 1], 4), ValueError),
-    "euclid-mixed-lengths": (lambda: euclid_sq_dist(FULL, PolyphaseSeq(4, [0, 1])), ValueError),
-    "lee-mixed-moduli": (lambda: lee_dist(FULL, PolyphaseSeq(8, [0, 1, 2, 3])), ValueError),
-    "min-one-word": (lambda: min_distances([FULL]), ValueError),
-    "min-identical": (lambda: min_distances([FULL, FULL]), ValueError),
     # restriction profiles
     "analyze-repeated-index": (lambda: analyze(PATH, [0, 0]), ValueError),
     "analyze-index-beyond-m": (lambda: analyze(PATH, [3]), ValueError),
@@ -141,24 +120,17 @@ REFUSALS = {
 
 @pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refusal_type(call, error):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # min-identical warns about its duplicate pair first
-        with pytest.raises(ValueError) as caught:
-            call()
+    with pytest.raises(ValueError) as caught:
+        call()
     assert caught.type is error
 
 
-# Refusals that the domain rule and the distance-symbol builder added: each
-# input was accepted before and gave a wrong or unreadable answer.
+# Refusals that the domain rule added: each input was accepted before and
+# gave a wrong or unreadable answer.
 NEW_REFUSALS = {
     # render_gbf wrote 'q=4;m=True; x0', which parse_gbf refuses
     "gbf-bool-m": lambda: GbfPoly(4, True, ((1, 1),)),
     "from-terms-bool-m": lambda: GbfPoly.from_terms(4, True, {1: 1}),
-    # the modulus was overwritten by each sequence's own, so (4, 4.0) came back
-    "min-mixed-moduli": lambda: min_distances([PolyphaseSeq(4, [0, 0, 0, 0]), PolyphaseSeq(8, [0, 0, 0, 4])]),
-    "min-q-disagrees": lambda: min_distances([PolyphaseSeq(4, [0, 1]), [0, 3]], 8),
-    "lee-q-disagrees": lambda: lee_dist(FULL, PolyphaseSeq(4, [1, 1, 2, 3]), 8),
-    "euclid-q-disagrees": lambda: euclid_sq_dist(FULL, PolyphaseSeq(4, [1, 1, 2, 3]), 8),
 }
 
 
@@ -180,22 +152,10 @@ RESTRICTION_REFUSALS = {
     # a NumPy TypeError
     "analyze-float-index": lambda: analyze(COUPLED, [1.0]),
     "analyze-text-index": lambda: analyze(COUPLED, ["1"]),
-    # l_value: x99 read as 0, x-1 a bare "negative shift count"
-    "l-value-beyond-m": lambda: l_value(COUPLED, 99, [0], 1),
-    "l-value-negative": lambda: l_value(COUPLED, -1, [0], 1),
-    # only the low k bits of the word were kept: 5 acted as 1, -2 as 0
-    "l-value-word-beyond-2^k": lambda: l_value(COUPLED, 3, [0], 5),
-    "l-value-negative-word": lambda: l_value(COUPLED, 3, [0], -2),
+    # only the low k bits of the word were kept
     "assign-word-beyond-2^k": lambda: Restriction.assign([0, 2], 4),
     "assign-negative-word": lambda: Restriction.assign([0], -1),
     "assign-word-no-variable": lambda: Restriction.assign([], 1),
-    # a graph that is not simple, or keys an edge with u > v
-    "graph-repeated-vertex": lambda: RestrictionGraph((0, 1, 1), ()),
-    "graph-edge-reversed": lambda: RestrictionGraph((0, 1), ((1, 0, 2),)),
-    "graph-loop": lambda: RestrictionGraph((0, 1), ((1, 1, 2),)),
-    "graph-edge-outside": lambda: RestrictionGraph((0, 1), ((0, 2, 2),)),
-    "graph-edge-repeated": lambda: RestrictionGraph((0, 1), ((0, 1, 2), (0, 1, 2))),
-    "graph-edge-reweighted": lambda: RestrictionGraph((0, 1), ((0, 1, 1), (0, 1, 2))),
 }
 
 
@@ -251,8 +211,7 @@ INTEGER_REFUSALS = {
     # True was the word 1; 1.0 a bare TypeError
     "assign-bool-word": lambda: Restriction.assign([0], True),
     "assign-float-word": lambda: Restriction.assign([0], 1.0),
-    # bare TypeErrors
-    "l-value-float-variable": lambda: l_value(COUPLED, 3.0, [0], 1),
+    # a bare TypeError
     "monomial-float-variable": lambda: GbfPoly.monomial(4, 3, [1.0]),
     # int(n) read 1.9 as 1: a polynomial with one group of 1, and the count of sizes (1, 1)
     "random-float-group-size": lambda: random_qualifying_gbf(6, 1, 4, (1.9,), seed=1),
@@ -262,6 +221,22 @@ INTEGER_REFUSALS = {
     "erm-distance-float-r": lambda: erm_min_distances(1.0, 3, 1),
     "erm-distance-float-m": lambda: erm_min_distances(1, 3.0, 1),
     "erm-distance-bool-h": lambda: erm_min_distances(1, 3, True),
+    # the enumerators read True as 1: 8 polynomials of F(1, 2, 1), 16 words
+    # of ERM(r=1, m=3, h=1) and of A with k=1, 48 GOLAY words
+    "f-polys-bool-r": lambda: enumerate_f_polys(True, 2, 1),
+    "f-polys-bool-h": lambda: enumerate_f_polys(1, 2, True),
+    "f-polys-bool-variable": lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, True]),
+    "erm-bool-h": lambda: count_codebook("ERM", 3, True, r=1),
+    "erm-bool-r": lambda: count_codebook("ERM", 3, 1, r=True),
+    "a-bool-k": lambda: enumerate_codebook("A", 3, 1, r=1, k=True),
+    "golay-bool-h": lambda: count_codebook("GOLAY", 3, True),
+    # bare TypeErrors
+    "f-polys-float-r": lambda: enumerate_f_polys(1.0, 2, 1),
+    "f-polys-float-k": lambda: enumerate_f_polys(1, 2.0, 1, m=4),
+    "f-polys-float-variable": lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, 3.0]),
+    "erm-float-r": lambda: count_codebook("ERM", 3, 1, r=1.0),
+    "a-float-k": lambda: count_codebook("A", 3, 1, r=1, k=1.0),
+    "c4-float-r": lambda: count_codebook("C4", 4, 1, r=2.0),
 }
 
 
@@ -361,6 +336,24 @@ DOMAIN_REFUSALS = {
     "r-negative-k": (lambda: count_codebook("R", 3, 1, r=1, k=-1), "need 0 <= k < m, got k=-1, m=3"),
     "r1-negative-k": (lambda: enumerate_codebook("R1", 5, 1, r=2, k=-1), "need 0 <= k < m, got k=-1, m=5"),
     "r2-negative-k": (lambda: count_codebook("R2", 6, 1, r=2, k=-1, sizes=(1, 1)), "need 0 <= k < m, got k=-1, m=6"),
+    # k beyond m built generators on x0..x{k-1}: 16 words of m = 2, the last
+    # the unparsable 'q=2;m=2; x0 + x1 + x2 + 1'; k = -1 yielded one zero word
+    "f-polys-k-beyond-m": (lambda: enumerate_f_polys(1, 3, 1, m=2), "need 0 <= k <= m, got k=3, m=2"),
+    "f-polys-negative-k": (lambda: enumerate_f_polys(1, -1, 1, m=2), "need 0 <= k <= m, got k=-1, m=2"),
+    # x4 at m = 4 gave 'q=2;m=4; x2 + x4 + 1'; x-1 a bare "negative shift
+    # count"; x2 twice gave 8 words, of which only 4 differ
+    "f-polys-variable-beyond-m": (
+        lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, 4]),
+        "need k=2 distinct variable indices in [0, 4), got [2, 4]",
+    ),
+    "f-polys-negative-variable": (
+        lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[-1, 2]),
+        "need k=2 distinct variable indices in [0, 4), got [-1, 2]",
+    ),
+    "f-polys-repeated-variable": (
+        lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, 2]),
+        "need k=2 distinct variable indices in [0, 4), got [2, 2]",
+    ),
 }
 
 
