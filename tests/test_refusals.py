@@ -305,7 +305,7 @@ def test_numpy_integers_are_read_as_python_ints():
     """A NumPy integer point (a bare TypeError before) is the same point, a
     NumPy coefficient is held as a Python int, and a code given by NumPy
     integers has Python distances (NumPy ones before, which ``json.dumps``
-    refuses)."""
+    refuses), and the enumerators count and build the same words."""
     assert PATH(np.int64(3)) == PATH(3) == PATH(np.array([1, 1, 0])) == 2
     assert PATH.linear_coeff(np.uint8(2)) == PATH.linear_coeff(2)
     v = CycloValue(4, (np.int64(2), 0))
@@ -316,6 +316,9 @@ def test_numpy_integers_are_read_as_python_ints():
     lee, euc = erm_min_distances(np.int64(1), np.uint8(3), np.int32(1))
     assert (lee, euc) == (4, 16.0) and type(lee) is int and type(euc) is float
     assert json.dumps([lee, euc]) == "[4, 16.0]"
+    # the enumerators refused a NumPy m or k through the domain check
+    assert count_codebook("ERM", np.int64(3), np.uint8(1), r=np.int64(1)) == count_codebook("ERM", 3, 1, r=1) == 16
+    assert list(enumerate_f_polys(np.int64(1), np.int64(2), np.uint8(1))) == list(enumerate_f_polys(1, 2, 1))
 
 
 # Refusals of a degenerate codebook domain, with the messages of the
