@@ -7,6 +7,17 @@ from cskit import GraphShapeError, analyze, parse_gbf
 from cskit.errors import DegreeError
 
 
+def test_graph_of_unrestricted():
+    # the unrestricted graph: edges 0-1 and 1-2 of weight q/2 = 2 (the middle
+    # vertex 1 of degree 2), and x3 alone with its linear term g_l = 1
+    f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2 + x3")
+    prof = analyze(f, [])
+    assert prof.restricted == () and prof.path_words == ()
+    (g,) = prof.groups
+    assert (g.l, g.members, g.g_l, g.l_values) == (3, (0,), 1, (0,))
+    assert prof.endpoints == ((0, 2),)
+
+
 def test_graph_respects_cancellation():
     # x0=1 turns 2*x0*x2*x3 into 2*x2*x3, which cancels the standing 2*x2*x3:
     # word 0 is the path 1-2-3, word 1 the edge 1-2 with x3 isolated
@@ -32,13 +43,11 @@ def test_classify_path():
 
 
 def test_classify_path_plus_isolated():
-    # the unrestricted graph: edges 0-1 and 1-2 of weight 2, and x3 alone
-    f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2 + x3")
+    f = parse_gbf("q=4;m=4; 2*x0*x1 + 2*x1*x2")
     prof = analyze(f, [])
-    assert prof.path_words == ()
+    assert prof.path_words == () and not prof.all_paths
     (g,) = prof.groups
-    assert (g.l, g.members, g.g_l, g.l_values) == (3, (0,), 1, (0,))
-    assert prof.endpoints == ((0, 2),)
+    assert g.l == 3 and g.members == (0,)
 
 
 def test_classify_other():
