@@ -33,7 +33,6 @@ from .errors import (
 from .gbf import (
     GbfPoly,
     PolyphaseSeq,
-    Restriction,
     gbf_from_json,
     gbf_to_json,
     parse_gbf,
@@ -47,7 +46,6 @@ from .correlation import (
     aacf,
     aacf_report,
     cross_corr,
-    envelope_power,
     is_cs,
     pmepr,
     pmepr_autocorr_bound,
@@ -79,7 +77,6 @@ from .codebook import (
     golden_report,
     log2_coset_count,
     log2_f_count,
-    pmepr_family_sizes,
     rate,
     rate_rows,
     union_code_size_pmepr4,

@@ -63,7 +63,6 @@ __all__ = [
     "log2_f_count",
     "enumerate_f_polys",
     "family_size",
-    "pmepr_family_sizes",
     "rate",
     "log2_coset_count",
     "coset_code_size",
@@ -73,7 +72,6 @@ __all__ = [
     "erm_min_distances",
     "enumerate_codebook",
     "count_codebook",
-    "codeword_matrix",
     "rate_rows",
     "golden_report",
 ]
@@ -184,11 +182,6 @@ def family_size(m: int, q: int, bound: int) -> int:
         count = Fraction(3 * fact(m), 4) * (Fraction(fact(m - 3), 2) - 1) * q ** (3 * m - 8) * (q - 1) ** 2
         count += m * (m - 2) * Fraction(fact(m - 2), 2) ** 2 * q ** (2 * m - 3) * (q - 1) ** 2
     return _exact_int(count, f"family size (bound {bound}, m={m})")
-
-
-def pmepr_family_sizes(m: int, q: int) -> dict[int, int]:
-    """Sizes of the PMEPR-4/6/8 families that are defined at this m."""
-    return {bound: family_size(m, q, bound) for bound, m_min in _FAMILY_M_MIN.items() if m >= m_min}
 
 
 def rate(size: int, m: int) -> float:
@@ -743,14 +736,6 @@ def count_codebook(family: str, m: int, h: int, *, r: int | None = None, k: int 
     if fam not in ("C4", "C8"):
         return words
     return sum(len(rows) for rows in _coefficient_rows(parts, _columns(parts), 1 << h, dedup=True))
-
-
-def codeword_matrix(polys: Iterator[GbfPoly] | Sequence[GbfPoly]) -> np.ndarray:
-    """Stack value vectors into a (n, 2^m) integer matrix."""
-    rows = [f.value_vector() for f in polys]
-    if not rows:
-        raise ValueError("no codewords")
-    return np.stack(rows)
 
 
 # -- printed reference tables ----------------------------------------------------

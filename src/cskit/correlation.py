@@ -59,8 +59,8 @@ with t normalized to one symbol period.  :func:`pmepr` samples the first form
 directly at the ``oversample * L`` points ``t = -k / (oversample * L)``, as
 ``oversample`` length-L FFTs of the sequence times twiddles (the polyphase
 split of the zero-padded FFT), cached for grids of at most 2^18 points and
-refused above 2^30 points; :func:`envelope_power` and
-:func:`pmepr_autocorr_bound` use the exact autocorrelation of the second.
+refused above 2^30 points; :func:`pmepr_autocorr_bound` bounds the second
+form by the exact autocorrelation.
 
 Masked sequences are supported throughout: positions removed by a restriction
 contribute the complex value 0, and the mean power used for normalization is
@@ -87,7 +87,6 @@ __all__ = [
     "aacf",
     "set_aacf",
     "is_cs",
-    "envelope_power",
     "pmepr",
     "pmepr_autocorr_bound",
     "aacf_report",
@@ -266,16 +265,6 @@ def _live_count(a: PolyphaseSeq) -> int:
     if not live:
         raise EmptySequenceError("every position is masked, so the mean envelope power is zero")
     return live
-
-
-def envelope_power(a: PolyphaseSeq, t: float | Sequence[float] | np.ndarray) -> np.ndarray | float:
-    """Instantaneous power P(t) at normalized time(s) t in [0, 1)."""
-    acf = _embed(aacf(a).coeffs, a.q)
-    tt = np.asarray(t, dtype=float)
-    tau = np.arange(1, len(a))
-    osc = np.exp(2j * np.pi * np.outer(tt, tau))
-    vals = acf[0].real + 2.0 * (osc @ acf[1:]).real
-    return vals if tt.ndim else float(vals[0])
 
 
 # Complex entries per block of grid rows (256 KiB): about 16 rows at L = 1024,

@@ -19,7 +19,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import ModulusError, ParseError, SizeLimitError
 __all__ = [
     "MAX_VALUE_VECTOR_M",
     "GbfPoly",
-    "Restriction",
     "PolyphaseSeq",
     "parse_gbf",
     "render_gbf",
@@ -386,76 +385,6 @@ def _poly_from_parts(q: int, m: int, restricted: Sequence[int], units: Sequence[
     return polys_from_rows(q, m, masks[order], coeffs[order][None, :])[0]
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """An assignment of fixed bits to a subset of the variables.
-
-    ``indices`` are distinct and sorted ascending; ``bits[a]`` is the value
-    assigned to the a-th smallest restricted index.  Both hold Python ints
-    (bools and floats are refused); the empty restriction is the identity.
-    """
-
-    indices: tuple[int, ...]
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(_index(i, "restricted indices must be integers") for i in self.indices))
-        object.__setattr__(self, "bits", tuple(_index(b, "bits must be 0 or 1") for b in self.bits))
-        if len(self.indices) != len(self.bits):
-            raise ValueError("indices and bits must have equal length")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("indices must be distinct and sorted ascending")
-        if any(i < 0 for i in self.indices):
-            raise ValueError("indices must be nonnegative")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> Restriction:
-        ordered = sorted(pairs)
-        return cls(tuple(i for i, _ in ordered), tuple(b for _, b in ordered))
-
-    @classmethod
-    def assign(cls, indices: Iterable[int], word: int) -> Restriction:
-        """Assign bit a of ``word`` to the a-th smallest of ``indices``;
-        ``word`` must lie in [0, 2^k) for k indices."""
-        idx = sorted(indices)
-        word = _index(word, "a restriction word must be an integer")
-        if not 0 <= word < 1 << len(idx):
-            raise ValueError(f"word {word} out of range for {len(idx)} restricted variables")
-        return cls(tuple(idx), tuple((word >> a) & 1 for a in range(len(idx))))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        return zip(self.indices, self.bits)
-
-    def variable_mask(self, m: int) -> int:
-        mask = 0
-        for i in self.indices:
-            if i >= m:
-                raise ValueError(f"restricted index {i} out of range for m={m}")
-            mask |= 1 << i
-        return mask
-
-    def word(self) -> int:
-        """The assigned bits packed into an integer (a-th smallest index -> bit a)."""
-        return sum(b << a for a, b in enumerate(self.bits))
-
-    def bitstring(self) -> str:
-        """Bits in index order, smallest restricted index first."""
-        return _word_text(self.word(), len(self))
-
-    def selector(self, m: int) -> np.ndarray:
-        """Boolean mask over the 2^m points selecting those that match."""
-        idx = np.arange(1 << m, dtype=np.int64)
-        keep = np.ones(1 << m, dtype=bool)
-        for i, b in self.pairs():
-            keep &= ((idx >> i) & 1) == b
-        return keep
-
-
 class PolyphaseSeq:
     """A length-``2^m`` polyphase sequence, possibly with masked-out entries.
 
@@ -527,11 +456,23 @@ def psi(f: GbfPoly) -> PolyphaseSeq:
     return PolyphaseSeq(f.q, f.value_vector())
 
 
-def psi_restricted(f: GbfPoly, restriction: Restriction) -> PolyphaseSeq:
+def psi_restricted(f: GbfPoly, restricted: Sequence[int], word: int) -> PolyphaseSeq:
     """Like :func:`psi` but zeroing every position that disagrees with the
-    restriction; surviving entries keep their original positions."""
+    restriction: bit a of ``word``, in [0, 2^k), is the value of the a-th
+    smallest of the k distinct indices ``restricted``, each in [0, m) (the
+    form of :func:`cskit.graphs.analyze`'s profiles).  Indices and word are
+    read by :func:`_index`.  Surviving entries keep their original positions."""
     _require_power_of_two(f.q, "sequence construction")
-    return PolyphaseSeq(f.q, f.value_vector(), restriction.selector(f.m))
+    values = f.value_vector()
+    idx = sorted(_index(i, "restricted indices must be integers") for i in restricted)
+    word = _index(word, "a restriction word must be an integer")
+    if len(set(idx)) != len(idx) or not all(0 <= i < f.m for i in idx):
+        raise ValueError(f"restricted indices {idx} must be distinct and in [0, {f.m})")
+    if not 0 <= word < 1 << len(idx):
+        raise ValueError(f"word {word} out of range for {len(idx)} restricted variables")
+    fixed = sum(1 << i for i in idx)
+    ones = sum(1 << i for a, i in enumerate(idx) if (word >> a) & 1)
+    return PolyphaseSeq(f.q, values, (np.arange(len(values)) & fixed) == ones)
 
 
 # -- text format -------------------------------------------------------------
@@ -657,10 +598,7 @@ def _rows_json(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[dict]
 
 
 def gbf_to_json(f: GbfPoly) -> dict:
-    """A stable dict form, ``{"q": .., "m": .., "text": render_gbf(f)}``.
-
-    :func:`gbf_from_json` reads it back, and also reads the older form
-    ``{"q": .., "m": .., "terms": [{"vars": [...], "coeff": ..}, ...]}``."""
+    """A stable dict form, ``{"q": .., "m": .., "text": render_gbf(f)}``."""
     return {"q": f.q, "m": f.m, "text": render_gbf(f)}
 
 
@@ -668,32 +606,20 @@ def gbf_from_json(obj: dict | str) -> GbfPoly:
     """The polynomial of a :func:`gbf_to_json` dict (or its JSON text).
 
     ``text`` is read by :func:`parse_gbf` and must agree with the ``q`` and
-    ``m`` keys; the older ``terms`` list is read too.  Anything else raises
-    :class:`ParseError`."""
+    ``m`` keys; anything else raises :class:`ParseError`."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from None
     try:
-        q, m = obj["q"], obj["m"]
-        text = obj["text"] if "text" in obj else None
-        terms = [] if text is not None else [(list(item["vars"]), item["coeff"]) for item in obj["terms"]]
+        q, m, text = obj["q"], obj["m"], obj["text"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed polynomial object: {exc}") from None
     _check_domain(q, m, ParseError)
-    if text is not None:
-        if "terms" in obj or not isinstance(text, str):
-            raise ParseError("need one 'text' string and no 'terms' list")
-        f = parse_gbf(text)
-        if (f.q, f.m) != (q, m):
-            raise ParseError(f"keys q={q}, m={m} disagree with the text's q={f.q}, m={f.m}")
-        return f
-    pairs = []
-    for variables, coeff in terms:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in [*variables, coeff]) or min(variables, default=0) < 0:
-            raise ParseError(f"need integer variable indices >= 0 and an integer coefficient, got {variables!r}, {coeff!r}")
-        if max(variables, default=0) >= m:
-            raise ParseError(f"variable out of range for m={m}")
-        pairs.append((sum(1 << v for v in set(variables)), coeff))
-    return GbfPoly.from_terms(q, m, pairs)
+    if not isinstance(text, str):
+        raise ParseError("need a 'text' string")
+    f = parse_gbf(text)
+    if (f.q, f.m) != (q, m):
+        raise ParseError(f"keys q={q}, m={m} disagree with the text's q={f.q}, m={f.m}")
+    return f

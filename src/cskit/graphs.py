@@ -173,13 +173,13 @@ def _analyze(f: GbfPoly, restricted: tuple[int, ...]) -> RestrictionProfile:
     if not ok.all():
         word = int(np.argmin(ok))
         column = table[:, word].tolist()
+        name = _word_text(word, k) or "(empty)"
         cubic = next((u for u, c in zip(units, column) if c and u.bit_count() >= 3), 0)
         if cubic:
             raise DegreeError(
-                f"term of degree {cubic.bit_count()} on variables {_bits(cubic)} survives the restriction; "
+                f"restriction {name}: term of degree {cubic.bit_count()} on variables {_bits(cubic)} survives the restriction; "
                 "no pairwise-coupling graph exists"
             )
-        name = _word_text(word, k) or "(empty)"
         if not shaped[word]:
             raise GraphShapeError(f"restriction {name} is neither a path nor a path plus one isolated vertex")
         bad = sorted({c for u, c in zip(units, column) if u.bit_count() == 2 and c not in (0, f.q // 2)})

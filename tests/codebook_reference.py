@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cskit import GbfPoly, Restriction
+from cskit import GbfPoly
 from cskit.codebook import _Gen, _cartesian_blocks, _f_generators
 from cskit.gbf import _require_value_vector_size
 from construct_reference import indicator_poly, path_quadratic, product
@@ -116,7 +116,7 @@ def _path_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
     for assignment in itertools.product(classes, repeat=1 << t):
         f = GbfPoly.zero(q, m)
         for word, path in enumerate(assignment):
-            ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
+            ind = indicator_poly(q, m, prefix_vars, word)
             f = f + product(ind, path_quadratic(q, m, path, q // 2))
         yield f
 
@@ -142,7 +142,7 @@ def _isolated_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
         for assignment in itertools.product(classes, repeat=1 << t):
             f = coupling
             for word, path in enumerate(assignment):
-                ind = indicator_poly(q, m, Restriction.assign(prefix_vars, word))
+                ind = indicator_poly(q, m, prefix_vars, word)
                 f = f + product(ind, path_quadratic(q, m, path, half))
             yield f
 
@@ -175,7 +175,7 @@ def _multi_isolated_reps(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -
         f = GbfPoly.zero(q, m)
         for (l, words, j), paths in zip(blocks, picks):
             for rank, word in enumerate(words):
-                ind = indicator_poly(q, m, Restriction.assign(restricted, word))
+                ind = indicator_poly(q, m, restricted, word)
                 f = f + product(ind, path_quadratic(q, m, paths[min(rank, j - 1)], half))
         yield f
 

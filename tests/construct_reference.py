@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cskit import GbfPoly, PolyphaseSeq, Restriction, analyze, render_gbf, write_sequences
+from cskit import GbfPoly, PolyphaseSeq, analyze, render_gbf, write_sequences
 from cskit.graphs import RestrictionProfile
 
 from cyclo_reference import folded, histogram
@@ -28,16 +28,17 @@ def product(f: GbfPoly, g: GbfPoly) -> GbfPoly:
     return GbfPoly.from_terms(f.q, f.m, ((a | b, c * d) for a, c in f.terms for b, d in g.terms))
 
 
-def indicator_poly(q: int, m: int, restriction: Restriction) -> GbfPoly:
-    """The 0/1-valued polynomial that is 1 exactly on the restricted pattern.
+def indicator_poly(q: int, m: int, restricted: Sequence[int], word: int) -> GbfPoly:
+    """The 0/1-valued polynomial that is 1 exactly where bit a of ``word``
+    is the value of the a-th smallest restricted variable.
 
-    Product over the fixed variables of ``x_j`` (bit 1) or ``1 - x_j``
-    (bit 0); the empty restriction gives the constant 1.
+    Product over the restricted variables of ``x_j`` (bit 1) or ``1 - x_j``
+    (bit 0); with none restricted it is the constant 1.
     """
     out = GbfPoly.const(q, m, 1)
-    for j, b in restriction.pairs():
+    for a, j in enumerate(sorted(restricted)):
         xj = GbfPoly.variable(q, m, j)
-        out = product(out, xj if b else GbfPoly.const(q, m, 1) + (q - 1) * xj)
+        out = product(out, xj if (word >> a) & 1 else GbfPoly.const(q, m, 1) + (q - 1) * xj)
     return out
 
 
@@ -61,7 +62,7 @@ def _endpoint_poly(profile: RestrictionProfile) -> GbfPoly:
     q, m = profile.q, profile.m
     total = GbfPoly.zero(q, m)
     for word, t in profile.endpoints:
-        ind = indicator_poly(q, m, Restriction.assign(profile.restricted, word))
+        ind = indicator_poly(q, m, profile.restricted, word)
         total = total + product(ind, GbfPoly.variable(q, m, t))
     return total
 
@@ -157,27 +158,27 @@ def random_qualifying_gbf(
 
     f = GbfPoly.zero(q, m)
     for word in blocks[0]:
-        ind = indicator_poly(q, m, Restriction.assign(restricted, word))
+        ind = indicator_poly(q, m, restricted, word)
         order = unrestricted[:]
         rng.shuffle(order)
         f = f + product(ind, path_quadratic(q, m, order, half))
     for l, block in zip(isolated, blocks[1:]):
         others = [v for v in unrestricted if v != l]
         for word in block:
-            ind = indicator_poly(q, m, Restriction.assign(restricted, word))
+            ind = indicator_poly(q, m, restricted, word)
             order = others[:]
             rng.shuffle(order)
             f = f + product(ind, path_quadratic(q, m, order, half))
         xl = GbfPoly.variable(q, m, l)
         if balanced:
             for word in rng.sample(block, len(block) // 2):
-                ind = indicator_poly(q, m, Restriction.assign(restricted, word))
+                ind = indicator_poly(q, m, restricted, word)
                 f = f + half * product(ind, xl)
         else:
             for word in block:
                 rho = rng.randrange(q)
                 if rho:
-                    ind = indicator_poly(q, m, Restriction.assign(restricted, word))
+                    ind = indicator_poly(q, m, restricted, word)
                     f = f + rho * product(ind, xl)
 
     for mask_bits in range(1, 1 << k):

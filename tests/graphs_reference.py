@@ -17,7 +17,7 @@ the same key order.
 import itertools
 from typing import Iterable, Sequence
 
-from cskit import DegreeError, GbfPoly, GraphShapeError, Restriction
+from cskit import DegreeError, GbfPoly, GraphShapeError
 from cskit.gbf import _bits
 from cskit.graphs import IsolatedGroup, RestrictionProfile
 
@@ -25,12 +25,26 @@ Graph = tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]  # vertices, ed
 Shape = tuple[str, tuple[int, ...], int | None]  # kind, path from its smaller end, isolated vertex
 
 
-def restrict(f: GbfPoly, restriction: Restriction) -> GbfPoly:
-    """Substitute the restriction's bits for its variables, term by term: a
-    term holding a variable set to 0 vanishes, and a variable set to 1 drops
-    out of its monomial.  Indices are kept; the terms are re-summed mod q."""
-    restriction.variable_mask(f.m)  # refuses a restricted index beyond x_{m-1}
-    bits = dict(restriction.pairs())
+def assignment(m: int, restricted: Sequence[int], word: int) -> dict[int, int]:
+    """Bit a of ``word`` for the a-th smallest restricted index, in index
+    order; an index outside [0, m) is refused."""
+    idx = sorted(restricted)
+    if any(not 0 <= i < m for i in idx):
+        raise ValueError(f"restricted indices {idx} out of range for m={m}")
+    return {i: (word >> a) & 1 for a, i in enumerate(idx)}
+
+
+def word_name(bits: dict[int, int]) -> str:
+    """The assigned bits, smallest restricted index first."""
+    return "".join(str(b) for b in bits.values()) or "(empty)"
+
+
+def restrict(f: GbfPoly, restricted: Sequence[int], word: int) -> GbfPoly:
+    """Substitute the word's bits for the restricted variables, term by
+    term: a term holding a variable set to 0 vanishes, and a variable set to
+    1 drops out of its monomial.  Indices are kept; the terms are re-summed
+    mod q."""
+    bits = assignment(f.m, restricted, word)
     out = []
     for mask, coeff in f.terms:
         fixed = [i for i in _bits(mask) if i in bits]
@@ -39,17 +53,17 @@ def restrict(f: GbfPoly, restriction: Restriction) -> GbfPoly:
     return GbfPoly.from_terms(f.q, f.m, out)
 
 
-def graph_of(f: GbfPoly, restriction: Restriction) -> Graph:
+def graph_of(f: GbfPoly, restricted: Sequence[int], word: int) -> Graph:
     """The coupling graph of the reduced restricted polynomial."""
-    fixed = set(restriction.indices)
-    vertices = [i for i in range(f.m) if i not in fixed]
+    vertices = [i for i in range(f.m) if i not in restricted]
     if not vertices:
         raise ValueError("restriction fixes every variable")
     edges = []
-    for mask, coeff in restrict(f, restriction).terms:
+    for mask, coeff in restrict(f, restricted, word).terms:
         deg = mask.bit_count()
         if deg >= 3:
             raise DegreeError(
+                f"restriction {word_name(assignment(f.m, restricted, word))}: "
                 f"term of degree {deg} on variables {_bits(mask)} survives the restriction; "
                 "no pairwise-coupling graph exists"
             )
@@ -105,12 +119,11 @@ def l_value(f: GbfPoly, l: int, restricted: Sequence[int], word: int) -> int:
     :func:`analyze` never asks for."""
     if l in restricted:
         raise ValueError(f"x{l} is itself restricted")
-    r = Restriction.assign(restricted, word)
-    reduced = restrict(f, r)
+    reduced = restrict(f, restricted, word)
     for mask, _ in reduced.terms:
         if (mask >> l) & 1 and mask.bit_count() >= 2:
             raise ValueError(
-                f"x{l} is still coupled through {_bits(mask)} at assignment {r.bitstring()}"
+                f"x{l} is still coupled through {_bits(mask)} at assignment {word_name(assignment(f.m, restricted, word))}"
             )
     return (reduced.linear_coeff(l) - f.linear_coeff(l)) % f.q
 
@@ -130,18 +143,18 @@ def analyze(f: GbfPoly, restricted: Sequence[int]) -> RestrictionProfile:
     endpoints: list[tuple[int, int]] = []
     by_vertex: dict[int, list[int]] = {}
     for word in range(1 << k):
-        r = Restriction.assign(idx, word)
-        g = graph_of(f, r)
+        name = word_name(assignment(f.m, idx, word))
+        g = graph_of(f, idx, word)
         kind, path, isolated = classify(g)
         if kind == "other":
             raise GraphShapeError(
-                f"restriction {r.bitstring() or '(empty)'} is neither a path nor "
+                f"restriction {name} is neither a path nor "
                 "a path plus one isolated vertex"
             )
         bad = {w for _, _, w in g[1] if w != half}
         if bad:
             raise GraphShapeError(
-                f"restriction {r.bitstring() or '(empty)'} has edge weight(s) "
+                f"restriction {name} has edge weight(s) "
                 f"{sorted(bad)}; all must equal q/2 = {half}"
             )
         endpoints.append((word, max(path[0], path[-1])))

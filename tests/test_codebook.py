@@ -12,7 +12,6 @@ import pytest
 from cskit import GbfPoly, analyze, codebook, is_cs, offset_set, psi
 from cskit.codebook import (
     KNOWN_DISCREPANCIES,
-    codeword_matrix,
     coset_code_size,
     count_codebook,
     enumerate_codebook,
@@ -23,7 +22,6 @@ from cskit.codebook import (
     golden_report,
     log2_coset_count,
     log2_f_count,
-    pmepr_family_sizes,
     rate,
     rate_rows,
     union_code_size_pmepr4,
@@ -91,12 +89,6 @@ def test_family_size_values():
         family_size(6, 3, 4)
     with pytest.raises(ValueError):
         family_size(6, 2, 5)
-
-
-def test_pmepr_family_sizes_domains():
-    assert set(pmepr_family_sizes(4, 2)) == {6}
-    assert set(pmepr_family_sizes(5, 2)) == {4, 6}
-    assert set(pmepr_family_sizes(6, 2)) == {4, 6, 8}
 
 
 def test_rate():
@@ -218,12 +210,6 @@ def test_codebook_members_are_cs():
     for f in words[:: len(words) // 16]:
         cand = offset_set(f, restricted=[3])
         assert is_cs(cand.sequences())
-
-
-def test_codeword_matrix():
-    mat = codeword_matrix(enumerate_codebook("ERM", 1, 2, r=1))
-    assert mat.shape == (16, 2)
-    assert len({tuple(row) for row in mat}) == 16
 
 
 @pytest.mark.parametrize(

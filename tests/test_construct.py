@@ -28,7 +28,7 @@ from cskit import (
     standard_golay_gbfs,
 )
 from cskit.codebook import _indicator_anf
-from cskit.gbf import GbfPoly, Restriction, render_gbf
+from cskit.gbf import GbfPoly, render_gbf
 
 import construct_reference as reference
 from test_acceptance import SHAPE_MIXES
@@ -40,7 +40,7 @@ def test_indicator_poly():
     for i in range(8):
         want = 1 if (i & 1) == 0 and (i >> 2) & 1 else 0
         assert ind(i) == want
-    assert ind == reference.indicator_poly(4, 3, Restriction.assign([0, 2], 0b10))
+    assert ind == reference.indicator_poly(4, 3, [0, 2], 0b10)
 
 
 def test_path_quadratic():

@@ -17,7 +17,6 @@ from cskit import (
     aacf,
     aacf_report,
     cross_corr,
-    envelope_power,
     is_cs,
     parse_gbf,
     pmepr,
@@ -72,10 +71,10 @@ def test_not_cs_detected():
 def test_masked_sequences_correlate():
     # restriction pieces of psi(f) sum to the full sequence, so their
     # cross-correlations add up to the full autocorrelation
-    from cskit import Restriction, psi_restricted
+    from cskit import psi_restricted
 
     f = parse_gbf("q=4;m=3; 2*x0*x1 + x2")
-    parts = [psi_restricted(f, Restriction.assign([1], c)) for c in (0, 1)]
+    parts = [psi_restricted(f, [1], c) for c in (0, 1)]
     full = aacf(psi(f))
     total = sum(cross_corr(p1, p2).coeffs for p1 in parts for p2 in parts)
     assert np.array_equal(total, full.coeffs)
@@ -98,16 +97,6 @@ def test_pmepr_grid_below_bound():
     assert 1.0 - 1e-12 <= grid <= bound + 1e-12
     # a path polynomial is one half of a complementary pair: bound 2
     assert grid <= 2.0 + 1e-9
-
-
-def test_envelope_power_matches_grid():
-    f = parse_gbf("q=2;m=3; x0*x1 + x1*x2 + x0")
-    s = psi(f)
-    n = 8
-    for j in [0, 3, 17]:
-        t = j / (16 * n)
-        direct = abs(sum(v * cmath.exp(2j * cmath.pi * c * t) for c, v in enumerate(s.complex_values()))) ** 2
-        assert envelope_power(s, t) == pytest.approx(direct, abs=1e-9)
 
 
 def test_aacf_report_fields():

@@ -31,7 +31,7 @@ def test_graph_respects_cancellation():
 def test_graph_rejects_surviving_cubics():
     # x0=0 leaves the edge 1-2 beside the isolated x3; x0=1 adds the cubic x1*x2*x3
     f = parse_gbf("q=2;m=4; x0*x1*x2*x3 + x1*x2")
-    with pytest.raises(DegreeError, match=r"term of degree 3 on variables \[1, 2, 3\] survives the restriction"):
+    with pytest.raises(DegreeError, match=r"^restriction 1: term of degree 3 on variables \[1, 2, 3\] survives the restriction"):
         analyze(f, [0])
 
 

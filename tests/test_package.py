@@ -3,6 +3,7 @@ is written once."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -35,7 +36,6 @@ def test_no_ring_algebra_beyond_what_a_stage_uses():
     retired = {
         cskit.CycloValue: ["__add__", "__sub__", "__neg__", "scale", "_mapped", "times_power", "from_power"],
         cskit.GbfPoly: ["__sub__", "__neg__", "restrict"],
-        cskit.Restriction: ["ones_mask"],
     }
     assert [(cls.__name__, n) for cls, names in retired.items() for n in names if hasattr(cls, n)] == []
     x0 = cskit.GbfPoly.variable(4, 2, 0)
@@ -79,3 +79,17 @@ def test_analyze_is_the_one_reader_of_restriction_graphs():
     assert [(m.__name__, n) for m, names in retired.items() for n in names if hasattr(m, n)] == []
     errors = cskit.errors
     assert importlib.import_module("cskit.cli").HYPOTHESIS_ERRORS == (errors.DegreeError, errors.GraphShapeError, errors.BalanceError)
+
+
+def test_one_name_for_a_restriction():
+    """A restriction is named one way, as its restricted indices and a word
+    (``analyze``'s profiles, ``psi_restricted``), and no public helper is
+    left that only its own test called."""
+    retired = {
+        cskit: ["Restriction", "envelope_power", "pmepr_family_sizes", "codeword_matrix"],
+        cskit.gbf: ["Restriction"],
+        cskit.correlation: ["envelope_power"],
+        cskit.codebook: ["codeword_matrix", "pmepr_family_sizes"],
+    }
+    assert [(m.__name__, n) for m, names in retired.items() for n in names if hasattr(m, n)] == []
+    assert list(inspect.signature(cskit.psi_restricted).parameters) == ["f", "restricted", "word"]

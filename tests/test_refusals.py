@@ -16,18 +16,17 @@ from cskit import (
     GbfPoly,
     ParseError,
     PolyphaseSeq,
-    Restriction,
     aacf,
     analyze,
     cross_corr,
     gbf_from_json,
     parse_gbf,
+    psi_restricted,
     random_qualifying_gbf,
     set_aacf,
 )
 from cskit.cli import main
 from cskit.codebook import (
-    codeword_matrix,
     count_codebook,
     enumerate_codebook,
     enumerate_f_polys,
@@ -62,7 +61,7 @@ REFUSALS = {
     "json-odd-q": (lambda: gbf_from_json({"q": 3, "m": 2, "text": "q=3;m=2; x0"}), ParseError),
     "json-string-q": (lambda: gbf_from_json({"q": "4", "m": 2, "text": "q=4;m=2; x0"}), ParseError),
     "json-zero-m": (lambda: gbf_from_json({"q": 4, "m": 0, "text": "q=4;m=0; 1"}), ParseError),
-    "json-bool-m": (lambda: gbf_from_json({"q": 4, "m": True, "terms": []}), ParseError),
+    "json-bool-m": (lambda: gbf_from_json({"q": 4, "m": True, "text": "q=4;m=1; 0"}), ParseError),
     # the term table and the variable indices
     "terms-unsorted": (lambda: GbfPoly(4, 2, ((2, 1), (1, 1))), ValueError),
     "terms-repeated": (lambda: GbfPoly(4, 2, ((1, 1), (1, 1))), ValueError),
@@ -77,17 +76,16 @@ REFUSALS = {
     "r2-one-block": (lambda: count_codebook("R2", 6, 1, r=2, k=1, sizes=(2,)), ValueError),
     "r2-two-free-vertices": (lambda: count_codebook("R2", 4, 1, r=2, k=2, sizes=(2, 2)), ValueError),
     "golay-one-variable": (lambda: standard_golay_gbfs(1, 1), ValueError),
-    "codewords-none": (lambda: codeword_matrix([]), ValueError),
     "sum-mixed-domains": (lambda: GbfPoly.variable(4, 3, 0) + GbfPoly.variable(8, 3, 0), ValueError),
     "point-bits-not-0-1": (lambda: PATH((0, 2, 1)), ValueError),
     "point-beyond-2^m": (lambda: PATH(8), ValueError),
     "json-bad-text": (lambda: gbf_from_json("{"), ParseError),
-    # restrictions and sequences
-    "restriction-lengths": (lambda: Restriction((0, 1), (0,)), ValueError),
-    "restriction-unsorted": (lambda: Restriction((1, 0), (0, 0)), ValueError),
-    "restriction-repeated": (lambda: Restriction((1, 1), (0, 0)), ValueError),
-    "restriction-negative": (lambda: Restriction((-1,), (0,)), ValueError),
-    "restriction-bit": (lambda: Restriction((0,), (2,)), ValueError),
+    # restricted sequences: a word with more bits than restricted indices, a
+    # repeated index, a negative one, a word that sets a bit to 2
+    "restriction-lengths": (lambda: psi_restricted(PATH, [0, 1], 0b100), ValueError),
+    "restriction-repeated": (lambda: psi_restricted(PATH, [1, 1], 0), ValueError),
+    "restriction-negative": (lambda: psi_restricted(PATH, [-1], 0), ValueError),
+    "restriction-bit": (lambda: psi_restricted(PATH, [0], 2), ValueError),
     "sequence-2d": (lambda: PolyphaseSeq(4, [[0, 1], [1, 0]]), ValueError),
     "sequence-mask-length": (lambda: PolyphaseSeq(4, [0, 1], [True]), ValueError),
     # correlation
@@ -153,9 +151,14 @@ RESTRICTION_REFUSALS = {
     "analyze-float-index": lambda: analyze(COUPLED, [1.0]),
     "analyze-text-index": lambda: analyze(COUPLED, ["1"]),
     # only the low k bits of the word were kept
-    "assign-word-beyond-2^k": lambda: Restriction.assign([0, 2], 4),
-    "assign-negative-word": lambda: Restriction.assign([0], -1),
-    "assign-word-no-variable": lambda: Restriction.assign([], 1),
+    "assign-word-beyond-2^k": lambda: psi_restricted(PATH, [0, 2], 4),
+    "assign-negative-word": lambda: psi_restricted(PATH, [0], -1),
+    "assign-word-no-variable": lambda: psi_restricted(PATH, [], 1),
+    # no index was checked against m: x5 at m = 3 gave a sequence with every
+    # position masked (bit 1) or none (bit 0)
+    "restriction-index-beyond-m": lambda: psi_restricted(PATH, [5], 1),
+    "restriction-index-beyond-m-bit-0": lambda: psi_restricted(PATH, [5], 0),
+    "restriction-index-m": lambda: psi_restricted(PATH, [0, 3], 0),
 }
 
 
@@ -204,13 +207,14 @@ def test_cli_refusal_exits_2(capsys, argv):
 # Refusals that the one integer rule (cskit.gbf._index) added: each input was
 # accepted before and gave a wrong answer, or failed with an untyped error.
 INTEGER_REFUSALS = {
-    # the bitstring read 'True1', and the float index 2.0 was kept
-    "restriction-bool-bit": lambda: Restriction((0, 2), (True, np.int64(1))),
-    "restriction-float-index": lambda: Restriction((np.int64(0), 2.0), (0, 1)),
-    "restriction-pairs-bool-bit": lambda: Restriction.from_pairs([(0, True)]),
+    # a restricted sequence's word or index given as a bool (a NumPy one too)
+    # or a float
+    "restriction-bool-bit": lambda: psi_restricted(PATH, [0, 2], np.True_),
+    "restriction-float-index": lambda: psi_restricted(PATH, (np.int64(0), 2.0), 1),
+    "restriction-pairs-bool-bit": lambda: psi_restricted(PATH, [True], 0),
     # True was the word 1; 1.0 a bare TypeError
-    "assign-bool-word": lambda: Restriction.assign([0], True),
-    "assign-float-word": lambda: Restriction.assign([0], 1.0),
+    "assign-bool-word": lambda: psi_restricted(PATH, [0], True),
+    "assign-float-word": lambda: psi_restricted(PATH, [0], 1.0),
     # a bare TypeError
     "monomial-float-variable": lambda: GbfPoly.monomial(4, 3, [1.0]),
     # int(n) read 1.9 as 1: a polynomial with one group of 1, and the count of sizes (1, 1)
@@ -247,10 +251,11 @@ def test_refusal_of_a_non_integer(call):
     assert caught.type is ValueError
 
 
-def test_restriction_keeps_numpy_integers_as_python_ints():
-    r = Restriction((np.int64(0),), (np.uint8(1),))
-    assert r.indices == (0,) and type(r.indices[0]) is int and type(r.bits[0]) is int
-    assert r.bitstring() == "1"
+def test_psi_restricted_reads_numpy_integers():
+    want = psi_restricted(PATH, [0, 2], 1)  # x0 = 1, x2 = 0
+    assert np.flatnonzero(want.mask).tolist() == [1, 3]
+    assert psi_restricted(PATH, np.array([0, 2]), np.uint8(1)) == want
+    assert psi_restricted(PATH, (np.int64(2), np.int32(0)), np.int64(1)) == want
 
 
 def test_word_text_is_the_bits_smallest_index_first():

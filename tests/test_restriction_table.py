@@ -22,7 +22,7 @@ import pytest
 
 from cskit import DegreeError, GbfPoly, GraphShapeError, analyze, random_qualifying_gbf, render_gbf
 from cskit.codebook import _indicator_anf
-from cskit.gbf import Restriction, _poly_from_parts, _rows_json, _subset_sums, polys_from_rows, restriction_table
+from cskit.gbf import _poly_from_parts, _rows_json, _subset_sums, polys_from_rows, restriction_table
 from cskit.graphs import _path_shapes
 
 import construct_reference
@@ -75,7 +75,7 @@ def test_table_holds_every_restriction(q):
         units, table = restriction_table(f, idx)
         assert units == sorted({tm & ~sum(1 << i for i in idx) for tm, _ in f.terms})
         for w in range(1 << k):
-            want = dict(reference.restrict(f, Restriction.assign(idx, w)).terms)
+            want = dict(reference.restrict(f, idx, w).terms)
             assert {u: c for u, c in zip(units, table[:, w].tolist()) if c} == want
         anf = _subset_sums(table.copy(), k, inverse=True) % q
         assert _poly_from_parts(q, m, idx, units, anf) == f
