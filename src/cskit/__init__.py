@@ -58,7 +58,6 @@ from .graphs import IsolatedGroup, RestrictionProfile, analyze
 from .construct import (
     CsCandidate,
     balanced_cs,
-    cs_meta_from_text,
     cs_to_text,
     doubled_cs,
     golay_pair,

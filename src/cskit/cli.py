@@ -4,9 +4,9 @@ Verbs:
 
 * ``analyze``    — restriction-structure report of a polynomial
 * ``construct``  — build a complementary set from a polynomial: the offset
-  family, its balanced or doubled refinement, the all-paths
-  (path-restriction) set, or the Golay pair (the path-restriction set with
-  no restricted variable)
+  family, its balanced or doubled refinement, or the all-paths
+  (path-restriction) set, which is the Golay pair when no variable is
+  restricted
 * ``verify``     — check a sequence file for the complementary-set property
 * ``pmepr``      — aperiodic-autocorrelation / PMEPR report per sequence
 * ``random``     — generate a random qualifying polynomial (seeded), and
@@ -31,34 +31,24 @@ from typing import Sequence
 from . import codebook
 from .construct import (
     balanced_cs,
-    cs_meta_from_text,
     cs_to_text,
     doubled_cs,
     offset_set,
     path_restriction_cs,
     random_qualifying_gbf,
 )
-from .correlation import aacf_report, read_sequences, set_report, write_sequences
+from .correlation import aacf_report, read_sequences, set_report
 from .errors import BalanceError, CskitError, DegreeError, GraphShapeError, ParseError
-from .gbf import GbfPoly, PolyphaseSeq, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
-from .graphs import RestrictionProfile, analyze
+from .gbf import GbfPoly, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
+from .graphs import analyze
 
 HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, BalanceError)
-
-
-def _golay(f: GbfPoly, profile: RestrictionProfile | None = None, *, restricted: Sequence[int] = ()):
-    """The path-restriction set with no restricted variable: a Golay pair."""
-    if restricted or (profile is not None and profile.k):
-        raise ParseError("golay restricts no variable (it uses the whole path)")
-    return path_restriction_cs(f, profile)
-
 
 # the constructions of ``construct --type`` and ``random --construct``
 BUILDERS = {
     "offset": offset_set,
     "balanced": balanced_cs,
     "doubled": doubled_cs,
-    "golay": _golay,
     "path-restriction": path_restriction_cs,
 }
 
@@ -119,22 +109,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_set(args: argparse.Namespace) -> list[PolyphaseSeq]:
-    text = _read_text(args.path)
-    q = args.q if args.q is not None else (cs_meta_from_text(text) or {}).get("q")
-    if q is None:
-        raise ParseError("cannot determine the modulus: pass --q or use a file with a 'CS q=..' header")
-    return read_sequences(text, q)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = set_report(_read_set(args))
+    report = set_report(read_sequences(_read_text(args.path), args.q))
     _dump_json(report, args.out)
     return 0 if report["is_cs"] else 1
 
 
 def _cmd_pmepr(args: argparse.Namespace) -> int:
-    reports = [aacf_report(s, oversample=args.oversample) for s in _read_set(args)]
+    reports = [aacf_report(s, oversample=args.oversample) for s in read_sequences(_read_text(args.path), args.q)]
     _dump_json(reports, args.out)
     return 0
 
@@ -159,6 +141,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     h = _require_power_of_two(args.q, "enumerate")
     sizes = tuple(_parse_int_list(args.sizes)) if args.sizes else ()
     if args.count_only:

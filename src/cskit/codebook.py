@@ -61,7 +61,6 @@ from .gbf import GbfPoly, _check_domain, _index, _subset_sums, _word_masks, poly
 
 __all__ = [
     "log2_f_count",
-    "enumerate_f_polys",
     "family_size",
     "rate",
     "log2_coset_count",
@@ -119,33 +118,6 @@ def log2_f_count(r: int, m: int, h: int) -> int:
         free_bits = max(0, h - max(0, d - r))
         total += math.comb(m, d) * free_bits
     return total
-
-
-def enumerate_f_polys(
-    r: int, k: int, h: int, *, m: int | None = None, variables: Sequence[int] | None = None
-) -> Iterator[GbfPoly]:
-    """All polynomials of effective degree <= r on k chosen variables.
-
-    By default the variables are x0..x{k-1} of a k-variable polynomial; pass
-    ``m`` and ``variables`` to embed them in a larger domain (as the coset
-    codes do with their ingredient functions on the top k variables).  r, k,
-    h and m are read as Python ints (a bool or a float raises
-    ``ValueError``); without ``variables`` k must lie in [0, m], and
-    ``variables`` must be k distinct indices in [0, m).  Raises
-    :class:`EnumerationError` above 2^22 polynomials.
-    """
-    r, k, h = _index(r, "r must be an integer"), _index(k, "k must be an integer"), _index(h, "h must be an integer")
-    m = k if m is None else _index(m, "m must be an integer")
-    _check_domain(2**h, m)
-    if variables is None and not 0 <= k <= m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if variables is not None:
-        variables = [_index(v, "variable indices must be integers") for v in variables]
-        if len(variables) != k or len(set(variables)) != k or not all(0 <= v < m for v in variables):
-            raise ValueError(f"need k={k} distinct variable indices in [0, {m}), got {variables}")
-    factors = _f_generators(r, k, h, variables)
-    _refuse_above_limit([factors], "polynomials")
-    return _coefficient_words([factors], 1 << h, m)
 
 
 # -- complementary-set family sizes ---------------------------------------------

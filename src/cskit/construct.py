@@ -44,7 +44,7 @@ import numpy as np
 from .codebook import _cartesian_sum, _indicator_anf, _pmepr_bound, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
 from .correlation import AacfVector, write_sequences
 from .cyclo import _fold
-from .errors import BalanceError, GraphShapeError, ParseError
+from .errors import BalanceError, GraphShapeError
 from .gbf import (
     GbfPoly,
     PolyphaseSeq,
@@ -52,6 +52,7 @@ from .gbf import (
     _full_seqs,
     _index,
     _poly_from_parts,
+    _require_dense_modulus,
     _require_power_of_two,
     _require_value_vector_size,
     _rows_json,
@@ -71,7 +72,6 @@ __all__ = [
     "standard_golay_gbfs",
     "random_qualifying_gbf",
     "cs_to_text",
-    "cs_meta_from_text",
 ]
 
 
@@ -177,8 +177,9 @@ def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str) -> CsCandi
 
 def _profile(f: GbfPoly, profile: RestrictionProfile | None, restricted: Sequence[int]) -> RestrictionProfile:
     """The given profile, or ``analyze(f, restricted)``; a modulus that is
-    not a power of two is refused first."""
-    _require_power_of_two(f.q, "a complementary-set construction")
+    not a power of two, or above 2^MAX_VALUE_VECTOR_M (the rows of the
+    prediction are q/2 wide), is refused first."""
+    _require_dense_modulus(f.q, "a complementary-set construction")
     return analyze(f, restricted) if profile is None else profile
 
 
@@ -245,15 +246,13 @@ def path_restriction_cs(f: GbfPoly, profile: RestrictionProfile | None = None, *
     return _family(f, profile, "golay" if profile.k == 0 else "path-restriction")
 
 
-def golay_pair(f: GbfPoly, add0: int = 0, add1: int = 0) -> tuple[GbfPoly, GbfPoly]:
+def golay_pair(f: GbfPoly) -> tuple[GbfPoly, GbfPoly]:
     """A complementary pair from a polynomial whose full coupling graph is a path.
 
-    The two members of ``path_restriction_cs(f)``, ``f`` and
-    ``f + (q/2) x_t`` with ``x_t`` the largest-index path endpoint, plus the
-    constants ``add0`` and ``add1`` (arbitrary phase shifts).
+    The two members of ``path_restriction_cs(f)``: ``f`` and
+    ``f + (q/2) x_t``, with ``x_t`` the largest-index path endpoint.
     """
-    a, b = path_restriction_cs(f).members
-    return (a + add0, b + add1)
+    return path_restriction_cs(f).members
 
 
 def random_qualifying_gbf(
@@ -353,7 +352,7 @@ def random_qualifying_gbf(
 
 
 def cs_to_text(cand: CsCandidate) -> str:
-    """One sequence per line, preceded by a self-describing header comment."""
+    """One sequence per line, preceded by the header comment ``# CS q=.. m=.. size=.. bound=.. provenance=..``."""
     bound = cand.pmepr_bound
     btxt = str(int(bound)) if float(bound).is_integer() else repr(bound)
     header = (
@@ -361,28 +360,3 @@ def cs_to_text(cand: CsCandidate) -> str:
         f"bound={btxt} provenance={cand.provenance}"
     )
     return write_sequences(cand.sequences(), [header])
-
-
-def cs_meta_from_text(text: str) -> dict | None:
-    """Recover the header dictionary from exported text, if one is present."""
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if not stripped.startswith("#"):
-            return None
-        body = stripped.lstrip("#").strip()
-        if not body.startswith("CS "):
-            continue
-        meta: dict[str, object] = {}
-        for tok in body[3:].split():
-            if "=" not in tok:
-                raise ParseError(f"bad header token {tok!r}")
-            key, val = tok.split("=", 1)
-            convert = int if key in ("q", "m", "size") else float if key == "bound" else str
-            try:
-                meta[key] = convert(val)
-            except ValueError:
-                raise ParseError(f"bad header value {tok!r}") from None
-        return meta
-    return None

@@ -407,8 +407,9 @@ def set_report(seqs: Sequence[PolyphaseSeq]) -> dict:
 # -- sequence file format ------------------------------------------------------
 
 
-def read_sequences(text: str, q: int) -> list[PolyphaseSeq]:
-    """Parse sequences from text.
+def read_sequences(text: str, q: int | None = None) -> list[PolyphaseSeq]:
+    """Parse sequences over Z_q from text; with ``q`` None, q is read from
+    the ``# CS q=..`` header of :func:`cskit.construct.cs_to_text`.
 
     Lines starting with ``#`` (and inline ``#`` comments) are ignored.  Each
     remaining line carries one sequence as whitespace-separated symbols.  A
@@ -418,6 +419,21 @@ def read_sequences(text: str, q: int) -> list[PolyphaseSeq]:
     symbols) raises :class:`SizeLimitError` before its symbols are read, so
     one pair of any file fits the exact FFT core.
     """
+    if q is None:  # the last q= of the first '# CS' header line before any sequence
+        for line in text.splitlines():
+            body = line.strip()
+            if body and not body.startswith("#"):
+                break
+            if body.lstrip("#").strip().startswith("CS "):
+                tokens = [t for t in body.split() if t.startswith("q=")]
+                if tokens:
+                    try:
+                        q = int(tokens[-1][2:])
+                    except ValueError:
+                        raise ParseError(f"bad header value {tokens[-1]!r}") from None
+                break
+        if q is None:
+            raise ParseError("cannot determine the modulus: pass --q or use a file with a 'CS q=..' header")
     rows: list[list[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

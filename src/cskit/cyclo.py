@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gbf import _index, _require_power_of_two, _roots
+from .gbf import _index, _require_dense_modulus, _roots
 
 __all__ = ["CycloValue"]
 
@@ -63,23 +63,20 @@ def _from_conjugates(sigma: Callable[[np.ndarray], np.ndarray], q: int) -> np.nd
 
 @dataclass(frozen=True, order=False)
 class CycloValue:
-    """An element of Z[omega], omega a primitive q-th root of unity, q = 2**h:
+    """An element of Z[omega], omega a primitive q-th root of unity, q = 2**h
+    at most 2^MAX_VALUE_VECTOR_M (else :class:`~cskit.errors.SizeLimitError`):
     ``sum_j coeffs[j] * omega^j`` over ``0 <= j < q/2``."""
 
     q: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_power_of_two(self.q, "a cyclotomic value")
+        _require_dense_modulus(self.q, "a cyclotomic value")
         object.__setattr__(self, "coeffs", tuple(_index(a, "coefficients must be integers") for a in self.coeffs))
         if len(self.coeffs) != self.q // 2:
             raise ValueError(f"need exactly q/2 = {self.q // 2} coefficients")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, q: int) -> CycloValue:
-        return cls(q, (0,) * (q // 2))
 
     @classmethod
     def from_int(cls, q: int, n: int) -> CycloValue:
@@ -112,7 +109,7 @@ class CycloValue:
 
     def __repr__(self) -> str:
         if self.is_zero():
-            return f"CycloValue.zero({self.q})"
+            return f"CycloValue.from_int({self.q}, 0)"
         body = " + ".join(f"{a}*w{j}" for j, a in enumerate(self.coeffs) if a)
         return f"<CycloValue q={self.q}: {body}>"
 

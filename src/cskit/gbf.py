@@ -101,6 +101,15 @@ def _require_power_of_two(q: int, what: str) -> int:
     return q.bit_length() - 1
 
 
+def _require_dense_modulus(q: int, what: str) -> None:
+    """:func:`_require_power_of_two`, then :class:`SizeLimitError` above
+    q = 2^MAX_VALUE_VECTOR_M: a sequence's q-entry root table and an exact
+    value's q/2 coordinates are dense arrays, like a value vector."""
+    _require_power_of_two(q, what)
+    if q > 1 << MAX_VALUE_VECTOR_M:
+        raise SizeLimitError(f"{what} with q={q} exceeds the modulus limit of 2^{MAX_VALUE_VECTOR_M}")
+
+
 def _roots(q: int) -> np.ndarray:
     """``omega^e`` for e = 0 .. q-1."""
     return np.exp(2j * np.pi * np.arange(q) / q)
@@ -113,7 +122,8 @@ class GbfPoly:
     ``terms`` maps monomial bitmasks to nonzero coefficients in ``[1, q)``;
     construct instances through :meth:`from_terms` (or the parser) so the
     canonical invariants hold.  Instances are immutable and hashable.  ``+``
-    adds a polynomial or an int and ``*`` scales by an int, both modulo q.
+    adds a polynomial or an int and ``*`` scales by an int, both modulo q;
+    an int is read by :func:`_index`, so a bool raises ``ValueError``.
     """
 
     q: int
@@ -152,23 +162,15 @@ class GbfPoly:
         return cls(q, m, packed)
 
     @classmethod
-    def zero(cls, q: int, m: int) -> GbfPoly:
-        return cls(q, m, ())
-
-    @classmethod
-    def const(cls, q: int, m: int, value: int) -> GbfPoly:
-        return cls.from_terms(q, m, {0: value})
-
-    @classmethod
     def variable(cls, q: int, m: int, index: int) -> GbfPoly:
         return cls.monomial(q, m, [index])
 
     @classmethod
-    def monomial(cls, q: int, m: int, variables: Iterable[int], coeff: int = 1) -> GbfPoly:
+    def monomial(cls, q: int, m: int, variables: Iterable[int]) -> GbfPoly:
         mask = 0
         for v in variables:
             mask |= _variable_bit(v, m)
-        return cls.from_terms(q, m, {mask: coeff})
+        return cls.from_terms(q, m, {mask: 1})
 
     # -- views -------------------------------------------------------------
 
@@ -183,19 +185,12 @@ class GbfPoly:
         """Coefficient of the bare variable ``x_index``."""
         return self.coeff(_variable_bit(index, self.m))
 
-    @property
-    def constant(self) -> int:
-        return self.coeff(0)
-
     def support(self) -> int:
         """Bitmask of every variable that occurs in some term."""
         mask = 0
         for tm, _ in self.terms:
             mask |= tm
         return mask
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Largest monomial size; constants (and the zero polynomial) have degree 0."""
@@ -226,7 +221,7 @@ class GbfPoly:
 
     def __add__(self, other: GbfPoly | int) -> GbfPoly:
         if isinstance(other, int):
-            other = GbfPoly.const(self.q, self.m, other)
+            other = GbfPoly.from_terms(self.q, self.m, {0: other})
         if not isinstance(other, GbfPoly):
             return NotImplemented
         if self.q != other.q or self.m != other.m:
@@ -240,6 +235,7 @@ class GbfPoly:
     def __mul__(self, other: int) -> GbfPoly:
         if not isinstance(other, int):
             return NotImplemented
+        other = _index(other, "coefficients must be integers")  # a bool is refused, as by +
         return GbfPoly.from_terms(self.q, self.m, ((tm, c * other) for tm, c in self.terms))
 
     __rmul__ = __mul__
@@ -283,11 +279,7 @@ class GbfPoly:
         return render_gbf(self)
 
     def __repr__(self) -> str:
-        return f"GbfPoly.parse({render_gbf(self)!r})"
-
-    @staticmethod
-    def parse(text: str) -> GbfPoly:
-        return parse_gbf(text)
+        return f"parse_gbf({render_gbf(self)!r})"
 
 
 def polys_from_rows(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[GbfPoly]:
@@ -391,14 +383,15 @@ class PolyphaseSeq:
     ``phases[i]`` is the exponent of ``omega = exp(2*pi*1j/q)`` at position
     ``i``; where ``mask`` is False the entry is the complex number 0 (used for
     restricted sequences, which keep their original positions).  ``q`` must
-    be a power of two, as exact correlation in Z[omega] requires.  Phases of
-    a bool or non-integer dtype raise ``ValueError``.
+    be a power of two, as exact correlation in Z[omega] requires, and at most
+    2^MAX_VALUE_VECTOR_M (else :class:`SizeLimitError`, before the phases are
+    read).  Phases of a bool or non-integer dtype raise ``ValueError``.
     """
 
     __slots__ = ("q", "phases", "mask")
 
     def __init__(self, q: int, phases: np.ndarray | Sequence[int], mask: np.ndarray | None = None):
-        _require_power_of_two(q, "a polyphase sequence")
+        _require_dense_modulus(q, "a polyphase sequence")
         self.q = q
         phases = np.asarray(phases)
         if phases.size and not np.issubdtype(phases.dtype, np.integer):  # bool is no NumPy integer
@@ -451,8 +444,10 @@ def _full_seqs(q: int, phases: np.ndarray) -> list[PolyphaseSeq]:
 
 
 def psi(f: GbfPoly) -> PolyphaseSeq:
-    """The polyphase sequence ``omega^{f(i)}``, i = 0 .. 2^m - 1."""
-    _require_power_of_two(f.q, "sequence construction")
+    """The polyphase sequence ``omega^{f(i)}``, i = 0 .. 2^m - 1.  Raises
+    :class:`SizeLimitError`, before anything is allocated, when q or 2^m
+    exceeds 2^MAX_VALUE_VECTOR_M."""
+    _require_dense_modulus(f.q, "sequence construction")
     return PolyphaseSeq(f.q, f.value_vector())
 
 
@@ -462,7 +457,7 @@ def psi_restricted(f: GbfPoly, restricted: Sequence[int], word: int) -> Polyphas
     smallest of the k distinct indices ``restricted``, each in [0, m) (the
     form of :func:`cskit.graphs.analyze`'s profiles).  Indices and word are
     read by :func:`_index`.  Surviving entries keep their original positions."""
-    _require_power_of_two(f.q, "sequence construction")
+    _require_dense_modulus(f.q, "sequence construction")
     values = f.value_vector()
     idx = sorted(_index(i, "restricted indices must be integers") for i in restricted)
     word = _index(word, "a restriction word must be an integer")

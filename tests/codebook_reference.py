@@ -95,7 +95,7 @@ def _coset_polys(m: int, k: int, r: int, h: int, *, excl: bool = False) -> Itera
     if (len(couplers) * math.log2(len(gi_polys)) + math.log2(len(g_polys))) > 22:
         raise EnumerationError("coset code too large to enumerate")
     for combo in itertools.product(gi_polys, repeat=len(couplers)):
-        base = GbfPoly.zero(q, m)
+        base = GbfPoly(q, m)
         for i, gi in zip(couplers, combo):
             base = base + product(GbfPoly.variable(q, m, i), gi)
         for g in g_polys:
@@ -114,7 +114,7 @@ def _path_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
     classes = _paths_up_to_reversal(range(m - k))
     prefix_vars = list(range(m - k, m - k + t))
     for assignment in itertools.product(classes, repeat=1 << t):
-        f = GbfPoly.zero(q, m)
+        f = GbfPoly(q, m)
         for word, path in enumerate(assignment):
             ind = indicator_poly(q, m, prefix_vars, word)
             f = f + product(ind, path_quadratic(q, m, path, q // 2))
@@ -135,10 +135,10 @@ def _isolated_reps(m: int, k: int, h: int, r: int) -> Iterator[GbfPoly]:
     classes = _paths_up_to_reversal(range(m - k - 1))
     prefix_vars = list(range(m - k, m - k + t))
     for e in range(1, 1 << k):
-        coupling = GbfPoly.zero(q, m)
+        coupling = GbfPoly(q, m)
         for j in range(k):
             if (e >> j) & 1:
-                coupling = coupling + GbfPoly.monomial(q, m, [l1, m - 1 - j], half)
+                coupling = coupling + GbfPoly.monomial(q, m, [l1, m - 1 - j]) * half
         for assignment in itertools.product(classes, repeat=1 << t):
             f = coupling
             for word, path in enumerate(assignment):
@@ -172,7 +172,7 @@ def _multi_isolated_reps(m: int, k: int, h: int, r: int, sizes: Sequence[int]) -
         classes = _paths_up_to_reversal([v for v in range(m - k) if v != l])
         choice_spaces.append(list(itertools.product(classes, repeat=j)))
     for picks in itertools.product(*choice_spaces):
-        f = GbfPoly.zero(q, m)
+        f = GbfPoly(q, m)
         for (l, words, j), paths in zip(blocks, picks):
             for rank, word in enumerate(words):
                 ind = indicator_poly(q, m, restricted, word)
@@ -277,7 +277,7 @@ def standard_golay_gbfs(m: int, h: int) -> Iterator[GbfPoly]:
             for i in range(m):
                 w, g = divmod(w, q)
                 if g:
-                    lin = lin + GbfPoly.monomial(q, m, [i], g)
+                    lin = lin + GbfPoly.monomial(q, m, [i]) * g
             for const in range(q):
                 yield lin + const if const else lin
 

@@ -35,10 +35,10 @@ def indicator_poly(q: int, m: int, restricted: Sequence[int], word: int) -> GbfP
     Product over the restricted variables of ``x_j`` (bit 1) or ``1 - x_j``
     (bit 0); with none restricted it is the constant 1.
     """
-    out = GbfPoly.const(q, m, 1)
+    out = GbfPoly.from_terms(q, m, {0: 1})
     for a, j in enumerate(sorted(restricted)):
         xj = GbfPoly.variable(q, m, j)
-        out = product(out, xj if (word >> a) & 1 else GbfPoly.const(q, m, 1) + (q - 1) * xj)
+        out = product(out, xj if (word >> a) & 1 else (q - 1) * xj + 1)
     return out
 
 
@@ -60,7 +60,7 @@ def value_vector(f: GbfPoly) -> np.ndarray:
 def _endpoint_poly(profile: RestrictionProfile) -> GbfPoly:
     """Indicator-weighted sum of the per-restriction path endpoints."""
     q, m = profile.q, profile.m
-    total = GbfPoly.zero(q, m)
+    total = GbfPoly(q, m)
     for word, t in profile.endpoints:
         ind = indicator_poly(q, m, profile.restricted, word)
         total = total + product(ind, GbfPoly.variable(q, m, t))
@@ -74,7 +74,7 @@ def _offset_members(f: GbfPoly, profile: RestrictionProfile) -> tuple[GbfPoly, .
     members = []
     for d in (0, 1):
         for word in range(1 << profile.k):
-            off = GbfPoly.zero(q, m)
+            off = GbfPoly(q, m)
             if d:
                 off = off + t_poly
             for a, j in enumerate(profile.restricted):
@@ -156,7 +156,7 @@ def random_qualifying_gbf(
         blocks.append(words[at : at + n])
         at += n
 
-    f = GbfPoly.zero(q, m)
+    f = GbfPoly(q, m)
     for word in blocks[0]:
         ind = indicator_poly(q, m, restricted, word)
         order = unrestricted[:]
@@ -192,7 +192,7 @@ def random_qualifying_gbf(
     for i in range(m):
         g = rng.randrange(q)
         if g:
-            f = f + GbfPoly.monomial(q, m, [i], g)
+            f = f + GbfPoly.monomial(q, m, [i]) * g
     gp = rng.randrange(q)
     if gp:
         f = f + gp

@@ -74,23 +74,25 @@ def test_construct_balance_violation_exit_1(capsys):
 
 
 def test_construct_golay(capsys):
+    # the Golay pair is the path-restriction set with no restricted variable
     code, out, _ = run(
-        capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0", "--type", "golay", "--format", "json",
+        capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0", "--type", "path-restriction", "--format", "json",
     )
     assert code == 0
     blob = json.loads(out)
     assert blob["size"] == 2 and blob["pmepr_bound"] == 2.0 and blob["provenance"] == "golay"
+    assert [m["text"] for m in blob["members"]] == ["q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0", "q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0 + 2*x2"]
+    code, out, _ = run(capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0", "--type", "path-restriction")
+    assert code == 0
+    assert out == "# CS q=4 m=3 size=2 bound=2 provenance=golay\n0 1 0 3 0 1 2 1\n0 1 0 3 2 3 0 3\n"
 
 
-def test_construct_golay_rejects_restrict(capsys):
-    code, _, err = run(
-        capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2", "--type", "golay", "-r", "0"
-    )
-    assert code == 2
-    assert err.strip()
-    code, _, err = run(capsys, "random", "-m", "5", "-k", "1", "--q", "4", "--seed", "3", "--construct", "golay")
-    assert code == 2
-    assert err.strip()
+def test_golay_is_no_construction_choice():
+    parser = build_parser()
+    for argv in (["construct", "--gbf", "q=2;m=2; x0*x1", "--type", "golay"], ["random", "-m", "3", "-k", "0", "--q", "2", "--seed", "1", "--construct", "golay"]):
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        assert caught.value.code == 2
 
 
 def test_verify_detects_non_cs(tmp_path, capsys):
@@ -107,6 +109,18 @@ def test_verify_needs_q(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(f))
     assert code == 2
     assert "modulus" in err.lower() or "q" in err.lower()
+
+
+@pytest.mark.parametrize("verb", ["verify", "pmepr"])
+def test_modulus_from_the_flag_or_the_header(tmp_path, capsys, verb):
+    set_file = tmp_path / "set.txt"
+    assert run(capsys, "construct", "--gbf", "q=4;m=3; 2*x0*x1 + 2*x1*x2", "--type", "path-restriction", "--out", str(set_file))[0] == 0
+    with_header = run(capsys, verb, str(set_file))
+    assert with_header[0] == 0 and with_header == run(capsys, verb, str(set_file), "--q", "4")
+    set_file.write_text("\n".join(set_file.read_text().splitlines()[1:]) + "\n")
+    code, out, err = run(capsys, verb, str(set_file))
+    assert code == 2 and out == ""
+    assert err == "cskit: ParseError: cannot determine the modulus: pass --q or use a file with a 'CS q=..' header\n"
 
 
 def test_pmepr_report(tmp_path, capsys):
@@ -334,6 +348,36 @@ def test_enumerate_count_only_builds_no_polynomial(capsys, monkeypatch):
 def test_oversized_domain_exit_2(capsys, fmt):
     # a Golay path on 64 variables parses, but its 2^64-entry sequence is refused
     path = " + ".join(f"x{i}*x{i + 1}" for i in range(63))
-    code, out, err = run(capsys, "construct", "--gbf", f"q=2;m=64; {path}", "--type", "golay", "--format", fmt)
+    code, out, err = run(capsys, "construct", "--gbf", f"q=2;m=64; {path}", "--type", "path-restriction", "--format", fmt)
     assert code == 2
     assert not out and "SizeLimitError" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # died in the conjugate solve, asking for 2 TiB, with exit 1
+        pytest.param(["verify", "--q", str(1 << 40)], "a polyphase sequence with q=1099511627776", id="verify"),
+        # died in the prediction, asking for 16 GiB, with exit 1
+        pytest.param(
+            ["construct", "--gbf", "q=1073741824;m=2; 536870912*x0*x1", "--type", "path-restriction"],
+            "a complementary-set construction with q=1073741824",
+            id="construct",
+        ),
+    ],
+)
+def test_modulus_above_the_size_limit_exit_2(tmp_path, capsys, argv, message):
+    seq_file = tmp_path / "pair.txt"
+    seq_file.write_text("0 1\n1 0\n")
+    code, out, err = run(capsys, *argv, *([str(seq_file)] if argv[0] == "verify" else []))
+    assert code == 2 and out == ""
+    assert err == f"cskit: SizeLimitError: {message} exceeds the modulus limit of 2^24\n"
+
+
+def test_enumerate_refuses_a_negative_limit(capsys):
+    # --limit -1 printed only '# ... truncated at -1' and exited 0
+    code, out, err = run(capsys, "enumerate", "--family", "golay", "-m", "3", "--q", "4", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert err == "cskit: ValueError: --limit must be >= 0, got -1\n"
+    code, out, _ = run(capsys, "enumerate", "--family", "golay", "-m", "3", "--q", "4", "--limit", "0")
+    assert code == 0 and out == "# ... truncated at 0\n"

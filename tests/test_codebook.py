@@ -15,7 +15,6 @@ from cskit.codebook import (
     coset_code_size,
     count_codebook,
     enumerate_codebook,
-    enumerate_f_polys,
     erm_distance_formulas,
     erm_min_distances,
     family_size,
@@ -47,7 +46,7 @@ def test_log2_f_count_values():
         log2_f_count(1, 2, 0)
 
 
-def test_enumerate_f_polys_matches_filter():
+def test_erm_words_match_the_effective_degree_filter():
     # brute force: every polynomial on 2 variables over Z4 with effective
     # degree <= 1, by filtering the whole 4^4 space
     q, m = 4, 2
@@ -57,21 +56,9 @@ def test_enumerate_f_polys_matches_filter():
         f = GbfPoly.from_terms(q, m, list(zip(masks, coeffs)))
         if f.effective_degree() <= 1:
             want.add(f.terms)
-    got = {f.terms for f in enumerate_f_polys(1, 2, 2)}
+    got = {f.terms for f in enumerate_codebook("ERM", 2, 2, r=1)}
     assert got == want
     assert len(got) == 1 << log2_f_count(1, 2, 2)
-
-
-def test_enumerate_f_polys_embedding():
-    polys = list(enumerate_f_polys(1, 2, 1, m=4, variables=[2, 3]))
-    assert len(polys) == 1 << log2_f_count(1, 2, 1)
-    for f in polys:
-        assert f.support() & ~0b1100 == 0
-
-
-def test_enumerate_f_polys_guard():
-    with pytest.raises(EnumerationError):
-        list(enumerate_f_polys(5, 5, 8))
 
 
 # -- closed-form family sizes ----------------------------------------------------

@@ -11,9 +11,10 @@ from cskit import (
     GraphShapeError,
     ModulusError,
     ParseError,
+    PolyphaseSeq,
+    SizeLimitError,
     analyze,
     balanced_cs,
-    cs_meta_from_text,
     cs_to_text,
     doubled_cs,
     golay_pair,
@@ -24,6 +25,7 @@ from cskit import (
     pmepr,
     psi,
     random_qualifying_gbf,
+    read_sequences,
     set_aacf,
     standard_golay_gbfs,
 )
@@ -93,9 +95,9 @@ def test_doubled_cs():
 
 def test_golay_pair_and_candidate():
     f = parse_gbf("q=4;m=3; 2*x0*x1 + 2*x1*x2 + x0 + 3")
-    a, b = golay_pair(f, add0=1, add1=2)
-    assert a == f + 1
-    assert b == f + GbfPoly.monomial(4, 3, [2], 2) + 2
+    a, b = golay_pair(f)
+    assert a == f
+    assert b == f + GbfPoly.monomial(4, 3, [2]) * 2
     assert is_cs([psi(a), psi(b)])
     cand = path_restriction_cs(f)
     assert cand.size == 2 and cand.pmepr_bound == 2.0 and cand.provenance == "golay"
@@ -175,15 +177,34 @@ def test_cs_text_roundtrip():
     f = parse_gbf("q=2;m=4; x0*x1*x3 + x0*x2*x3 + x0*x1*x2 + x1*x2")
     cand = doubled_cs(f, restricted=[0])
     text = cs_to_text(cand)
-    meta = cs_meta_from_text(text)
-    assert meta["q"] == 2 and meta["m"] == 4
-    assert meta["size"] == 8 and meta["provenance"] == "doubled"
+    assert text.splitlines()[0] == "# CS q=2 m=4 size=8 bound=6 provenance=doubled"
+    assert read_sequences(text) == read_sequences(text, 2) == cand.sequences()
 
 
-@pytest.mark.parametrize("header", ["# CS q=x", "# CS q=4 bound=four"])
-def test_cs_header_values_are_parsed_or_refused(header):
-    with pytest.raises(ParseError):
-        cs_meta_from_text(header)
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        pytest.param("# CS q=x", "bad header value 'q=x'", id="# CS q=x"),
+        # the reader takes only q from the header; the bound is left to its reader
+        pytest.param("# CS q=4 bound=four", None, id="# CS q=4 bound=four"),
+    ],
+)
+def test_cs_header_values_are_parsed_or_refused(header, error):
+    text = f"{header}\n0 1 2 3\n"
+    if error is None:
+        assert read_sequences(text) == [PolyphaseSeq(4, [0, 1, 2, 3])]
+    else:
+        with pytest.raises(ParseError, match=error):
+            read_sequences(text)
+
+
+def test_header_modulus_rules():
+    # the last q= of the first '# CS' header before any sequence; explicit q wins
+    assert read_sequences("\n## other\n#CS m=2 q=2 q=4\n# CS q=8\n0 3\n")[0].q == 4
+    assert read_sequences("# CS q=x\n0 1\n", 2)[0].q == 2
+    for text in ("0 1\n# CS q=4\n", "# CS m=2\n# CS q=4\n0 1\n", "#CSq=4\n0 1\n", ""):
+        with pytest.raises(ParseError, match="^cannot determine the modulus: pass --q or use a file with a 'CS q=..' header$"):
+            read_sequences(text)
 
 
 @pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])
@@ -191,6 +212,13 @@ def test_builders_refuse_non_power_of_two_modulus(build):
     # the rows are reduced with & (q-1), so q = 6 is refused before analysis
     with pytest.raises(ModulusError):
         build(parse_gbf("q=6;m=3; 3*x0*x1 + 3*x1*x2"), restricted=[])
+
+
+@pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])
+def test_builders_refuse_a_modulus_above_the_limit(build):
+    # the prediction's rows are q/2 wide: q = 2^30 asked for 16 GiB at m = 2
+    with pytest.raises(SizeLimitError, match="q=1073741824 exceeds the modulus limit of 2\\^24"):
+        build(parse_gbf("q=1073741824;m=2; 536870912*x0*x1"), restricted=[])
 
 
 # sha256 of json.dumps(to_json()) and of cs_to_text.  The text digests date

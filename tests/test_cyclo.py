@@ -21,7 +21,7 @@ def test_complex_embedding_is_homomorphic(q):
 
 
 def test_zero_and_truthiness():
-    z = CycloValue.zero(8)
+    z = CycloValue.from_int(8, 0)
     assert z.is_zero() and not z
     assert complex(z) == 0
     nz = CycloValue.from_int(8, 3)
@@ -29,7 +29,7 @@ def test_zero_and_truthiness():
     assert not CycloValue.from_counts(8, [3, 0, 0, 0, 3, 0, 0, 0])  # 3 + 3 w^4 = 0
     for q in (6, 1, 0):  # the package's one modulus check; ModulusError is a ValueError
         with pytest.raises(ModulusError):
-            CycloValue.zero(q)
+            CycloValue.from_int(q, 0)
 
 
 def test_exactness_where_floats_would_wobble():
@@ -66,7 +66,7 @@ def test_basis_operations_keep_their_errors_and_repr():
     with pytest.raises(ValueError, match="need q = 8 counts"):
         CycloValue.from_counts(8, [1] * 7)
     assert repr(CycloValue.from_counts(8, [3, 0, 1, 0, 1, 0, 0, 2])) == "<CycloValue q=8: 2*w0 + 1*w2 + -2*w3>"
-    assert repr(CycloValue.from_counts(4, [1, 0, 1, 0])) == "CycloValue.zero(4)"
+    assert repr(CycloValue.from_counts(4, [1, 0, 1, 0])) == "CycloValue.from_int(4, 0)"
 
 
 @pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])

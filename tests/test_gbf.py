@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cskit import GbfPoly, ParseError, SizeLimitError, psi, psi_restricted
+from cskit import CycloValue, GbfPoly, ParseError, PolyphaseSeq, SizeLimitError, psi, psi_restricted
 from cskit.gbf import MAX_VALUE_VECTOR_M, gbf_from_json, gbf_to_json, parse_gbf, render_gbf
 
 from graphs_reference import restrict
@@ -42,8 +42,8 @@ def test_parse_rejects():
 
 
 def test_zero_renders():
-    assert render_gbf(GbfPoly.zero(2, 3)) == "q=2;m=3; 0"
-    assert parse_gbf("q=2;m=3; 0").is_zero()
+    assert render_gbf(GbfPoly(2, 3)) == "q=2;m=3; 0"
+    assert not parse_gbf("q=2;m=3; 0").terms
 
 
 def test_evaluation_lsb_first():
@@ -77,11 +77,11 @@ def test_arithmetic():
 def test_degree_and_support():
     f = parse_gbf("q=4;m=4; 2*x0*x1*x2 + x3 + 1")
     assert f.degree() == 3
-    assert f.constant == 1
+    assert f.coeff(0) == 1
     assert f.linear_coeff(3) == 1
     assert f.linear_coeff(0) == 0
     assert f.support() == 0b1111  # bitmask of appearing variables
-    assert GbfPoly.zero(4, 2).degree() == 0
+    assert GbfPoly(4, 2).degree() == 0
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ GBF_JSON_DIGEST = "86fd6e2746c6e6498b6faee2da9811262cc5fbe3e2f738c1f5d96ec5347a5
 
 def test_gbf_to_json_bytes_are_pinned():
     rng = random.Random(20261018)
-    polys = [GbfPoly.zero(4, 3), GbfPoly.const(8, 2, 5)]
+    polys = [GbfPoly(4, 3), GbfPoly.from_terms(8, 2, {0: 5})]
     while len(polys) < 200:
         q = rng.choice([2, 4, 8, 16, 6])
         m = rng.randint(1, 9)
@@ -165,7 +165,7 @@ def test_json_roundtrip_beyond_int64(text):
 
 def test_both_json_forms_roundtrip():
     rng = random.Random(20261019)
-    polys = [GbfPoly.zero(4, 64), parse_gbf(f"q={2**64};m=64; {2**63 + 3}*x0*x63 + {2**64 - 1}")]
+    polys = [GbfPoly(4, 64), parse_gbf(f"q={2**64};m=64; {2**63 + 3}*x0*x63 + {2**64 - 1}")]
     while len(polys) < 100:
         q = rng.choice([2, 4, 8, 6, 2**64, 2**70])
         m = rng.choice([1, 3, 9, 63, 64, 70])
@@ -222,3 +222,43 @@ def test_value_vector_size_limit_refuses_before_allocating(m):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("q", [1 << (MAX_VALUE_VECTOR_M + 1), 1 << 40])
+def test_modulus_size_limit_refuses_before_allocating(q):
+    # a q-entry root table and q/2 coordinates are dense arrays: q = 2^40
+    # asked for 2 TiB; the polynomial itself stays symbolic
+    f = parse_gbf(f"q={q};m=2; {q // 2}*x0*x1 + 1")
+    assert f(0b11) == q // 2 + 1 and f * 2 == parse_gbf(f"q={q};m=2; 2")
+    tracemalloc.start()
+    try:
+        for build in (lambda: PolyphaseSeq(q, [0]), lambda: CycloValue(q, ()), lambda: psi(f), lambda: psi_restricted(f, [0], 1)):
+            with pytest.raises(SizeLimitError, match=f"q={q} exceeds the modulus limit of 2\\^{MAX_VALUE_VECTOR_M}"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_modulus_at_the_size_limit_is_accepted():
+    q = 1 << MAX_VALUE_VECTOR_M
+    seq = psi(parse_gbf(f"q={q};m=2; {q - 1}*x0 + 3"))
+    assert seq == PolyphaseSeq(q, [3, 2, 3, 2]) and seq.q == q
+
+
+def test_bool_factor_is_refused_like_a_bool_term():
+    # True was read as the factor 1, while f + True was refused
+    f = parse_gbf("q=4;m=2; x0*x1 + 1")
+    for call in (lambda: f + True, lambda: f * True, lambda: True * f, lambda: f * np.True_):
+        with pytest.raises(ValueError, match="^coefficients must be integers, got True$"):
+            call()
+    assert f * np.int64(2) == np.int64(2) * f == f * 2 == parse_gbf("q=4;m=2; 2*x0*x1 + 2")
+    with pytest.raises(TypeError):
+        f * 2.0
+
+
+def test_repr_is_the_parse_call():
+    f = parse_gbf("q=4;m=2; x0*x1 + 3*x1")
+    assert repr(f) == "parse_gbf('q=4;m=2; x0*x1 + 3*x1')"
+    assert eval(repr(f)) == f

@@ -83,8 +83,9 @@ def test_analyze_is_the_one_reader_of_restriction_graphs():
 
 def test_one_name_for_a_restriction():
     """A restriction is named one way, as its restricted indices and a word
-    (``analyze``'s profiles, ``psi_restricted``), and no public helper is
-    left that only its own test called."""
+    (``analyze``'s profiles, ``psi_restricted``), and ``envelope_power``,
+    ``pmepr_family_sizes`` and ``codeword_matrix``, which only their own
+    tests called, are gone."""
     retired = {
         cskit: ["Restriction", "envelope_power", "pmepr_family_sizes", "codeword_matrix"],
         cskit.gbf: ["Restriction"],
@@ -93,3 +94,25 @@ def test_one_name_for_a_restriction():
     }
     assert [(m.__name__, n) for m, names in retired.items() for n in names if hasattr(m, n)] == []
     assert list(inspect.signature(cskit.psi_restricted).parameters) == ["f", "restricted", "word"]
+
+
+def test_one_public_path_per_job():
+    """``enumerate_codebook("ERM", ...)`` is the one enumerator of F(r, m, h),
+    ``read_sequences`` the one reader of a set file, header included,
+    ``path-restriction`` the one CLI name of the Golay pair, and no alias or
+    knob is left that only tests used."""
+    cli = importlib.import_module("cskit.cli")
+    retired = {
+        cskit: ["enumerate_f_polys", "cs_meta_from_text"],
+        cskit.codebook: ["enumerate_f_polys"],
+        cskit.construct: ["cs_meta_from_text"],
+        cli: ["_golay", "_read_set"],
+        cskit.GbfPoly: ["zero", "const", "constant", "is_zero", "parse"],
+        cskit.CycloValue: ["zero"],
+    }
+    assert [(getattr(m, "__name__", m), n) for m, names in retired.items() for n in names if hasattr(m, n)] == []
+    assert list(cli.BUILDERS) == ["offset", "balanced", "doubled", "path-restriction"]
+    assert list(inspect.signature(cskit.golay_pair).parameters) == ["f"]
+    assert list(inspect.signature(cskit.GbfPoly.monomial).parameters) == ["q", "m", "variables"]
+    params = inspect.signature(cskit.read_sequences).parameters
+    assert list(params) == ["text", "q"] and params["q"].default is None

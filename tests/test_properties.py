@@ -381,10 +381,11 @@ def test_enumerators_match_the_reference(request, block_symbols, yield_rows):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 3), st.integers(2, 4), SPLITS, YIELDS)
 def test_embedded_f_polys_and_golay_match_the_reference(h, m, block_symbols, yield_rows):
-    """``enumerate_f_polys`` on the top variables of a larger domain, and
-    ``standard_golay_gbfs`` without the size refusal."""
+    """The generators of F(1, 2, h) on the top variables of a larger domain
+    (the coset codes' ingredient functions), and ``standard_golay_gbfs``
+    without the size refusal."""
     with split_enumeration(block_symbols, yield_rows):
-        f_polys = outcome(lambda: codebook.enumerate_f_polys(1, 2, h, m=m, variables=[m - 2, m - 1]))
+        f_polys = outcome(lambda: codebook._coefficient_words([codebook._f_generators(1, 2, h, [m - 2, m - 1])], 1 << h, m))
         golay = outcome(lambda: standard_golay_gbfs(m, h))
     assert f_polys == outcome(lambda: reference.enumerate_f_polys(1, 2, h, m=m, variables=[m - 2, m - 1]))
     assert golay == outcome(lambda: reference.standard_golay_gbfs(m, h))
@@ -394,7 +395,7 @@ def overlapping_unions(kind, m, h, r):
     """Two-part unions whose parts share words, as (coefficient-row parts,
     reference (reps, code) parts)."""
     q = 1 << h
-    zero = [GbfPoly.zero(q, m)]
+    zero = [GbfPoly(q, m)]
     if kind == "nested":  # F(r) then F(r+1), which contains it
         new = [codebook._f_generators(r, m, h), codebook._f_generators(r + 1, m, h)]
         ref = [(zero, reference.enumerate_f_polys(r, m, h)), (zero, reference.enumerate_f_polys(r + 1, m, h))]
@@ -403,7 +404,7 @@ def overlapping_unions(kind, m, h, r):
         ref = [(reference._path_reps(m, 1, h, r), reference._coset_polys(m, 1, r, h, excl=excl)) for excl in (False, True)]
     else:  # "self-sum": every sum a + b of two constants repeats within the part
         gen = codebook._Gen(0, 1, q)
-        consts = [GbfPoly.const(q, m, c) for c in range(q)]
+        consts = [GbfPoly.from_terms(q, m, {0: c}) for c in range(q)]
         new = [[gen, gen]]
         ref = [(consts, consts)]
     return new, ref

@@ -16,6 +16,7 @@ from cskit import (
     GbfPoly,
     ParseError,
     PolyphaseSeq,
+    SizeLimitError,
     aacf,
     analyze,
     cross_corr,
@@ -29,13 +30,11 @@ from cskit.cli import main
 from cskit.codebook import (
     count_codebook,
     enumerate_codebook,
-    enumerate_f_polys,
     erm_min_distances,
     family_size,
     log2_coset_count,
     standard_golay_gbfs,
 )
-from cskit.construct import cs_meta_from_text
 from cskit.correlation import read_sequences, write_sequences
 from cskit.gbf import _word_text
 from cskit.graphs import _analyze
@@ -71,7 +70,6 @@ REFUSALS = {
     "variable-beyond-m": (lambda: GbfPoly.variable(4, 3, 3), ValueError),
     "variable-negative": (lambda: GbfPoly.variable(4, 3, -1), ValueError),
     "monomial-beyond-m": (lambda: GbfPoly.monomial(4, 3, [0, 5]), ValueError),
-    "f-polys-variable-count": (lambda: enumerate_f_polys(1, 2, 2, m=4, variables=[3]), ValueError),
     "coset-count-k-not-below-m": (lambda: log2_coset_count(4, 4, 1, 1), ValueError),
     "r2-one-block": (lambda: count_codebook("R2", 6, 1, r=2, k=1, sizes=(2,)), ValueError),
     "r2-two-free-vertices": (lambda: count_codebook("R2", 4, 1, r=2, k=2, sizes=(2, 2)), ValueError),
@@ -88,6 +86,7 @@ REFUSALS = {
     "restriction-bit": (lambda: psi_restricted(PATH, [0], 2), ValueError),
     "sequence-2d": (lambda: PolyphaseSeq(4, [[0, 1], [1, 0]]), ValueError),
     "sequence-mask-length": (lambda: PolyphaseSeq(4, [0, 1], [True]), ValueError),
+    "sequence-modulus-beyond-limit": (lambda: PolyphaseSeq(1 << 25, [0]), SizeLimitError),
     # correlation
     "aacf-empty-sequence": (lambda: aacf(PolyphaseSeq(4, [])), ValueError),
     "cross-mixed-moduli": (lambda: cross_corr(FULL, PolyphaseSeq(8, [0, 1, 2, 3])), ValueError),
@@ -98,8 +97,9 @@ REFUSALS = {
     "cyclo-coefficient-count": (lambda: CycloValue(4, (1,)), ValueError),
     # sequence and set files
     "read-non-integer": (lambda: read_sequences("0 1 x\n", 4), ParseError),
+    "read-no-modulus": (lambda: read_sequences("0 1\n"), ParseError),
+    "read-bad-header-modulus": (lambda: read_sequences("# CS q=4.0\n0 1\n"), ParseError),
     "write-masked": (lambda: write_sequences([MASKED]), ValueError),
-    "meta-bad-token": (lambda: cs_meta_from_text("# CS q=4 junk\n"), ParseError),
     # restriction profiles
     "analyze-repeated-index": (lambda: analyze(PATH, [0, 0]), ValueError),
     "analyze-index-beyond-m": (lambda: analyze(PATH, [3]), ValueError),
@@ -225,20 +225,15 @@ INTEGER_REFUSALS = {
     "erm-distance-float-r": lambda: erm_min_distances(1.0, 3, 1),
     "erm-distance-float-m": lambda: erm_min_distances(1, 3.0, 1),
     "erm-distance-bool-h": lambda: erm_min_distances(1, 3, True),
-    # the enumerators read True as 1: 8 polynomials of F(1, 2, 1), 16 words
-    # of ERM(r=1, m=3, h=1) and of A with k=1, 48 GOLAY words
-    "f-polys-bool-r": lambda: enumerate_f_polys(True, 2, 1),
-    "f-polys-bool-h": lambda: enumerate_f_polys(1, 2, True),
-    "f-polys-bool-variable": lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, True]),
+    # the enumerators read True as 1: 16 words of ERM(r=1, m=3, h=1) and of
+    # A with k=1, 48 GOLAY words
     "erm-bool-h": lambda: count_codebook("ERM", 3, True, r=1),
     "erm-bool-r": lambda: count_codebook("ERM", 3, 1, r=True),
     "a-bool-k": lambda: enumerate_codebook("A", 3, 1, r=1, k=True),
     "golay-bool-h": lambda: count_codebook("GOLAY", 3, True),
     # bare TypeErrors
-    "f-polys-float-r": lambda: enumerate_f_polys(1.0, 2, 1),
-    "f-polys-float-k": lambda: enumerate_f_polys(1, 2.0, 1, m=4),
-    "f-polys-float-variable": lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, 3.0]),
     "erm-float-r": lambda: count_codebook("ERM", 3, 1, r=1.0),
+    "erm-float-m": lambda: enumerate_codebook("ERM", 3.0, 1, r=1),
     "a-float-k": lambda: count_codebook("A", 3, 1, r=1, k=1.0),
     "c4-float-r": lambda: count_codebook("C4", 4, 1, r=2.0),
 }
@@ -289,7 +284,9 @@ EXACTNESS_REFUSALS = {
     # "q=4;m=2; 1.5*x0", which parse_gbf refuses, with the value vector of x0
     "poly-float-coefficient": lambda: GbfPoly.from_terms(4, 2, {1: 1.5}),
     "poly-float-term": lambda: GbfPoly(4, 2, ((1, 1.5),)),
-    "poly-float-constant": lambda: GbfPoly.const(4, 2, 1.5),
+    "poly-float-constant": lambda: GbfPoly.from_terms(4, 2, {0: 1.5}),
+    # read as the factor 1, while PATH + True was refused
+    "poly-bool-factor": lambda: PATH * True,
     # a bare TypeError, and True read as the mask of x0
     "poly-float-mask": lambda: GbfPoly.from_terms(4, 2, {1.0: 1}),
     "poly-bool-mask": lambda: GbfPoly(4, 2, ((True, 1),)),
@@ -323,7 +320,7 @@ def test_numpy_integers_are_read_as_python_ints():
     assert json.dumps([lee, euc]) == "[4, 16.0]"
     # the enumerators refused a NumPy m or k through the domain check
     assert count_codebook("ERM", np.int64(3), np.uint8(1), r=np.int64(1)) == count_codebook("ERM", 3, 1, r=1) == 16
-    assert list(enumerate_f_polys(np.int64(1), np.int64(2), np.uint8(1))) == list(enumerate_f_polys(1, 2, 1))
+    assert list(enumerate_codebook("ERM", np.int64(2), np.uint8(1), r=np.int64(1))) == list(enumerate_codebook("ERM", 2, 1, r=1))
 
 
 # Refusals of a degenerate codebook domain, with the messages of the
@@ -336,32 +333,12 @@ DOMAIN_REFUSALS = {
     "erm-zero-m": (lambda: enumerate_codebook("ERM", 0, 1, r=1), "need at least one variable, got m=0"),
     "erm-zero-h": (lambda: enumerate_codebook("ERM", 3, 0, r=1), "modulus must be an even integer >= 2, got q=1"),
     "golay-negative-h": (lambda: count_codebook("GOLAY", 3, -1), "modulus must be an even integer >= 2, got q=0.5"),
-    "f-polys-zero-k": (lambda: enumerate_f_polys(1, 0, 1), "need at least one variable, got m=0"),
-    "f-polys-zero-h": (lambda: enumerate_f_polys(1, 2, 0, m=4, variables=[2, 3]), "got q=1"),
     "a-k-equal-to-m": (lambda: count_codebook("A", 3, 1, r=1, k=3), "need 0 <= k < m, got k=3, m=3"),
     "a-negative-k": (lambda: count_codebook("A", 3, 1, r=1, k=-1), "need 0 <= k < m, got k=-1, m=3"),
     "a1-k-equal-to-m": (lambda: count_codebook("A1", 3, 1, r=1, k=3), "need 0 <= k < m, got k=3, m=3"),
     "r-negative-k": (lambda: count_codebook("R", 3, 1, r=1, k=-1), "need 0 <= k < m, got k=-1, m=3"),
     "r1-negative-k": (lambda: enumerate_codebook("R1", 5, 1, r=2, k=-1), "need 0 <= k < m, got k=-1, m=5"),
     "r2-negative-k": (lambda: count_codebook("R2", 6, 1, r=2, k=-1, sizes=(1, 1)), "need 0 <= k < m, got k=-1, m=6"),
-    # k beyond m built generators on x0..x{k-1}: 16 words of m = 2, the last
-    # the unparsable 'q=2;m=2; x0 + x1 + x2 + 1'; k = -1 yielded one zero word
-    "f-polys-k-beyond-m": (lambda: enumerate_f_polys(1, 3, 1, m=2), "need 0 <= k <= m, got k=3, m=2"),
-    "f-polys-negative-k": (lambda: enumerate_f_polys(1, -1, 1, m=2), "need 0 <= k <= m, got k=-1, m=2"),
-    # x4 at m = 4 gave 'q=2;m=4; x2 + x4 + 1'; x-1 a bare "negative shift
-    # count"; x2 twice gave 8 words, of which only 4 differ
-    "f-polys-variable-beyond-m": (
-        lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, 4]),
-        "need k=2 distinct variable indices in [0, 4), got [2, 4]",
-    ),
-    "f-polys-negative-variable": (
-        lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[-1, 2]),
-        "need k=2 distinct variable indices in [0, 4), got [-1, 2]",
-    ),
-    "f-polys-repeated-variable": (
-        lambda: enumerate_f_polys(1, 2, 1, m=4, variables=[2, 2]),
-        "need k=2 distinct variable indices in [0, 4), got [2, 2]",
-    ),
 }
 
 

@@ -20,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from cskit import DegreeError, GbfPoly, GraphShapeError, analyze, random_qualifying_gbf, render_gbf
+from cskit import DegreeError, GbfPoly, GraphShapeError, analyze, parse_gbf, random_qualifying_gbf, render_gbf
 from cskit.codebook import _indicator_anf
 from cskit.gbf import _poly_from_parts, _rows_json, _subset_sums, polys_from_rows, restriction_table
 from cskit.graphs import _path_shapes
@@ -112,7 +112,7 @@ def test_refusals_equal_the_reference():
             rng.sample(range(m), rng.randint(0, m)),  # anything
         ]
         for variables in picks:
-            g = f + GbfPoly.monomial(q, m, variables, rng.randrange(1, q) if q > 2 else 1)
+            g = f + GbfPoly.monomial(q, m, variables) * (rng.randrange(1, q) if q > 2 else 1)
             want = outcome(reference.analyze, g, restricted)
             assert outcome(analyze, g, restricted) == want
             refused.update((key, refused[key] + 1) for key in refused if key in str(want))
@@ -147,8 +147,8 @@ def test_first_failing_word_is_named():
     """Words 1 and 3 fail (x0 = 1 leaves the x2*x3 edge at weight 1, not
     q/2): both analyses name word 1, also when a second term makes word 2
     fail on its shape."""
-    f = GbfPoly.parse("q=4;m=4; 2*x2*x3 + 3*x0*x2*x3")
-    for g in (f, f + GbfPoly.parse("q=4;m=4; 2*x1*x2*x3")):
+    f = parse_gbf("q=4;m=4; 2*x2*x3 + 3*x0*x2*x3")
+    for g in (f, f + parse_gbf("q=4;m=4; 2*x1*x2*x3")):
         want = outcome(reference.analyze, g, [0, 1])
         assert outcome(analyze, g, [0, 1]) == want
         assert want == (GraphShapeError, "restriction 10 has edge weight(s) [1]; all must equal q/2 = 2")
@@ -180,7 +180,7 @@ def test_wide_domains_stay_exact(m, q):
         assert (f, restricted) == construct_reference.random_qualifying_gbf(m, k, q, sizes, balanced=balanced, seed=seed)
         assert analyze(f, restricted) == reference.analyze(f, restricted)
         free = [v for v in range(m) if v not in restricted]
-        cubic = f + GbfPoly.monomial(q, m, free[-3:], q - 1)
+        cubic = f + GbfPoly.monomial(q, m, free[-3:]) * (q - 1)
         want = outcome(reference.analyze, cubic, restricted)
         assert outcome(analyze, cubic, restricted) == want and want[0] is DegreeError
     if m > 63:
