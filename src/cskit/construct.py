@@ -54,6 +54,7 @@ from .gbf import (
     _poly_from_parts,
     _require_dense_modulus,
     _require_power_of_two,
+    _require_product_bytes,
     _require_value_vector_size,
     _rows_json,
     _subset_sums,
@@ -140,9 +141,11 @@ def _family_sum(rows: np.ndarray, q: int) -> np.ndarray:
 
 def _predicted_aacf(profile: RestrictionProfile, doubled: bool) -> AacfVector:
     """Peak n * 2^m at shift 0; unless doubled, one value per isolated group
-    at shift 2^l; zero everywhere else."""
+    at shift 2^l; zero everywhere else.  Its 4 q 2^m bytes are refused above
+    :data:`~cskit.gbf.MAX_PRODUCT_BYTES` before they are allocated."""
     q, m, k = profile.q, profile.m, profile.k
     _require_value_vector_size(m)
+    _require_product_bytes(4 * q << m, f"the prediction at q={q}, m={m}")
     coeffs = np.zeros((1 << m, q // 2), dtype=np.int64)
     coeffs[0, 0] = (1 << (k + 2) if doubled else 1 << (k + 1)) << m
     if not doubled:

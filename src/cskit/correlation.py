@@ -30,7 +30,9 @@ the tests compare against.  The proof has three parts:
 
 1. ``n * L <= FFT_SIZE_LIMIT = 2^25`` for the n pairs of length L of a chunk;
    only a single pair with L > 2^25 misses it, and neither a polynomial's
-   sequence nor a line of :func:`read_sequences` exceeds 2^24 symbols.
+   sequence nor a line of :func:`read_sequences` exceeds 2^24 symbols (the
+   spectra of such a pair, 16 ceil(q/4) N bytes, are above
+   :data:`~cskit.gbf.MAX_PRODUCT_BYTES` at any q, so it is refused).
    Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.,
    section 24.1, Thm 24.2) bounds the relative 2-norm error of a length-N
    FFT by ``eps_N = log2(N) eta / (1 - log2(N) eta)``, with ``eta = mu +
@@ -77,7 +79,7 @@ import numpy as np
 
 from .cyclo import CycloValue, _embed, _fold, _from_conjugates
 from .errors import EmptySequenceError, ParseError, SizeLimitError
-from .gbf import PolyphaseSeq, _index, _require_sequence_length, _roots
+from .gbf import PolyphaseSeq, _index, _require_product_bytes, _require_sequence_length, _roots
 
 __all__ = [
     "CorrVector",
@@ -143,12 +145,15 @@ def _coeff_sum(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]]) -> np.ndarray
     chunks of at most ``FFT_SIZE_LIMIT // L`` pairs (at least one): a chunk's
     FFT estimate is used rounded when the three-part guard of the module
     docstring proves it; otherwise that chunk runs the exact shift loop.
+    Spectra of more than :data:`~cskit.gbf.MAX_PRODUCT_BYTES` are refused
+    with :class:`~cskit.errors.SizeLimitError` before anything is allocated.
     """
     q, L = pairs[0][0].q, len(pairs[0][0])
     if any(s.q != q or len(s) != L for pair in pairs for s in pair):
         raise ValueError("correlated sequences must share modulus and length")
     if not L:
         raise ValueError("correlation needs sequences of at least one entry")
+    _require_product_bytes(16 * -(-q // 4) << (2 * L - 2).bit_length(), f"the spectra at q={q}, L={L}")
     step = max(1, FFT_SIZE_LIMIT // L)
     total = 0
     for chunk in (pairs[i : i + step] for i in range(0, len(pairs), step)):

@@ -27,6 +27,7 @@ from .errors import ModulusError, ParseError, SizeLimitError
 
 __all__ = [
     "MAX_VALUE_VECTOR_M",
+    "MAX_PRODUCT_BYTES",
     "GbfPoly",
     "PolyphaseSeq",
     "parse_gbf",
@@ -46,6 +47,26 @@ __all__ = [
 # sequences fits one chunk of the exact FFT correlation core (n*L <= 2^25), so
 # a set of any size from polynomials is summed chunk by chunk on the FFT path.
 MAX_VALUE_VECTOR_M = 24
+
+# Largest array, in bytes, whose size is a product of the modulus and a
+# length.  Two are built: the builders' prediction, 2^m rows of q/2 int64
+# coordinates (4 q 2^m bytes), and the exact correlation core's spectra,
+# ceil(q/4) rows of N complex entries for sequences of length L, N the least
+# power of two >= 2L - 1 (16 ceil(q/4) N bytes; for L >= 2 the core's q/2
+# conjugate rows of L complex entries and its (L, q/2) int64 result are no
+# larger).  2^30 bytes is what the spectra of the longest sequence, 2^24
+# symbols (N = 2^25), take at q = 8, the largest modulus the benchmark
+# verifies, and what the prediction takes at m = MAX_VALUE_VECTOR_M and
+# q = 16; a shorter length admits a proportionally larger q.  Above it both
+# raise SizeLimitError before anything is allocated.  The core's traced peak
+# is about 3.5 times its spectra (q from 2 to 2^16), so at most about 3.5 GiB.
+MAX_PRODUCT_BYTES = 1 << 30
+
+
+def _require_product_bytes(nbytes: int, what: str) -> None:
+    """Raise :class:`SizeLimitError` when ``nbytes`` exceed :data:`MAX_PRODUCT_BYTES`."""
+    if nbytes > MAX_PRODUCT_BYTES:
+        raise SizeLimitError(f"{what} would take {nbytes} bytes, above the budget of {MAX_PRODUCT_BYTES} bytes")
 
 
 def _require_value_vector_size(m: int) -> None:
@@ -286,9 +307,27 @@ def polys_from_rows(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[
     """One polynomial per row of Z_q ANF coefficients over the monomial masks
     ``cols``, trusted: with ``cols`` strictly ascending below 2^m and every
     entry in [0, q), a row's nonzero entries are a canonical term table, so
-    no validation runs."""
+    no validation runs.
+
+    A term is a ``(mask, coefficient)`` tuple of Python ints.  When there
+    are at least q rows, each distinct pair of the chunk is built once,
+    found through the dense ``column * q + coefficient`` index (at most
+    ``len(cols) * q <= rows.size`` cells), and every word holding it holds
+    the same tuple; tuples are immutable, so sharing them changes no
+    polynomial, its ``==``, ``hash`` or text.  With fewer rows than q (one
+    row of :func:`_poly_from_parts`, or a modulus too large for a dense
+    index, up to q = 2^64) each term is a fresh tuple."""
     rr, cc = np.nonzero(rows)
-    terms = tuple(zip(cols[cc].tolist(), rows[rr, cc].tolist()))
+    if len(rows) >= q:
+        keys = cc * q + rows[rr, cc].astype(np.intp)
+        used = np.zeros(len(cols) * q, dtype=bool)
+        used[keys] = True
+        live = np.flatnonzero(used)
+        pairs = np.empty(len(used), dtype=object)
+        pairs[live] = np.fromiter(zip(cols[live // q].tolist(), (live % q).tolist()), dtype=object, count=len(live))
+        terms = tuple(pairs[keys].tolist())
+    else:
+        terms = tuple(zip(cols[cc].tolist(), rows[rr, cc].tolist()))
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
     out = [object.__new__(GbfPoly) for _ in ends]
     for poly, at, end in zip(out, [0, *ends], ends):

@@ -374,6 +374,32 @@ def test_modulus_above_the_size_limit_exit_2(tmp_path, capsys, argv, message):
     assert err == f"cskit: SizeLimitError: {message} exceeds the modulus limit of 2^24\n"
 
 
+
+def test_modulus_products_above_the_budget_exit_2(tmp_path, capsys):
+    # each modulus is under 2^24, but the prediction of a q = 2^20 path on 10
+    # variables asked for 4 GiB and the exponent table of two 1024-symbol
+    # lines at q = 2^24 for 32 GiB; both died with exit 1
+    half = 1 << 19
+    path = f"q={1 << 20};m=10; " + " + ".join(f"{half}*x{i}*x{i + 1}" for i in range(9))
+    seq_file = tmp_path / "pair.txt"
+    seq_file.write_text("".join(" ".join(str(i * j * 40503 % (1 << 24)) for i in range(1024)) + "\n" for j in (1, 2)))
+    tracemalloc.start()
+    try:
+        results = [
+            run(capsys, "construct", "--gbf", path, "--type", "path-restriction"),
+            run(capsys, "verify", "--q", str(1 << 24), str(seq_file)),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = "above the budget of 1073741824 bytes\n"
+    assert results == [
+        (2, "", f"cskit: SizeLimitError: the prediction at q=1048576, m=10 would take {1 << 32} bytes, {budget}"),
+        (2, "", f"cskit: SizeLimitError: the spectra at q=16777216, L=1024 would take {1 << 37} bytes, {budget}"),
+    ]
+    assert peak < 1 << 20
+
+
 def test_enumerate_refuses_a_negative_limit(capsys):
     # --limit -1 printed only '# ... truncated at -1' and exited 0
     code, out, err = run(capsys, "enumerate", "--family", "golay", "-m", "3", "--q", "4", "--limit", "-1")

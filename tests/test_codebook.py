@@ -1,5 +1,6 @@
 """Codebook sizes, enumerators, distances, and the golden table report."""
 
+import hashlib
 import itertools
 import math
 import sys
@@ -27,6 +28,7 @@ from cskit.codebook import (
     union_code_size_pmepr8,
 )
 from cskit.errors import EnumerationError, SizeLimitError
+from cskit.gbf import render_gbf
 
 import codebook_reference as reference
 
@@ -153,6 +155,39 @@ def test_enumerate_codebook_is_lazy():
         tracemalloc.stop()
     assert [f.terms for f in head] == [(), ((0b110000, 1),), ((0b101000, 1),)]  # x4*x5, then x3*x5
     assert peak < 16 << 20
+
+
+
+# sha256 of the rendered words, one a line, in enumeration order
+WORD_DIGESTS = {
+    ("C4", 4, 2, 1): (25600, "a9fe3f3f5f2f6c1b2e060f72cfc2714f187c2edb7ac7285d1e38ab309a04ab71"),
+    ("C8", 5, 1, 2): (36864, "25a75ef6912f69b1e1b40a7b0a9d33bb0e69dab57b7620338e5e906347c61049"),
+    ("GOLAY", 4, 2, None): (12288, "5b999f13d4eff417d7a36b5f821df5da088f96d174e28ddb48ff1431998d07ac"),
+    ("GOLAY", 5, 1, None): (3840, "eaf6106c6fd4b2a306e2a5c68e40bc2b6f70f409903912679f29a503628be563"),
+}
+
+
+@pytest.mark.parametrize("family, m, h, r", list(WORD_DIGESTS))
+def test_enumerated_words_are_pinned(family, m, h, r):
+    digest, count = hashlib.sha256(), 0
+    for f in enumerate_codebook(family, m, h, r=r):
+        digest.update(render_gbf(f).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == WORD_DIGESTS[family, m, h, r]
+
+
+def test_enumerated_words_share_their_terms():
+    # a block of words holds each (mask, coefficient) pair once: the 36864
+    # words of C8(5, 1, 2) keep about 13 MiB, against about 30 MiB with a
+    # fresh pair per term
+    tracemalloc.start()
+    try:
+        words = list(enumerate_codebook("C8", 5, 1, r=2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 36864
+    assert held < 20 << 20
 
 
 # -- representative enumerators ---------------------------------------------------

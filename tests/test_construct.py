@@ -30,6 +30,7 @@ from cskit import (
     standard_golay_gbfs,
 )
 from cskit.codebook import _indicator_anf
+from cskit import gbf
 from cskit.gbf import GbfPoly, render_gbf
 
 import construct_reference as reference
@@ -219,6 +220,18 @@ def test_builders_refuse_a_modulus_above_the_limit(build):
     # the prediction's rows are q/2 wide: q = 2^30 asked for 16 GiB at m = 2
     with pytest.raises(SizeLimitError, match="q=1073741824 exceeds the modulus limit of 2\\^24"):
         build(parse_gbf("q=1073741824;m=2; 536870912*x0*x1"), restricted=[])
+
+
+
+@pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])
+def test_builders_hold_the_prediction_to_the_byte_budget(build, monkeypatch):
+    # the prediction is 2^m rows of q/2 int64: 4 q 2^m = 128 bytes here
+    f = parse_gbf("q=4;m=3; 2*x0*x1 + 2*x1*x2")
+    monkeypatch.setattr(gbf, "MAX_PRODUCT_BYTES", 128)
+    assert build(f, restricted=[]).predicted.coeffs.nbytes == 128
+    monkeypatch.setattr(gbf, "MAX_PRODUCT_BYTES", 127)
+    with pytest.raises(SizeLimitError, match="^the prediction at q=4, m=3 would take 128 bytes, above the budget of 127 bytes$"):
+        build(f, restricted=[])
 
 
 # sha256 of json.dumps(to_json()) and of cs_to_text.  The text digests date

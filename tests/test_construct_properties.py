@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cskit import (
     BalanceError,
@@ -29,7 +29,7 @@ from cskit import (
     path_restriction_cs,
     random_qualifying_gbf,
 )
-from cskit.gbf import anf_values, polys_from_rows
+from cskit.gbf import anf_values, polys_from_rows, render_gbf
 
 import construct_reference as reference
 
@@ -128,27 +128,49 @@ def test_sequences_equal_the_reference_sequences():
     assert checked == 420
 
 
-@st.composite
-def coefficient_rows(draw):
-    q = draw(st.sampled_from([2, 4, 8, 16]))
-    m = draw(st.integers(1, 8))
-    cols = sorted(draw(st.sets(st.integers(0, (1 << m) - 1), max_size=24)))
-    n = draw(st.integers(0, 6))
-    rows = [[draw(st.integers(0, q - 1)) for _ in cols] for _ in range(n)]
-    return q, m, np.array(cols, dtype=np.int64), np.array(rows, dtype=np.uint8).reshape(n, len(cols))
+def coefficient_rows(q, m, n, seed):
+    """n rows of Z_q coefficients over up to 24 distinct ascending masks below
+    2^m, in the dtypes the library passes (masks as Python ints above x62,
+    rows as Python ints above 2^63): half the columns hold few distinct
+    values, and some rows are all zero or repeat an earlier row."""
+    rnd = random.Random(seed)
+    cols = sorted({rnd.getrandbits(m) for _ in range(rnd.randrange(25))})
+    values = [[0, *(rnd.randrange(q) for _ in range(3))] if rnd.random() < 0.5 else None for _ in cols]
+    rows = []
+    for _ in range(n):
+        if rows and rnd.random() < 0.2:
+            rows.append(rows[rnd.randrange(len(rows))])
+        elif rnd.random() < 0.1:
+            rows.append([0] * len(cols))
+        else:
+            rows.append([rnd.choice(v) if v else rnd.randrange(q) for v in values])
+    wide = q > 1 << 63
+    rows = np.array(rows, dtype=object if wide else np.min_scalar_type(q - 1)).reshape(n, len(cols))
+    return np.array(cols, dtype=object if m > 62 else np.int64), rows
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(coefficient_rows())
-def test_trusted_constructor_equals_from_terms(case):
-    q, m, cols, rows = case
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 8, 1 << 24, 1 << 64]), st.sampled_from([1, 3, 8, 70]), st.sampled_from([0, 1, 2, "q - 1", "q", 1024]), st.integers(0, (1 << 32) - 1))
+@example(2, 70, 1024, 1)  # shared pairs of masks above x62
+@example(4, 8, "q", 2)
+@example(1 << 24, 8, 1024, 3)
+@example(1 << 64, 70, 1024, 4)
+def test_trusted_constructor_equals_from_terms(q, m, n, seed):
+    # at least q rows share each (mask, coefficient) pair; fewer build fresh ones
+    n = min({"q - 1": q - 1, "q": q}.get(n, n), 1024)
+    cols, rows = coefficient_rows(q, m, n, seed)
     got = polys_from_rows(q, m, cols, rows)
     want = [GbfPoly.from_terms(q, m, zip(cols.tolist(), row.tolist())) for row in rows]
     assert got == want
     assert [hash(g) for g in got] == [hash(w) for w in want]
+    assert [g.terms for g in got] == [w.terms for w in want]
+    assert [render_gbf(g) for g in got] == [render_gbf(w) for w in want]
     for g in got:
         assert all(type(x) is int for term in g.terms for x in term)
         GbfPoly(g.q, g.m, g.terms)  # passes the validation it skipped
+    pairs = [term for g in got for term in g.terms]
+    if n >= q:
+        assert len({id(t) for t in pairs}) == len(set(pairs))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -151,6 +151,21 @@ def test_read_sequences_caps_the_line_length(monkeypatch):
         read_sequences("0 1 2 3 0 1 2 3\n0 1 2 3 0 1 2 3 x\n", 4)
 
 
+
+@pytest.mark.parametrize(
+    "correlate",
+    [aacf, lambda a: cross_corr(a, a), lambda a: set_aacf([a, a]), lambda a: is_cs([a])],
+    ids=["aacf", "cross_corr", "set_aacf", "is_cs"],
+)
+def test_correlation_holds_the_spectra_to_the_byte_budget(correlate, monkeypatch):
+    # ceil(8/4) = 2 spectra of N = 16 complex entries for L = 5: 512 bytes
+    a = PolyphaseSeq(8, [0, 3, 5, 1, 7])
+    monkeypatch.setattr(gbf, "MAX_PRODUCT_BYTES", 512)
+    correlate(a)
+    monkeypatch.setattr(gbf, "MAX_PRODUCT_BYTES", 511)
+    with pytest.raises(SizeLimitError, match="^the spectra at q=8, L=5 would take 512 bytes, above the budget of 511 bytes$"):
+        correlate(a)
+
 def _masked_set(q, L, n, seed):
     rng = np.random.default_rng(seed)
     return [PolyphaseSeq(q, rng.integers(0, q, L), rng.random(L) < 0.8) for _ in range(n)]

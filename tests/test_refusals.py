@@ -22,6 +22,7 @@ from cskit import (
     cross_corr,
     gbf_from_json,
     parse_gbf,
+    path_restriction_cs,
     psi_restricted,
     random_qualifying_gbf,
     set_aacf,
@@ -87,6 +88,9 @@ REFUSALS = {
     "sequence-2d": (lambda: PolyphaseSeq(4, [[0, 1], [1, 0]]), ValueError),
     "sequence-mask-length": (lambda: PolyphaseSeq(4, [0, 1], [True]), ValueError),
     "sequence-modulus-beyond-limit": (lambda: PolyphaseSeq(1 << 25, [0]), SizeLimitError),
+    # arrays of a modulus times a length: 2^m x q/2 and ceil(q/4) x 2L
+    "prediction-above-budget": (lambda: path_restriction_cs(parse_gbf("q=1048576;m=10; " + " + ".join(f"524288*x{i}*x{i + 1}" for i in range(9)))), SizeLimitError),
+    "spectra-above-budget": (lambda: aacf(PolyphaseSeq(1 << 24, [0] * 1024)), SizeLimitError),
     # correlation
     "aacf-empty-sequence": (lambda: aacf(PolyphaseSeq(4, [])), ValueError),
     "cross-mixed-moduli": (lambda: cross_corr(FULL, PolyphaseSeq(8, [0, 1, 2, 3])), ValueError),
