@@ -150,7 +150,7 @@ def coefficient_rows(q, m, n, seed):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from([2, 4, 8, 1 << 24, 1 << 64]), st.sampled_from([1, 3, 8, 70]), st.sampled_from([0, 1, 2, "q - 1", "q", 1024]), st.integers(0, (1 << 32) - 1))
+@given(st.sampled_from([2, 4, 8, 16, 1 << 24, 1 << 64]), st.sampled_from([1, 3, 8, 70]), st.sampled_from([0, 1, 2, "q - 1", "q", 1024]), st.integers(0, (1 << 32) - 1))
 @example(2, 70, 1024, 1)  # shared pairs of masks above x62
 @example(4, 8, "q", 2)
 @example(1 << 24, 8, 1024, 3)
