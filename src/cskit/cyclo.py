@@ -57,7 +57,7 @@ def _from_conjugates(sigma: Callable[[np.ndarray], np.ndarray], q: int) -> np.nd
     conjugates = sigma(np.arange(1, half + 1, 2))
     if half > 1:
         conjugates = np.concatenate([conjugates, conjugates[::-1].conj()])
-    solved = np.fft.fft(conjugates, axis=0) * _roots(q)[-np.arange(half) % q, None]
+    solved = np.fft.fft(conjugates, axis=0) * _roots(q, -np.arange(half) % q)[:, None]
     return solved.real.T / half
 
 

@@ -124,16 +124,22 @@ def _require_power_of_two(q: int, what: str) -> int:
 
 def _require_dense_modulus(q: int, what: str) -> None:
     """:func:`_require_power_of_two`, then :class:`SizeLimitError` above
-    q = 2^MAX_VALUE_VECTOR_M: a sequence's q-entry root table and an exact
-    value's q/2 coordinates are dense arrays, like a value vector."""
+    q = 2^MAX_VALUE_VECTOR_M: an exact value's q/2 coordinates are a dense
+    array, like a value vector."""
     _require_power_of_two(q, what)
     if q > 1 << MAX_VALUE_VECTOR_M:
         raise SizeLimitError(f"{what} with q={q} exceeds the modulus limit of 2^{MAX_VALUE_VECTOR_M}")
 
 
-def _roots(q: int) -> np.ndarray:
-    """``omega^e`` for e = 0 .. q-1."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
+def _roots(q: int, exponents: np.ndarray) -> np.ndarray:
+    """``omega^e`` for every entry e in [0, q) of an integer array, each as
+    ``exp(2j * pi * e / q)``.  The q-entry table of every root is built only
+    when it is no longer than the array; otherwise each entry is evaluated
+    by the same expression, which gives the same bits without a table that
+    grows with q."""
+    if q <= exponents.size:
+        return np.exp(2j * np.pi * np.arange(q) / q)[exponents]
+    return np.exp(2j * np.pi * exponents / q)
 
 
 @dataclass(frozen=True)
@@ -454,7 +460,7 @@ class PolyphaseSeq:
 
     def complex_values(self) -> np.ndarray:
         """The sequence as complex values (masked entries are exactly 0)."""
-        return np.where(self.mask, _roots(self.q)[self.phases], 0.0)
+        return np.where(self.mask, _roots(self.q, self.phases), 0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyphaseSeq):

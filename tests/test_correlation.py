@@ -4,6 +4,11 @@ import cmath
 import hashlib
 import json
 import math
+import os
+import select
+import signal
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +24,7 @@ from cskit import (
     cross_corr,
     is_cs,
     parse_gbf,
+    path_restriction_cs,
     pmepr,
     pmepr_autocorr_bound,
     psi,
@@ -262,6 +268,20 @@ def test_fft_core_falls_back_on_a_perturbed_estimate(monkeypatch, shift_loop_cal
     assert np.array_equal(got.coeffs, want)
 
 
+def test_autocorrelation_row_0_is_the_live_count(monkeypatch):
+    # the guard's row 0 of an autocorrelation is [live, 0, ..]; only a
+    # cross pair takes the phase-difference histogram of shift 0
+    calls = []
+    row = correlation._shift_row
+    monkeypatch.setattr(correlation, "_shift_row", lambda a, b, tau: calls.append(tau) or row(a, b, tau))
+    seqs = _masked_set(8, 64, 5, seed=5)
+    assert set_aacf(seqs).coeffs[0].tolist() == [sum(int(s.mask.sum()) for s in seqs), 0, 0, 0]
+    aacf(seqs[0])
+    assert calls == []
+    cross_corr(seqs[0], seqs[1])
+    assert calls == [0]
+
+
 def _fft_error_bound(n, L, q):
     """The a-priori coefficient error bound B of the correlation module docstring."""
     u = 2.0**-53
@@ -327,6 +347,135 @@ def test_pmepr_refuses_an_oversized_grid_before_allocating():
     assert peak < 1 << 20
 
 
+def test_pmepr_builds_no_root_table_at_a_large_modulus():
+    # a table of all 2^24 roots of unity would take 256 MiB
+    a = PolyphaseSeq(1 << 24, np.random.default_rng(24).integers(0, 1 << 24, 1024))
+    tracemalloc.start()
+    try:
+        value = pmepr(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value >= 1.0 and peak < 8 << 20
+
+
+# -- the PMEPR grid on worker threads ----------------------------------------------
+
+
+def pmepr_battery():
+    """(sequence, oversample) pairs: q in {2, 4, 8, 16}, full and masked, L
+    from 1 to 4096 and O in {1, 3, 64, 128}, so grids of one block, of two
+    or more (swept by the workers) and of 2^19 points (past the twiddle
+    cache)."""
+    rng = np.random.default_rng(2525)
+    for q in (2, 4, 8, 16):
+        for L in (1, 2, 3, 17, 100, 256, 1000, 1024, 2048, 4096):
+            for masked in (False, True):
+                mask = rng.random(L) < 0.75 if masked else None
+                if mask is not None:
+                    mask[0] = True
+                a = PolyphaseSeq(q, rng.integers(0, q, L), mask)
+                for oversample in (1, 3, 64, 128):
+                    yield a, oversample
+
+
+def _use_cpus(monkeypatch, cpus):
+    """Fresh grid workers, as on a host with ``cpus`` CPUs."""
+    monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
+
+
+@pytest.mark.parametrize("cpus", [1, 3, None], ids=["one-cpu", "three-cpus", "this-host"])
+def test_pmepr_grid_is_pinned(monkeypatch, cpus):
+    # sha256 over repr(pmepr(a, O)) of the battery's 320 values, computed by
+    # the calling thread alone before the grid had workers: a maximum of the
+    # same per-block values, whatever the worker count
+    if cpus is not None:
+        _use_cpus(monkeypatch, cpus)
+    workers = correlation._WORKERS
+    handed = []
+    peak = workers.peak
+    monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
+    values = [repr(pmepr(a, oversample)) for a, oversample in pmepr_battery()]
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == "40a9cf453f5caed690a150eb0547c6908e50599a2c41ca82f5b4e75873b256fe"
+    if workers.count():
+        assert 0 < len(handed) < len(values)
+        assert max(len(cuts) - 1 for cuts in handed) == workers.count() + 1
+    else:
+        assert handed == []
+
+
+def test_pmepr_workers_serve_concurrent_callers(monkeypatch):
+    # more callers than workers and workers than cores, each reply to its own caller
+    _use_cpus(monkeypatch, 3)
+    rng = np.random.default_rng(12)
+    seqs = [PolyphaseSeq(q, rng.integers(0, q, 1024)) for q in (2, 4, 8, 16, 4, 8)]
+    want = [pmepr(s) for s in seqs]
+    got = {}
+
+    def call(i):
+        got[i] = [pmepr(seqs[i]) for _ in range(5)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(seqs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in callers)
+    assert [got[i] for i in range(len(seqs))] == [[v] * 5 for v in want]
+
+
+def test_pmepr_worker_errors_reach_the_caller(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    a = PolyphaseSeq(4, np.random.default_rng(13).integers(0, 4, 1024))
+    want = pmepr(a)
+    sweep = correlation._grid_peak
+
+    def failing(x, w, oversample, lo, hi):
+        if lo:
+            raise MemoryError("no room for a block")
+        return sweep(x, w, oversample, lo, hi)
+
+    monkeypatch.setattr(correlation, "_grid_peak", failing)
+    with pytest.raises(MemoryError, match="no room"):
+        pmepr(a)
+    monkeypatch.setattr(correlation, "_grid_peak", sweep)
+    assert pmepr(a) == want  # the worker outlived the error
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pmepr_in_a_forked_child(monkeypatch):
+    # the child inherits no thread, so it starts its own workers
+    _use_cpus(monkeypatch, 3)
+    a = PolyphaseSeq(8, np.random.default_rng(14).integers(0, 8, 2048))
+    want = f"{pmepr(a)!r} True"
+    assert correlation._WORKERS.count() == 2
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            value = pmepr(a)
+            os.write(write, f"{value!r} {correlation._WORKERS._pid == os.getpid()}".encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready = select.select([read], [], [], 60)[0]
+        got = os.read(read, 200).decode() if ready else None
+    finally:
+        os.close(read)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert got == want
+
+
 def test_pmepr_all_masked_is_a_typed_error():
     dead = PolyphaseSeq(4, (0, 1, 2, 3), np.zeros(4, dtype=bool))
     with pytest.raises(EmptySequenceError):
@@ -370,6 +519,21 @@ def test_to_json_equals_the_per_shift_form(q):
             assert json.dumps(vec.to_json()) == json.dumps(per_shift_json(vec))
         for vec in auto:
             assert all(vec.at(-tau) == vec.at(tau).conj() for tau in range(1, L))
+
+
+def test_to_json_embeds_nothing_without_an_offpeak_shift(monkeypatch):
+    # the float embedding loops over all q/2 coordinates; a complementary
+    # prediction has no off-peak row to embed
+    q = 1 << 16
+    cand = path_restriction_cs(parse_gbf(f"q={q};m=3; {q // 2}*x0*x1 + {q // 2}*x1*x2"))
+
+    def refused(coeffs, q):
+        raise AssertionError("embedded an empty set of shifts")
+
+    monkeypatch.setattr(correlation, "_embed", refused)
+    peak = [0] * (q // 2)
+    peak[0] = 16
+    assert cand.predicted.to_json() == {"L": 8, "q": q, "peak": peak, "offpeak": []}
 
 
 def seeded_sequences(seed, n):

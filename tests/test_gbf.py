@@ -262,3 +262,17 @@ def test_repr_is_the_parse_call():
     f = parse_gbf("q=4;m=2; x0*x1 + 3*x1")
     assert repr(f) == "parse_gbf('q=4;m=2; x0*x1 + 3*x1')"
     assert eval(repr(f)) == f
+
+
+def test_complex_values_are_pinned():
+    # sha256 over complex_values() for q = 2 .. 2^24, computed when every call
+    # built a table of all q roots; entries evaluated one by one, where q
+    # exceeds the length, give the same bits
+    rng = np.random.default_rng(2526)
+    digest = hashlib.sha256()
+    for h in (1, 2, 3, 4, 8, 12, 16, 20, 24):
+        for L in (1, 5, 64, 1000, 4096):
+            mask = rng.random(L) < 0.7
+            seq = PolyphaseSeq(1 << h, rng.integers(0, 1 << h, L), mask if L % 2 else None)
+            digest.update(seq.complex_values().tobytes())
+    assert digest.hexdigest() == "523d4363d3dc6c8a4687aa39cad45e8de448bdb149d517c869645450b16e7b15"

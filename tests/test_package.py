@@ -4,8 +4,11 @@ is written once."""
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -116,3 +119,16 @@ def test_one_public_path_per_job():
     assert list(inspect.signature(cskit.GbfPoly.monomial).parameters) == ["q", "m", "variables"]
     params = inspect.signature(cskit.read_sequences).parameters
     assert list(params) == ["text", "q"] and params["q"].default is None
+
+
+def test_import_starts_no_thread_and_no_logging():
+    """``import cskit`` starts no thread (the PMEPR grid's workers start on
+    the first grid that needs them) and imports neither ``logging`` nor
+    ``concurrent.futures``, whose start-up every CLI child would pay."""
+    probe = (
+        "import sys, threading; before = threading.active_count(); import cskit; "
+        "print(threading.active_count() - before, 'logging' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
+    src = str(pathlib.Path(cskit.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.split() == ["0", "False", "False"]
