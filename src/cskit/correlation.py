@@ -69,9 +69,10 @@ each CPU the process may run on (``len(os.sched_getaffinity(0))``, else
 ``os.cpu_count()``): the calling thread sweeps the first and persistent
 worker threads the others, each holding one block at a time (under 1 MiB);
 they overlap because NumPy's FFT and element-wise kernels release the GIL.
-A smaller grid, or a process with one CPU, is swept by the calling thread
-alone.  The value is the largest of the same per-block maxima either way,
-so it does not depend on the worker count.
+The workers start once the process has swept 2^22 points of such grids on
+its own.  Until then, and for a smaller grid or a process with one CPU,
+the calling thread sweeps alone.  The value is the largest of the same
+per-block maxima either way, so it does not depend on the worker count.
 
 Masked sequences are supported throughout: positions removed by a restriction
 contribute the complex value 0, and the mean power used for normalization is
@@ -301,6 +302,13 @@ _GRID_BLOCK = 1 << 14
 # Grids of at most this many points keep their twiddles cached (at most 4 MiB
 # each, 32 MiB for the eight cached); larger grids compute them per block.
 _CACHED_GRID = 1 << 18
+# Grid points that a process sweeps on its calling thread before the grid
+# workers start (64 grids of L = 1024 at oversample 64).  Starting them costs
+# about 1 ms, and on a 2-vCPU virtual machine a worker woken in a process
+# that has just begun often runs on the caller's own CPU, so `cskit pmepr` of
+# 16 sequences of L = 512 took 135 ms with workers against 131 ms without;
+# over a sustained sweep they are 1.3x faster.
+_SERIAL_POINTS = 1 << 22
 # The largest grid sampled: L = 2^24, the longest sequence, at oversample 64.
 _MAX_GRID = 1 << 30
 
@@ -373,21 +381,28 @@ def _serve(inbox) -> None:
 class _GridWorkers:
     """Persistent daemon threads that run :func:`_grid_peak` on row ranges
     of a grid beside the calling thread, one for each available CPU but the
-    caller's, each fed by its own ``SimpleQueue``.  They start on the first
-    grid that needs them, and again in a forked child, which has none of its
-    parent's threads (the PID tells).  ``queue`` is imported only then, so
-    ``import cskit`` starts no thread and imports nothing more."""
+    caller's, each fed by its own ``SimpleQueue``.  They start once the
+    process has swept ``_SERIAL_POINTS`` points of grids that could use
+    them, and again in a forked child, which has none of its parent's
+    threads (the PID tells).  ``queue`` is imported only then, so ``import
+    cskit`` starts no thread and imports nothing more."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pid = 0
         self._inboxes: list = []
+        self._swept = 0
 
-    def count(self) -> int:
-        """The number of workers, started in this process if they are not yet."""
+    def count(self, points: int) -> int:
+        """The number of workers for a grid of ``points`` points: 0 while the
+        process has swept fewer than ``_SERIAL_POINTS`` (counting this grid
+        in), else the workers, started in this process if they are not yet."""
         pid = os.getpid()
         if self._pid != pid:
             with self._lock:
+                if self._swept < _SERIAL_POINTS:
+                    self._swept += points
+                    return 0
                 if self._pid != pid:
                     from queue import SimpleQueue
 
@@ -442,12 +457,14 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     boundaries into one contiguous row range per available CPU, the CPUs of
     ``os.sched_getaffinity(0)`` or, where the platform has no affinity mask,
     ``os.cpu_count()``.  The calling thread sweeps the first range and
-    persistent daemon threads the others; they start on the first such grid
-    (and again in a forked child) and each holds one block at a time, under
-    1 MiB.  Smaller grids, and every grid in a process with one CPU, are
-    swept by the calling thread alone.  Each block is the same block as in
-    a serial sweep and the result is the largest of their maxima, so it is
-    bit-identical whatever the worker count.
+    persistent daemon threads the others, each holding one block at a time,
+    under 1 MiB.  The threads start once the process has swept 2^22 points
+    of such grids by itself (64 grids at L = 1024, oversample 64), so a short
+    run never pays for them, and start again in a forked child.  Smaller
+    grids, grids before that point and every grid in a process with one CPU
+    are swept by the calling thread alone.  Each block is the same block as
+    in a serial sweep and the result is the largest of their maxima, so it
+    is bit-identical whatever the worker count.
 
     ``oversample`` must be an integer >= 1 (bools are refused), else
     ``ValueError``; a grid of more than 2^30 points (L = 2^24 at oversample
@@ -467,7 +484,7 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     w = _twiddles(L, oversample) if oversample * L <= _CACHED_GRID else None
     step = max(1, _GRID_BLOCK // L)
     blocks, full = -(-rows // step), rows // step
-    parts = min(full, _WORKERS.count() + 1) if full > 1 else 1
+    parts = min(full, _WORKERS.count(rows * L) + 1) if full > 1 else 1
     if parts == 1:
         return _grid_peak(x, w, oversample, 0, rows) / live
     return _WORKERS.peak(x, w, oversample, [step * (i * blocks // parts) for i in range(parts)] + [rows]) / live

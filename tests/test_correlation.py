@@ -379,10 +379,14 @@ def pmepr_battery():
                     yield a, oversample
 
 
-def _use_cpus(monkeypatch, cpus):
-    """Fresh grid workers, as on a host with ``cpus`` CPUs."""
-    monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
+def _use_cpus(monkeypatch, cpus=None):
+    """Fresh grid workers that start on the first grid able to use them, as
+    on a host with ``cpus`` CPUs (None: this host)."""
+    if cpus is not None:
+        monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(correlation, "_SERIAL_POINTS", 0)
     monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
+    return correlation._WORKERS
 
 
 @pytest.mark.parametrize("cpus", [1, 3, None], ids=["one-cpu", "three-cpus", "this-host"])
@@ -390,20 +394,33 @@ def test_pmepr_grid_is_pinned(monkeypatch, cpus):
     # sha256 over repr(pmepr(a, O)) of the battery's 320 values, computed by
     # the calling thread alone before the grid had workers: a maximum of the
     # same per-block values, whatever the worker count
-    if cpus is not None:
-        _use_cpus(monkeypatch, cpus)
-    workers = correlation._WORKERS
+    workers = _use_cpus(monkeypatch, cpus)
     handed = []
     peak = workers.peak
     monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
     values = [repr(pmepr(a, oversample)) for a, oversample in pmepr_battery()]
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
     assert digest == "40a9cf453f5caed690a150eb0547c6908e50599a2c41ca82f5b4e75873b256fe"
-    if workers.count():
+    started = len(workers._inboxes)
+    if started:
         assert 0 < len(handed) < len(values)
-        assert max(len(cuts) - 1 for cuts in handed) == workers.count() + 1
+        assert max(len(cuts) - 1 for cuts in handed) == started + 1
     else:
         assert handed == []
+
+
+def test_pmepr_workers_start_after_a_sustained_sweep(monkeypatch):
+    # a process that has swept few grid points starts no thread; a grid of
+    # one block does not count
+    _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(correlation, "_SERIAL_POINTS", 3 << 16)
+    rng = np.random.default_rng(15)
+    a, small = PolyphaseSeq(4, rng.integers(0, 4, 1024)), PolyphaseSeq(4, rng.integers(0, 4, 64))
+    threads = threading.active_count()
+    values = [pmepr(a), pmepr(small), pmepr(a), pmepr(a)]
+    assert threading.active_count() == threads and correlation._WORKERS._inboxes == []
+    assert pmepr(a) == values[0]  # 2^16 points each: the fourth grid starts them
+    assert threading.active_count() == threads + 2
 
 
 def test_pmepr_workers_serve_concurrent_callers(monkeypatch):
@@ -455,7 +472,7 @@ def test_pmepr_in_a_forked_child(monkeypatch):
     _use_cpus(monkeypatch, 3)
     a = PolyphaseSeq(8, np.random.default_rng(14).integers(0, 8, 2048))
     want = f"{pmepr(a)!r} True"
-    assert correlation._WORKERS.count() == 2
+    assert len(correlation._WORKERS._inboxes) == 2
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
