@@ -233,7 +233,7 @@ class CorrVector:
     def to_json(self) -> dict:
         taus = self.nonzero_shifts()
         rows, mags = self.coeffs[taus], []
-        if taus:  # _embed loops over all q/2 coordinates, even for no rows
+        if taus:
             z = _embed(rows, self.q)
             mags = np.hypot(z.real, z.imag).tolist()
         off = [{"tau": t, "value": v, "abs": a} for t, v, a in zip(taus, rows.tolist(), mags)]

@@ -44,9 +44,15 @@ def _fold(counts: np.ndarray) -> np.ndarray:
 
 
 def _embed(coeffs: np.ndarray | Sequence[int], q: int) -> np.ndarray:
-    """The complex value ``sum_j c_j omega^j`` of the coordinates on the last axis."""
+    """The complex value ``sum_j c_j omega^j`` of the coordinates on the last
+    axis.  Only the columns j that are nonzero somewhere are summed, so the
+    cost follows the nonzeros, not q.  That gives the bits of the sum over
+    every column: the running sum starts at +0.0 and so never reads -0.0
+    (a sum is -0.0 only when both terms are), and adding a zero column's
+    term, whose parts are +-0.0, leaves every other value as it is."""
     c, omega = np.asarray(coeffs, dtype=np.float64), cmath.exp(2j * cmath.pi / q)
-    return sum(c[..., j] * omega**j for j in range(q // 2))
+    live = np.flatnonzero(c.reshape(-1, c.shape[-1]).any(axis=0)).tolist()
+    return sum((c[..., j] * omega**j for j in live), np.zeros(c.shape[:-1], dtype=complex))
 
 
 def _from_conjugates(sigma: Callable[[np.ndarray], np.ndarray], q: int) -> np.ndarray:

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import operator
 import re
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -142,15 +144,17 @@ def _roots(q: int, exponents: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * exponents / q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GbfPoly:
     """Canonical multilinear polynomial ``{0,1}^m -> Z_q``.
 
     ``terms`` maps monomial bitmasks to nonzero coefficients in ``[1, q)``;
     construct instances through :meth:`from_terms` (or the parser) so the
-    canonical invariants hold.  Instances are immutable and hashable.  ``+``
-    adds a polynomial or an int and ``*`` scales by an int, both modulo q;
-    an int is read by :func:`_index`, so a bool raises ``ValueError``.
+    canonical invariants hold.  Instances are immutable and hashable, and
+    slotted: they hold ``q``, ``m`` and ``terms`` in slots, with no
+    ``__dict__``.  ``+`` adds a polynomial or an int and ``*`` scales by an
+    int, both modulo q; an int is read by :func:`_index`, so a bool raises
+    ``ValueError``.
     """
 
     q: int
@@ -322,10 +326,17 @@ def polys_from_rows(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[
     the same tuple; tuples are immutable, so sharing them changes no
     polynomial, its ``==``, ``hash`` or text.  With fewer rows than q (one
     row of :func:`_poly_from_parts`, or a modulus too large for a dense
-    index, up to q = 2^64) each term is a fresh tuple."""
-    rr, cc = np.nonzero(rows)
+    index, up to q = 2^64) each term is a fresh tuple.
+
+    No Python loop runs per word: the instances come from ``object.__new__``
+    and their fields are written through the slot descriptors, each driven
+    by ``map``.  That skips the frozen ``__setattr__`` here only; the
+    finished instances are frozen like any other."""
+    width = rows.shape[1]
+    flat = np.flatnonzero(rows != 0)  # NumPy finds the nonzeros of a bool array fastest
+    word, col = np.divmod(flat, width)
     if len(rows) >= q:
-        keys = cc * q + rows[rr, cc].astype(np.intp)
+        keys = col * q + rows.ravel()[flat].astype(np.intp)
         used = np.zeros(len(cols) * q, dtype=bool)
         used[keys] = True
         live = np.flatnonzero(used)
@@ -333,11 +344,12 @@ def polys_from_rows(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[
         pairs[live] = np.fromiter(zip(cols[live // q].tolist(), (live % q).tolist()), dtype=object, count=len(live))
         terms = tuple(pairs[keys].tolist())
     else:
-        terms = tuple(zip(cols[cc].tolist(), rows[rr, cc].tolist()))
-    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
-    out = [object.__new__(GbfPoly) for _ in ends]
-    for poly, at, end in zip(out, [0, *ends], ends):
-        poly.__dict__.update(q=q, m=m, terms=terms[at:end])
+        terms = tuple(zip(cols[col].tolist(), rows.ravel()[flat].tolist()))
+    ends = np.searchsorted(word, np.arange(1, len(rows) + 1)).tolist()
+    out = list(map(object.__new__, repeat(GbfPoly, len(rows))))
+    deque(map(GbfPoly.q.__set__, out, repeat(q)), 0)
+    deque(map(GbfPoly.m.__set__, out, repeat(m)), 0)
+    deque(map(GbfPoly.terms.__set__, out, map(terms.__getitem__, map(slice, [0, *ends], ends))), 0)
     return out
 
 

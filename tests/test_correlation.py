@@ -9,6 +9,7 @@ import select
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,11 +24,13 @@ from cskit import (
     aacf_report,
     cross_corr,
     is_cs,
+    offset_set,
     parse_gbf,
     path_restriction_cs,
     pmepr,
     pmepr_autocorr_bound,
     psi,
+    random_qualifying_gbf,
     read_sequences,
     set_aacf,
     set_report,
@@ -112,6 +115,30 @@ def test_aacf_report_fields():
     assert rep["oversample"] == 32
     assert rep["pmepr_grid"] <= rep["pmepr_bound"] + 1e-12
     assert isinstance(rep["offpeak"], list)
+
+
+@pytest.mark.parametrize(
+    "phases, q, oversample, binds",
+    [
+        (np.random.default_rng(5).integers(0, 4, 32), 4, 4, "nothing"),  # grid / denominator < bound
+        ([0, 0], 2, 4, "cap"),  # the autocorrelation cap 2 is exact, below 2 / 0.923
+        ([0, 0], 2, 1, "denominator"),  # 1 - (pi / 2)^2 / 2 <= 0
+    ],
+    ids=["nothing-binds", "cap-binds", "oversample-1"],
+)
+def test_pmepr_upper_is_its_derivation(phases, q, oversample, binds):
+    # Bernstein's factor 1 - (pi (L-1) / N)^2 / 2, recomputed here: a
+    # weakened factor, such as a halved second term, moves the first case
+    a = PolyphaseSeq(q, phases)
+    L = len(a)
+    grid, bound = pmepr(a, oversample), pmepr_autocorr_bound(a)
+    denominator = 1 - (math.pi * (L - 1) / (oversample * L)) ** 2 / 2
+    case = "denominator" if denominator <= 0 else "cap" if grid / denominator >= bound else "nothing"
+    assert case == binds
+    want = bound if denominator <= 0 else min(grid / denominator, bound)
+    report = aacf_report(a, oversample)
+    assert (report["pmepr_grid"], report["pmepr_bound"]) == (grid, bound)
+    assert report["pmepr_upper"] == pytest.approx(want, rel=1e-12)
 
 
 def test_set_report():
@@ -539,8 +566,7 @@ def test_to_json_equals_the_per_shift_form(q):
 
 
 def test_to_json_embeds_nothing_without_an_offpeak_shift(monkeypatch):
-    # the float embedding loops over all q/2 coordinates; a complementary
-    # prediction has no off-peak row to embed
+    # a complementary prediction has no off-peak row to embed
     q = 1 << 16
     cand = path_restriction_cs(parse_gbf(f"q={q};m=3; {q // 2}*x0*x1 + {q // 2}*x1*x2"))
 
@@ -551,6 +577,23 @@ def test_to_json_embeds_nothing_without_an_offpeak_shift(monkeypatch):
     peak = [0] * (q // 2)
     peak[0] = 16
     assert cand.predicted.to_json() == {"L": 8, "q": q, "peak": peak, "offpeak": []}
+
+
+def test_to_json_of_one_sparse_shift_is_fast_at_a_large_modulus():
+    # one nonzero shift with few nonzero coordinates at q = 2^16: the
+    # embedding sums those columns only (37 ms over all q/2 of them)
+    f, restricted = random_qualifying_gbf(6, 1, 1 << 16, (1,), seed=2)
+    vec = offset_set(f, restricted=restricted).predicted
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        blob = vec.to_json()
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
+    [entry] = blob["offpeak"]
+    omega = cmath.exp(2j * cmath.pi / vec.q)
+    z = sum(a * omega**j for j, a in enumerate(entry["value"]) if a)
+    assert entry["abs"] == math.hypot(z.real, z.imag)
 
 
 def seeded_sequences(seed, n):

@@ -1,9 +1,10 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
-from cskit.cyclo import CycloValue
+from cskit.cyclo import CycloValue, _embed
 from cskit.errors import ModulusError
 
 from cyclo_reference import folded, histogram
@@ -80,3 +81,26 @@ def test_complex_is_the_ordered_power_sum(q):
         want = sum(a * omega**j for j, a in enumerate(coeffs) if a) or 0j
         assert complex(CycloValue(q, coeffs)) == want  # bit for bit, up to the sign of a zero
         assert abs(CycloValue(q, coeffs)) == abs(want)
+
+
+def dense_embed(coeffs, q):
+    """The embedding as a sum over all q/2 columns, ascending."""
+    c, omega = np.asarray(coeffs, dtype=np.float64), cmath.exp(2j * cmath.pi / q)
+    return sum(c[..., j] * omega**j for j in range(q // 2))
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 64, 256])
+def test_embedding_of_the_live_columns_is_the_dense_sum(q):
+    # bit for bit, the sign of every zero included
+    rng = np.random.default_rng(q)
+    half = q // 2
+    shapes = [(half,), (0, half), (1, half), (5, half), (2, 3, half)]
+    for i in range(150):
+        shape = shapes[i % len(shapes)]
+        coeffs = rng.integers(-40, 41, shape) * (rng.random(shape) < rng.choice([0.0, 0.05, 0.5, 1.0]))
+        coeffs[..., rng.integers(half) :] *= i % 2  # whole zero columns
+        got, want = np.asarray(_embed(coeffs, q)), np.asarray(dense_embed(coeffs, q), dtype=complex)
+        assert got.dtype == np.complex128 and got.shape == want.shape == shape[:-1]
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from cskit import CycloValue, GbfPoly, ParseError, PolyphaseSeq, SizeLimitError, psi, psi_restricted
-from cskit.gbf import MAX_VALUE_VECTOR_M, gbf_from_json, gbf_to_json, parse_gbf, render_gbf
+from cskit.gbf import MAX_VALUE_VECTOR_M, gbf_from_json, gbf_to_json, parse_gbf, polys_from_rows, render_gbf
 
 from graphs_reference import restrict
 
@@ -256,6 +259,40 @@ def test_bool_factor_is_refused_like_a_bool_term():
     assert f * np.int64(2) == np.int64(2) * f == f * 2 == parse_gbf("q=4;m=2; 2*x0*x1 + 2")
     with pytest.raises(TypeError):
         f * 2.0
+
+
+def slotted_polynomials():
+    """Polynomials from every constructor: ``from_terms``, ``parse_gbf``, and
+    ``polys_from_rows`` with at least q rows (shared pairs) and with fewer,
+    each with an all-zero row."""
+    cols = np.array([0b001, 0b011, 0b110], dtype=np.int64)
+    shared = polys_from_rows(4, 3, cols, np.array([[1, 0, 3], [0, 0, 0], [0, 2, 0], [1, 0, 3]], dtype=np.uint8))
+    fresh = polys_from_rows(8, 3, cols, np.array([[7, 0, 3], [0, 0, 0], [0, 5, 1]], dtype=np.uint8))
+    return [
+        ("from_terms", GbfPoly.from_terms(8, 4, {0b1001: 3, 0: 5})),
+        ("parse_gbf", parse_gbf("q=4;m=3; 2*x0*x1 + 3*x2 + 1")),
+        *[(f"rows-{n}", f) for n, f in enumerate(shared + fresh)],
+    ]
+
+
+@pytest.mark.parametrize("label, f", slotted_polynomials(), ids=[label for label, _ in slotted_polynomials()])
+def test_polynomials_are_slotted_and_frozen(label, f):
+    assert not hasattr(f, "__dict__")
+    for name, value in [("q", 16), ("m", 5), ("terms", ())]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(f, name)
+    with pytest.raises((AttributeError, TypeError)):  # no slot; TypeError from the frozen check on 3.11
+        f.extra = 1
+    twin = GbfPoly(f.q, f.m, f.terms)  # validated
+    assert f == twin and hash(f) == hash(twin) and render_gbf(f) == render_gbf(twin)
+    for back in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)), dataclasses.replace(f)):
+        assert back == f and hash(back) == hash(f) and render_gbf(back) == render_gbf(f)
+        assert not hasattr(back, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.terms = ()
+    assert dataclasses.replace(f, terms=()) == GbfPoly(f.q, f.m)
 
 
 def test_repr_is_the_parse_call():
