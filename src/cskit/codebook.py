@@ -497,7 +497,10 @@ def _coefficient_rows(parts: Sequence[Sequence], cols: np.ndarray, q: int, *, de
     """The rows over ``cols`` of the words of a union of Cartesian sums (one
     factor list per part), in order, at most ``_YIELD_ROWS`` at a time.  With
     ``dedup`` a row equal to an earlier one is dropped; the ANF is canonical,
-    so equal rows are exactly equal functions."""
+    so equal rows are exactly equal functions.  A chunk that shares no row
+    with the earlier ones (the usual case) is hashed twice, by the disjointness
+    test and the update; when ``seen`` then grows by less than the chunk, some
+    row repeats inside it, and the first of each is kept."""
     seen: set[bytes] = set()
     for part in parts:
         for block in _row_blocks(part, cols, q):
@@ -505,16 +508,25 @@ def _coefficient_rows(parts: Sequence[Sequence], cols: np.ndarray, q: int, *, de
                 chunk = block[start : start + _YIELD_ROWS]
                 if dedup:
                     keys = chunk.view(np.dtype((np.void, chunk.shape[1] * chunk.itemsize))).ravel().tolist()
-                    if len(set(keys)) == len(keys) and seen.isdisjoint(keys):
-                        seen.update(keys)  # the usual case: every row is new
+                    before = len(seen)
+                    if seen.isdisjoint(keys):
+                        seen.update(keys)
+                        if len(seen) - before < len(keys):
+                            chunk = chunk[_new_rows(keys, set())]
                     else:
-                        keep = []
-                        for i, key in enumerate(keys):
-                            if key not in seen:
-                                seen.add(key)
-                                keep.append(i)
-                        chunk = chunk[keep]
+                        chunk = chunk[_new_rows(keys, seen)]
                 yield chunk
+
+
+def _new_rows(keys: Sequence[bytes], seen: set[bytes]) -> list[int]:
+    """The indices of the keys not in ``seen``, each key's first only; adds
+    them to ``seen``."""
+    keep = []
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
 
 
 def _coefficient_words(parts: Sequence[Sequence], q: int, m: int, *, dedup: bool = False) -> Iterator[GbfPoly]:
