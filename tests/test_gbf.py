@@ -269,14 +269,14 @@ def slotted_polynomials():
     shared = polys_from_rows(4, 3, cols, np.array([[1, 0, 3], [0, 0, 0], [0, 2, 0], [1, 0, 3]], dtype=np.uint8))
     fresh = polys_from_rows(8, 3, cols, np.array([[7, 0, 3], [0, 0, 0], [0, 5, 1]], dtype=np.uint8))
     return [
-        ("from_terms", GbfPoly.from_terms(8, 4, {0b1001: 3, 0: 5})),
-        ("parse_gbf", parse_gbf("q=4;m=3; 2*x0*x1 + 3*x2 + 1")),
-        *[(f"rows-{n}", f) for n, f in enumerate(shared + fresh)],
+        pytest.param(GbfPoly.from_terms(8, 4, {0b1001: 3, 0: 5}), id="from_terms"),
+        pytest.param(parse_gbf("q=4;m=3; 2*x0*x1 + 3*x2 + 1"), id="parse_gbf"),
+        *[pytest.param(f, id=f"rows-{n}") for n, f in enumerate(shared + fresh)],
     ]
 
 
-@pytest.mark.parametrize("label, f", slotted_polynomials(), ids=[label for label, _ in slotted_polynomials()])
-def test_polynomials_are_slotted_and_frozen(label, f):
+@pytest.mark.parametrize("f", slotted_polynomials())
+def test_polynomials_are_slotted_and_frozen(f):
     assert not hasattr(f, "__dict__")
     for name, value in [("q", 16), ("m", 5), ("terms", ())]:
         with pytest.raises(dataclasses.FrozenInstanceError):
