@@ -57,22 +57,31 @@ instantaneous envelope power of the OFDM-style signal built from ``a`` is
     P(t) = |sum_i a[i] exp(2j*pi*i*t)|^2
          = A(0) + 2 * Re sum_{tau=1}^{L-1} A(tau) * exp(2j*pi*tau*t),
 
-with t normalized to one symbol period.  :func:`pmepr` samples the first form
-directly at the ``oversample * L`` points ``t = -k / (oversample * L)``, as
-``oversample`` length-L FFTs of the sequence times twiddles (the polyphase
-split of the zero-padded FFT), cached for grids of at most 2^18 points and
-refused above 2^30 points; :func:`pmepr_autocorr_bound` bounds the second
-form by the exact autocorrelation.  The grid's rows are swept in blocks of
-2^14 entries.  A grid of at least two whole blocks (2^15 points when
-L <= 2^14) is cut at block boundaries into contiguous row ranges, one for
-each CPU the process may run on (``len(os.sched_getaffinity(0))``, else
-``os.cpu_count()``): the calling thread sweeps the first and persistent
-worker threads the others, each holding one block at a time (under 1 MiB);
-they overlap because NumPy's FFT and element-wise kernels release the GIL.
-The workers start once the process has swept 2^22 points of such grids on
-its own.  Until then, and for a smaller grid or a process with one CPU,
-the calling thread sweeps alone.  The value is the largest of the same
-per-block maxima either way, so it does not depend on the worker count.
+with t normalized to one symbol period.  :func:`pmepr` samples the second
+form, a real trigonometric polynomial of the float autocorrelation, at the
+``N = oversample * L`` points ``t = -k / N``; :func:`pmepr_autocorr_bound`
+bounds it by the exact autocorrelation.  The points ``k = oversample * j +
+r`` of one grid row, at the offset ``r / N``, are the length-L FFT of a
+Hermitian vector built from A and twiddles, so the row is real, and one
+complex FFT carries two rows: the row at an offset ``phi`` in [0, 1/(2L))
+in its real part and the row at ``phi + 1/(2L)`` in its imaginary part.
+That pairing depends on the offset alone, so a grid and its refinement
+compute their shared points from identical inputs.  An even oversample
+takes ``oversample / 2`` FFTs and an odd one ``oversample``; for q = 2, A is
+real and P(t) = P(-t), so the offsets up to 1/(4L) cover the grid, about
+``oversample / 4 + 1`` FFTs.  The twiddles are cached for grids of at most
+2^18 points, and a grid of more than 2^30 points is refused.  The FFT rows
+are swept in blocks of 2^14 entries.  A grid of more than one block is cut
+into contiguous row ranges of nearly equal size, one for each CPU the
+process may run on (``len(os.sched_getaffinity(0))``, else
+``os.cpu_count()``) and at most one per 2^14 entries: the calling thread
+sweeps the first and persistent worker threads the others, each holding one
+block at a time; they overlap because NumPy's FFT and element-wise kernels
+release the GIL.  The workers start once the process has swept 2^22 points
+of such grids on its own.  Until then, and for a smaller grid or a process
+with one CPU, the calling thread sweeps alone.  A row's values do not depend
+on the block or range that holds it, and the value is their maximum, so it
+does not depend on the worker count.
 
 Masked sequences are supported throughout: positions removed by a restriction
 contribute the complex value 0, and the mean power used for normalization is
@@ -296,18 +305,21 @@ def _live_count(a: PolyphaseSeq) -> int:
     return live
 
 
-# Complex entries per block of grid rows (256 KiB): about 16 rows at L = 1024,
-# so a block and its FFT stay in cache while the grid is swept.
+# Complex entries per block of FFT rows (256 KiB): 16 rows at L = 1024, so a
+# block and its FFT stay in cache while the grid is swept.  A row of more
+# entries is filled in slices of this many.
 _GRID_BLOCK = 1 << 14
-# Grids of at most this many points keep their twiddles cached (at most 4 MiB
-# each, 32 MiB for the eight cached); larger grids compute them per block.
+# Grids of at most this many points keep their packed twiddles cached (at
+# most 4 MiB each at an even oversample, 8 MiB at an odd one); larger grids
+# build them per block.
 _CACHED_GRID = 1 << 18
 # Grid points that a process sweeps on its calling thread before the grid
 # workers start (64 grids of L = 1024 at oversample 64).  Starting them costs
 # about 1 ms, and on a 2-vCPU virtual machine a worker woken in a process
-# that has just begun often runs on the caller's own CPU, so `cskit pmepr` of
-# 16 sequences of L = 512 took 135 ms with workers against 131 ms without;
-# over a sustained sweep they are 1.3x faster.
+# that has just begun runs on the caller's own CPU for a few hundred grids.
+# Over 8 sequences of L = 1024 at q = 8, grids 64, 256 and 1000 of a process
+# are reached at 19.6, 80.8 and 240 ms with this gate, at 23.5, 82.7 and 238
+# ms with workers from the first grid, and at 19.6, 70.4 and 267 ms with none.
 _SERIAL_POINTS = 1 << 22
 # The largest grid sampled: L = 2^24, the longest sequence, at oversample 64.
 _MAX_GRID = 1 << 30
@@ -325,35 +337,111 @@ def _grid_factor(oversample: int, L: int) -> int:
     return factor
 
 
-def _twiddle_rows(L: int, oversample: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the ``(oversample, L)`` matrix ``w[r, n] = exp(-2 pi
-    i r n / N)``, N = oversample * L.  Each angle is 2 pi times the quotient
-    ``r n / N`` (r n < N, so no reduction mod N is needed) rounded once; a
-    correctly rounded quotient depends only on the reduced fraction, so the
-    grids O and c O share bit-identical twiddles at their shared points."""
-    return np.exp(-2j * np.pi * (np.outer(np.arange(lo, hi), np.arange(L)) / (oversample * L)))
+def _fft_rows(q: int, oversample: int) -> int:
+    """The FFT rows of a grid, one per base ``s / (2N)``: s runs over the
+    multiples of ``2 - oversample % 2`` in [0, oversample), or in [0,
+    oversample // 2] for q = 2."""
+    return (oversample // 2 if q == 2 else oversample - 1) // (2 - oversample % 2) + 1
+
+
+def _autocorrelation(a: PolyphaseSeq) -> np.ndarray:
+    """The ``(2, L)`` complex array ``[A(n), conj A(L - n)]``, n = 0 .. L-1,
+    with ``A(L)`` read as 0: A is ``ifft(|fft(x, M)|^2)`` of the embedded
+    sequence x, M the least power of two >= 2L, so no shift wraps and the
+    reversed half fits beside A in the same buffer.  For q = 2, x and A are
+    real and the transforms are rfft and irfft."""
+    L = len(a)
+    size = 1 << (2 * L - 1).bit_length()
+    x = a.complex_values()
+    buffer = np.zeros(size, dtype=float if a.q == 2 else complex)
+    buffer[:L] = x.real if a.q == 2 else x
+    del x
+    spectrum = np.fft.rfft(buffer) if a.q == 2 else np.fft.fft(buffer, out=buffer)
+    del buffer
+    re, im = spectrum.real, spectrum.imag
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    im[...] = 0
+    if a.q == 2:
+        real = np.fft.irfft(spectrum, size)
+        del spectrum, re, im
+        acf = np.zeros(2 * L, dtype=complex)
+        acf.real = real[: 2 * L]
+    else:
+        acf = np.fft.ifft(spectrum, out=spectrum)
+    acf[L] = 0
+    np.conjugate(acf[L - 1 : 0 : -1], out=acf[L + 1 : 2 * L])
+    return acf[: 2 * L].reshape(2, L)
+
+
+def _twiddle_block(L: int, oversample: int, lo: int, hi: int, cols: slice) -> np.ndarray:
+    """Columns ``cols`` of FFT rows lo .. hi-1 of the packed twiddles
+    ``[w + i w', c (w - i w')]``: row r has the base s = r (2 - oversample %
+    2), ``w[n] = exp(-2 pi i s n / (2N))``, ``w'`` the same at s + oversample
+    (half a row spacing later) and ``c = exp(2 pi i s / (2 oversample))``,
+    N = oversample * L.  Each angle is 2 pi times a quotient of integers
+    (below 2N, so no reduction is needed) rounded once; a correctly rounded
+    quotient depends only on the reduced fraction, so grids O and c O build
+    bit-identical twiddles for the offsets they share."""
+    s = np.arange(lo, hi) * (2 - oversample % 2)
+    n = np.arange(*cols.indices(L), dtype=float)
+    packed = np.empty((2, hi - lo, len(n)), dtype=complex)
+    w, w_pair = packed
+    for shift, out in ((0, w), (oversample, w_pair)):
+        angle = np.outer(s + shift, n)
+        angle /= 2 * oversample * L
+        np.exp(np.multiply(angle, -2j * np.pi, out=out), out=out)
+    real, imag = w.real + w_pair.imag, w.imag - w_pair.real  # w - i w'
+    w.real -= w_pair.imag  # w + i w'
+    w.imag += w_pair.real
+    w_pair.real, w_pair.imag = real, imag
+    w_pair *= np.exp(2j * np.pi * (s / (2 * oversample)))[:, None]
+    return packed
 
 
 @functools.lru_cache(maxsize=8)
 def _twiddles(L: int, oversample: int) -> np.ndarray:
-    """All of :func:`_twiddle_rows`, read-only, for a grid of at most
-    ``_CACHED_GRID`` points."""
-    w = _twiddle_rows(L, oversample, 0, oversample)
+    """The read-only ``(2, rows, L)`` packed twiddles of every FFT row of a
+    grid of at most ``_CACHED_GRID`` points, built one block at a time by
+    :func:`_twiddle_block` (the rows of q = 2 are the first of them)."""
+    rows = _fft_rows(4, oversample)  # every row of q > 2; q = 2 reads the first ones
+    step, width = max(1, _GRID_BLOCK // L), min(L, _GRID_BLOCK)
+    w = np.empty((2, rows, L), dtype=complex)
+    for r in range(0, rows, step):
+        for c in range(0, L, width):
+            w[:, r : r + step, c : c + width] = _twiddle_block(L, oversample, r, min(r + step, rows), slice(c, c + width))
     w.flags.writeable = False
     return w
 
 
-def _grid_peak(x: np.ndarray, w: np.ndarray | None, oversample: int, lo: int, hi: int) -> float:
-    """The largest ``|X|^2`` over grid rows lo .. hi-1, swept in blocks of
-    ``max(1, _GRID_BLOCK // L)`` rows counted from lo, with the cached
-    twiddles ``w`` or, when None, each block's :func:`_twiddle_rows`."""
-    L = len(x)
-    step = max(1, _GRID_BLOCK // L)
+def _grid_peak(uv: np.ndarray, w: np.ndarray | None, oversample: int, lo: int, hi: int) -> float:
+    """The largest grid value in FFT rows lo .. hi-1, swept in blocks of
+    ``max(1, _GRID_BLOCK // L)`` rows counted from lo, each filled as ``w[0] *
+    A + w[1] * conj A(L - n)`` in column slices of at most ``_GRID_BLOCK``,
+    with the cached twiddles ``w`` or, when None, each slice's
+    :func:`_twiddle_block`.  At an even oversample both parts of every FFT
+    row lie on the grid; at an odd one only the real part of an even base
+    and the imaginary part of an odd one."""
+    L = uv.shape[1]
+    step, width = max(1, _GRID_BLOCK // L), min(L, _GRID_BLOCK)
+    block = np.empty((min(step, hi - lo), L), dtype=complex)
+    spare = np.empty((len(block), width), dtype=complex)
     peak = 0.0
     for r in range(lo, hi, step):
-        end = min(r + step, hi)
-        spectrum = np.fft.fft((_twiddle_rows(L, oversample, r, end) if w is None else w[r:end]) * x, axis=1)
-        peak = max(peak, float((spectrum.real**2 + spectrum.imag**2).max()))
+        rows = block[: min(step, hi - r)]
+        for c in range(0, L, width):
+            cols = slice(c, c + width)
+            t = _twiddle_block(L, oversample, r, r + len(rows), cols) if w is None else w[:, r : r + len(rows), cols]
+            out, tmp = rows[:, cols], spare[: len(rows), : t.shape[2]]
+            np.multiply(t[0], uv[0, cols], out=out)
+            out += np.multiply(t[1], uv[1, cols], out=tmp)
+        grid = np.fft.fft(rows, axis=1, out=rows).view(np.float64)
+        if oversample % 2:
+            first = r % 2  # the first row of the block with an even base
+            value = max(grid[first::2, 0::2].max(initial=0.0), grid[1 - first :: 2, 1::2].max(initial=0.0))
+        else:
+            value = grid.max()
+        peak = max(peak, float(value))
     return peak
 
 
@@ -413,14 +501,14 @@ class _GridWorkers:
                     self._pid = pid
         return len(self._inboxes)
 
-    def peak(self, x: np.ndarray, w: np.ndarray | None, oversample: int, cuts: list[int]) -> float:
+    def peak(self, uv: np.ndarray, w: np.ndarray | None, oversample: int, cuts: list[int]) -> float:
         """The largest of :func:`_grid_peak` over the row ranges ``cuts[i] ..
         cuts[i+1]``: the first swept by the calling thread, each other one by
         a worker (at most :meth:`count` of them)."""
         reply = self._queue()
         for inbox, lo, hi in zip(self._inboxes, cuts[1:], cuts[2:]):
-            inbox.put(((x, w, oversample, lo, hi), reply))
-        peak = _grid_peak(x, w, oversample, cuts[0], cuts[1])
+            inbox.put(((uv, w, oversample, lo, hi), reply))
+        peak = _grid_peak(uv, w, oversample, cuts[0], cuts[1])
         for _ in cuts[2:]:
             ok, value = reply.get()
             if not ok:
@@ -438,33 +526,53 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     The grid is P(t) at the ``N = oversample * L`` equispaced points
     ``t = -k / N`` of one symbol period, a point set symmetric under
     ``t -> -t``: the values ``|fft(a, N)|^2`` of the zero-padded FFT.  They
-    are computed by its polyphase split (FFT pruning for an input that is
-    zero past L): ``X[oversample * j + r] = FFT_L(a * w_r)[j]``, one
-    length-L FFT per residue r, with the twiddles ``w_r`` of
-    :func:`_twiddles`, whose angles come from the reduced fraction
-    ``r n / N``, so a grid and its refinement by 2 agree exactly at their
-    shared points.  The FFTs run over blocks of rows, about 16 rows
-    at L = 1024.  For q = 2 the sequence is real, so ``|X[N-k]| = |X[k]|``
-    and rows 0 .. oversample // 2 cover the grid.  For a grid of at most
-    2^18 points the twiddles of the last eight ``(L, oversample)`` pairs are
-    cached, 16 * oversample * L bytes each (4 MiB at L = 4096, oversample =
-    64); a larger grid computes each block's rows with the same expression,
-    bit-identical, and holds one block at a time.
+    are sampled from the autocorrelation polynomial ``P(-k/N) = sum_{|tau|<L}
+    A(tau) exp(-2 pi i tau k / N)``, with A the float autocorrelation
+    ``ifft(|fft(a, M)|^2)``, M the least power of two >= 2L (rfft and irfft
+    for q = 2, whose A is real).  For ``k = oversample * j + r``, at the
+    offset ``phi = r / N``, ``P(-k/N) = FFT_L(b)[j]`` with ``b[0] = A(0)`` and
+    ``b[n] = w[n] (A(n) + exp(2 pi i L phi) conj A(L - n))``, ``w[n] = exp(-2
+    pi i n phi)``.  Such a b is Hermitian, so its FFT is real, and one complex
+    FFT of ``b_phi + i b_(phi + 1/(2L))`` holds the row at phi in its real
+    part and the row half a row spacing later in its imaginary part.  The
+    pairing depends on the offset only, with the base phi in [0, 1/(2L)),
+    and every twiddle angle comes from a reduced fraction
+    (:func:`_twiddle_block`), so a grid and its refinement by 2 agree
+    exactly at their shared points.  An even oversample needs
+    ``oversample / 2`` FFTs; an odd one needs ``oversample``, because each
+    row's partner is off the grid.  For q = 2, P(t) = P(-t), so the bases in
+    [0, 1/(4L)] cover the grid: ``oversample // 4 + 1`` FFTs at an even
+    oversample.  The FFTs run over blocks of rows, 16 rows at L = 1024.  For
+    a grid of at most 2^18 points the packed ``(2, rows, L)`` twiddles of
+    the last eight ``(L, oversample)`` pairs are cached, 16 * oversample * L
+    bytes each at an even oversample (4 MiB at L = 4096, oversample = 64)
+    and twice that at an odd one; a larger grid builds each block's with the
+    same code, bit-identically, and holds one block at a time.
 
-    A grid of at least two whole blocks (2^15 points for L <= 2^14; measured
-    on a 2-CPU host, 1.3-1.5x faster from there at L = 256 .. 4096, while a
-    grid of one block plus a sliver gained nothing) is cut at block
-    boundaries into one contiguous row range per available CPU, the CPUs of
-    ``os.sched_getaffinity(0)`` or, where the platform has no affinity mask,
-    ``os.cpu_count()``.  The calling thread sweeps the first range and
-    persistent daemon threads the others, each holding one block at a time,
-    under 1 MiB.  The threads start once the process has swept 2^22 points
-    of such grids by itself (64 grids at L = 1024, oversample 64), so a short
-    run never pays for them, and start again in a forked child.  Smaller
-    grids, grids before that point and every grid in a process with one CPU
-    are swept by the calling thread alone.  Each block is the same block as
-    in a serial sweep and the result is the largest of their maxima, so it
-    is bit-identical whatever the worker count.
+    A grid of more than one block (more than 2^14 FFT entries: rows times L)
+    is cut into contiguous row ranges of nearly equal size, one per
+    available CPU and at most one per 2^14 entries.  On a 2-CPU host two
+    ranges swept 1.21x faster than one thread at 17 rows of L = 1024 and
+    1.36x at 32, only 3-11% faster at exactly 2^14 entries, and 1.4-2x
+    slower at 2^12-2^13 entries.  The CPUs
+    are those of ``os.sched_getaffinity(0)`` or, where the platform has no
+    affinity mask, ``os.cpu_count()``.  The calling thread sweeps the first
+    range and persistent daemon threads the others.  The threads start once
+    the process has swept 2^22 points of such grids by itself (64 grids at
+    L = 1024, oversample 64), so a short run never pays for them, and start
+    again in a forked child.  Smaller grids, grids before that point and
+    every grid in a process with one CPU are swept by the calling thread
+    alone.  A row's values do not depend on the block or range that holds
+    it and the result is their maximum, so it is bit-identical whatever the
+    worker count.
+
+    Memory, under tracemalloc and besides cached twiddles: the
+    autocorrelation holds 16 M bytes while the grid is swept, and each
+    sweeping thread about 16 L bytes + 2 MiB (one block, a spare block and
+    a block of twiddles).  With t threads that is 16 M + t (16 L + 2 MiB):
+    48 L + 2 MiB on one thread for a power-of-two L, at most 80 L + 2 MiB
+    for any L.  At L = 2^24, the largest sequence, it is 770 MiB on one
+    thread and 1.0 GiB on two, and stays under 2 GiB up to five.
 
     ``oversample`` must be an integer >= 1 (bools are refused), else
     ``ValueError``; a grid of more than 2^30 points (L = 2^24 at oversample
@@ -478,16 +586,13 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     L = len(a)
     oversample = _grid_factor(oversample, L)
     live = _live_count(a)
-    x, rows = a.complex_values(), oversample
-    if a.q == 2:
-        x, rows = x.real, oversample // 2 + 1
+    uv, rows = _autocorrelation(a), _fft_rows(a.q, oversample)
     w = _twiddles(L, oversample) if oversample * L <= _CACHED_GRID else None
-    step = max(1, _GRID_BLOCK // L)
-    blocks, full = -(-rows // step), rows // step
-    parts = min(full, _WORKERS.count(rows * L) + 1) if full > 1 else 1
+    entries = rows * L
+    parts = min(rows, -(-entries // _GRID_BLOCK), _WORKERS.count(oversample * L) + 1) if entries > _GRID_BLOCK else 1
     if parts == 1:
-        return _grid_peak(x, w, oversample, 0, rows) / live
-    return _WORKERS.peak(x, w, oversample, [step * (i * blocks // parts) for i in range(parts)] + [rows]) / live
+        return _grid_peak(uv, w, oversample, 0, rows) / live
+    return _WORKERS.peak(uv, w, oversample, [i * rows // parts for i in range(parts + 1)]) / live
 
 
 def _autocorr_bound(vec: AacfVector) -> float:

@@ -36,7 +36,7 @@ from cskit import (
     set_report,
     write_sequences,
 )
-from cskit import correlation, gbf
+from cskit import correlation, cyclo, gbf
 from cskit.gbf import PolyphaseSeq
 
 
@@ -386,6 +386,44 @@ def test_pmepr_builds_no_root_table_at_a_large_modulus():
     assert value >= 1.0 and peak < 8 << 20
 
 
+def test_pmepr_grid_is_the_autocorrelation_polynomial():
+    # every grid value evaluated directly: L P(-k/N) = sum_{|tau|<L} A(tau)
+    # exp(-2 pi i tau k / N) at each k < N, from the exact AACF embedded
+    rng = np.random.default_rng(27)
+    for q in (2, 4, 8, 16):
+        for L in (1, 2, 3, 7, 16, 31, 48):
+            for masked in (False, True):
+                mask = rng.random(L) < 0.7 if masked else np.ones(L, dtype=bool)
+                mask[rng.integers(L)] = True
+                a = PolyphaseSeq(q, rng.integers(0, q, L), mask)
+                acf = cyclo._embed(aacf(a).coeffs, q)
+                two_sided = np.concatenate([acf[:0:-1].conj(), acf])  # A(-tau) = conj A(tau)
+                taus = np.arange(1 - L, L)
+                for oversample in range(1, 9):
+                    N = oversample * L
+                    phases = np.exp(-2j * np.pi * (np.outer(np.arange(N), taus) % N / N))
+                    values = (phases @ two_sided).real
+                    want = float(values.max())
+                    assert pmepr(a, oversample) * int(mask.sum()) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_pmepr_peak_memory_is_bounded(monkeypatch, q):
+    # one fresh grid past the twiddle cache (L = 2^16 at oversample 64), swept
+    # by the calling thread: under 128 bytes a symbol under tracemalloc
+    monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
+    L = 1 << 16
+    a = PolyphaseSeq(q, np.random.default_rng(16).integers(0, q, L))
+    assert 64 * L > correlation._CACHED_GRID
+    tracemalloc.start()
+    try:
+        value = pmepr(a, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value >= 1.0 and peak < 128 * L
+
+
 # -- the PMEPR grid on worker threads ----------------------------------------------
 
 
@@ -419,15 +457,16 @@ def _use_cpus(monkeypatch, cpus=None):
 @pytest.mark.parametrize("cpus", [1, 3, None], ids=["one-cpu", "three-cpus", "this-host"])
 def test_pmepr_grid_is_pinned(monkeypatch, cpus):
     # sha256 over repr(pmepr(a, O)) of the battery's 320 values, computed by
-    # the calling thread alone before the grid had workers: a maximum of the
-    # same per-block values, whatever the worker count
+    # the calling thread alone from the autocorrelation kernel (within 8.3e-16
+    # of the earlier |FFT(x w)|^2 grid): a maximum of the same per-row values,
+    # whatever the worker count
     workers = _use_cpus(monkeypatch, cpus)
     handed = []
     peak = workers.peak
     monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
     values = [repr(pmepr(a, oversample)) for a, oversample in pmepr_battery()]
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
-    assert digest == "40a9cf453f5caed690a150eb0547c6908e50599a2c41ca82f5b4e75873b256fe"
+    assert digest == "59cf718e5d09dd9b13195ff268481a77527a7c802893a2b26403a1bb1836f34d"
     started = len(workers._inboxes)
     if started:
         assert 0 < len(handed) < len(values)
@@ -614,12 +653,13 @@ def seeded_sequences(seed, n):
 
 def test_aacf_reports_are_pinned():
     # sha256 of 24 seeded reports (full and masked, q up to 16) without the
-    # autocorrelation-bound fields, computed before the coordinates had one
-    # float embedding; the bound fields may move in the last bit
+    # autocorrelation-bound fields, which may move in the last bit; the
+    # pmepr_grid values are those of the autocorrelation kernel, within
+    # 5.8e-16 of the earlier |FFT(x w)|^2 grid
     reports = []
     for s in seeded_sequences(10, 24):
         report = aacf_report(s)
         del report["pmepr_bound"], report["pmepr_upper"]
         reports.append(report)
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == "82abdafca8f61025fc4e16a5b5c874185ac48a8dc011c5d208be2a706e6e48fd"
+    assert digest == "87dede94683c2f05c83a23f1884bc3e45635ccedb7ca2b2cb244567f52ec5a45"

@@ -439,7 +439,7 @@ def grid_case(draw):
     phases = draw(arrays(np.int64, L, elements=st.integers(0, q - 1)))
     mask = draw(arrays(bool, L) | st.just(np.ones(L, dtype=bool)))
     mask[draw(st.integers(0, L - 1))] = True
-    return PolyphaseSeq(q, phases, mask), draw(st.sampled_from([1, 2, 3, 5, 8, 64]))
+    return PolyphaseSeq(q, phases, mask), draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 64]))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -468,6 +468,6 @@ def test_pmepr_twiddle_cache_is_bounded_and_read_only():
     assert twiddles.cache_info().maxsize is not None
     pmepr(PolyphaseSeq(4, [0, 1, 2, 3, 0]), 3)
     w = twiddles(5, 3)
-    assert w.shape == (3, 5) and not w.flags.writeable
+    assert w.shape == (2, 3, 5) and not w.flags.writeable  # packed: two twiddle vectors per FFT row
     with pytest.raises(ValueError):
         w[0, 0] = 0
