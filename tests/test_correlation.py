@@ -402,8 +402,7 @@ def test_pmepr_grid_is_the_autocorrelation_polynomial():
                 for oversample in range(1, 9):
                     N = oversample * L
                     phases = np.exp(-2j * np.pi * (np.outer(np.arange(N), taus) % N / N))
-                    values = (phases @ two_sided).real
-                    want = float(values.max())
+                    want = float((phases @ two_sided).real.max())
                     assert pmepr(a, oversample) * int(mask.sum()) == pytest.approx(want, rel=1e-12)
 
 
@@ -457,9 +456,8 @@ def _use_cpus(monkeypatch, cpus=None):
 @pytest.mark.parametrize("cpus", [1, 3, None], ids=["one-cpu", "three-cpus", "this-host"])
 def test_pmepr_grid_is_pinned(monkeypatch, cpus):
     # sha256 over repr(pmepr(a, O)) of the battery's 320 values, computed by
-    # the calling thread alone from the autocorrelation kernel (within 8.3e-16
-    # of the earlier |FFT(x w)|^2 grid): a maximum of the same per-row values,
-    # whatever the worker count
+    # the calling thread alone from the autocorrelation kernel: a maximum of
+    # the same per-row values, whatever the worker count
     workers = _use_cpus(monkeypatch, cpus)
     handed = []
     peak = workers.peak
@@ -654,8 +652,7 @@ def seeded_sequences(seed, n):
 def test_aacf_reports_are_pinned():
     # sha256 of 24 seeded reports (full and masked, q up to 16) without the
     # autocorrelation-bound fields, which may move in the last bit; the
-    # pmepr_grid values are those of the autocorrelation kernel, within
-    # 5.8e-16 of the earlier |FFT(x w)|^2 grid
+    # pmepr_grid values are those of the autocorrelation kernel
     reports = []
     for s in seeded_sequences(10, 24):
         report = aacf_report(s)
