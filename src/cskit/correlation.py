@@ -60,11 +60,13 @@ instantaneous envelope power of the OFDM-style signal built from ``a`` is
 with t normalized to one symbol period.  :func:`pmepr` samples the second
 form, a real trigonometric polynomial of the float autocorrelation, at the
 ``N = oversample * L`` points ``t = -k / N``; :func:`pmepr_autocorr_bound`
-bounds it by the exact autocorrelation.  The points ``k = oversample * j +
-r`` of one grid row, at the offset ``r / N``, are the length-L FFT of a
-Hermitian vector built from A and twiddles, so the row is real, and one
-complex FFT carries two rows: the row at an offset ``phi`` in [0, 1/(2L))
-in its real part and the row at ``phi + 1/(2L)`` in its imaginary part.
+bounds it by the exact autocorrelation, A = ``ifft(|fft(a, 2L)|^2)``, whose
+index L + n holds ``conj A(L - n)``.  The points ``k = oversample * j + r``
+of one grid row, at the offset ``r / N``, are the length-L FFT of a vector
+built from A and twiddles, Hermitian up to the rounding of A, so the row is
+real up to rounding, and one complex FFT carries two rows: the row at an
+offset ``phi`` in [0, 1/(2L)) in its real part and the row at ``phi +
+1/(2L)`` in its imaginary part.
 That pairing depends on the offset alone, so a grid and its refinement
 compute their shared points from identical inputs.  An even oversample
 takes ``oversample / 2`` FFTs and an odd one ``oversample``; for q = 2, A is
@@ -74,14 +76,15 @@ real and P(t) = P(-t), so the offsets up to 1/(4L) cover the grid, about
 are swept in blocks of 2^14 entries.  A grid of more than one block is cut
 into contiguous row ranges of nearly equal size, one for each CPU the
 process may run on (``len(os.sched_getaffinity(0))``, else
-``os.cpu_count()``) and at most one per 2^14 entries: the calling thread
-sweeps the first and persistent worker threads the others, each holding one
-block at a time; they overlap because NumPy's FFT and element-wise kernels
-release the GIL.  The workers start once the process has swept 2^22 points
-of such grids on its own.  Until then, and for a smaller grid or a process
-with one CPU, the calling thread sweeps alone.  A row's values do not depend
-on the block or range that holds it, and the value is their maximum, so it
-does not depend on the worker count.
+``os.cpu_count()``), at most one per 2^14 entries and at most one per 16 L
+bytes of :data:`~cskit.gbf.MAX_PRODUCT_BYTES`: the calling thread sweeps
+the first and persistent worker threads, fed by one shared queue, the
+others, each holding one block at a time; they overlap because NumPy's FFT
+and element-wise kernels release the GIL.  The workers start once the
+process has swept 2^22 points of such grids on its own.  Until then, and
+for a smaller grid or a process with one CPU, the calling thread sweeps
+alone.  A row's values do not depend on the block or range that holds it,
+and the value is their maximum, so it does not depend on the worker count.
 
 Masked sequences are supported throughout: positions removed by a restriction
 contribute the complex value 0, and the mean power used for normalization is
@@ -100,7 +103,7 @@ import numpy as np
 
 from .cyclo import CycloValue, _embed, _fold, _from_conjugates
 from .errors import EmptySequenceError, ParseError, SizeLimitError
-from .gbf import PolyphaseSeq, _index, _require_product_bytes, _require_sequence_length, _roots
+from .gbf import MAX_PRODUCT_BYTES, PolyphaseSeq, _index, _require_product_bytes, _require_sequence_length, _roots
 
 __all__ = [
     "CorrVector",
@@ -345,15 +348,13 @@ def _fft_rows(q: int, oversample: int) -> int:
 
 
 def _autocorrelation(a: PolyphaseSeq) -> np.ndarray:
-    """The ``(2, L)`` complex array ``[A(n), conj A(L - n)]``, n = 0 .. L-1,
-    with ``A(L)`` read as 0: A is ``ifft(|fft(x, M)|^2)`` of the embedded
-    sequence x, M the least power of two >= 2L, so no shift wraps and the
-    reversed half fits beside A in the same buffer.  For q = 2, x and A are
-    real and the transforms are rfft and irfft."""
+    """``ifft(|fft(x, 2L)|^2)`` of the embedded sequence x as a ``(2, L)``
+    array: no shift wraps, so index n holds A(n) and index L + n holds
+    ``A(n - L) = conj A(L - n)``, 0 up to rounding at n = 0.  For q = 2, x
+    and A are real, the transforms rfft and irfft."""
     L = len(a)
-    size = 1 << (2 * L - 1).bit_length()
     x = a.complex_values()
-    buffer = np.zeros(size, dtype=float if a.q == 2 else complex)
+    buffer = np.zeros(2 * L, dtype=float if a.q == 2 else complex)
     buffer[:L] = x.real if a.q == 2 else x
     del x
     spectrum = np.fft.rfft(buffer) if a.q == 2 else np.fft.fft(buffer, out=buffer)
@@ -362,16 +363,8 @@ def _autocorrelation(a: PolyphaseSeq) -> np.ndarray:
     np.square(re, out=re)
     re += np.square(im, out=im)
     im[...] = 0
-    if a.q == 2:
-        real = np.fft.irfft(spectrum, size)
-        del spectrum, re, im
-        acf = np.zeros(2 * L, dtype=complex)
-        acf.real = real[: 2 * L]
-    else:
-        acf = np.fft.ifft(spectrum, out=spectrum)
-    acf[L] = 0
-    np.conjugate(acf[L - 1 : 0 : -1], out=acf[L + 1 : 2 * L])
-    return acf[: 2 * L].reshape(2, L)
+    acf = np.fft.irfft(spectrum, 2 * L) if a.q == 2 else np.fft.ifft(spectrum, out=spectrum)
+    return acf.reshape(2, L)
 
 
 def _twiddle_block(L: int, oversample: int, lo: int, hi: int, cols: slice) -> np.ndarray:
@@ -454,31 +447,31 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _serve(inbox) -> None:
-    """A grid worker: run each ``(args, reply)`` task of the inbox through
-    :func:`_grid_peak` and put ``(True, peak)`` or ``(False, exception)`` on
-    the task's reply queue."""
+def _serve(tasks) -> None:
+    """A grid worker: run each ``(args, reply)`` task of the shared queue
+    through :func:`_grid_peak` and put the peak, or the exception it raised,
+    on the task's reply queue."""
     while True:
-        args, reply = inbox.get()
+        args, reply = tasks.get()
         try:
-            reply.put((True, _grid_peak(*args)))
+            reply.put(_grid_peak(*args))
         except Exception as exc:  # the caller re-raises it
-            reply.put((False, exc))
+            reply.put(exc)
 
 
 class _GridWorkers:
     """Persistent daemon threads that run :func:`_grid_peak` on row ranges
     of a grid beside the calling thread, one for each available CPU but the
-    caller's, each fed by its own ``SimpleQueue``.  They start once the
-    process has swept ``_SERIAL_POINTS`` points of grids that could use
-    them, and again in a forked child, which has none of its parent's
-    threads (the PID tells).  ``queue`` is imported only then, so ``import
-    cskit`` starts no thread and imports nothing more."""
+    caller's, all reading one ``SimpleQueue``, so an idle worker takes the
+    next range.  They start once the process has swept ``_SERIAL_POINTS``
+    points of grids that could use them, and again in a forked child, which
+    has none of its parent's threads (the PID tells).  ``queue`` is imported
+    only then, so ``import cskit`` starts no thread and imports nothing."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pid = 0
-        self._inboxes: list = []
+        self._threads = 0
         self._swept = 0
 
     def count(self, points: int) -> int:
@@ -494,24 +487,24 @@ class _GridWorkers:
                 if self._pid != pid:
                     from queue import SimpleQueue
 
-                    self._queue = SimpleQueue
-                    self._inboxes = [SimpleQueue() for _ in range(_cpu_count() - 1)]
-                    for inbox in self._inboxes:
-                        threading.Thread(target=_serve, args=(inbox,), name="cskit-pmepr", daemon=True).start()
+                    self._tasks = SimpleQueue()
+                    self._threads = _cpu_count() - 1
+                    for _ in range(self._threads):
+                        threading.Thread(target=_serve, args=(self._tasks,), name="cskit-pmepr", daemon=True).start()
                     self._pid = pid
-        return len(self._inboxes)
+        return self._threads
 
     def peak(self, uv: np.ndarray, w: np.ndarray | None, oversample: int, cuts: list[int]) -> float:
         """The largest of :func:`_grid_peak` over the row ranges ``cuts[i] ..
         cuts[i+1]``: the first swept by the calling thread, each other one by
         a worker (at most :meth:`count` of them)."""
-        reply = self._queue()
-        for inbox, lo, hi in zip(self._inboxes, cuts[1:], cuts[2:]):
-            inbox.put(((uv, w, oversample, lo, hi), reply))
+        reply = type(self._tasks)()
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            self._tasks.put(((uv, w, oversample, lo, hi), reply))
         peak = _grid_peak(uv, w, oversample, cuts[0], cuts[1])
         for _ in cuts[2:]:
-            ok, value = reply.get()
-            if not ok:
+            value = reply.get()
+            if isinstance(value, Exception):
                 raise value
             peak = max(peak, value)
         return peak
@@ -528,14 +521,15 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     ``t -> -t``: the values ``|fft(a, N)|^2`` of the zero-padded FFT.  They
     are sampled from the autocorrelation polynomial ``P(-k/N) = sum_{|tau|<L}
     A(tau) exp(-2 pi i tau k / N)``, with A the float autocorrelation
-    ``ifft(|fft(a, M)|^2)``, M the least power of two >= 2L (rfft and irfft
-    for q = 2, whose A is real).  For ``k = oversample * j + r``, at the
-    offset ``phi = r / N``, ``P(-k/N) = FFT_L(b)[j]`` with ``b[0] = A(0)`` and
-    ``b[n] = w[n] (A(n) + exp(2 pi i L phi) conj A(L - n))``, ``w[n] = exp(-2
-    pi i n phi)``.  Such a b is Hermitian, so its FFT is real, and one complex
-    FFT of ``b_phi + i b_(phi + 1/(2L))`` holds the row at phi in its real
-    part and the row half a row spacing later in its imaginary part.  The
-    pairing depends on the offset only, with the base phi in [0, 1/(2L)),
+    ``ifft(|fft(a, 2L)|^2)`` (rfft and irfft for q = 2, whose A is real),
+    whose index L + n holds ``conj A(L - n)``.  For ``k = oversample * j +
+    r``, at the offset ``phi = r / N``, ``P(-k/N) = FFT_L(b)[j]`` with ``b[0]
+    = A(0)`` and ``b[n] = w[n] (A(n) + exp(2 pi i L phi) conj A(L - n))``,
+    ``w[n] = exp(-2 pi i n phi)``.  Such a b is Hermitian up to the rounding
+    of A, so its FFT is real up to rounding, and one complex FFT of ``b_phi +
+    i b_(phi + 1/(2L))`` holds the row at phi in its real part and the row
+    half a row spacing later in its imaginary part.  The pairing depends on
+    the offset only, with the base phi in [0, 1/(2L)),
     and every twiddle angle comes from a reduced fraction
     (:func:`_twiddle_block`), so a grid and its refinement by 2 agree
     exactly at their shared points.  An even oversample needs
@@ -551,28 +545,30 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
 
     A grid of more than one block (more than 2^14 FFT entries: rows times L)
     is cut into contiguous row ranges of nearly equal size, one per
-    available CPU and at most one per 2^14 entries.  On a 2-CPU host two
+    available CPU, at most one per 2^14 entries and at most ``max(1,
+    MAX_PRODUCT_BYTES // (16 L))`` (4 at L = 2^24).  On a 2-CPU host two
     ranges swept 1.21x faster than one thread at 17 rows of L = 1024 and
     1.36x at 32, only 3-11% faster at exactly 2^14 entries, and 1.4-2x
-    slower at 2^12-2^13 entries.  The CPUs
-    are those of ``os.sched_getaffinity(0)`` or, where the platform has no
-    affinity mask, ``os.cpu_count()``.  The calling thread sweeps the first
-    range and persistent daemon threads the others.  The threads start once
-    the process has swept 2^22 points of such grids by itself (64 grids at
-    L = 1024, oversample 64), so a short run never pays for them, and start
-    again in a forked child.  Smaller grids, grids before that point and
-    every grid in a process with one CPU are swept by the calling thread
-    alone.  A row's values do not depend on the block or range that holds
-    it and the result is their maximum, so it is bit-identical whatever the
-    worker count.
+    slower at 2^12-2^13 entries.  The CPUs are those of
+    ``os.sched_getaffinity(0)`` or, where the platform has no affinity mask,
+    ``os.cpu_count()``.  The calling thread sweeps the first range and
+    persistent daemon threads, fed by one shared queue, the others.  They
+    start once the process has swept 2^22 points of such grids by itself (64
+    grids at L = 1024, oversample 64), so a short run never pays for them,
+    and start again in a forked child.  Smaller grids, grids before that
+    point and every grid in a process with one CPU are swept by the calling
+    thread alone.  A row's values do not depend on the block or range that
+    holds it and the result is their maximum, so it is bit-identical
+    whatever the worker count.
 
     Memory, under tracemalloc and besides cached twiddles: the
-    autocorrelation holds 16 M bytes while the grid is swept, and each
-    sweeping thread about 16 L bytes + 2 MiB (one block, a spare block and
-    a block of twiddles).  With t threads that is 16 M + t (16 L + 2 MiB):
-    48 L + 2 MiB on one thread for a power-of-two L, at most 80 L + 2 MiB
-    for any L.  At L = 2^24, the largest sequence, it is 770 MiB on one
-    thread and 1.0 GiB on two, and stays under 2 GiB up to five.
+    autocorrelation holds 32 L bytes while the grid is swept (16 L for q =
+    2, where it is real), and each sweeping thread about 16 L bytes + 2 MiB
+    (one block, a spare block and a block of twiddles).  With t threads that
+    is 32 L + t (16 L + 2 MiB), 48 L + 2 MiB on one thread (32 L + 2 MiB
+    for q = 2), and t is at most ``max(1, MAX_PRODUCT_BYTES // (16 L))``.  At
+    L = 2^24, the largest sequence, it is 770 MiB on one thread and at most
+    1.51 GiB on the four that the cap allows (1.26 GiB for q = 2).
 
     ``oversample`` must be an integer >= 1 (bools are refused), else
     ``ValueError``; a grid of more than 2^30 points (L = 2^24 at oversample
@@ -588,8 +584,9 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     live = _live_count(a)
     uv, rows = _autocorrelation(a), _fft_rows(a.q, oversample)
     w = _twiddles(L, oversample) if oversample * L <= _CACHED_GRID else None
-    entries = rows * L
-    parts = min(rows, -(-entries // _GRID_BLOCK), _WORKERS.count(oversample * L) + 1) if entries > _GRID_BLOCK else 1
+    entries, parts = rows * L, 1
+    if entries > _GRID_BLOCK:
+        parts = min(rows, -(-entries // _GRID_BLOCK), _WORKERS.count(oversample * L) + 1, max(1, MAX_PRODUCT_BYTES // (16 * L)))
     if parts == 1:
         return _grid_peak(uv, w, oversample, 0, rows) / live
     return _WORKERS.peak(uv, w, oversample, [i * rows // parts for i in range(parts + 1)]) / live

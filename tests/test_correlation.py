@@ -464,8 +464,8 @@ def test_pmepr_grid_is_pinned(monkeypatch, cpus):
     monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
     values = [repr(pmepr(a, oversample)) for a, oversample in pmepr_battery()]
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
-    assert digest == "59cf718e5d09dd9b13195ff268481a77527a7c802893a2b26403a1bb1836f34d"
-    started = len(workers._inboxes)
+    assert digest == "249e1caf5065703659f8e567e87fcb2f7654f26d909af1dfba50c7aa5e1ea449"
+    started = workers._threads
     if started:
         assert 0 < len(handed) < len(values)
         assert max(len(cuts) - 1 for cuts in handed) == started + 1
@@ -482,7 +482,7 @@ def test_pmepr_workers_start_after_a_sustained_sweep(monkeypatch):
     a, small = PolyphaseSeq(4, rng.integers(0, 4, 1024)), PolyphaseSeq(4, rng.integers(0, 4, 64))
     threads = threading.active_count()
     values = [pmepr(a), pmepr(small), pmepr(a), pmepr(a)]
-    assert threading.active_count() == threads and correlation._WORKERS._inboxes == []
+    assert threading.active_count() == threads and correlation._WORKERS._threads == 0
     assert pmepr(a) == values[0]  # 2^16 points each: the fourth grid starts them
     assert threading.active_count() == threads + 2
 
@@ -512,6 +512,58 @@ def test_pmepr_workers_serve_concurrent_callers(monkeypatch):
     assert [got[i] for i in range(len(seqs))] == [[v] * 5 for v in want]
 
 
+def test_pmepr_queued_range_goes_to_an_idle_worker(monkeypatch):
+    # two callers each queue the second range of a 2-range grid while the
+    # first worker to take one waits for another worker to take the other
+    _use_cpus(monkeypatch, 1)
+    rng = np.random.default_rng(28)
+    seqs = [PolyphaseSeq(4, rng.integers(0, 4, 1024)) for _ in range(2)]
+    want = [pmepr(s) for s in seqs]
+    _use_cpus(monkeypatch, 3)
+    sweep, lock, entered, second = correlation._grid_peak, threading.Lock(), [], threading.Event()
+
+    def waiting(*args):
+        worker = threading.current_thread()
+        if worker.name == "cskit-pmepr":
+            with lock:
+                first = not entered
+                if worker not in entered:
+                    entered.append(worker)
+                if len(entered) > 1:
+                    second.set()
+            if first:
+                second.wait(5)
+        return sweep(*args)
+
+    monkeypatch.setattr(correlation, "_grid_peak", waiting)
+    got = {}
+    callers = [threading.Thread(target=lambda i=i: got.setdefault(i, pmepr(seqs[i]))) for i in range(2)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in callers)
+    assert len(entered) == 2
+    assert [got[0], got[1]] == want
+
+
+def test_pmepr_threads_are_capped_by_the_byte_budget(monkeypatch):
+    # a budget of two rows of L = 4096 allows two ranges, although three CPUs
+    # would take three
+    _use_cpus(monkeypatch, 1)
+    a = PolyphaseSeq(4, np.random.default_rng(29).integers(0, 4, 4096))
+    want = pmepr(a, 64)
+    workers = _use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(correlation, "MAX_PRODUCT_BYTES", 2 * 16 * 4096)
+    handed = []
+    peak = workers.peak
+    monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
+    threads = threading.active_count()
+    assert pmepr(a, 64) == want
+    assert [len(cuts) - 1 for cuts in handed] == [2]
+    assert threading.active_count() <= threads + 2
+
+
 def test_pmepr_worker_errors_reach_the_caller(monkeypatch):
     _use_cpus(monkeypatch, 2)
     a = PolyphaseSeq(4, np.random.default_rng(13).integers(0, 4, 1024))
@@ -536,7 +588,7 @@ def test_pmepr_in_a_forked_child(monkeypatch):
     _use_cpus(monkeypatch, 3)
     a = PolyphaseSeq(8, np.random.default_rng(14).integers(0, 8, 2048))
     want = f"{pmepr(a)!r} True"
-    assert len(correlation._WORKERS._inboxes) == 2
+    assert correlation._WORKERS._threads == 2
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -659,4 +711,4 @@ def test_aacf_reports_are_pinned():
         del report["pmepr_bound"], report["pmepr_upper"]
         reports.append(report)
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == "87dede94683c2f05c83a23f1884bc3e45635ccedb7ca2b2cb244567f52ec5a45"
+    assert digest == "022a5db78fc34c3b2c3bd199e23a2eee587c13178973860f8c68b0af0a8ffef0"
