@@ -58,10 +58,10 @@ instantaneous envelope power of the OFDM-style signal built from ``a`` is
          = A(0) + 2 * Re sum_{tau=1}^{L-1} A(tau) * exp(2j*pi*tau*t),
 
 with t normalized to one symbol period.  :func:`pmepr` samples the second
-form, a real trigonometric polynomial of the float autocorrelation, at the
+form, a real trigonometric polynomial of the float autocorrelation A =
+``ifft(|fft(a, 2L)|^2)``, whose index L + n holds ``conj A(L - n)``, at the
 ``N = oversample * L`` points ``t = -k / N``; :func:`pmepr_autocorr_bound`
-bounds it by the exact autocorrelation, A = ``ifft(|fft(a, 2L)|^2)``, whose
-index L + n holds ``conj A(L - n)``.  The points ``k = oversample * j + r``
+bounds it by the exact autocorrelation.  The points ``k = oversample * j + r``
 of one grid row, at the offset ``r / N``, are the length-L FFT of a vector
 built from A and twiddles, Hermitian up to the rounding of A, so the row is
 real up to rounding, and one complex FFT carries two rows: the row at an
