@@ -423,6 +423,22 @@ def test_pmepr_peak_memory_is_bounded(monkeypatch, q):
     assert value >= 1.0 and peak < 128 * L
 
 
+def test_pmepr_keeps_no_long_block(monkeypatch):
+    # a thread keeps a block and a spare of at most 2^14 entries for later
+    # grids; the one row of L = 2^16 (1 MiB) is not kept
+    monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
+    monkeypatch.setattr(correlation, "_SWEEP", threading.local())
+    a = PolyphaseSeq(4, np.random.default_rng(17).integers(0, 4, 1 << 16))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        value = pmepr(a, 64)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert value >= 1.0 and held < 1 << 20
+
+
 # -- the PMEPR grid on worker threads ----------------------------------------------
 
 
@@ -456,15 +472,15 @@ def _use_cpus(monkeypatch, cpus=None):
 @pytest.mark.parametrize("cpus", [1, 3, None], ids=["one-cpu", "three-cpus", "this-host"])
 def test_pmepr_grid_is_pinned(monkeypatch, cpus):
     # sha256 over repr(pmepr(a, O)) of the battery's 320 values, computed by
-    # the calling thread alone from the autocorrelation kernel: a maximum of
-    # the same per-row values, whatever the worker count
+    # the calling thread alone from the autocorrelation kernel with FFT rows
+    # of 2L / d: a maximum of the same per-row values, whatever the worker count
     workers = _use_cpus(monkeypatch, cpus)
     handed = []
     peak = workers.peak
     monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
     values = [repr(pmepr(a, oversample)) for a, oversample in pmepr_battery()]
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
-    assert digest == "249e1caf5065703659f8e567e87fcb2f7654f26d909af1dfba50c7aa5e1ea449"
+    assert digest == "fa29a18fce2ea0bcd60bb51981bcbf9ee5a453c9de8de8c287eb3c81951fd63a"
     started = workers._threads
     if started:
         assert 0 < len(handed) < len(values)
@@ -704,11 +720,12 @@ def seeded_sequences(seed, n):
 def test_aacf_reports_are_pinned():
     # sha256 of 24 seeded reports (full and masked, q up to 16) without the
     # autocorrelation-bound fields, which may move in the last bit; the
-    # pmepr_grid values are those of the autocorrelation kernel
+    # pmepr_grid values are those of the autocorrelation kernel with FFT rows
+    # of 2L / d
     reports = []
     for s in seeded_sequences(10, 24):
         report = aacf_report(s)
         del report["pmepr_bound"], report["pmepr_upper"]
         reports.append(report)
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == "022a5db78fc34c3b2c3bd199e23a2eee587c13178973860f8c68b0af0a8ffef0"
+    assert digest == "cf60739a8c8a3040ab9fde87b3615cfa5eadc86861d06fa20a9027acab9eade5"

@@ -24,6 +24,25 @@ def test_all_exports_resolve(name):
     assert not missing, f"{name}.__all__ names {missing}, which the module does not define"
 
 
+def test_no_module_shadows_an_import():
+    """No module of ``cskit`` defines, at module level, a function, class or
+    assignment target named like something it imports (a new ``_fold`` in
+    ``correlation`` would silently replace ``cyclo._fold``)."""
+    shadowed = []
+    for path in sorted(pathlib.Path(cskit.__file__).parent.glob("*.py")):
+        imported, defined = set(), []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        shadowed += [(path.name, name) for name in defined if name in imported]
+    assert shadowed == []
+
+
 def test_one_integer_rule():
     """``cskit.gbf._index`` is the one reader of an integer argument: no other
     module imports ``operator``, and no ``int(n)`` truncation is left."""
