@@ -63,10 +63,10 @@ form, a real trigonometric polynomial of the float autocorrelation A =
 n)``, at the ``N = oversample * L`` points ``t = -k / N``;
 :func:`pmepr_autocorr_bound` bounds it by the exact autocorrelation.  The
 grid is cut into rows of M = 2L / d points, ``d / (2L)`` apart, with the
-fold factor d = 1 while 2L <= 4096 and d = 2 above, where a longer FFT falls
-out of cache.  A row is the length-M FFT of A folded onto d rows of M and
-summed with twiddles: at d = 1 one complex multiply an entry, at d = 2 two
-and an add.  That vector is Hermitian up to the rounding of A, so the row is
+fold factor d = 1 while 2L <= 4096 and d = 2 above (``_UNFOLDED_ROW`` gives
+the measurements behind the limit).  A row is the length-M FFT of A folded
+onto d rows of M and summed with twiddles: at d = 1 one complex multiply an
+entry, at d = 2 two and an add.  That vector is Hermitian up to the rounding of A, so the row is
 real up to rounding, and one complex FFT carries two rows: a row in its real
 part and its partner, half a row spacing later, in its imaginary part.  The
 pairing depends on the offset and on L alone, so a grid and its refinement
@@ -443,13 +443,11 @@ def _twiddle_block(L: int, oversample: int, lo: int, hi: int, cols: slice) -> np
         angle = np.outer(u + shift, lag)
         angle /= 4 * oversample * L
         np.exp(np.multiply(angle, -2j * np.pi, out=out), out=out)
-    if d == 1:
-        v.real -= v_pair.imag  # v + i v'
-        v.imag += v_pair.real
-        return packed[:1]
     real, imag = v.real + v_pair.imag, v.imag - v_pair.real  # v - i v'
-    v.real -= v_pair.imag
+    v.real -= v_pair.imag  # v + i v'
     v.imag += v_pair.real
+    if d == 1:
+        return packed[:1]
     v_pair.real, v_pair.imag = real, imag
     v_pair *= np.exp(2j * np.pi * (u / (4 * oversample)))[:, None]
     return packed
