@@ -66,16 +66,16 @@ grid is cut into rows of M = 2L / d points, ``d / (2L)`` apart, with the
 fold factor d = 1 while 2L <= 4096 and d = 2 above (``_UNFOLDED_ROW`` gives
 the measurements behind the limit).  A row is the length-M FFT of A folded
 onto d rows of M and summed with twiddles: at d = 1 one complex multiply an
-entry, at d = 2 two and an add.  That vector is Hermitian up to the rounding of A, so the row is
-real up to rounding, and one complex FFT carries two rows: a row in its real
-part and its partner, half a row spacing later, in its imaginary part.  The
-pairing depends on the offset and on L alone, so a grid and its refinement
-compute their shared points from identical inputs.  When 4 divides the
-oversample at d = 1, or 2 divides it at d = 2, every FFT value lies on the
-grid: ``oversample / 4`` FFTs of 2L, or ``oversample / 2`` of L; for q = 2,
-A is real and P(t) = P(-t), so the rows up to a quarter of the spacing cover
-the grid, ``oversample // 8 + 1`` FFTs of 2L or ``oversample // 4 + 1`` of
-L.  At other oversamples part of every FFT is off the grid (:func:`pmepr`
+entry, at d = 2 two and an add.  That vector is Hermitian up to the rounding
+of A, so the row is real up to rounding, and one complex FFT carries two
+rows: a row in its real part and its partner, half a row spacing later, in
+its imaginary part.  The pairing depends on the offset and on L alone, so a
+grid and its refinement compute their shared points from identical inputs.
+When 4 divides the oversample at d = 1, or 2 divides it at d = 2, every FFT
+value lies on the grid: ``oversample / 4`` FFTs of 2L, or ``oversample / 2``
+of L; for q = 2, A is real and P(t) = P(-t), so the rows up to a quarter of
+the spacing cover the grid, ``oversample // 8 + 1`` FFTs of 2L or
+``oversample // 4 + 1`` of L.  At other oversamples part of every FFT is off the grid (:func:`pmepr`
 gives the cost).  The twiddles are cached for grids of at most 2^18 points,
 and a grid of more than 2^30 points is refused.  The FFT rows are swept in
 blocks of 2^14 entries.  A grid of more than one block is cut into
@@ -324,7 +324,7 @@ _GRID_BLOCK = 1 << 14
 # (48 KiB L1d, 2 MiB L2) with NumPy 2.4.6, unfolded rows cut a q = 4 grid at
 # oversample 64 by 19% at L = 1024 and 15% at L = 2048.  At L = 4096 one
 # prototype measured them 55% slower (a length-8192 FFT at 61-83 us a row
-# against 18 us at 4096) and a later run 4% faster (42 against 17 us a row).
+# against 18 us at 4096) and a later run 4-7% faster (42 against 17 us a row).
 _UNFOLDED_ROW = 1 << 12
 # Grids of at most this many points keep their packed twiddles cached (at
 # most 4 MiB each at an even oversample, 8 MiB at an odd one); larger grids
