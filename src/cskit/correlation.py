@@ -62,29 +62,30 @@ form, a real trigonometric polynomial of the float autocorrelation A =
 ``ifft(|fft(a, 2L)|^2)``, whose index L + n holds ``A(n - L) = conj A(L -
 n)``, at the ``N = oversample * L`` points ``t = -k / N``;
 :func:`pmepr_autocorr_bound` bounds it by the exact autocorrelation.  The
-grid is cut into rows of M = 2L / d points, ``d / (2L)`` apart, with the
-fold factor d = 1 while 2L <= 4096 and d = 2 above (``_UNFOLDED_ROW`` gives
-the measurements behind the limit).  A row is the length-M FFT of A folded
-onto d rows of M and summed with twiddles: at d = 1 one complex multiply an
-entry, at d = 2 two and an add.  That vector is Hermitian up to the rounding
-of A, so the row is real up to rounding, and one complex FFT carries two
-rows: a row in its real part and its partner, half a row spacing later, in
-its imaginary part.  The pairing depends on the offset and on L alone, so a
-grid and its refinement compute their shared points from identical inputs.
-When 4 divides the oversample at d = 1, or 2 divides it at d = 2, every FFT
-value lies on the grid: ``oversample / 4`` FFTs of 2L, or ``oversample / 2``
-of L; for q = 2, A is real and P(t) = P(-t), so the rows up to a quarter of
-the spacing cover the grid, ``oversample // 8 + 1`` FFTs of 2L or
-``oversample // 4 + 1`` of L.  At other oversamples part of every FFT is off the grid (:func:`pmepr`
-gives the cost).  The twiddles are cached for grids of at most 2^18 points,
-and a grid of more than 2^30 points is refused.  The FFT rows are swept in
-blocks of 2^14 entries.  A grid of more than one block is cut into
-contiguous row ranges of nearly equal size, one for each CPU the process may
-run on (``len(os.sched_getaffinity(0))``, else ``os.cpu_count()``), at most
-one per 2^14 entries and at most one per 16 L bytes of
+grid is cut into rows of 2L points, ``1 / (2L)`` apart.  A row is the
+length-2L FFT of A times one row of twiddles, a vector that is Hermitian up
+to the rounding of A, so the row is real up to rounding and one complex FFT
+carries two rows, one in its real part and its partner in its imaginary
+part.  For q > 2 the partner of the row at offset phi is its reflection,
+the row at -phi, and the row at 0 takes the row half a spacing later; for q
+= 2, A is real and P(t) = P(-t), so the rows up to half the spacing cover
+the grid, and the partner is the row half a spacing later.  The pairing
+depends on the offset alone, so a grid and its refinement compute their
+shared points from identical inputs.  For q > 2 every FFT value lies on the
+grid when 4 divides the oversample (``oversample / 4`` FFTs); at another
+even oversample all but row 0's partner do, and at an odd one half of each
+FFT, about the work of rows of L.  For q = 2, ``oversample // 8 + 1`` FFTs
+cover a grid that 4 divides, and other oversamples leave half of each FFT
+off the grid (:func:`pmepr` gives the counts and costs).  The
+twiddles are cached for grids of at most 2^18 points, and a grid of more
+than 2^30 points is refused.  The FFT rows are swept in blocks of 2^15
+entries.  A grid of more than 2^14 entries is cut into contiguous row ranges
+of nearly equal size, one for each CPU the process may run on
+(``len(os.sched_getaffinity(0))``, else ``os.cpu_count()``), at most one per
+2^14 entries and at most one per 32 L bytes of
 :data:`~cskit.gbf.MAX_PRODUCT_BYTES`: the calling thread sweeps the first
 and persistent worker threads, fed by one shared queue, the others, each
-holding one block at a time and keeping a block of at most 2^14 entries for
+holding one block at a time and keeping a block of at most 2^15 entries for
 its next grid; they overlap because NumPy's FFT and element-wise kernels
 release the GIL.  The workers start once the process has swept 2^22 points
 of such grids on its own.  Until then, and for a smaller grid or a process
@@ -314,21 +315,19 @@ def _live_count(a: PolyphaseSeq) -> int:
     return live
 
 
-# Complex entries per block of FFT rows (256 KiB): 8 rows of 2L at L = 1024,
-# so a block and its FFT stay in cache while the grid is swept.  A row of
-# more entries is filled in slices of this many.
-_GRID_BLOCK = 1 << 14
-# FFT rows of at most this many entries take the autocorrelation unfolded, as
-# rows of 2L (d = 1); longer ones fold it onto rows of L (d = 2), so a long
-# sequence keeps a block of one row of 16 L bytes a thread.  On a 2-vCPU Xeon
-# (48 KiB L1d, 2 MiB L2) with NumPy 2.4.6, unfolded rows cut a q = 4 grid at
-# oversample 64 by 19% at L = 1024 and 15% at L = 2048.  At L = 4096 one
-# prototype measured them 55% slower (a length-8192 FFT at 61-83 us a row
-# against 18 us at 4096) and a later run 4-7% faster (42 against 17 us a row).
-_UNFOLDED_ROW = 1 << 12
-# Grids of at most this many points keep their packed twiddles cached (at
-# most 4 MiB each at an even oversample, 8 MiB at an odd one); larger grids
-# build them per block.
+# Complex entries per block of FFT rows (512 KiB): 16 rows of 2L at L = 1024
+# and 4 at L = 4096, so a block and its FFT stay in cache while the grid is
+# swept.  A row of more entries is filled in slices of this many.  On a
+# 2-vCPU Xeon with NumPy 2.4.6, blocks of 2^14 entries, 2 rows of 2L at L =
+# 4096, made those grids 1.5x slower: one FFT call over 2 rows of 8192 took
+# 83-112 us a row, over 4 or 8 rows 44 us.
+_GRID_BLOCK = 1 << 15
+# FFT entries above which a grid is cut into row ranges for the workers, at
+# most one range per this many entries (measurements in :func:`pmepr`).
+_SPLIT_GRID = 1 << 14
+# Grids of at most this many points keep their packed twiddles cached (2 MiB
+# each for q > 2 and about 1 MiB for q = 2 when 4 divides the oversample, at
+# most about 4 MiB otherwise); larger grids build them per block.
 _CACHED_GRID = 1 << 18
 # Grid points that a process sweeps on its calling thread before the grid
 # workers start (64 grids of L = 1024 at oversample 64).  Starting them costs
@@ -340,8 +339,8 @@ _CACHED_GRID = 1 << 18
 _SERIAL_POINTS = 1 << 22
 # The largest grid sampled: L = 2^24, the longest sequence, at oversample 64.
 _MAX_GRID = 1 << 30
-# Each sweeping thread's block and spare of at most _GRID_BLOCK entries,
-# reused from grid to grid.
+# Each sweeping thread's block of at most _GRID_BLOCK entries, reused from
+# grid to grid.
 _SWEEP = threading.local()
 
 
@@ -357,52 +356,48 @@ def _grid_factor(oversample: int, L: int) -> int:
     return factor
 
 
-def _fold_factor(L: int) -> int:
-    """d, the rows of the autocorrelation of length 2L summed into each FFT
-    row of 2L / d entries: 1 while 2L <= ``_UNFOLDED_ROW``, else 2."""
-    return 1 if 2 * L <= _UNFOLDED_ROW else 2
-
-
 @functools.lru_cache(maxsize=64)
-def _geometry(L: int, oversample: int) -> tuple[int, int, tuple[slice, ...]]:
-    """``(S, step, picks)`` of a grid, with offsets counted in units of
-    ``1 / (4N)``, N = oversample * L.  A grid row of 2L / d points spans
-    offsets ``x + S j``, S = 2 oversample d.  FFT row r has the base u = r
-    step: its real part is the grid row at offset u and its imaginary part
-    the row at u + S/2.  The grid points are the multiples of 4, so a row at
-    offset x lies on the grid in full when S and x are multiples of 4; when
-    S = 2 (mod 4), only at d = 1 with an odd oversample, an even x holds grid
-    points at its entries j = x/2 (mod 2) and an odd x none.  The bases run
-    over the multiples of ``step``, exactly those with an on-grid part, and
-    ``picks[r % len(picks)]`` selects the on-grid values of FFT row r in its
-    float64 view, where entry j is real part 2j and imaginary part 2j + 1."""
-    span = 2 * oversample * _fold_factor(L)
+def _geometry(oversample: int, mirrored: bool) -> tuple[int, int, tuple[slice, ...], tuple[tuple[slice, ...], ...]]:
+    """``(step, rows, first, picks)`` of a grid, with offsets counted in units
+    of ``1 / (4N)``, N = oversample * L: a grid row of 2L points spans the
+    offsets ``x + S j``, S = 2 oversample, and the grid points are the
+    multiples of 4.  FFT row r, r < rows, has the base u = r step; its real
+    part is the grid row at u and its imaginary part the row at the
+    partner: -u for q > 2, or S/2 when u = 0; u + S/2 when ``mirrored`` (q
+    = 2), whose bases run over [0, S/4] only.  The slices select the on-grid
+    values of an FFT row in its float64 view, where entry j is real part 2j
+    and imaginary part 2j + 1: ``first`` those of FFT row 0 and
+    ``picks[r % len(picks)]`` those of FFT row r > 0.  A row at an offset x
+    lies on the grid in full when S and x are multiples of 4; when S = 2
+    (mod 4), at an odd oversample, an even x holds grid points at its
+    entries j = x/2 (mod 2) and an odd x none."""
+    span, every = 2 * oversample, (slice(None),)
+    if not mirrored:
+        step = 4 if span % 4 == 0 else 2
+        rows = -(-oversample // step)  # the bases in [0, S/2)
+        if step == 4:  # the partner -u of u > 0 is on the grid with u; S/2 when 4 | oversample
+            return step, rows, every if oversample % 4 == 0 else (slice(0, None, 2),), (every,)
+        # u = 2r and -u hold grid points at the entries j = r (mod 2); S/2 is odd
+        return step, rows, (slice(0, None, 4),), tuple((slice(2 * p, None, 4), slice(2 * p + 1, None, 4)) for p in (0, 1))
     on = 4 if span % 4 == 0 else 2  # rows at the multiples of on hold grid points
     step = on if span // 2 % on == 0 else on // 2
 
-    def pick(u: int) -> slice:
+    def pick(u: int) -> tuple[slice, ...]:
         if on == 4:
             real, imag = u % 4 == 0, (u + span // 2) % 4 == 0
-            return slice(1 - real, None, 2 - (real and imag))
+            return (slice(1 - real, None, 2 - (real and imag)),)
         x = u + span // 2 * (u % 2)  # the even one of u and u + S/2
-        return slice(x % 4 + u % 2, None, 4)
+        return (slice(x % 4 + u % 2, None, 4),)
 
-    return span, step, tuple(pick(u) for u in range(0, 4, step))
-
-
-def _fft_rows(q: int, L: int, oversample: int) -> int:
-    """The FFT rows of a grid: the bases u of :func:`_geometry` in [0, S/2),
-    or in [0, S/4] for q = 2."""
-    span, step, _ = _geometry(L, oversample)
-    return (span // 4 if q == 2 else span // 2 - 1) // step + 1
+    picks = tuple(pick(u) for u in range(0, 4, step))
+    return step, span // 4 // step + 1, picks[0], picks
 
 
 def _autocorrelation(a: PolyphaseSeq) -> np.ndarray:
-    """``ifft(|fft(x, 2L)|^2)`` of the embedded sequence x as a ``(d, 2L /
-    d)`` array, d = :func:`_fold_factor`: no shift wraps, so flat index n
-    holds A(n) and flat index L + n holds ``A(n - L) = conj A(L - n)``, 0 up
-    to rounding at n = 0.  For q = 2, x and A are real, the transforms rfft
-    and irfft."""
+    """``ifft(|fft(x, 2L)|^2)`` of the embedded sequence x: no shift wraps,
+    so index n holds A(n) and index L + n holds ``A(n - L) = conj A(L -
+    n)``, 0 up to rounding at n = 0.  For q = 2, x and A are real, the
+    transforms rfft and irfft."""
     L = len(a)
     x = a.complex_values()
     buffer = np.zeros(2 * L, dtype=float if a.q == 2 else complex)
@@ -414,103 +409,99 @@ def _autocorrelation(a: PolyphaseSeq) -> np.ndarray:
     np.square(re, out=re)
     re += np.square(im, out=im)
     im[...] = 0
-    acf = np.fft.irfft(spectrum, 2 * L) if a.q == 2 else np.fft.ifft(spectrum, out=spectrum)
-    return acf.reshape(_fold_factor(L), -1)
+    return np.fft.irfft(spectrum, 2 * L) if a.q == 2 else np.fft.ifft(spectrum, out=spectrum)
 
 
-def _twiddle_block(L: int, oversample: int, lo: int, hi: int, cols: slice) -> np.ndarray:
-    """Columns ``cols`` of FFT rows lo .. hi-1 of the ``(d, rows, 2L / d)``
-    packed twiddles: row i of FFT row r is ``v_u[m + i M] + i v_(u + S/2)[m +
-    i M]`` at the columns m, with M = 2L / d, the base u = r step and S of
-    :func:`_geometry`, ``v_u[n] = exp(-2 pi i tau(n) u / (4N))`` and tau(n)
-    the signed lag of flat index n: n below L, n - 2L from L.  Row 0 takes
-    one angle per entry, a quotient of integers (below 2 in absolute value,
-    so no reduction is needed) rounded once.  At d = 2, row 1 holds the lags
-    m - L, so it is ``c (v_u[m] - i v_(u + S/2)[m])`` with ``c = exp(2 pi i
-    u / (4 oversample))``, one angle a row, the folded kernel's twiddles
-    bit for bit: a second angle per entry made an uncached grid of L = 8192
-    at oversample 64 cost 1.8x.  A correctly rounded quotient depends only
-    on the reduced fraction, so grids O and c O build bit-identical
-    twiddles for the offsets they share."""
-    d = _fold_factor(L)
-    span, step, _ = _geometry(L, oversample)
+def _twiddle_block(L: int, oversample: int, mirrored: bool, lo: int, hi: int, cols: slice) -> np.ndarray:
+    """Columns ``cols`` of FFT rows lo .. hi-1 of the packed twiddles: FFT
+    row r is ``v_u + i v_p`` at the columns, with the base u and its partner
+    p of :func:`_geometry`, ``v_x[n] = exp(-2 pi i tau(n) x / (4N))`` and
+    tau(n) the signed lag of index n: n below L, n - 2L from L.  Each angle
+    is a quotient of integers (below 2 in absolute value, so no reduction is
+    needed) rounded once, and a correctly rounded quotient depends only on
+    the reduced fraction, so grids O and c O build bit-identical twiddles
+    for the offsets they share.  For q > 2 the partner of u > 0 is -u, so
+    the row is ``v_u + i conj v_u = (Re v_u + Im v_u)(1 + i)``, one angle an
+    entry; only row 0 and the rows of q = 2 take a second one."""
+    step = _geometry(oversample, mirrored)[0]
     u = np.arange(lo, hi) * step
-    lag = np.arange(*cols.indices(2 * L // d), dtype=float)
+    lag = np.arange(*cols.indices(2 * L), dtype=float)
     lag[lag >= L] -= 2 * L
-    packed = np.empty((2, hi - lo, len(lag)), dtype=complex)
-    v, v_pair = packed
-    for shift, out in ((0, v), (span // 2, v_pair)):
-        angle = np.outer(u + shift, lag)
+
+    def v(offsets: np.ndarray) -> np.ndarray:  # the rows v_x at the offsets
+        angle = np.outer(offsets, lag)
         angle /= 4 * oversample * L
-        np.exp(np.multiply(angle, -2j * np.pi, out=out), out=out)
-    real, imag = v.real + v_pair.imag, v.imag - v_pair.real  # v - i v'
-    v.real -= v_pair.imag  # v + i v'
-    v.imag += v_pair.real
-    if d == 1:
-        return packed[:1]
-    v_pair.real, v_pair.imag = real, imag
-    v_pair *= np.exp(2j * np.pi * (u / (4 * oversample)))[:, None]
+        out = np.multiply(angle, -2j * np.pi)
+        return np.exp(out, out=out)
+
+    packed = v(u)
+    if mirrored:
+        pair = v(u + oversample)  # S/2 = oversample
+        packed.real -= pair.imag
+        packed.imag += pair.real
+        return packed
+    packed.real += packed.imag
+    packed.imag = packed.real
+    if not lo:  # row 0 pairs v_0 = 1 with v_(S/2)
+        pair = v(np.array([oversample]))[0]
+        packed.real[0] = 1 - pair.imag
+        packed.imag[0] = pair.real
     return packed
 
 
 @functools.lru_cache(maxsize=8)
-def _twiddles(L: int, oversample: int) -> np.ndarray:
-    """The read-only ``(d, rows, 2L / d)`` packed twiddles of every FFT row
-    of a grid of at most ``_CACHED_GRID`` points, built one block at a time
-    by :func:`_twiddle_block` (the rows of q = 2 are the first of them)."""
-    rows = _fft_rows(4, L, oversample)  # every row of q > 2; q = 2 reads the first ones
-    d = _fold_factor(L)
-    M = 2 * L // d
-    step, width = max(1, _GRID_BLOCK // M), min(M, _GRID_BLOCK)
-    w = np.empty((d, rows, M), dtype=complex)
+def _twiddles(L: int, oversample: int, mirrored: bool) -> np.ndarray:
+    """The read-only ``(rows, 2L)`` packed twiddles of every FFT row of a
+    grid of at most ``_CACHED_GRID`` points, built one block at a time by
+    :func:`_twiddle_block`."""
+    rows = _geometry(oversample, mirrored)[1]
+    step, width = max(1, _GRID_BLOCK // (2 * L)), min(2 * L, _GRID_BLOCK)
+    w = np.empty((rows, 2 * L), dtype=complex)
     for r in range(0, rows, step):
-        for c in range(0, M, width):
-            w[:, r : r + step, c : c + width] = _twiddle_block(L, oversample, r, min(r + step, rows), slice(c, c + width))
+        for c in range(0, 2 * L, width):
+            w[r : r + step, c : c + width] = _twiddle_block(L, oversample, mirrored, r, min(r + step, rows), slice(c, c + width))
     w.flags.writeable = False
     return w
 
 
-def _work(name: str, rows: int, cols: int) -> np.ndarray:
+def _work(rows: int, cols: int) -> np.ndarray:
     """A ``(rows, cols)`` complex work array: a view of the calling thread's
-    buffer ``name``, kept for later grids, when it has at most
-    ``_GRID_BLOCK`` entries, else a new array."""
+    block, kept for later grids, when it has at most ``_GRID_BLOCK``
+    entries, else a new array."""
     size = rows * cols
     if size > _GRID_BLOCK:
         return np.empty((rows, cols), dtype=complex)
-    held = getattr(_SWEEP, name, None)
+    held = getattr(_SWEEP, "block", None)
     if held is None or len(held) < size:
-        held = np.empty(size, dtype=complex)
-        setattr(_SWEEP, name, held)
+        held = _SWEEP.block = np.empty(size, dtype=complex)
     return held[:size].reshape(rows, cols)
 
 
-def _grid_peak(uv: np.ndarray, w: np.ndarray | None, oversample: int, lo: int, hi: int) -> float:
-    """The largest grid value in FFT rows lo .. hi-1, swept in blocks of
-    ``max(1, _GRID_BLOCK // M)`` rows of M = 2L / d entries counted from lo,
-    each filled as ``sum_i w[i] * uv[i]`` in column slices of at most
-    ``_GRID_BLOCK``, with the cached twiddles ``w`` or, when None, each
-    slice's :func:`_twiddle_block`: one complex multiply an entry at d = 1,
-    and two and an add at d = 2.  Only the on-grid values of each FFT row,
-    the ``picks`` of :func:`_geometry`, are read."""
-    d, M = uv.shape
-    L = d * M // 2
-    _, _, picks = _geometry(L, oversample)
+def _grid_peak(acf: np.ndarray, w: np.ndarray | None, oversample: int, lo: int, hi: int) -> float:
+    """The largest grid value in FFT rows lo .. hi-1 of the autocorrelation
+    ``acf`` (real for q = 2, whose grid is mirrored), swept in blocks of
+    ``max(1, _GRID_BLOCK // 2L)`` rows of 2L entries counted from lo, each
+    filled as ``w * acf`` in column slices of at most ``_GRID_BLOCK``, one
+    complex multiply an entry, with the cached twiddles ``w`` or, when None,
+    each slice's :func:`_twiddle_block`.  Only the on-grid values of each
+    FFT row, the slices of :func:`_geometry`, are read."""
+    M, mirrored = len(acf), acf.dtype != complex
+    _, _, first, picks = _geometry(oversample, mirrored)
     step, width = max(1, _GRID_BLOCK // M), min(M, _GRID_BLOCK)
-    block = _work("block", min(step, hi - lo), M)
-    spare = _work("spare", len(block), width) if d > 1 else None
+    block = _work(min(step, hi - lo), M)
     period, peak = len(picks), 0.0
     for r in range(lo, hi, step):
         rows = block[: min(step, hi - r)]
         for c in range(0, M, width):
             cols = slice(c, c + width)
-            t = _twiddle_block(L, oversample, r, r + len(rows), cols) if w is None else w[:, r : r + len(rows), cols]
-            out = rows[:, cols]
-            np.multiply(t[0], uv[0, cols], out=out)
-            for i in range(1, d):
-                out += np.multiply(t[i], uv[i, cols], out=spare[: len(rows), : t.shape[2]])
+            t = _twiddle_block(M // 2, oversample, mirrored, r, r + len(rows), cols) if w is None else w[r : r + len(rows), cols]
+            np.multiply(t, acf[cols], out=rows[:, cols])
         grid = np.fft.fft(rows, axis=1, out=rows).view(np.float64)
-        value = max(grid[i::period, picks[(r + i) % period]].max() for i in range(min(period, len(rows))))
-        peak = max(peak, float(value))
+        skip = r == 0  # FFT row 0 has picks of its own
+        if skip:
+            peak = max(peak, *(float(grid[0, s].max()) for s in first))
+        for i in range(skip, min(skip + period, len(rows))):
+            peak = max(peak, *(float(grid[i::period, s].max()) for s in picks[(r + i) % period]))
     return peak
 
 
@@ -570,14 +561,14 @@ class _GridWorkers:
                     self._pid = pid
         return self._threads
 
-    def peak(self, uv: np.ndarray, w: np.ndarray | None, oversample: int, cuts: list[int]) -> float:
+    def peak(self, acf: np.ndarray, w: np.ndarray | None, oversample: int, cuts: list[int]) -> float:
         """The largest of :func:`_grid_peak` over the row ranges ``cuts[i] ..
         cuts[i+1]``: the first swept by the calling thread, each other one by
         a worker (at most :meth:`count` of them)."""
         reply = type(self._tasks)()
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            self._tasks.put(((uv, w, oversample, lo, hi), reply))
-        peak = _grid_peak(uv, w, oversample, cuts[0], cuts[1])
+            self._tasks.put(((acf, w, oversample, lo, hi), reply))
+        peak = _grid_peak(acf, w, oversample, cuts[0], cuts[1])
         for _ in cuts[2:]:
             value = reply.get()
             if isinstance(value, Exception):
@@ -599,77 +590,76 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     A(tau) exp(-2 pi i tau k / N)``, with A the float autocorrelation
     ``ifft(|fft(a, 2L)|^2)`` (rfft and irfft for q = 2, whose A is real),
     whose index n holds A at the signed lag tau(n): n below L, n - 2L from
-    L.  Count offsets in units of 1/(4N).  The fold factor d is 1 while 2L
-    <= 4096 and 2 above, and a grid row of M = 2L / d points spans the
-    offsets ``x + S j``, S = 2 oversample d.  As tau(n) = n (mod 2L), the row
-    at x is ``FFT_M(b_x)`` with ``b_x[m] = sum_{i<d} A(tau(m + iM)) v_x[m +
-    iM]`` and ``v_x[n] = exp(-2 pi i tau(n) x / (4N))``.  Such a b is
-    Hermitian up to the rounding of A, so its FFT is real up to rounding,
-    and one complex FFT of ``b_u + i b_(u + S/2)`` holds the row at the base
-    u in its real part and its partner, half a row spacing later, in its
-    imaginary part.  Filling it from A and the packed twiddles takes one
-    complex multiply an entry at d = 1, two and an add at d = 2.  The grid
-    points are the offsets divisible by 4: when S and u are, a part is on
-    the grid in full; when S = 2 (mod 4), only at d = 1 with an odd
-    oversample, an even offset x holds grid points at the entries j = x/2
-    (mod 2).  The bases run over [0, S/2), keeping those with an on-grid
-    part.  The pairing depends on the offset only, d on L only, and every
-    twiddle angle comes from a reduced fraction (:func:`_twiddle_block`), so
-    a grid and its refinement by 2 agree exactly at their shared points.  At
-    d = 1, 4 | oversample takes ``oversample / 4`` FFTs of 2L, all on the
-    grid; at d = 2 an even oversample takes ``oversample / 2`` FFTs of L.
-    For q = 2, P(t) = P(-t), so the bases in [0, S/4] cover the grid:
-    ``oversample // 8 + 1`` FFTs at d = 1 and ``oversample // 4 + 1`` at
-    d = 2 there.  At d = 1 an oversample of 2 (mod 4) takes ``oversample /
-    2`` FFTs of 2L, each half on the grid, and an odd one ``oversample``
-    FFTs of 2L, each a quarter on the grid; at d = 2 an odd oversample takes
-    ``oversample`` FFTs of L, each half on the grid.  So at L <= 2048 an
-    oversample that 4 does not divide costs more than rows of L would: on a
-    2-vCPU Xeon, a q = 4 grid at L = 1024 took 5-32% longer at oversample 1
-    to 7 than the parent kernel with rows of L (74 -> 88 us at 3, 86 -> 108
-    us at 5) and up to 47% at L = 2048, while multiples of 4 from 8 up got
-    faster (19% at 64 and 128).  The kernel is not chosen by oversample,
-    because grids O and 2O would then compute their shared points
-    differently.  The FFTs run over blocks of rows of at most 2^14
-    entries, 8 rows of 2L at L = 1024.  For a grid of at most 2^18 points
-    the packed ``(d, rows, 2L / d)`` twiddles of the last eight ``(L,
-    oversample)`` pairs are cached: 8 * oversample * L bytes at d = 1 when 4
-    divides oversample (1 MiB at L = 2048, oversample 64), 16 * oversample
-    * L at d = 2 with an even oversample (4 MiB at L = 4096, oversample 64)
-    and at most 32 * oversample * L otherwise; a larger grid builds each
+    L.  Count offsets in units of 1/(4N).  A grid row of 2L points spans the
+    offsets ``x + S j``, S = 2 oversample, and as tau(n) = n (mod 2L) it is
+    ``FFT_2L(A v_x)`` with ``v_x[n] = exp(-2 pi i tau(n) x / (4N))``.  Such
+    a product is Hermitian up to the rounding of A, so its FFT is real up to
+    rounding, and one complex FFT of ``A (v_u + i v_p)`` holds the row at
+    the base u in its real part and the row at its partner p in its
+    imaginary part, one complex multiply an entry.  For q > 2 the bases run
+    over [0, S/2) and the partner of u > 0 is its reflection -u, whose
+    twiddles ``conj v_u`` take no angle of their own; the partner of 0 is
+    S/2.  For q = 2, P(t) = P(-t), so the bases in [0, S/4] cover the grid
+    with the partners u + S/2.  The grid points are the offsets divisible by
+    4: when S and x are, the row at x is on the grid in full; when S = 2
+    (mod 4), at an odd oversample, an even x holds grid points at the
+    entries j = x/2 (mod 2), and u and -u hold them at the same entries.
+    The bases are those with an on-grid part.  The pairing depends on the
+    offset only, and every twiddle angle comes from a reduced fraction
+    (:func:`_twiddle_block`), so a grid and its refinement by 2 agree
+    exactly at their shared points.
+
+    So for q > 2 a grid takes ``oversample / 4`` FFTs of 2L when 4 divides
+    the oversample, ``(oversample + 2) / 4`` at another even one (all on the
+    grid but row 0's partner S/2) and ``(oversample + 1) / 2`` at an odd one
+    (half of each on the grid), about the work of rows of L.  For q = 2 it
+    takes ``oversample // 8 + 1`` FFTs of 2L when 4 divides the oversample,
+    ``oversample // 4 + 1`` at another even one and ``oversample // 2 + 1``
+    at an odd one, each half on the grid in the last two cases: no partner
+    rule that depends on the offset alone pairs the rows of such a grid.  On
+    a 2-vCPU Xeon, against the earlier kernel with FFT rows of L, a q = 4
+    grid at L = 1024 and 2048 took 16-19% less time at oversample 64, 1-3%
+    less at 4 and 8, at most 7% more at 3, 5, 6 and 7 and 10-12% more at 1
+    and 2; a q = 2 grid took 11-14% less at 64, 5-11% more at 1, 2 and 8
+    and 14-26% more at 3, 5, 6 and 7.  The FFTs run over blocks of rows of
+    at most 2^15 entries, 16 rows of 2L at L = 1024.  For a grid of at most
+    2^18 points the packed ``(rows, 2L)`` twiddles of the last eight grids,
+    told apart by L, oversample and whether q = 2, are cached: 8 *
+    oversample * L bytes for q > 2 when 4 divides the oversample (2 MiB at
+    L = 4096, oversample 64) and ``(oversample // 8 + 1) * 32 L`` for q = 2,
+    at most ``16 (oversample + 1) L`` otherwise; a larger grid builds each
     block's with the same code, bit-identically, and holds one block at a
     time.
 
-    A grid of more than one block (more than 2^14 FFT entries: rows times M)
-    is cut into contiguous row ranges of nearly equal size, one per
-    available CPU, at most one per 2^14 entries and at most ``max(1,
-    MAX_PRODUCT_BYTES // (16 L))`` (4 at L = 2^24).  On a 2-CPU host, with
-    rows of L, two ranges swept 1.21x faster than one thread at 17 rows of
-    L = 1024 and
-    1.36x at 32, only 3-11% faster at exactly 2^14 entries, and 1.4-2x
-    slower at 2^12-2^13 entries.  The CPUs are those of
+    A grid of more than 2^14 FFT entries (rows times 2L) is cut into
+    contiguous row ranges of nearly equal size, one per available CPU, at
+    most one per 2^14 entries and at most ``max(1, MAX_PRODUCT_BYTES // (32
+    L))`` (2 at L = 2^24), one row block of 32 L bytes each.  On a 2-CPU
+    host, with rows of L, two ranges swept 1.21x faster than one thread at
+    2^14 + 2^10 entries and 1.36x at 2^15, only 3-11% faster at exactly 2^14
+    entries, and 1.4-2x slower at 2^12-2^13 entries.  The CPUs are those of
     ``os.sched_getaffinity(0)`` or, where the platform has no affinity mask,
     ``os.cpu_count()``.  The calling thread sweeps the first range and
     persistent daemon threads, fed by one shared queue, the others.  They
-    start once the process has swept 2^22 points of such grids by itself (64
-    grids at L = 1024, oversample 64), so a short run never pays for them,
-    and start again in a forked child.  Smaller grids, grids before that
-    point and every grid in a process with one CPU are swept by the calling
-    thread alone.  A row's values do not depend on the block or range that
-    holds it and the result is their maximum, so it is bit-identical
-    whatever the worker count.
+    start once the process has swept 2^22 points of such grids by itself
+    (64 grids at L = 1024, oversample 64), so a short run never pays for
+    them, and start again in a forked child.  Smaller grids, grids before
+    that point and every grid in a process with one CPU are swept by the
+    calling thread alone.  A row's values do not depend on the block or
+    range that holds it and the result is their maximum, so it is
+    bit-identical whatever the worker count.
 
     Memory, under tracemalloc and besides cached twiddles: the
     autocorrelation holds 32 L bytes while the grid is swept (16 L for q =
-    2, where it is real), and each sweeping thread about 16 L bytes + 2 MiB
-    (one block, a spare block and a block of twiddles).  With t threads that
-    is 32 L + t (16 L + 2 MiB), 48 L + 2 MiB on one thread (32 L + 2 MiB
-    for q = 2), and t is at most ``max(1, MAX_PRODUCT_BYTES // (16 L))``.  At
-    L = 2^24, the largest sequence, it is 770 MiB on one thread and at most
-    1.51 GiB on the four that the cap allows (1.26 GiB for q = 2).  Of that,
-    each thread keeps its block and its spare for later grids when each has
-    at most 2^14 entries, so at most 512 KiB a thread stays held between
-    grids; a block of one longer row is allocated per grid.
+    2, where it is real), and each sweeping thread about 32 L bytes + 2.2
+    MiB (one block of rows and a block of twiddles).  With t threads that is
+    32 L + t (32 L + 2.2 MiB), 64 L + 2.2 MiB on one thread (48 L + 2.2 MiB
+    for q = 2), and t is at most ``max(1, MAX_PRODUCT_BYTES // (32 L))``.
+    At L = 2^24, the largest sequence, it is 1.0 GiB on one thread and at
+    most 1.5 GiB on the two that the cap allows (1.25 GiB for q = 2).  Of
+    that, each thread keeps its block for later grids when it has at most
+    2^15 entries, so at most 512 KiB a thread stays held between grids; a
+    block of one longer row is allocated per grid.
 
     ``oversample`` must be an integer >= 1 (bools are refused), else
     ``ValueError``; a grid of more than 2^30 points (L = 2^24 at oversample
@@ -683,14 +673,14 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     L = len(a)
     oversample = _grid_factor(oversample, L)
     live = _live_count(a)
-    uv, rows = _autocorrelation(a), _fft_rows(a.q, L, oversample)
-    w = _twiddles(L, oversample) if oversample * L <= _CACHED_GRID else None
-    entries, parts = rows * uv.shape[1], 1
-    if entries > _GRID_BLOCK:
-        parts = min(rows, -(-entries // _GRID_BLOCK), _WORKERS.count(oversample * L) + 1, max(1, MAX_PRODUCT_BYTES // (16 * L)))
+    acf, rows = _autocorrelation(a), _geometry(oversample, a.q == 2)[1]
+    w = _twiddles(L, oversample, a.q == 2) if oversample * L <= _CACHED_GRID else None
+    parts = 1
+    if rows * 2 * L > _SPLIT_GRID:
+        parts = min(rows, -(-rows * 2 * L // _SPLIT_GRID), _WORKERS.count(oversample * L) + 1, max(1, MAX_PRODUCT_BYTES // (32 * L)))
     if parts == 1:
-        return _grid_peak(uv, w, oversample, 0, rows) / live
-    return _WORKERS.peak(uv, w, oversample, [i * rows // parts for i in range(parts + 1)]) / live
+        return _grid_peak(acf, w, oversample, 0, rows) / live
+    return _WORKERS.peak(acf, w, oversample, [i * rows // parts for i in range(parts + 1)]) / live
 
 
 def _autocorr_bound(vec: AacfVector) -> float:

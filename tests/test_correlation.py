@@ -424,8 +424,8 @@ def test_pmepr_peak_memory_is_bounded(monkeypatch, q):
 
 
 def test_pmepr_keeps_no_long_block(monkeypatch):
-    # a thread keeps a block and a spare of at most 2^14 entries for later
-    # grids; the one row of L = 2^16 (1 MiB) is not kept
+    # a thread keeps a block of at most 2^14 entries for later grids; the one
+    # row of 2L at L = 2^16 (2 MiB) is not kept
     monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
     monkeypatch.setattr(correlation, "_SWEEP", threading.local())
     a = PolyphaseSeq(4, np.random.default_rng(17).integers(0, 4, 1 << 16))
@@ -437,6 +437,26 @@ def test_pmepr_keeps_no_long_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert value >= 1.0 and held < 1 << 20
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_pmepr_grid_takes_the_fewest_fft_rows(monkeypatch, q):
+    # two grid rows of 2L per FFT: for q > 2 each on the grid at an even
+    # oversample but row 0's partner when 4 does not divide it, and half of
+    # each at an odd one; for q = 2 the mirror halves them when 4 divides it
+    shapes, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda x, *args, **kw: (x.ndim == 2 and shapes.append(x.shape)) or fft(x, *args, **kw))
+    L = 64
+    a = PolyphaseSeq(q, np.random.default_rng(30).integers(0, q, L))
+    for oversample in (1, 2, 3, 4, 5, 6, 7, 8, 64, 66):
+        shapes.clear()
+        pmepr(a, oversample)
+        if q > 2:
+            want = -(-oversample // 4) if oversample % 2 == 0 else (oversample + 1) // 2
+        else:
+            want = oversample // (8 if oversample % 4 == 0 else 4 if oversample % 2 == 0 else 2) + 1
+        assert [cols for _, cols in shapes] == [2 * L] * len(shapes)
+        assert sum(rows for rows, _ in shapes) == want, oversample
 
 
 # -- the PMEPR grid on worker threads ----------------------------------------------
@@ -473,14 +493,16 @@ def _use_cpus(monkeypatch, cpus=None):
 def test_pmepr_grid_is_pinned(monkeypatch, cpus):
     # sha256 over repr(pmepr(a, O)) of the battery's 320 values, computed by
     # the calling thread alone from the autocorrelation kernel with FFT rows
-    # of 2L / d: a maximum of the same per-row values, whatever the worker count
+    # of 2L, each row paired with its reflection (q > 2) or with the row half
+    # a spacing later (q = 2): a maximum of the same per-row values, whatever
+    # the worker count
     workers = _use_cpus(monkeypatch, cpus)
     handed = []
     peak = workers.peak
     monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
     values = [repr(pmepr(a, oversample)) for a, oversample in pmepr_battery()]
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
-    assert digest == "fa29a18fce2ea0bcd60bb51981bcbf9ee5a453c9de8de8c287eb3c81951fd63a"
+    assert digest == "79b86b98c96bc10052a710100d1efa4fce59eab406508e40791749470b955d40"
     started = workers._threads
     if started:
         assert 0 < len(handed) < len(values)
@@ -564,13 +586,13 @@ def test_pmepr_queued_range_goes_to_an_idle_worker(monkeypatch):
 
 
 def test_pmepr_threads_are_capped_by_the_byte_budget(monkeypatch):
-    # a budget of two rows of L = 4096 allows two ranges, although three CPUs
-    # would take three
+    # a budget of two FFT rows of 2L at L = 4096 allows two ranges, although
+    # three CPUs would take three
     _use_cpus(monkeypatch, 1)
     a = PolyphaseSeq(4, np.random.default_rng(29).integers(0, 4, 4096))
     want = pmepr(a, 64)
     workers = _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(correlation, "MAX_PRODUCT_BYTES", 2 * 16 * 4096)
+    monkeypatch.setattr(correlation, "MAX_PRODUCT_BYTES", 2 * 32 * 4096)
     handed = []
     peak = workers.peak
     monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
@@ -721,11 +743,12 @@ def test_aacf_reports_are_pinned():
     # sha256 of 24 seeded reports (full and masked, q up to 16) without the
     # autocorrelation-bound fields, which may move in the last bit; the
     # pmepr_grid values are those of the autocorrelation kernel with FFT rows
-    # of 2L / d
+    # of 2L, each row paired with its reflection (q > 2) or with the row half
+    # a spacing later (q = 2)
     reports = []
     for s in seeded_sequences(10, 24):
         report = aacf_report(s)
         del report["pmepr_bound"], report["pmepr_upper"]
         reports.append(report)
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == "cf60739a8c8a3040ab9fde87b3615cfa5eadc86861d06fa20a9027acab9eade5"
+    assert digest == "85e4f14ef2d312f6cad5f9ce97bc2637e4eb846fce6cd886323bd7b7f43500d7"

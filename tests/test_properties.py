@@ -464,17 +464,17 @@ def test_pmepr_refined_grid_contains_the_coarse_one(case):
 
 
 @pytest.mark.parametrize("L", [2047, 2048, 2049, 3000, 4096])
-def test_pmepr_grid_at_both_fold_factors(L):
-    """Around the unfold limit 2L = 4096: rows of 2L up to L = 2048, folded
-    rows of L above it, against one zero-padded FFT and refined by 2."""
-    assert [correlation._fold_factor(n) for n in (2048, 2049)] == [1, 2]
+def test_pmepr_grid_of_long_rows(L):
+    """FFT rows of 2L at lengths of the benchmark and around them, full and
+    masked, at oversamples of every residue mod 4, against one zero-padded
+    FFT and refined by 2."""
     rng = np.random.default_rng(L)
-    for q in (2, 4):
+    for q in (2, 4, 8):
         for masked in (False, True):
             mask = rng.random(L) < 0.7 if masked else np.ones(L, dtype=bool)
             mask[0] = True
             a = PolyphaseSeq(q, rng.integers(0, q, L), mask)
-            for oversample in (1, 2, 3, 4, 6, 64):
+            for oversample in (1, 2, 3, 4, 5, 6, 7, 64):
                 spectrum = np.fft.fft(a.complex_values(), oversample * L)
                 want = float((np.abs(spectrum) ** 2).max()) / int(mask.sum())
                 coarse = pmepr(a, oversample)
@@ -486,7 +486,7 @@ def test_pmepr_twiddle_cache_is_bounded_and_read_only():
     twiddles = correlation._twiddles
     assert twiddles.cache_info().maxsize is not None
     pmepr(PolyphaseSeq(4, [0, 1, 2, 3, 0]), 3)
-    w = twiddles(5, 3)
-    assert w.shape == (1, 3, 10) and not w.flags.writeable  # (d, rows, 2L / d): unfolded rows of 2L at L = 5
+    w = twiddles(5, 3, False)
+    assert w.shape == (2, 10) and not w.flags.writeable  # (FFT rows, 2L): bases 0 and 2 of an odd oversample
     with pytest.raises(ValueError):
         w[0, 0] = 0
