@@ -319,7 +319,7 @@ def _live_count(a: PolyphaseSeq) -> int:
 # and 4 at L = 4096, so a block and its FFT stay in cache while the grid is
 # swept.  A row of more entries is filled in slices of this many.  On a
 # 2-vCPU Xeon with NumPy 2.4.6, blocks of 2^14 entries, 2 rows of 2L at L =
-# 4096, made those grids 1.5x slower: one FFT call over 2 rows of 8192 took
+# 4096, made those grids 1.7x slower: one FFT call over 2 rows of 8192 took
 # 83-112 us a row, over 4 or 8 rows 44 us.
 _GRID_BLOCK = 1 << 15
 # FFT entries above which a grid is cut into row ranges for the workers, at
