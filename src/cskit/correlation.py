@@ -76,22 +76,11 @@ grid when 4 divides the oversample (``oversample / 4`` FFTs); at another
 even oversample all but row 0's partner do, and at an odd one half of each
 FFT, about the work of rows of L.  For q = 2, ``oversample // 8 + 1`` FFTs
 cover a grid that 4 divides, and other oversamples leave half of each FFT
-off the grid (:func:`pmepr` gives the counts and costs).  The
-twiddles are cached for grids of at most 2^18 points, and a grid of more
-than 2^30 points is refused.  The FFT rows are swept in blocks of 2^15
-entries.  A grid of more than 2^14 entries is cut into contiguous row ranges
-of nearly equal size, one for each CPU the process may run on
-(``len(os.sched_getaffinity(0))``, else ``os.cpu_count()``), at most one per
-2^14 entries and at most one per 32 L bytes of
-:data:`~cskit.gbf.MAX_PRODUCT_BYTES`: the calling thread sweeps the first
-and persistent worker threads, fed by one shared queue, the others, each
-holding one block at a time and keeping a block of at most 2^15 entries for
-its next grid; they overlap because NumPy's FFT and element-wise kernels
-release the GIL.  The workers start once the process has swept 2^22 points
-of such grids on its own.  Until then, and for a smaller grid or a process
-with one CPU, the calling thread sweeps alone.  A row's values do not depend
-on the block or range that holds it, and the value is their maximum, so it
-does not depend on the worker count.
+off the grid (:func:`pmepr` gives the counts).  The twiddles are cached
+for grids of at most 2^18 points, and a grid of more than 2^30 points is
+refused.  The calling thread sweeps the FFT rows in blocks of 2^15 entries
+and keeps its block, in a thread-local, for its next grid, so callers on
+several threads never share one.
 
 Masked sequences are supported throughout: positions removed by a restriction
 contribute the complex value 0, and the mean power used for normalization is
@@ -101,7 +90,6 @@ the number of live positions, i.e. A(0).
 from __future__ import annotations
 
 import functools
-import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -110,7 +98,7 @@ import numpy as np
 
 from .cyclo import CycloValue, _embed, _fold, _from_conjugates
 from .errors import EmptySequenceError, ParseError, SizeLimitError
-from .gbf import MAX_PRODUCT_BYTES, PolyphaseSeq, _index, _require_product_bytes, _require_sequence_length, _roots
+from .gbf import PolyphaseSeq, _index, _require_product_bytes, _require_sequence_length, _roots
 
 __all__ = [
     "CorrVector",
@@ -317,30 +305,19 @@ def _live_count(a: PolyphaseSeq) -> int:
 
 # Complex entries per block of FFT rows (512 KiB): 16 rows of 2L at L = 1024
 # and 4 at L = 4096, so a block and its FFT stay in cache while the grid is
-# swept.  A row of more entries is filled in slices of this many.  On a
-# 2-vCPU Xeon with NumPy 2.4.6, blocks of 2^14 entries, 2 rows of 2L at L =
-# 4096, made those grids 1.7x slower: one FFT call over 2 rows of 8192 took
-# 83-112 us a row, over 4 or 8 rows 44 us.
+# swept.  A row of more entries is filled in slices of this many.  Blocks of
+# 2^14 entries, 2 rows of 2L at L = 4096, made those grids 1.7x slower on a
+# 2-vCPU Xeon: one FFT call over 2 rows of 8192 cost about twice as much a
+# row as over 4 (CHANGES.md, the entry on rows of 2L at every L).
 _GRID_BLOCK = 1 << 15
-# FFT entries above which a grid is cut into row ranges for the workers, at
-# most one range per this many entries (measurements in :func:`pmepr`).
-_SPLIT_GRID = 1 << 14
 # Grids of at most this many points keep their packed twiddles cached (2 MiB
 # each for q > 2 and about 1 MiB for q = 2 when 4 divides the oversample, at
 # most about 4 MiB otherwise); larger grids build them per block.
 _CACHED_GRID = 1 << 18
-# Grid points that a process sweeps on its calling thread before the grid
-# workers start (64 grids of L = 1024 at oversample 64).  Starting them costs
-# about 1 ms, and on a 2-vCPU virtual machine a worker woken in a process
-# that has just begun runs on the caller's own CPU for a few hundred grids.
-# Over 8 sequences of L = 1024 at q = 8, grids 64, 256 and 1000 of a process
-# are reached at 19.6, 80.8 and 240 ms with this gate, at 23.5, 82.7 and 238
-# ms with workers from the first grid, and at 19.6, 70.4 and 267 ms with none.
-_SERIAL_POINTS = 1 << 22
 # The largest grid sampled: L = 2^24, the longest sequence, at oversample 64.
 _MAX_GRID = 1 << 30
-# Each sweeping thread's block of at most _GRID_BLOCK entries, reused from
-# grid to grid.
+# Each calling thread's block of at most _GRID_BLOCK entries, reused from
+# grid to grid; callers on several threads each need their own.
 _SWEEP = threading.local()
 
 
@@ -505,81 +482,6 @@ def _grid_peak(acf: np.ndarray, w: np.ndarray | None, oversample: int, lo: int, 
     return peak
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one, else ``os.cpu_count()``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _serve(tasks) -> None:
-    """A grid worker: run each ``(args, reply)`` task of the shared queue
-    through :func:`_grid_peak` and put the peak, or the exception it raised,
-    on the task's reply queue."""
-    while True:
-        args, reply = tasks.get()
-        try:
-            reply.put(_grid_peak(*args))
-        except Exception as exc:  # the caller re-raises it
-            reply.put(exc)
-
-
-class _GridWorkers:
-    """Persistent daemon threads that run :func:`_grid_peak` on row ranges
-    of a grid beside the calling thread, one for each available CPU but the
-    caller's, all reading one ``SimpleQueue``, so an idle worker takes the
-    next range.  They start once the process has swept ``_SERIAL_POINTS``
-    points of grids that could use them, and again in a forked child, which
-    has none of its parent's threads (the PID tells).  ``queue`` is imported
-    only then, so ``import cskit`` starts no thread and imports nothing."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._pid = 0
-        self._threads = 0
-        self._swept = 0
-
-    def count(self, points: int) -> int:
-        """The number of workers for a grid of ``points`` points: 0 while the
-        process has swept fewer than ``_SERIAL_POINTS`` (counting this grid
-        in), else the workers, started in this process if they are not yet."""
-        pid = os.getpid()
-        if self._pid != pid:
-            with self._lock:
-                if self._swept < _SERIAL_POINTS:
-                    self._swept += points
-                    return 0
-                if self._pid != pid:
-                    from queue import SimpleQueue
-
-                    self._tasks = SimpleQueue()
-                    self._threads = _cpu_count() - 1
-                    for _ in range(self._threads):
-                        threading.Thread(target=_serve, args=(self._tasks,), name="cskit-pmepr", daemon=True).start()
-                    self._pid = pid
-        return self._threads
-
-    def peak(self, acf: np.ndarray, w: np.ndarray | None, oversample: int, cuts: list[int]) -> float:
-        """The largest of :func:`_grid_peak` over the row ranges ``cuts[i] ..
-        cuts[i+1]``: the first swept by the calling thread, each other one by
-        a worker (at most :meth:`count` of them)."""
-        reply = type(self._tasks)()
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            self._tasks.put(((acf, w, oversample, lo, hi), reply))
-        peak = _grid_peak(acf, w, oversample, cuts[0], cuts[1])
-        for _ in cuts[2:]:
-            value = reply.get()
-            if isinstance(value, Exception):
-                raise value
-            peak = max(peak, value)
-        return peak
-
-
-_WORKERS = _GridWorkers()
-
-
 def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     """Peak-to-mean envelope power ratio, sampled on an oversampled grid.
 
@@ -616,50 +518,24 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     takes ``oversample // 8 + 1`` FFTs of 2L when 4 divides the oversample,
     ``oversample // 4 + 1`` at another even one and ``oversample // 2 + 1``
     at an odd one, each half on the grid in the last two cases: no partner
-    rule that depends on the offset alone pairs the rows of such a grid.  On
-    a 2-vCPU Xeon, against the earlier kernel with FFT rows of L, a q = 4
-    grid at L = 1024 and 2048 took 16-19% less time at oversample 64, 1-3%
-    less at 4 and 8, at most 7% more at 3, 5, 6 and 7 and 10-12% more at 1
-    and 2; a q = 2 grid took 11-14% less at 64, 5-11% more at 1, 2 and 8
-    and 14-26% more at 3, 5, 6 and 7.  The FFTs run over blocks of rows of
-    at most 2^15 entries, 16 rows of 2L at L = 1024.  For a grid of at most
-    2^18 points the packed ``(rows, 2L)`` twiddles of the last eight grids,
-    told apart by L, oversample and whether q = 2, are cached: 8 *
-    oversample * L bytes for q > 2 when 4 divides the oversample (2 MiB at
-    L = 4096, oversample 64) and ``(oversample // 8 + 1) * 32 L`` for q = 2,
-    at most ``16 (oversample + 1) L`` otherwise; a larger grid builds each
-    block's with the same code, bit-identically, and holds one block at a
-    time.
-
-    A grid of more than 2^14 FFT entries (rows times 2L) is cut into
-    contiguous row ranges of nearly equal size, one per available CPU, at
-    most one per 2^14 entries and at most ``max(1, MAX_PRODUCT_BYTES // (32
-    L))`` (2 at L = 2^24), one row block of 32 L bytes each.  On a 2-CPU
-    host, with rows of L, two ranges swept 1.21x faster than one thread at
-    2^14 + 2^10 entries and 1.36x at 2^15, only 3-11% faster at exactly 2^14
-    entries, and 1.4-2x slower at 2^12-2^13 entries.  The CPUs are those of
-    ``os.sched_getaffinity(0)`` or, where the platform has no affinity mask,
-    ``os.cpu_count()``.  The calling thread sweeps the first range and
-    persistent daemon threads, fed by one shared queue, the others.  They
-    start once the process has swept 2^22 points of such grids by itself
-    (64 grids at L = 1024, oversample 64), so a short run never pays for
-    them, and start again in a forked child.  Smaller grids, grids before
-    that point and every grid in a process with one CPU are swept by the
-    calling thread alone.  A row's values do not depend on the block or
-    range that holds it and the result is their maximum, so it is
-    bit-identical whatever the worker count.
+    rule that depends on the offset alone pairs the rows of such a grid.
+    The calling thread sweeps the FFTs in blocks of rows of at most 2^15
+    entries, 16 rows of 2L at L = 1024.  For a grid of at most 2^18 points
+    the packed ``(rows, 2L)`` twiddles of the last eight grids, told apart
+    by L, oversample and whether q = 2, are cached: 8 * oversample * L
+    bytes for q > 2 when 4 divides the oversample (2 MiB at L = 4096,
+    oversample 64) and ``(oversample // 8 + 1) * 32 L`` for q = 2, at most
+    ``16 (oversample + 1) L`` otherwise; a larger grid builds each block's
+    with the same code, bit-identically, and holds one block at a time.
 
     Memory, under tracemalloc and besides cached twiddles: the
     autocorrelation holds 32 L bytes while the grid is swept (16 L for q =
-    2, where it is real), and each sweeping thread about 32 L bytes + 2.2
-    MiB (one block of rows and a block of twiddles).  With t threads that is
-    32 L + t (32 L + 2.2 MiB), 64 L + 2.2 MiB on one thread (48 L + 2.2 MiB
-    for q = 2), and t is at most ``max(1, MAX_PRODUCT_BYTES // (32 L))``.
-    At L = 2^24, the largest sequence, it is 1.0 GiB on one thread and at
-    most 1.5 GiB on the two that the cap allows (1.25 GiB for q = 2).  Of
-    that, each thread keeps its block for later grids when it has at most
-    2^15 entries, so at most 512 KiB a thread stays held between grids; a
-    block of one longer row is allocated per grid.
+    2, where it is real), and the sweep about 32 L bytes + 2.2 MiB (one
+    block of rows and a block of twiddles), so 64 L + 2.2 MiB in all (48 L
+    + 2.2 MiB for q = 2): 1.0 GiB at L = 2^24, the largest sequence (0.75
+    GiB for q = 2).  A block of at most 2^15 entries is kept for the
+    calling thread's later grids, so at most 512 KiB a thread stays held
+    between grids; a block of one longer row is allocated per grid.
 
     ``oversample`` must be an integer >= 1 (bools are refused), else
     ``ValueError``; a grid of more than 2^30 points (L = 2^24 at oversample
@@ -675,12 +551,7 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     live = _live_count(a)
     acf, rows = _autocorrelation(a), _geometry(oversample, a.q == 2)[1]
     w = _twiddles(L, oversample, a.q == 2) if oversample * L <= _CACHED_GRID else None
-    parts = 1
-    if rows * 2 * L > _SPLIT_GRID:
-        parts = min(rows, -(-rows * 2 * L // _SPLIT_GRID), _WORKERS.count(oversample * L) + 1, max(1, MAX_PRODUCT_BYTES // (32 * L)))
-    if parts == 1:
-        return _grid_peak(acf, w, oversample, 0, rows) / live
-    return _WORKERS.peak(acf, w, oversample, [i * rows // parts for i in range(parts + 1)]) / live
+    return _grid_peak(acf, w, oversample, 0, rows) / live
 
 
 def _autocorr_bound(vec: AacfVector) -> float:

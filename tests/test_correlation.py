@@ -4,9 +4,6 @@ import cmath
 import hashlib
 import json
 import math
-import os
-import select
-import signal
 import sys
 import threading
 import time
@@ -407,10 +404,9 @@ def test_pmepr_grid_is_the_autocorrelation_polynomial():
 
 
 @pytest.mark.parametrize("q", [2, 4])
-def test_pmepr_peak_memory_is_bounded(monkeypatch, q):
+def test_pmepr_peak_memory_is_bounded(q):
     # one fresh grid past the twiddle cache (L = 2^16 at oversample 64), swept
     # by the calling thread: under 128 bytes a symbol under tracemalloc
-    monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
     L = 1 << 16
     a = PolyphaseSeq(q, np.random.default_rng(16).integers(0, q, L))
     assert 64 * L > correlation._CACHED_GRID
@@ -424,9 +420,8 @@ def test_pmepr_peak_memory_is_bounded(monkeypatch, q):
 
 
 def test_pmepr_keeps_no_long_block(monkeypatch):
-    # a thread keeps a block of at most 2^14 entries for later grids; the one
+    # a thread keeps a block of at most 2^15 entries for later grids; the one
     # row of 2L at L = 2^16 (2 MiB) is not kept
-    monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
     monkeypatch.setattr(correlation, "_SWEEP", threading.local())
     a = PolyphaseSeq(4, np.random.default_rng(17).integers(0, 4, 1 << 16))
     tracemalloc.start()
@@ -459,14 +454,13 @@ def test_pmepr_grid_takes_the_fewest_fft_rows(monkeypatch, q):
         assert sum(rows for rows, _ in shapes) == want, oversample
 
 
-# -- the PMEPR grid on worker threads ----------------------------------------------
+# -- the PMEPR grid pin and concurrent callers ----------------------------------------
 
 
 def pmepr_battery():
     """(sequence, oversample) pairs: q in {2, 4, 8, 16}, full and masked, L
     from 1 to 4096 and O in {1, 3, 64, 128}, so grids of one block, of two
-    or more (swept by the workers) and of 2^19 points (past the twiddle
-    cache)."""
+    or more and of 2^19 points (past the twiddle cache)."""
     rng = np.random.default_rng(2525)
     for q in (2, 4, 8, 16):
         for L in (1, 2, 3, 17, 100, 256, 1000, 1024, 2048, 4096):
@@ -479,55 +473,18 @@ def pmepr_battery():
                     yield a, oversample
 
 
-def _use_cpus(monkeypatch, cpus=None):
-    """Fresh grid workers that start on the first grid able to use them, as
-    on a host with ``cpus`` CPUs (None: this host)."""
-    if cpus is not None:
-        monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(correlation, "_SERIAL_POINTS", 0)
-    monkeypatch.setattr(correlation, "_WORKERS", correlation._GridWorkers())
-    return correlation._WORKERS
-
-
-@pytest.mark.parametrize("cpus", [1, 3, None], ids=["one-cpu", "three-cpus", "this-host"])
-def test_pmepr_grid_is_pinned(monkeypatch, cpus):
-    # sha256 over repr(pmepr(a, O)) of the battery's 320 values, computed by
-    # the calling thread alone from the autocorrelation kernel with FFT rows
-    # of 2L, each row paired with its reflection (q > 2) or with the row half
-    # a spacing later (q = 2): a maximum of the same per-row values, whatever
-    # the worker count
-    workers = _use_cpus(monkeypatch, cpus)
-    handed = []
-    peak = workers.peak
-    monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
+def test_pmepr_grid_is_pinned():
+    # sha256 over repr(pmepr(a, O)) of the battery's 320 values, from the
+    # autocorrelation kernel with FFT rows of 2L, each row paired with its
+    # reflection (q > 2) or with the row half a spacing later (q = 2)
     values = [repr(pmepr(a, oversample)) for a, oversample in pmepr_battery()]
     digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
     assert digest == "79b86b98c96bc10052a710100d1efa4fce59eab406508e40791749470b955d40"
-    started = workers._threads
-    if started:
-        assert 0 < len(handed) < len(values)
-        assert max(len(cuts) - 1 for cuts in handed) == started + 1
-    else:
-        assert handed == []
 
 
-def test_pmepr_workers_start_after_a_sustained_sweep(monkeypatch):
-    # a process that has swept few grid points starts no thread; a grid of
-    # one block does not count
-    _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(correlation, "_SERIAL_POINTS", 3 << 16)
-    rng = np.random.default_rng(15)
-    a, small = PolyphaseSeq(4, rng.integers(0, 4, 1024)), PolyphaseSeq(4, rng.integers(0, 4, 64))
-    threads = threading.active_count()
-    values = [pmepr(a), pmepr(small), pmepr(a), pmepr(a)]
-    assert threading.active_count() == threads and correlation._WORKERS._threads == 0
-    assert pmepr(a) == values[0]  # 2^16 points each: the fourth grid starts them
-    assert threading.active_count() == threads + 2
-
-
-def test_pmepr_workers_serve_concurrent_callers(monkeypatch):
-    # more callers than workers and workers than cores, each reply to its own caller
-    _use_cpus(monkeypatch, 3)
+def test_pmepr_concurrent_callers_get_their_own_values():
+    # more callers than cores, each sweeping its grids in its own thread-local
+    # block: every value bit-identical to the serial one
     rng = np.random.default_rng(12)
     seqs = [PolyphaseSeq(q, rng.integers(0, q, 1024)) for q in (2, 4, 8, 16, 4, 8)]
     want = [pmepr(s) for s in seqs]
@@ -548,103 +505,6 @@ def test_pmepr_workers_serve_concurrent_callers(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in callers)
     assert [got[i] for i in range(len(seqs))] == [[v] * 5 for v in want]
-
-
-def test_pmepr_queued_range_goes_to_an_idle_worker(monkeypatch):
-    # two callers each queue the second range of a 2-range grid while the
-    # first worker to take one waits for another worker to take the other
-    _use_cpus(monkeypatch, 1)
-    rng = np.random.default_rng(28)
-    seqs = [PolyphaseSeq(4, rng.integers(0, 4, 1024)) for _ in range(2)]
-    want = [pmepr(s) for s in seqs]
-    _use_cpus(monkeypatch, 3)
-    sweep, lock, entered, second = correlation._grid_peak, threading.Lock(), [], threading.Event()
-
-    def waiting(*args):
-        worker = threading.current_thread()
-        if worker.name == "cskit-pmepr":
-            with lock:
-                first = not entered
-                if worker not in entered:
-                    entered.append(worker)
-                if len(entered) > 1:
-                    second.set()
-            if first:
-                second.wait(5)
-        return sweep(*args)
-
-    monkeypatch.setattr(correlation, "_grid_peak", waiting)
-    got = {}
-    callers = [threading.Thread(target=lambda i=i: got.setdefault(i, pmepr(seqs[i]))) for i in range(2)]
-    for t in callers:
-        t.start()
-    for t in callers:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in callers)
-    assert len(entered) == 2
-    assert [got[0], got[1]] == want
-
-
-def test_pmepr_threads_are_capped_by_the_byte_budget(monkeypatch):
-    # a budget of two FFT rows of 2L at L = 4096 allows two ranges, although
-    # three CPUs would take three
-    _use_cpus(monkeypatch, 1)
-    a = PolyphaseSeq(4, np.random.default_rng(29).integers(0, 4, 4096))
-    want = pmepr(a, 64)
-    workers = _use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(correlation, "MAX_PRODUCT_BYTES", 2 * 32 * 4096)
-    handed = []
-    peak = workers.peak
-    monkeypatch.setattr(workers, "peak", lambda *args: handed.append(args[-1]) or peak(*args))
-    threads = threading.active_count()
-    assert pmepr(a, 64) == want
-    assert [len(cuts) - 1 for cuts in handed] == [2]
-    assert threading.active_count() <= threads + 2
-
-
-def test_pmepr_worker_errors_reach_the_caller(monkeypatch):
-    _use_cpus(monkeypatch, 2)
-    a = PolyphaseSeq(4, np.random.default_rng(13).integers(0, 4, 1024))
-    want = pmepr(a)
-    sweep = correlation._grid_peak
-
-    def failing(x, w, oversample, lo, hi):
-        if lo:
-            raise MemoryError("no room for a block")
-        return sweep(x, w, oversample, lo, hi)
-
-    monkeypatch.setattr(correlation, "_grid_peak", failing)
-    with pytest.raises(MemoryError, match="no room"):
-        pmepr(a)
-    monkeypatch.setattr(correlation, "_grid_peak", sweep)
-    assert pmepr(a) == want  # the worker outlived the error
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_pmepr_in_a_forked_child(monkeypatch):
-    # the child inherits no thread, so it starts its own workers
-    _use_cpus(monkeypatch, 3)
-    a = PolyphaseSeq(8, np.random.default_rng(14).integers(0, 8, 2048))
-    want = f"{pmepr(a)!r} True"
-    assert correlation._WORKERS._threads == 2
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            value = pmepr(a)
-            os.write(write, f"{value!r} {correlation._WORKERS._pid == os.getpid()}".encode())
-        finally:
-            os._exit(0)
-    os.close(write)
-    try:
-        ready = select.select([read], [], [], 60)[0]
-        got = os.read(read, 200).decode() if ready else None
-    finally:
-        os.close(read)
-        if not ready:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert got == want
 
 
 def test_pmepr_all_masked_is_a_typed_error():

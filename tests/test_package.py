@@ -141,13 +141,16 @@ def test_one_public_path_per_job():
 
 
 def test_import_starts_no_thread_and_no_logging():
-    """``import cskit`` starts no thread (the PMEPR grid's workers start on
-    the first grid that needs them) and imports neither ``logging`` nor
-    ``concurrent.futures``, whose start-up every CLI child would pay."""
+    """``import cskit`` starts no thread and imports neither ``logging`` nor
+    ``concurrent.futures``, whose start-up every CLI child would pay; a
+    sustained PMEPR sweep (80 grids of 2^16 points, past 2^22 in all) starts
+    no thread either, since every grid runs on the calling thread."""
     probe = (
         "import sys, threading; before = threading.active_count(); import cskit; "
-        "print(threading.active_count() - before, 'logging' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "print(threading.active_count() - before, 'logging' in sys.modules, 'concurrent.futures' in sys.modules); "
+        "a = cskit.PolyphaseSeq(4, [i * i % 4 for i in range(1024)]); [cskit.pmepr(a) for _ in range(80)]; "
+        "print(threading.active_count() - before)"
     )
     src = str(pathlib.Path(cskit.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.split() == ["0", "False", "False"]
+    assert out.stdout.split() == ["0", "False", "False", "0"]
