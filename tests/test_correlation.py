@@ -454,7 +454,7 @@ def test_pmepr_grid_takes_the_fewest_fft_rows(monkeypatch, q):
         assert sum(rows for rows, _ in shapes) == want, oversample
 
 
-# -- the PMEPR grid pin and concurrent callers ----------------------------------------
+# -- the PMEPR grid pin and concurrent callers ---------------------------------------
 
 
 def pmepr_battery():
