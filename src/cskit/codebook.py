@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -881,7 +881,15 @@ class GoldenEntry:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {**asdict(self), "key": list(self.key)}
+        return {
+            "table": self.table,
+            "key": list(self.key),
+            "column": self.column,
+            "computed": self.computed,
+            "printed": self.printed,
+            "ok": self.ok,
+            "note": self.note,
+        }
 
 
 def _check(table: str, key: tuple, column: str, computed: float, printed: str, out: list[GoldenEntry]) -> None:

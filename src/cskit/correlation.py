@@ -454,21 +454,21 @@ def _work(rows: int, cols: int) -> np.ndarray:
     return held[:size].reshape(rows, cols)
 
 
-def _grid_peak(acf: np.ndarray, w: np.ndarray | None, oversample: int, lo: int, hi: int) -> float:
-    """The largest grid value in FFT rows lo .. hi-1 of the autocorrelation
-    ``acf`` (real for q = 2, whose grid is mirrored), swept in blocks of
-    ``max(1, _GRID_BLOCK // 2L)`` rows of 2L entries counted from lo, each
-    filled as ``w * acf`` in column slices of at most ``_GRID_BLOCK``, one
-    complex multiply an entry, with the cached twiddles ``w`` or, when None,
-    each slice's :func:`_twiddle_block`.  Only the on-grid values of each
-    FFT row, the slices of :func:`_geometry`, are read."""
+def _grid_peak(acf: np.ndarray, w: np.ndarray | None, oversample: int) -> float:
+    """The largest grid value of the autocorrelation ``acf`` (real for q = 2,
+    whose grid is mirrored), swept in blocks of ``max(1, _GRID_BLOCK // 2L)``
+    FFT rows of 2L entries, each filled as ``w * acf`` in column slices of
+    at most ``_GRID_BLOCK``, one complex multiply an entry, with the cached
+    twiddles ``w`` or, when None, each slice's :func:`_twiddle_block`.  Only
+    the on-grid values of each FFT row, the slices of :func:`_geometry`, are
+    read."""
     M, mirrored = len(acf), acf.dtype != complex
-    _, _, first, picks = _geometry(oversample, mirrored)
+    _, height, first, picks = _geometry(oversample, mirrored)
     step, width = max(1, _GRID_BLOCK // M), min(M, _GRID_BLOCK)
-    block = _work(min(step, hi - lo), M)
+    block = _work(min(step, height), M)
     period, peak = len(picks), 0.0
-    for r in range(lo, hi, step):
-        rows = block[: min(step, hi - r)]
+    for r in range(0, height, step):
+        rows = block[: min(step, height - r)]
         for c in range(0, M, width):
             cols = slice(c, c + width)
             t = _twiddle_block(M // 2, oversample, mirrored, r, r + len(rows), cols) if w is None else w[r : r + len(rows), cols]
@@ -549,9 +549,9 @@ def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     L = len(a)
     oversample = _grid_factor(oversample, L)
     live = _live_count(a)
-    acf, rows = _autocorrelation(a), _geometry(oversample, a.q == 2)[1]
+    acf = _autocorrelation(a)
     w = _twiddles(L, oversample, a.q == 2) if oversample * L <= _CACHED_GRID else None
-    return _grid_peak(acf, w, oversample, 0, rows) / live
+    return _grid_peak(acf, w, oversample) / live
 
 
 def _autocorr_bound(vec: AacfVector) -> float:

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cskit import doubled_cs, gbf, gbf_from_json, parse_gbf
-from cskit.cli import build_parser, main
+from cskit.cli import _json_text, build_parser, main
 
 EX1 = "q=2;m=4; x0*x1*x3 + x0*x2*x3 + x0*x1*x2 + x1*x2"
 
@@ -284,6 +287,106 @@ def test_tables_bytes_pinned(capsys, extra):
     code, out, _ = run(capsys, "tables", *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLES_DIGESTS[extra]
+
+
+# the sequence files read by JSON_DIGESTS: a doubled q = 8 complementary set of
+# 8 members of length 32, and an offset q = 4 set whose sum keeps two
+# off-peak terms
+SET_FILES = {
+    "cs.txt": ["--gbf", "q=8;m=5; 4*x0*x1*x4 + 4*x0*x2*x3 + 4*x0*x2*x4 + 4*x0*x3*x4 + 4*x1*x2 + 4*x1*x4 + 4*x2*x3 + 2*x0 + 6*x1 + 6*x2 + 5*x3 + 7*x4 + 4", "-r", "0", "--type", "doubled"],
+    "noncs.txt": ["--gbf", "q=4;m=5; 2*x0*x1*x2*x4 + 2*x0*x1*x3*x4 + 2*x0*x2*x3 + 3*x0*x3*x4 + 2*x2*x3*x4 + x0*x3 + 2*x1*x2 + x3*x4 + 2*x0 + 2*x1 + 2*x3 + x4", "-r", "0", "-r", "4"],
+}
+
+# exit code and sha256 of the stdout of every JSON verb beyond tables: the
+# JSON layout is json.dumps(indent=2, sort_keys=True), byte for byte
+JSON_DIGESTS = {
+    "analyze": (["analyze", "--gbf", EX1, "-r", "0"], 0, "888732b7906e39398232c5b185f6bb58a161d053baab28b0c0ff75f07ec80dcb"),
+    "construct-offset": (["construct", "--gbf", EX1, "-r", "0", "--format", "json"], 0, "c4aaa1df1d37d85154453c9a2113493179d91d96d2c61febadabab1dda3bfa22"),
+    "construct-doubled": (["construct", "--gbf", EX1, "-r", "0", "--type", "doubled", "--format", "json"], 0, "7057068c5ec1a0187be372cf3329187fb6a49c2e3867cb5dfb8fa2f742511572"),
+    "random-doubled": (["random", "-m", "6", "-k", "2", "--q", "4", "--seed", "7", "--construct", "doubled"], 0, "cd35d70116206689e11b6a88b41af532f4eb8f664a7785e8f6c2ef0832cd8895"),
+    "verify-cs": (["verify", "cs.txt"], 0, "aa0637a3e58b39cdd692420545169bece931ed24ca7909f860282b383c540a5c"),
+    "verify-noncs": (["verify", "noncs.txt"], 1, "a12e63d501abea8a28d48b2281f06c6aa54c8b32396c36cddb08f5a77cd5b950"),
+    "pmepr": (["pmepr", "cs.txt"], 0, "fddf0a98a5d8e0bb48864f50ebd03bb13e06dc3800d8c6ee6489472cffe05c8c"),
+    "pmepr-oversample-3": (["pmepr", "cs.txt", "--oversample", "3"], 0, "6b2189f9e537bbd5d6a4aece7d87b838484014585e81611e00cd805870281db5"),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_DIGESTS))
+def test_json_bytes_pinned(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    for path, source in SET_FILES.items():
+        assert main(["construct", *source, "--out", path]) == 0
+    argv, want_code, digest = JSON_DIGESTS[name]
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, digest)
+
+
+def written(write, obj):
+    """What ``write`` makes of ``obj``: its text, or the type of its error."""
+    try:
+        return write(obj)
+    except Exception as exc:  # the type is compared, whatever it is
+        return type(exc)
+
+
+KEYS = st.text(max_size=4) | st.sampled_from(["%r", "%", "100%s", 'a"b', "\\", "\n", "é", " ", "\ud800", "\U0001f600"])
+NUMBERS = st.integers() | st.integers(-(1 << 80), 1 << 80) | st.floats(allow_nan=False, allow_infinity=False)
+ODD = st.sampled_from([True, False, None, math.nan, math.inf, -math.inf, "x", np.float64(0.5)])
+SCALARS = NUMBERS | st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]) | ODD | st.text(max_size=4)
+# keys json.dumps writes as strings, or refuses to sort among others
+NON_STR_KEYS = st.integers() | st.floats() | st.booleans() | st.none()
+# values json.dumps refuses, with TypeError or ValueError
+REFUSED = st.sampled_from([np.int64(1), np.float32(0.5), object(), {1, 2}, {(1, 2): 3}, {1: 2, "a": 3}, 10**5000])
+
+
+@st.composite
+def record_tables(draw):
+    """A list of records with numbers or equal-length number lists under
+    one key set, perturbed at most once so that it is no such list."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=3, unique=True))
+    lengths = {key: draw(st.none() | st.integers(0, 3)) for key in keys}
+
+    def value(key):
+        n = lengths[key]
+        return draw(NUMBERS) if n is None else draw(st.lists(NUMBERS, min_size=n, max_size=n))
+
+    rows = [{key: value(key) for key in keys} for _ in range(draw(st.sampled_from([1, 2, 3, 5])))]
+    at = draw(st.sampled_from([0, -1]))
+    row, key = rows[at], draw(st.sampled_from(keys))
+    spoil = draw(st.none() | st.sampled_from(["odd value", "odd entry", "not finite", "length", "missing key", "extra key", "renamed key", "empty row", "list row", "refused"]))
+    odd = st.sampled_from([math.nan, math.inf, -math.inf]) if spoil == "not finite" else ODD
+    if spoil in ("odd value", "not finite") and lengths[key] is None:
+        row[key] = draw(odd)
+    elif spoil in ("odd entry", "not finite") and lengths[key]:
+        row[key][0] = draw(odd)
+    elif spoil == "length":
+        row[key] = draw(st.lists(NUMBERS, max_size=4).filter(lambda v: len(v) != lengths[key]))
+    elif spoil == "missing key":
+        del row[key]
+    elif spoil in ("extra key", "renamed key"):
+        row[draw(KEYS.filter(lambda k: k not in row))] = row.pop(key) if spoil == "renamed key" else draw(NUMBERS)
+    elif spoil == "empty row":
+        rows[at] = {}
+    elif spoil == "list row":
+        rows[at] = []
+    elif spoil == "refused":
+        row[key] = draw(REFUSED)
+    return rows
+
+
+JSON_VALUES = st.recursive(
+    SCALARS | record_tables(),
+    lambda children: st.lists(children, max_size=4) | st.tuples(children) | st.dictionaries(KEYS | NON_STR_KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@example({"a": [{"v": [1, 2], "%s": 0.5}, {"v": [3], "%s": 1}], "b": (1, [2, {3: None}])})
+@example([{"x": 1, "y": [5e-324]}, {"z": 1, "y": [-0.0]}, {"x": math.nan, "y": [1e16]}, {"x": True, "y": [2]}])
+@given(JSON_VALUES | record_tables() | st.lists(record_tables() | REFUSED, min_size=1, max_size=3) | st.dictionaries(KEYS, record_tables() | REFUSED, min_size=1, max_size=2))
+def test_json_writer_is_json_dumps(obj):
+    assert written(_json_text, obj) == written(lambda v: json.dumps(v, indent=2, sort_keys=True), obj)
 
 
 def test_tables_golden_documented_only(capsys):

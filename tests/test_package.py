@@ -43,6 +43,21 @@ def test_no_module_shadows_an_import():
     assert shadowed == []
 
 
+def test_one_json_writer():
+    """``cli._json_text`` is the one function of ``cli.py`` that calls
+    ``json.dumps`` or ``json.dump``, so no verb writes its report through the
+    pure-Python encoder that ``indent`` selects."""
+    tree = ast.parse(pathlib.Path(cskit.__file__).with_name("cli.py").read_text())
+    callers = {
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Attribute, ast.Name))
+        and getattr(call.func, "attr", getattr(call.func, "id", None)) in ("dump", "dumps")
+    }
+    assert callers == {"_json_text"}
+
+
 def test_one_integer_rule():
     """``cskit.gbf._index`` is the one reader of an integer argument: no other
     module imports ``operator``, and no ``int(n)`` truncation is left."""
