@@ -20,7 +20,10 @@ Wiener-Khinchin theorem gives as ``ifft(F_a * conj(F_b))`` with FFTs of
 length N, the least power of two >= 2L - 1 (so no shift wraps around).  A set
 sums ``|F|^2`` over its members before its one inverse transform per
 embedding, so a set of n sequences costs n * ceil(q/4) forward and ceil(q/4)
-inverse FFTs.  The coefficients are then solved for and rounded.
+inverse FFTs.  For q = 2 the one embedding is the real +-1, and the
+transforms are ``rfft`` and ``irfft``, which compute only the N/2 + 1
+values that determine the rest by conjugation.  The coefficients are then
+solved for and rounded.
 
 The pairs are summed in chunks of at most ``FFT_SIZE_LIMIT // L`` pairs,
 whose exact int64 parts add exactly.  A chunk's rounded result is used only
@@ -43,7 +46,19 @@ the tests compare against.  The proof has three parts:
    at most ``n L^(3/2) sqrt(N)``) and the size-q/2 solve, every coefficient
    is off by at most ``B = 1.01 n L (eps_N (sqrt(L) + 2) + eps_(q/2) +
    (n + 64) u)``.  Over every split of ``n * L <= 2^25`` into n and L,
-   ``B < 0.13``, so rounding recovers the exact integers.
+   ``B < 0.13``, so rounding recovers the exact integers.  The same eps_N,
+   so the same B, holds for the real transforms of q = 2.  An rfft of
+   length N is the complex FFT of a real vector, and an irfft the inverse
+   of a Hermitian one whose half holds the summed spectrum of the complex
+   path, of the same 2-norm.  A real-data FFT leaves out the imaginary
+   parts that are exactly zero and the conjugate half of each stage's
+   Hermitian sub-transforms; a product with or a sum with an exact zero and
+   a conjugation round nothing, so every value it computes carries the
+   rounding of the complex transform's butterflies, at most log2(N) of them
+   deep.  NumPy's pocketfft computes them with such real radix passes at
+   the power-of-two N used here; a library that instead packs x into N/2
+   complex values adds one untangling stage to log2(N) - 1 butterfly
+   stages, and parts 2 and 3 check whatever it does.
 2. ``max |c - rint(c)| < 1/4``, a check on the computed values.
 3. Row 0 equals the exact shift-0 value, computed directly; for an
    autocorrelation that is the live-position count.
@@ -51,36 +66,52 @@ the tests compare against.  The proof has three parts:
 Parts 2 and 3 catch an FFT library that misses the bound of part 1.
 
 A list of n sequences is a complementary set when their autocorrelations sum
-to zero at every nonzero shift (the sum at shift 0 is then n*L).  The
-instantaneous envelope power of the OFDM-style signal built from ``a`` is
+to zero at every nonzero shift (the sum at shift 0 is then n*L).
+
+**The envelope grid.**  The instantaneous envelope power of the OFDM-style
+signal built from ``a`` is
 
     P(t) = |sum_i a[i] exp(2j*pi*i*t)|^2
          = A(0) + 2 * Re sum_{tau=1}^{L-1} A(tau) * exp(2j*pi*tau*t),
 
 with t normalized to one symbol period.  :func:`pmepr` samples the second
-form, a real trigonometric polynomial of the float autocorrelation A =
-``ifft(|fft(a, 2L)|^2)``, whose index L + n holds ``A(n - L) = conj A(L -
-n)``, at the ``N = oversample * L`` points ``t = -k / N``;
-:func:`pmepr_autocorr_bound` bounds it by the exact autocorrelation.  The
-grid is cut into rows of 2L points, ``1 / (2L)`` apart.  A row is the
-length-2L FFT of A times one row of twiddles, a vector that is Hermitian up
-to the rounding of A, so the row is real up to rounding and one complex FFT
-carries two rows, one in its real part and its partner in its imaginary
-part.  For q > 2 the partner of the row at offset phi is its reflection,
-the row at -phi, and the row at 0 takes the row half a spacing later; for q
-= 2, A is real and P(t) = P(-t), so the rows up to half the spacing cover
-the grid, and the partner is the row half a spacing later.  The pairing
-depends on the offset alone, so a grid and its refinement compute their
-shared points from identical inputs.  For q > 2 every FFT value lies on the
-grid when 4 divides the oversample (``oversample / 4`` FFTs); at another
-even oversample all but row 0's partner do, and at an odd one half of each
-FFT, about the work of rows of L.  For q = 2, ``oversample // 8 + 1`` FFTs
-cover a grid that 4 divides, and other oversamples leave half of each FFT
-off the grid (:func:`pmepr` gives the counts).  The twiddles are cached
-for grids of at most 2^18 points, and a grid of more than 2^30 points is
-refused.  The calling thread sweeps the FFT rows in blocks of 2^15 entries
-and keeps its block, in a thread-local, for its next grid, so callers on
-several threads never share one.
+form at the ``N = oversample * L`` points ``t = -k / N``.  A is the float
+autocorrelation from the exact core's own transforms: the e = 1 spectrum of
+length 2L, its power and the inverse (rfft and irfft for q = 2, where A is
+real).  No shift wraps, so index n holds A at the signed lag tau(n): n
+below L, n - 2L from L.  :func:`pmepr_autocorr_bound` bounds P by the exact
+autocorrelation.
+
+Count offsets in units of 1/(4N).  A grid row of 2L points, ``1 / (2L)``
+apart, spans the offsets ``x + S j``, S = 2 oversample, and as tau(n) = n
+(mod 2L) it is ``FFT_2L(A v_x)`` with ``v_x[n] = exp(-2 pi i tau(n) x /
+(4N))``.  Such a product is Hermitian up to the rounding of A, so its FFT
+is real up to rounding, and one complex FFT of ``A (v_u + i v_p)`` holds
+the row at the base u in its real part and the row at its partner p in its
+imaginary part, one complex multiply an entry.  For q > 2 the bases run
+over [0, S/2) and the partner of u > 0 is its reflection -u, whose
+twiddles ``conj v_u`` take no angle of their own; the partner of 0 is S/2.
+For q = 2, P(t) = P(-t), so the bases in [0, S/4] cover the grid with the
+partners u + S/2.  The grid points are the offsets divisible by 4: when S
+and x are, the row at x is on the grid in full; when S = 2 (mod 4), at an
+odd oversample, an even x holds grid points at the entries j = x/2 (mod 2),
+and u and -u hold them at the same entries.  The bases are those with an
+on-grid part.  The pairing depends on the offset alone, and every twiddle
+angle comes from a reduced fraction (:func:`_twiddle_block`), so a grid and
+its refinement by 2 agree exactly at their shared points.
+
+So for q > 2 a grid takes ``oversample / 4`` FFTs of 2L when 4 divides the
+oversample, ``(oversample + 2) / 4`` at another even one (all on the grid
+but row 0's partner S/2) and ``(oversample + 1) / 2`` at an odd one (half of
+each on the grid), about the work of rows of L.  For q = 2 it takes
+``oversample // 8 + 1`` FFTs of 2L when 4 divides the oversample,
+``oversample // 4 + 1`` at another even one and ``oversample // 2 + 1`` at
+an odd one, each half on the grid in the last two cases: no partner rule
+that depends on the offset alone pairs the rows of such a grid.  Each grid
+sweeps its FFTs in a block of rows of at most 2^15 entries, 16 rows of 2L at
+L = 1024, which it allocates and frees.  The packed twiddles of the last
+eight grids of at most 2^18 points are cached; a larger grid builds each
+block's with the same code, bit-identically.
 
 Masked sequences are supported throughout: positions removed by a restriction
 contribute the complex value 0, and the mean power used for normalization is
@@ -90,7 +121,6 @@ the number of live positions, i.e. A(0).
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,11 +175,29 @@ def _corr_coeff_matrix(a: PolyphaseSeq, b: PolyphaseSeq) -> np.ndarray:
     return np.stack([_shift_row(a, b, tau) for tau in range(len(a))]).astype(np.int64, copy=False)
 
 
-def _spectrum(a: PolyphaseSeq, exponents: np.ndarray, n: int) -> np.ndarray:
-    """Length-n FFTs of the embeddings ``omega^(e * p[i])``, one row per exponent e."""
-    x = _roots(a.q, np.outer(exponents, a.phases) % a.q)
-    x[:, ~a.mask] = 0
-    return np.fft.fft(x, n, axis=1)
+def _spectrum(a: PolyphaseSeq, exponents: np.ndarray | int, n: int) -> np.ndarray:
+    """Length-n transforms of the embeddings ``omega^(e * p[i])`` (0 where
+    masked), one row per exponent e, or one 1-D transform for an int e.  The
+    zero-padded buffer is filled and transformed in place: for q = 2 the
+    embedding is the real +-1 and the transform ``rfft``, whose n/2 + 1
+    values determine the rest by conjugation; else ``fft``."""
+    real = a.q == 2
+    roots = _roots(a.q, np.multiply.outer(exponents, a.phases) & (a.q - 1))  # mod q, a power of two
+    roots[..., ~a.mask] = 0
+    buffer = np.zeros(roots.shape[:-1] + (n,), dtype=float if real else complex)
+    buffer[..., : len(a)] = roots.real if real else roots
+    return np.fft.rfft(buffer) if real else np.fft.fft(buffer, out=buffer)
+
+
+def _power(spectrum: np.ndarray) -> np.ndarray:
+    """``|F|^2`` of a spectrum of :func:`_spectrum`, as a real array."""
+    return spectrum.real**2 + spectrum.imag**2
+
+
+def _inverse(spectra: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Correlations from summed power or cross spectra of :func:`_spectrum`:
+    the length-n ``irfft`` for q = 2, else ``ifft``."""
+    return np.fft.irfft(spectra, n) if q == 2 else np.fft.ifft(spectra)
 
 
 def _fft_coeffs(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]], q: int, L: int) -> np.ndarray:
@@ -164,8 +212,8 @@ def _fft_coeffs(pairs: Sequence[tuple[PolyphaseSeq, PolyphaseSeq]], q: int, L: i
         total = 0
         for a, b in pairs:
             fa = _spectrum(a, exponents, n)
-            total += fa.real**2 + fa.imag**2 if b is a else fa * _spectrum(b, exponents, n).conj()
-        return np.fft.ifft(total, axis=1)[:, :L]
+            total += _power(fa) if b is a else fa * _spectrum(b, exponents, n).conj()
+        return _inverse(total, q, n)[:, :L]
 
     return _from_conjugates(sigma, q)
 
@@ -316,9 +364,6 @@ _GRID_BLOCK = 1 << 15
 _CACHED_GRID = 1 << 18
 # The largest grid sampled: L = 2^24, the longest sequence, at oversample 64.
 _MAX_GRID = 1 << 30
-# Each calling thread's block of at most _GRID_BLOCK entries, reused from
-# grid to grid; callers on several threads each need their own.
-_SWEEP = threading.local()
 
 
 def _grid_factor(oversample: int, L: int) -> int:
@@ -335,19 +380,13 @@ def _grid_factor(oversample: int, L: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _geometry(oversample: int, mirrored: bool) -> tuple[int, int, tuple[slice, ...], tuple[tuple[slice, ...], ...]]:
-    """``(step, rows, first, picks)`` of a grid, with offsets counted in units
-    of ``1 / (4N)``, N = oversample * L: a grid row of 2L points spans the
-    offsets ``x + S j``, S = 2 oversample, and the grid points are the
-    multiples of 4.  FFT row r, r < rows, has the base u = r step; its real
-    part is the grid row at u and its imaginary part the row at the
-    partner: -u for q > 2, or S/2 when u = 0; u + S/2 when ``mirrored`` (q
-    = 2), whose bases run over [0, S/4] only.  The slices select the on-grid
-    values of an FFT row in its float64 view, where entry j is real part 2j
-    and imaginary part 2j + 1: ``first`` those of FFT row 0 and
-    ``picks[r % len(picks)]`` those of FFT row r > 0.  A row at an offset x
-    lies on the grid in full when S and x are multiples of 4; when S = 2
-    (mod 4), at an odd oversample, an even x holds grid points at its
-    entries j = x/2 (mod 2) and an odd x none."""
+    """``(step, rows, first, picks)`` of a grid, in the offsets of the module
+    docstring: FFT row r, r < rows, has the base u = r step, its real part
+    the grid row at u and its imaginary part the row at the partner (q = 2
+    when ``mirrored``).  The slices select the on-grid values of an FFT row
+    in its float64 view, where entry j is real part 2j and imaginary part 2j
+    + 1: ``first`` those of FFT row 0 and ``picks[r % len(picks)]`` those of
+    FFT row r > 0."""
     span, every = 2 * oversample, (slice(None),)
     if not mirrored:
         step = 4 if span % 4 == 0 else 2
@@ -371,22 +410,10 @@ def _geometry(oversample: int, mirrored: bool) -> tuple[int, int, tuple[slice, .
 
 
 def _autocorrelation(a: PolyphaseSeq) -> np.ndarray:
-    """``ifft(|fft(x, 2L)|^2)`` of the embedded sequence x: no shift wraps,
-    so index n holds A(n) and index L + n holds ``A(n - L) = conj A(L -
-    n)``, 0 up to rounding at n = 0.  For q = 2, x and A are real, the
-    transforms rfft and irfft."""
-    L = len(a)
-    x = a.complex_values()
-    buffer = np.zeros(2 * L, dtype=float if a.q == 2 else complex)
-    buffer[:L] = x.real if a.q == 2 else x
-    del x
-    spectrum = np.fft.rfft(buffer) if a.q == 2 else np.fft.fft(buffer, out=buffer)
-    del buffer
-    re, im = spectrum.real, spectrum.imag
-    np.square(re, out=re)
-    re += np.square(im, out=im)
-    im[...] = 0
-    return np.fft.irfft(spectrum, 2 * L) if a.q == 2 else np.fft.ifft(spectrum, out=spectrum)
+    """The float autocorrelation A of the module docstring: the e = 1
+    spectrum of length 2L, its power and the inverse, so no shift wraps;
+    real for q = 2."""
+    return _inverse(_power(_spectrum(a, 1, 2 * len(a))), a.q, 2 * len(a))
 
 
 def _twiddle_block(L: int, oversample: int, mirrored: bool, lo: int, hi: int, cols: slice) -> np.ndarray:
@@ -441,19 +468,6 @@ def _twiddles(L: int, oversample: int, mirrored: bool) -> np.ndarray:
     return w
 
 
-def _work(rows: int, cols: int) -> np.ndarray:
-    """A ``(rows, cols)`` complex work array: a view of the calling thread's
-    block, kept for later grids, when it has at most ``_GRID_BLOCK``
-    entries, else a new array."""
-    size = rows * cols
-    if size > _GRID_BLOCK:
-        return np.empty((rows, cols), dtype=complex)
-    held = getattr(_SWEEP, "block", None)
-    if held is None or len(held) < size:
-        held = _SWEEP.block = np.empty(size, dtype=complex)
-    return held[:size].reshape(rows, cols)
-
-
 def _grid_peak(acf: np.ndarray, w: np.ndarray | None, oversample: int) -> float:
     """The largest grid value of the autocorrelation ``acf`` (real for q = 2,
     whose grid is mirrored), swept in blocks of ``max(1, _GRID_BLOCK // 2L)``
@@ -465,7 +479,7 @@ def _grid_peak(acf: np.ndarray, w: np.ndarray | None, oversample: int) -> float:
     M, mirrored = len(acf), acf.dtype != complex
     _, height, first, picks = _geometry(oversample, mirrored)
     step, width = max(1, _GRID_BLOCK // M), min(M, _GRID_BLOCK)
-    block = _work(min(step, height), M)
+    block = np.empty((min(step, height), M), dtype=complex)
     period, peak = len(picks), 0.0
     for r in range(0, height, step):
         rows = block[: min(step, height - r)]
@@ -485,66 +499,29 @@ def _grid_peak(acf: np.ndarray, w: np.ndarray | None, oversample: int) -> float:
 def pmepr(a: PolyphaseSeq, oversample: int = 64) -> float:
     """Peak-to-mean envelope power ratio, sampled on an oversampled grid.
 
-    The grid is P(t) at the ``N = oversample * L`` equispaced points
-    ``t = -k / N`` of one symbol period, a point set symmetric under
-    ``t -> -t``: the values ``|fft(a, N)|^2`` of the zero-padded FFT.  They
-    are sampled from the autocorrelation polynomial ``P(-k/N) = sum_{|tau|<L}
-    A(tau) exp(-2 pi i tau k / N)``, with A the float autocorrelation
-    ``ifft(|fft(a, 2L)|^2)`` (rfft and irfft for q = 2, whose A is real),
-    whose index n holds A at the signed lag tau(n): n below L, n - 2L from
-    L.  Count offsets in units of 1/(4N).  A grid row of 2L points spans the
-    offsets ``x + S j``, S = 2 oversample, and as tau(n) = n (mod 2L) it is
-    ``FFT_2L(A v_x)`` with ``v_x[n] = exp(-2 pi i tau(n) x / (4N))``.  Such
-    a product is Hermitian up to the rounding of A, so its FFT is real up to
-    rounding, and one complex FFT of ``A (v_u + i v_p)`` holds the row at
-    the base u in its real part and the row at its partner p in its
-    imaginary part, one complex multiply an entry.  For q > 2 the bases run
-    over [0, S/2) and the partner of u > 0 is its reflection -u, whose
-    twiddles ``conj v_u`` take no angle of their own; the partner of 0 is
-    S/2.  For q = 2, P(t) = P(-t), so the bases in [0, S/4] cover the grid
-    with the partners u + S/2.  The grid points are the offsets divisible by
-    4: when S and x are, the row at x is on the grid in full; when S = 2
-    (mod 4), at an odd oversample, an even x holds grid points at the
-    entries j = x/2 (mod 2), and u and -u hold them at the same entries.
-    The bases are those with an on-grid part.  The pairing depends on the
-    offset only, and every twiddle angle comes from a reduced fraction
-    (:func:`_twiddle_block`), so a grid and its refinement by 2 agree
-    exactly at their shared points.
+    The grid is P(t) at the ``N = oversample * L`` equispaced points ``t =
+    -k / N`` of one symbol period, a point set symmetric under ``t -> -t``:
+    the values ``|fft(a, N)|^2`` of the zero-padded FFT, sampled from the
+    autocorrelation as the module docstring describes.  The mean power is
+    A(0), the number of live positions (= L for a full sequence).  The
+    returned value is a slight underestimate of the true supremum, while
+    :func:`pmepr_autocorr_bound` gives a certified overestimate.
 
-    So for q > 2 a grid takes ``oversample / 4`` FFTs of 2L when 4 divides
-    the oversample, ``(oversample + 2) / 4`` at another even one (all on the
-    grid but row 0's partner S/2) and ``(oversample + 1) / 2`` at an odd one
-    (half of each on the grid), about the work of rows of L.  For q = 2 it
-    takes ``oversample // 8 + 1`` FFTs of 2L when 4 divides the oversample,
-    ``oversample // 4 + 1`` at another even one and ``oversample // 2 + 1``
-    at an odd one, each half on the grid in the last two cases: no partner
-    rule that depends on the offset alone pairs the rows of such a grid.
-    The calling thread sweeps the FFTs in blocks of rows of at most 2^15
-    entries, 16 rows of 2L at L = 1024.  For a grid of at most 2^18 points
-    the packed ``(rows, 2L)`` twiddles of the last eight grids, told apart
-    by L, oversample and whether q = 2, are cached: 8 * oversample * L
-    bytes for q > 2 when 4 divides the oversample (2 MiB at L = 4096,
-    oversample 64) and ``(oversample // 8 + 1) * 32 L`` for q = 2, at most
-    ``16 (oversample + 1) L`` otherwise; a larger grid builds each block's
-    with the same code, bit-identically, and holds one block at a time.
-
-    Memory, under tracemalloc and besides cached twiddles: the
-    autocorrelation holds 32 L bytes while the grid is swept (16 L for q =
-    2, where it is real), and the sweep about 32 L bytes + 2.2 MiB (one
-    block of rows and a block of twiddles), so 64 L + 2.2 MiB in all (48 L
-    + 2.2 MiB for q = 2): 1.0 GiB at L = 2^24, the largest sequence (0.75
-    GiB for q = 2).  A block of at most 2^15 entries is kept for the
-    calling thread's later grids, so at most 512 KiB a thread stays held
-    between grids; a block of one longer row is allocated per grid.
+    Memory, under tracemalloc: the autocorrelation holds 32 L bytes while
+    the grid is swept (16 L for q = 2, where it is real), and the sweep about
+    32 L bytes + 2.2 MiB (one block of rows and a block of twiddles), so 64 L
+    + 2.2 MiB in all (48 L + 2.2 MiB for q = 2): 1.0 GiB at L = 2^24, the
+    largest sequence (0.75 GiB for q = 2).  None of the sweep stays held
+    after the call.  A grid of at most 2^18 points caches its packed
+    twiddles: 8 * oversample * L bytes for q > 2 when 4 divides the
+    oversample (2 MiB at L = 4096, oversample 64) and ``(oversample // 8 +
+    1) * 32 L`` for q = 2, at most ``16 (oversample + 1) L`` otherwise.
 
     ``oversample`` must be an integer >= 1 (bools are refused), else
     ``ValueError``; a grid of more than 2^30 points (L = 2^24 at oversample
     64) raises :class:`~cskit.errors.SizeLimitError` before anything is
-    allocated.  The mean power equals A(0), the number of live
-    positions (= L for a full sequence); a sequence with none raises
-    :class:`~cskit.errors.EmptySequenceError`.  The returned value is a
-    slight underestimate of the true supremum, while
-    :func:`pmepr_autocorr_bound` gives a certified overestimate.
+    allocated.  A sequence with no live position raises
+    :class:`~cskit.errors.EmptySequenceError`.
     """
     L = len(a)
     oversample = _grid_factor(oversample, L)

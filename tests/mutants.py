@@ -1,0 +1,161 @@
+"""Mutants of the exactness guards, and a runner that checks each is killed.
+
+    python tests/mutants.py
+
+Each row of ``MUTANTS`` names a source file, a text that occurs in it exactly
+once, its replacement and the tests that must fail once it is applied.  The
+runner exports HEAD with ``git archive`` and, per mutant, extracts it into a
+fresh temporary directory, applies the row and runs pytest on the named tests
+there.  A mutant is killed when those tests fail (pytest exit code 1); any
+other outcome, a pass or a collection error, is a survivor.  First the
+unmutated export must pass every named test.  ``EQUIVALENT`` lists mutants
+that change no result, each with the reason; none is listed today.
+
+Pytest does not collect this file.  ``tests/test_package.py`` checks, in the
+tier-1 suite, that every ``old`` text occurs exactly once and that every named
+test exists; it does not run the mutants.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+CORRELATION = "src/cskit/correlation.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the q = 2 transform choice: a complex fft of the +-1 embedding gives the
+    # same correlations (irfft reads the first N/2 + 1 values) but not the
+    # halved memory, nor the grid's bits
+    Mutant(
+        "complex transform at q = 2",
+        CORRELATION,
+        "    real = a.q == 2\n",
+        "    real = False\n",
+        ("tests/test_correlation.py::test_aacf_peak_memory_at_q_2", "tests/test_correlation.py::test_pmepr_grid_is_pinned"),
+    ),
+    Mutant(
+        "complex inverse at q = 2",
+        CORRELATION,
+        "np.fft.irfft(spectra, n) if q == 2 else",
+        "np.fft.irfft(spectra, n) if q == 1 else",
+        ("tests/test_properties.py::test_fft_core_matches_the_shift_loop", "tests/test_correlation.py::test_pmepr_grid_is_pinned"),
+    ),
+    Mutant(
+        "masked entries not zeroed",
+        CORRELATION,
+        "    roots[..., ~a.mask] = 0\n",
+        "",
+        ("tests/test_correlation.py::test_fft_core_takes_no_fallback_when_proven", "tests/test_correlation.py::test_pmepr_grid_is_pinned"),
+    ),
+    Mutant(
+        "rounding margin 3/4",
+        CORRELATION,
+        "np.abs(estimate - coeffs).max() < 0.25",
+        "np.abs(estimate - coeffs).max() < 0.75",
+        ("tests/test_correlation.py::test_fft_core_falls_back_on_a_perturbed_estimate[rounding-margin]",),
+    ),
+    Mutant(
+        "row-0 check dropped",
+        CORRELATION,
+        " and np.array_equal(coeffs[0], row0):",
+        ":",
+        ("tests/test_correlation.py::test_fft_core_falls_back_on_a_perturbed_estimate[row-0]",),
+    ),
+    Mutant(
+        "FFT size limit 2^28",
+        CORRELATION,
+        "FFT_SIZE_LIMIT = 1 << 25",
+        "FFT_SIZE_LIMIT = 1 << 28",
+        ("tests/test_correlation.py::test_fft_size_limit_meets_the_error_bound",),
+    ),
+    Mutant(
+        "isolated residual negated",
+        "src/cskit/construct.py",
+        "coeffs[1 << g.l] = _fold(",
+        "coeffs[1 << g.l] = -_fold(",
+        ("tests/test_acceptance.py::test_criterion_2_prediction_oracle",),
+    ),
+    Mutant(
+        "Bernstein term halved",
+        CORRELATION,
+        "(oversample * len(a))) ** 2 / 2",
+        "(oversample * len(a))) ** 2 / 4",
+        ("tests/test_correlation.py::test_pmepr_upper_is_its_derivation[nothing-binds]",),
+    ),
+    Mutant(
+        "grid base step 2 at every oversample",
+        CORRELATION,
+        "        step = 4 if span % 4 == 0 else 2\n",
+        "        step = 2\n",
+        ("tests/test_correlation.py::test_pmepr_grid_is_the_autocorrelation_polynomial",),
+    ),
+    Mutant(
+        "no partner for row 0",
+        CORRELATION,
+        "    if not lo:  # row 0 pairs v_0 = 1 with v_(S/2)\n",
+        "    if False:\n",
+        ("tests/test_correlation.py::test_pmepr_grid_is_the_autocorrelation_polynomial",),
+    ),
+)
+
+EQUIVALENT: dict[str, str] = {}
+
+
+def _pytest(where: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(where / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _export(archive: bytes, where: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(where, filter="data")
+
+
+def main() -> int:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "HEAD"], check=True, capture_output=True).stdout
+    start, survivors = time.perf_counter(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        _export(archive, Path(tmp))
+        named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if _pytest(Path(tmp), named):
+            print("the unmutated export fails a named test", file=sys.stderr)
+            return 2
+    for m in MUTANTS:
+        t0 = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            _export(archive, Path(tmp))
+            path = Path(tmp, m.file)
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"{m.name}: the old text occurs {text.count(m.old)} times in {m.file}", file=sys.stderr)
+                return 2
+            path.write_text(text.replace(m.old, m.new))
+            killed = _pytest(Path(tmp), m.tests) == 1
+        if not killed and m.name not in EQUIVALENT:
+            survivors.append(m.name)
+        print(f"{'killed' if killed else 'SURVIVED'}  {time.perf_counter() - t0:6.1f} s  {m.name}")
+    print(f"{len(MUTANTS)} mutants, {len(survivors)} surviving, {time.perf_counter() - start:.1f} s in all")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

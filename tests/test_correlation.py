@@ -419,19 +419,39 @@ def test_pmepr_peak_memory_is_bounded(q):
     assert value >= 1.0 and peak < 128 * L
 
 
-def test_pmepr_keeps_no_long_block(monkeypatch):
-    # a thread keeps a block of at most 2^15 entries for later grids; the one
-    # row of 2L at L = 2^16 (2 MiB) is not kept
-    monkeypatch.setattr(correlation, "_SWEEP", threading.local())
-    a = PolyphaseSeq(4, np.random.default_rng(17).integers(0, 4, 1 << 16))
+def test_pmepr_keeps_no_long_block():
+    # each grid allocates its sweep block and frees it on return: nothing of a
+    # block (512 KiB at L = 2^13, a 2 MiB row at L = 2^16) stays held.  Both
+    # grids are past the twiddle cache, and a small grid first pays any
+    # first-call cost, so what a grid leaves held reads 32 to 160 bytes.
+    for q in (2, 4):
+        pmepr(PolyphaseSeq(q, [0, 1, 1]), 64)
+        for L in (1 << 13, 1 << 16):
+            a = PolyphaseSeq(q, np.random.default_rng(17).integers(0, q, L))
+            assert 64 * L > correlation._CACHED_GRID
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                value = pmepr(a, 64)
+                held = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+            assert value >= 1.0 and held < 1 << 13, (q, L, held)
+
+
+def test_aacf_peak_memory_at_q_2():
+    # the q = 2 exact core transforms the real +-1 embedding with rfft: a
+    # traced peak of 56 bytes a symbol at L = 2^18, against 112 with a
+    # complex fft (112 at q = 4, 448 at q = 16)
+    L = 1 << 18
+    a = PolyphaseSeq(2, np.random.default_rng(18).integers(0, 2, L))
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        value = pmepr(a, 64)
-        held = tracemalloc.get_traced_memory()[0] - start
+        vec = aacf(a)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value >= 1.0 and held < 1 << 20
+    assert vec.coeffs[0, 0] == L and peak <= 64 * L
 
 
 @pytest.mark.parametrize("q", [2, 4])

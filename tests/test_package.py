@@ -58,6 +58,41 @@ def test_one_json_writer():
     assert callers == {"_json_text"}
 
 
+def test_one_transform_pipeline():
+    """In ``correlation.py`` only ``_spectrum`` turns phases into roots of
+    unity (``_roots``, ``complex_values``), only ``_spectrum``, ``_inverse``
+    and ``_grid_peak`` call ``np.fft``, and no ``threading.local`` is
+    defined: the exact core and the PMEPR grid share one embed and transform,
+    and a grid holds no per-thread block."""
+    tree = ast.parse(pathlib.Path(cskit.__file__).with_name("correlation.py").read_text())
+    embedders, transformers = set(), set()
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", getattr(sub.func, "attr", None)) in ("_roots", "complex_values"):
+                embedders.add(getattr(node, "name", "<module>"))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Attribute) and sub.value.attr == "fft" and getattr(sub.value.value, "id", None) == "np":
+                transformers.add(getattr(node, "name", "<module>"))
+    assert embedders == {"_spectrum"}
+    assert transformers == {"_spectrum", "_inverse", "_grid_peak"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "threading" not in imported and not any(isinstance(n, ast.Attribute) and n.attr == "local" for n in ast.walk(tree))
+
+
+def test_mutant_table_matches_the_tree():
+    """Every row of ``tests/mutants.py`` finds its old text exactly once in
+    its file and names tests that exist, so the table cannot rot silently;
+    the mutants themselves run only under ``python tests/mutants.py``."""
+    import mutants
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for m in mutants.MUTANTS:
+        assert (root / m.file).read_text().count(m.old) == 1, m.name
+        for test in m.tests:
+            path, name = test.split("::")
+            assert f"def {name.split('[')[0]}(" in (root / path).read_text(), test
+    assert set(mutants.EQUIVALENT) <= {m.name for m in mutants.MUTANTS}
+
+
 def test_one_integer_rule():
     """``cskit.gbf._index`` is the one reader of an integer argument: no other
     module imports ``operator``, and no ``int(n)`` truncation is left."""
