@@ -88,16 +88,14 @@ def _json_text(obj, pad: str = "") -> str:
     value that starts at the indent ``pad``, without the pure-Python encoder
     that ``indent`` selects.
 
-    A scalar reads the same at every indent: an exact str is quoted as the
-    encoder quotes it, an exact int or finite float is its ``repr``
-    (``int.__repr__`` and ``float.__repr__``, as in the encoder), and any
-    other goes to the C encoder.  A dict with str keys and a list are walked,
-    a list of records (:func:`_record_values`) by one ``%`` template over all
-    their values, whose ``%r`` is that ``repr``.  Any other container goes to
+    An exact str is quoted as the encoder quotes it, and an exact int or
+    finite float is its ``repr``, as in the encoder.  A non-empty dict with
+    str keys and a non-empty list are walked.  Any other container goes to
     ``json.dumps`` with each newline re-indented, which is exact as JSON text
-    holds no raw newline inside a string.  A value the encoder refuses raises
-    the same exception type here, but for a cyclic one, which no verb builds:
-    it recurses until RecursionError where the encoder raises ValueError.
+    holds no raw newline inside a string, and any other scalar goes to the C
+    encoder.  A value the encoder refuses raises the same exception type
+    here, but for a cyclic one, which no verb builds: it recurses until
+    RecursionError where the encoder raises ValueError.
     """
     kind = type(obj)
     if kind is str:
@@ -109,56 +107,10 @@ def _json_text(obj, pad: str = "") -> str:
         fields = [f"{inner}{_quote(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
         return "{\n%s\n%s}" % (",\n".join(fields), pad)
     if kind is list and obj:
-        table = _record_values(obj)
-        if table is None:
-            return "[\n%s\n%s]" % (",\n".join([inner + _json_text(value, inner) for value in obj]), pad)
-        keys, lengths, values = table
-        field_pad, entry_pad = inner + "  ", inner + "    "
-        fields = []
-        for key, n in zip(keys, lengths):
-            name = _quote(key).replace("%", "%%")
-            if n is None:
-                fields.append(f"{field_pad}{name}: %r")
-            elif n == 0:
-                fields.append(f"{field_pad}{name}: []")
-            else:
-                fields.append(f"{field_pad}{name}: [\n{entry_pad}" + f",\n{entry_pad}".join(["%r"] * n) + f"\n{field_pad}]")
-        record = "%s{\n%s\n%s}" % (inner, ",\n".join(fields), inner)
-        return ("[\n%s\n%s]" % (",\n".join([record] * len(obj)), pad)) % values
+        return "[\n%s\n%s]" % (",\n".join([inner + _json_text(value, inner) for value in obj]), pad)
     if isinstance(obj, (dict, list, tuple)):
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
     return json.dumps(obj)
-
-
-def _record_values(rows: list) -> tuple[list[str], list[int | None], tuple] | None:
-    """The sorted keys of a list of records, the length of each key's value
-    list (None for a number) and every value, record by record in key order;
-    None unless ``rows`` is such a list.  Records are dicts with one set of
-    str keys, each key holding an exact int or finite float in every record,
-    or in every record a list of as many of them."""
-    first = rows[0]
-    if type(first) is not dict or not first or not all(type(key) is str for key in first):
-        return None
-    keys = sorted(first)
-    lengths = [len(first[key]) if type(first[key]) is list else None for key in keys]
-    values = []
-    for row in rows:
-        if type(row) is not dict or row.keys() != first.keys():
-            return None
-        for key, n in zip(keys, lengths):
-            value = row[key]
-            if n is None:
-                values.append(value)
-            elif type(value) is list and len(value) == n:
-                values += value
-            else:
-                return None
-    if not {*map(type, values)} <= {int, float}:
-        return None
-    # nan and inf carry through a sum, and a sum that overflows only costs the template
-    if not math.isfinite(sum(value for value in values if type(value) is float)):
-        return None
-    return keys, lengths, tuple(values)
 
 
 def _dump_json(obj, out: str | None) -> None:

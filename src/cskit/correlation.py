@@ -592,7 +592,8 @@ def read_sequences(text: str, q: int | None = None) -> list[PolyphaseSeq]:
     the ``# CS q=..`` header of :func:`cskit.construct.cs_to_text`.
 
     Lines starting with ``#`` (and inline ``#`` comments) are ignored.  Each
-    remaining line carries one sequence as whitespace-separated symbols.  A
+    remaining line carries one sequence as whitespace-separated symbols, each
+    ASCII digits with an optional sign, and the header's q is ASCII digits.  A
     file of several lines that each hold one symbol is refused: it could be
     one sequence written as a column or a set of length-1 sequences.  A line
     longer than a polynomial's value vector may be (2^MAX_VALUE_VECTOR_M
@@ -607,10 +608,10 @@ def read_sequences(text: str, q: int | None = None) -> list[PolyphaseSeq]:
             if body.lstrip("#").strip().startswith("CS "):
                 tokens = [t for t in body.split() if t.startswith("q=")]
                 if tokens:
-                    try:
-                        q = int(tokens[-1][2:])
-                    except ValueError:
-                        raise ParseError(f"bad header value {tokens[-1]!r}") from None
+                    value = tokens[-1][2:]
+                    if not (value.isascii() and value.isdigit()):
+                        raise ParseError(f"bad header value {tokens[-1]!r}")
+                    q = int(value)
                 break
         if q is None:
             raise ParseError("cannot determine the modulus: pass --q or use a file with a 'CS q=..' header")
@@ -623,7 +624,9 @@ def read_sequences(text: str, q: int | None = None) -> list[PolyphaseSeq]:
         _require_sequence_length(len(tokens))
         row = []
         for tok in tokens:
-            try:
+            try:  # an optional sign and ASCII digits: int() also reads other digits and 1_0
+                if not tok.isascii() or "_" in tok:
+                    raise ValueError
                 v = int(tok)
             except ValueError:
                 raise ParseError(f"line {lineno}: {tok!r} is not an integer") from None

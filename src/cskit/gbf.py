@@ -529,18 +529,20 @@ def psi_restricted(f: GbfPoly, restricted: Sequence[int], word: int) -> Polyphas
 
 # -- text format -------------------------------------------------------------
 
-_HEAD_RE = re.compile(r"^q=(\d+);m=(\d+);(.*)$")
-_VAR_RE = re.compile(r"^x(\d+)$")
+# ASCII digits only: \d and str.isdigit also match other Unicode digits
+_HEAD_RE = re.compile(r"^q=([0-9]+);m=([0-9]+);(.*)$")
+_VAR_RE = re.compile(r"^x([0-9]+)$")
 
 
 def parse_gbf(text: str) -> GbfPoly:
     """Parse ``q=<int>;m=<int>; <term> + <term> + ...``.
 
     A term is either a bare integer constant or an optional ``<coeff>*``
-    prefix followed by ``x<i>`` factors joined by ``*``.  Whitespace is
-    ignored everywhere.  Repeated monomials are summed mod q (so the result
-    may be the zero polynomial); repeated variables within one term collapse,
-    since the variables only take values 0 and 1.
+    prefix followed by ``x<i>`` factors joined by ``*``.  Every integer is
+    written in ASCII digits.  Whitespace is ignored everywhere.  Repeated
+    monomials are summed mod q (so the result may be the zero polynomial);
+    repeated variables within one term collapse, since the variables only
+    take values 0 and 1.
     """
     squeezed = re.sub(r"\s+", "", text)
     match = _HEAD_RE.match(squeezed)
@@ -557,7 +559,7 @@ def parse_gbf(text: str) -> GbfPoly:
         factors = raw.split("*")
         coeff = 1
         start = 0
-        if factors[0].isdigit():
+        if factors[0].isascii() and factors[0].isdigit():
             coeff = int(factors[0])
             start = 1
         elif not _VAR_RE.match(factors[0]):

@@ -1,4 +1,5 @@
-"""Mutants of the exactness guards, and a runner that checks each is killed.
+"""Mutants of the exactness guards and the CLI's contract, and a runner that
+checks each is killed.
 
     python tests/mutants.py
 
@@ -30,6 +31,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 CORRELATION = "src/cskit/correlation.py"
+CLI = "src/cskit/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -113,6 +115,66 @@ MUTANTS = (
         "    if not lo:  # row 0 pairs v_0 = 1 with v_(S/2)\n",
         "    if False:\n",
         ("tests/test_correlation.py::test_pmepr_grid_is_the_autocorrelation_polynomial",),
+    ),
+    # read_sequences' header rule: the last q= of the first '# CS' line before
+    # any sequence
+    Mutant(
+        "header: the first q= of the line",
+        CORRELATION,
+        "value = tokens[-1][2:]",
+        "value = tokens[0][2:]",
+        ("tests/test_construct.py::test_header_modulus_rules",),
+    ),
+    Mutant(
+        "header: a later '# CS' line",
+        CORRELATION,
+        "                    q = int(value)\n                break\n",
+        "                    q = int(value)\n",
+        ("tests/test_construct.py::test_header_modulus_rules",),
+    ),
+    Mutant(
+        "header: after a sequence",
+        CORRELATION,
+        "            if body and not body.startswith(\"#\"):\n                break\n",
+        "",
+        ("tests/test_construct.py::test_header_modulus_rules",),
+    ),
+    # the CLI's exit codes: 1 for a failed hypothesis, 2 for any other error
+    Mutant(
+        "exit 2 on a failed hypothesis",
+        CLI,
+        "        return 1\n    except (CskitError, ValueError) as exc:",
+        "        return 2\n    except (CskitError, ValueError) as exc:",
+        ("tests/test_cli.py::test_analyze_rejects_bad_shape", "tests/test_cli.py::test_construct_balance_violation_exit_1"),
+    ),
+    Mutant(
+        "BalanceError not a hypothesis error",
+        CLI,
+        "HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, BalanceError)",
+        "HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError)",
+        ("tests/test_cli.py::test_construct_balance_violation_exit_1",),
+    ),
+    Mutant(
+        "exit 1 on malformed input",
+        CLI,
+        "        return 2\n    except OSError as exc:",
+        "        return 1\n    except OSError as exc:",
+        ("tests/test_cli.py::test_analyze_parse_error_exit_2",),
+    ),
+    Mutant(
+        "exit 1 on I/O trouble",
+        CLI,
+        '        print(f"cskit: {exc}", file=sys.stderr)\n        return 2\n',
+        '        print(f"cskit: {exc}", file=sys.stderr)\n        return 1\n',
+        ("tests/test_cli.py::test_missing_file_exit_2",),
+    ),
+    # the JSON walk's key order
+    Mutant(
+        "JSON keys unsorted",
+        CLI,
+        " for key in sorted(obj)]",
+        " for key in obj]",
+        ("tests/test_cli.py::test_json_bytes_pinned", "tests/test_cli.py::test_json_writer_is_json_dumps"),
     ),
 )
 

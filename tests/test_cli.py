@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cskit import doubled_cs, gbf, gbf_from_json, parse_gbf
+from cskit import doubled_cs, gbf, gbf_from_json, parse_gbf, random_qualifying_gbf
 from cskit.cli import _json_text, build_parser, main
+from cskit.correlation import aacf_report
 
 EX1 = "q=2;m=4; x0*x1*x3 + x0*x2*x3 + x0*x1*x2 + x1*x2"
 
@@ -387,6 +388,21 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES | record_tables() | st.lists(record_tables() | REFUSED, min_size=1, max_size=3) | st.dictionaries(KEYS, record_tables() | REFUSED, min_size=1, max_size=2))
 def test_json_writer_is_json_dumps(obj):
     assert written(_json_text, obj) == written(lambda v: json.dumps(v, indent=2, sort_keys=True), obj)
+
+
+def test_json_writer_peak_memory():
+    # the pmepr report of a 16-member q = 4 set of length 512 (7876 offpeak
+    # rows, 976 KB): the walk peaks at 2.0x its text, json.dumps(indent=2)
+    # at 7.5x
+    f, restricted = random_qualifying_gbf(9, 2, 4, (), seed=1)
+    reports = [aacf_report(s) for s in doubled_cs(f, restricted=restricted).sequences()]
+    tracemalloc.start()
+    try:
+        text = _json_text(reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
 
 
 def test_tables_golden_documented_only(capsys):

@@ -503,8 +503,8 @@ def test_pmepr_grid_is_pinned():
 
 
 def test_pmepr_concurrent_callers_get_their_own_values():
-    # more callers than cores, each sweeping its grids in its own thread-local
-    # block: every value bit-identical to the serial one
+    # more callers than cores, each grid sweeping the block it allocates for
+    # itself: every value bit-identical to the serial one
     rng = np.random.default_rng(12)
     seqs = [PolyphaseSeq(q, rng.integers(0, q, 1024)) for q in (2, 4, 8, 16, 4, 8)]
     want = [pmepr(s) for s in seqs]

@@ -58,6 +58,11 @@ REFUSALS = {
     "parse-odd-q": (lambda: parse_gbf("q=3;m=2; x0"), ParseError),
     "parse-zero-q": (lambda: parse_gbf("q=0;m=2; x0"), ParseError),
     "parse-zero-m": (lambda: parse_gbf("q=4;m=0; 1"), ParseError),
+    # integers are ASCII digits: str.isdigit accepts '²', which int() refuses,
+    # and \d matches any Unicode decimal digit, so 'q=٤' read as q = 4
+    "parse-superscript-coefficient": (lambda: parse_gbf("q=4;m=3; ²*x0"), ParseError),
+    "parse-arabic-indic-head": (lambda: parse_gbf("q=٤;m=3; x0*x1"), ParseError),
+    "parse-arabic-indic-variable": (lambda: parse_gbf("q=4;m=3; x٠*x1"), ParseError),
     "json-odd-q": (lambda: gbf_from_json({"q": 3, "m": 2, "text": "q=3;m=2; x0"}), ParseError),
     "json-string-q": (lambda: gbf_from_json({"q": "4", "m": 2, "text": "q=4;m=2; x0"}), ParseError),
     "json-zero-m": (lambda: gbf_from_json({"q": 4, "m": 0, "text": "q=4;m=0; 1"}), ParseError),
@@ -103,6 +108,10 @@ REFUSALS = {
     "read-non-integer": (lambda: read_sequences("0 1 x\n", 4), ParseError),
     "read-no-modulus": (lambda: read_sequences("0 1\n"), ParseError),
     "read-bad-header-modulus": (lambda: read_sequences("# CS q=4.0\n0 1\n"), ParseError),
+    # int() read '٣' as 3, '1_0' as 10 and the header 'q=٤' as 4
+    "read-arabic-indic-symbol": (lambda: read_sequences("٣ 0\n", 4), ParseError),
+    "read-underscore-symbol": (lambda: read_sequences("1_0 0\n", 16), ParseError),
+    "read-arabic-indic-header-modulus": (lambda: read_sequences("# CS q=٤\n0 1\n"), ParseError),
     "write-masked": (lambda: write_sequences([MASKED]), ValueError),
     # restriction profiles
     "analyze-repeated-index": (lambda: analyze(PATH, [0, 0]), ValueError),
