@@ -40,7 +40,7 @@ from .construct import (
 )
 from .correlation import aacf_report, read_sequences, set_report
 from .errors import BalanceError, CskitError, DegreeError, GraphShapeError, ParseError
-from .gbf import GbfPoly, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
+from .gbf import GbfPoly, _ascii_int, _require_power_of_two, gbf_to_json, parse_gbf, render_gbf
 from .graphs import analyze
 
 HYPOTHESIS_ERRORS = (DegreeError, GraphShapeError, BalanceError)
@@ -119,9 +119,9 @@ def _dump_json(obj, out: str | None) -> None:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.replace(",", " ").split()]
+        return [_ascii_int(part) for part in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ParseError(f"expected a comma-separated list of integers, got {text!r}") from exc
+        raise ParseError(f"expected a comma-separated list of integers in ASCII digits, got {text!r}") from exc
 
 
 # -- verb implementations ---------------------------------------------------------
@@ -256,12 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="restriction-structure report")
     _add_gbf_source(p)
-    p.add_argument("-r", "--restrict", type=int, action="append", help="restricted variable index (repeatable)")
+    p.add_argument("-r", "--restrict", type=_ascii_int, action="append", help="restricted variable index (repeatable)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("construct", help="build a complementary set")
     _add_gbf_source(p)
-    p.add_argument("-r", "--restrict", type=int, action="append", help="restricted variable index (repeatable)")
+    p.add_argument("-r", "--restrict", type=_ascii_int, action="append", help="restricted variable index (repeatable)")
     p.add_argument(
         "--type",
         default="offset",
@@ -273,24 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a sequence file for the complementary-set property")
     p.add_argument("path", help="sequence file ('-' for stdin)")
-    p.add_argument("--q", type=int, help="phase modulus (read from the file header when omitted)")
+    p.add_argument("--q", type=_ascii_int, help="phase modulus (read from the file header when omitted)")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("pmepr", help="autocorrelation / PMEPR report per sequence")
     p.add_argument("path", help="sequence file ('-' for stdin)")
-    p.add_argument("--q", type=int, help="phase modulus (read from the file header when omitted)")
-    p.add_argument("--oversample", type=int, default=64, help="envelope grid oversampling factor")
+    p.add_argument("--q", type=_ascii_int, help="phase modulus (read from the file header when omitted)")
+    p.add_argument("--oversample", type=_ascii_int, default=64, help="envelope grid oversampling factor")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_pmepr)
 
     p = sub.add_parser("random", help="generate a random qualifying polynomial")
-    p.add_argument("-m", type=int, required=True, help="number of variables")
-    p.add_argument("-k", type=int, required=True, help="number of restricted variables")
-    p.add_argument("--q", type=int, required=True, help="phase modulus (power of two)")
+    p.add_argument("-m", type=_ascii_int, required=True, help="number of variables")
+    p.add_argument("-k", type=_ascii_int, required=True, help="number of restricted variables")
+    p.add_argument("--q", type=_ascii_int, required=True, help="phase modulus (power of two)")
     p.add_argument("--groups", help="isolated-group sizes, e.g. '2,1' (default: none, all paths)")
     p.add_argument("--balanced", action="store_true", help="make the isolated couplings balanced")
-    p.add_argument("--seed", type=int, required=True, help="RNG seed (results are reproducible)")
+    p.add_argument("--seed", type=_ascii_int, required=True, help="RNG seed (results are reproducible)")
     p.add_argument("--construct", choices=list(BUILDERS), help="also build this set")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_random)
@@ -302,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["erm", "a", "a1", "r", "r1", "r2", "c4", "c8", "golay"],
         help="codebook family",
     )
-    p.add_argument("-m", type=int, required=True, help="number of variables")
-    p.add_argument("--q", type=int, required=True, help="phase modulus (power of two)")
-    p.add_argument("-r", type=int, help="effective-degree bound")
-    p.add_argument("-k", type=int, help="number of restricted variables")
+    p.add_argument("-m", type=_ascii_int, required=True, help="number of variables")
+    p.add_argument("--q", type=_ascii_int, required=True, help="phase modulus (power of two)")
+    p.add_argument("-r", type=_ascii_int, help="effective-degree bound")
+    p.add_argument("-k", type=_ascii_int, help="number of restricted variables")
     p.add_argument("--sizes", help="restriction-block sizes for family r2, e.g. '2,1,1'")
     p.add_argument("--count-only", action="store_true", help="print only the number of members")
-    p.add_argument("--limit", type=int, help="stop after this many members")
+    p.add_argument("--limit", type=_ascii_int, help="stop after this many members")
     p.add_argument("--out", help="write output here")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -19,11 +19,12 @@ Three kinds of results live here:
   force.  Every family is a union of Cartesian sums of small factors
   (path representatives, couplings, generators of the linear part); a word
   is a dense Z_q row of ANF coefficients, one per monomial mask the family
-  uses, built as a row sum mod q in blocks of bounded size, deduplicated on
-  the row bytes for the union codes, and turned into a ``GbfPoly`` only when
-  yielded.  One blocked engine (:func:`_cartesian_blocks`) sums these
-  words.  The word count comes in closed form from the factor sizes, and
-  any family above 2^22 words is refused before anything is built;
+  uses, built as a row sum mod q in blocks of bounded size and turned into a
+  ``GbfPoly`` only when yielded.  One blocked engine
+  (:func:`_cartesian_blocks`) sums these words.  No word repeats (the lemma
+  below), so the word count is the closed-form product of the factor sizes,
+  summed over the parts, and any family above 2^22 words is refused before
+  anything is built;
 * exact minimum distances of the bounded-effective-degree code
   (:func:`erm_min_distances`), for every code by one per-stratum argument
   in closed form: every codeword is 2^i times a polynomial with an odd
@@ -43,6 +44,39 @@ the closed forms and records which entries cannot be reproduced (they are
 carried as documented discrepancies, not silently patched), and
 :func:`rate_rows` exports the computed rates.  Both walk the same list of
 fixtures, one size formula per table.
+
+**Lemma: every family is an injective Cartesian sum.**  Distinct picks of
+one row per factor, in one part or in two parts of a union, give distinct
+polynomials.  The ANF over Z_q is canonical, so a polynomial, its function
+and its coefficient row determine one another; the picks are recovered from
+the function.  Call the variables a part's representatives restrict
+(x_{m-k} .. x_{m-1}) restricted, the others unrestricted.
+
+* Within a part, picks are recoverable.  Each representative term holds two
+  unrestricted variables; coupling and coset terms hold at most one, so the
+  terms with two unrestricted variables are the representatives' alone.
+  The generators (of ERM, of the coset codes, of the Golay linear part and
+  constant) sit on distinct masks, and each is cyclic (a * step for a < n,
+  with n * step = q), so its column gives back its pick.
+* ``_Couplings`` masks x_{m-k-1} x_j (j restricted) are unused elsewhere in
+  their part: ``excl`` drops the isolated coupler x_{m-k-1} from the coset
+  code, and the pick e is its bit pattern times q/2.
+* Path classes are recoverable.  The junta factors' indicators take the
+  value 1 on disjoint sets of restriction words that cover them all, so
+  under restriction word w only the factor whose indicator matches w adds
+  edges, q/2 on each edge of its path and 0 elsewhere.  Distinct path
+  classes up to reversal have distinct edge sets.
+* Parts are disjoint by restriction-graph shape, and a word's restriction
+  graphs are a function of the word.
+  - Path-part words restrict to full paths on the unrestricted variables.
+  - Isolated-part words restrict to paths that leave x_{m-k-1} out.
+  - C8's k = 1 part restricts under (x_{m-2}, x_{m-1}) to full paths on
+    x_0 .. x_{m-3} when x_{m-1} = 0, and to no full path (x_{m-3} is left
+    out) when x_{m-1} = 1, where C8's path part restricts to full paths
+    under every word and its isolated part under none.
+
+``tests/test_codebook.py`` checks the lemma on every union-table row of at
+most 2^22 words: its rows are pairwise distinct.
 """
 
 from __future__ import annotations
@@ -493,52 +527,22 @@ def _columns(parts: Sequence[Sequence]) -> np.ndarray:
     return np.unique(np.array([mask for part in parts for f in part for mask in f.masks()], dtype=np.int64))
 
 
-def _coefficient_rows(parts: Sequence[Sequence], cols: np.ndarray, q: int, *, dedup: bool = False) -> Iterator[np.ndarray]:
-    """The rows over ``cols`` of the words of a union of Cartesian sums (one
-    factor list per part), in order, at most ``_YIELD_ROWS`` at a time.  With
-    ``dedup`` a row equal to an earlier one is dropped; the ANF is canonical,
-    so equal rows are exactly equal functions.  A chunk that shares no row
-    with the earlier ones (the usual case) is hashed twice, by the disjointness
-    test and the update; when ``seen`` then grows by less than the chunk, some
-    row repeats inside it, and the first of each is kept."""
-    seen: set[bytes] = set()
+def _coefficient_words(parts: Sequence[Sequence], q: int, m: int) -> Iterator[GbfPoly]:
+    """The words of a union of Cartesian sums (one factor list per part) as
+    polynomials, in order: each part's rows over the family's columns from
+    :func:`_row_blocks`, turned into polynomials ``_YIELD_ROWS`` at a time."""
+    cols = _columns(parts)
     for part in parts:
         for block in _row_blocks(part, cols, q):
             for start in range(0, len(block), _YIELD_ROWS):
-                chunk = block[start : start + _YIELD_ROWS]
-                if dedup:
-                    keys = chunk.view(np.dtype((np.void, chunk.shape[1] * chunk.itemsize))).ravel().tolist()
-                    before = len(seen)
-                    if seen.isdisjoint(keys):
-                        seen.update(keys)
-                        if len(seen) - before < len(keys):
-                            chunk = chunk[_new_rows(keys, set())]
-                    else:
-                        chunk = chunk[_new_rows(keys, seen)]
-                yield chunk
-
-
-def _new_rows(keys: Sequence[bytes], seen: set[bytes]) -> list[int]:
-    """The indices of the keys not in ``seen``, each key's first only; adds
-    them to ``seen``."""
-    keep = []
-    for i, key in enumerate(keys):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return keep
-
-
-def _coefficient_words(parts: Sequence[Sequence], q: int, m: int, *, dedup: bool = False) -> Iterator[GbfPoly]:
-    """The words of :func:`_coefficient_rows` as polynomials."""
-    cols = _columns(parts)
-    for chunk in _coefficient_rows(parts, cols, q, dedup=dedup):
-        yield from polys_from_rows(q, m, cols, chunk)
+                yield from polys_from_rows(q, m, cols, block[start : start + _YIELD_ROWS])
 
 
 def _refuse_above_limit(parts: Sequence[Sequence], what: str) -> int:
-    """The number of words of the parts (before deduplication); raise
-    :class:`EnumerationError` when it is above 2^22, before anything is built."""
+    """The number of words of the parts, the sum over parts of the product
+    of their factor sizes, which counts distinct polynomials (the module's
+    lemma); raise :class:`EnumerationError` when it is above 2^22, before
+    anything is built."""
     words = sum(math.prod(f.n for f in part) for part in parts)
     if words > _MAX_WORDS:
         raise EnumerationError(f"{words} {what} requested, more than 2^22")
@@ -698,28 +702,25 @@ def enumerate_codebook(
 
     Every family is a union of Cartesian sums of factors (representatives,
     couplings, generators of the linear part), each word a Z_q row of ANF
-    coefficients; C4/C8 skip a word whose row equals an earlier one, which is
-    deduplication by function.  The word count before deduplication comes in
-    closed form from the factor sizes (m!/2 * q^{m+1} for GOLAY, classes^(2^t)
-    for R, reps times code words for a union part), and a request above 2^22
-    words raises :class:`EnumerationError` before anything is built.
+    coefficients.  Distinct picks give distinct polynomials (the module's
+    lemma), so every word is yielded once, and the word count comes in closed
+    form from the factor sizes (m!/2 * q^{m+1} for GOLAY, classes^(2^t) for
+    R, reps times code words for a union part); a request above 2^22 words
+    raises :class:`EnumerationError` before anything is built.
     """
     fam = family.upper()
     parts = _codebook_parts(fam, m, h, r, k, sizes)
     _refuse_above_limit(parts, f"{fam} words")
-    return _coefficient_words(parts, 1 << h, m, dedup=fam in ("C4", "C8"))
+    return _coefficient_words(parts, 1 << h, m)
 
 
 def count_codebook(family: str, m: int, h: int, *, r: int | None = None, k: int | None = None, sizes: Sequence[int] = ()) -> int:
-    """The number of words :func:`enumerate_codebook` yields, with no
-    polynomial built: the closed-form factor product, or for C4/C8 the
-    number of distinct coefficient rows.  Refused above 2^22 words alike."""
+    """The number of words :func:`enumerate_codebook` yields, with no row
+    or polynomial built: the closed-form product of the factor sizes, summed
+    over the parts, which counts distinct polynomials by the module's lemma.
+    Refused above 2^22 words alike."""
     fam = family.upper()
-    parts = _codebook_parts(fam, m, h, r, k, sizes)
-    words = _refuse_above_limit(parts, f"{fam} words")
-    if fam not in ("C4", "C8"):
-        return words
-    return sum(len(rows) for rows in _coefficient_rows(parts, _columns(parts), 1 << h, dedup=True))
+    return _refuse_above_limit(_codebook_parts(fam, m, h, r, k, sizes), f"{fam} words")
 
 
 # -- printed reference tables ----------------------------------------------------

@@ -128,7 +128,7 @@ import numpy as np
 
 from .cyclo import CycloValue, _embed, _fold, _from_conjugates
 from .errors import EmptySequenceError, ParseError, SizeLimitError
-from .gbf import PolyphaseSeq, _index, _require_product_bytes, _require_sequence_length, _roots
+from .gbf import PolyphaseSeq, _ascii_int, _index, _require_product_bytes, _require_sequence_length, _roots
 
 __all__ = [
     "CorrVector",
@@ -624,10 +624,8 @@ def read_sequences(text: str, q: int | None = None) -> list[PolyphaseSeq]:
         _require_sequence_length(len(tokens))
         row = []
         for tok in tokens:
-            try:  # an optional sign and ASCII digits: int() also reads other digits and 1_0
-                if not tok.isascii() or "_" in tok:
-                    raise ValueError
-                v = int(tok)
+            try:
+                v = _ascii_int(tok)
             except ValueError:
                 raise ParseError(f"line {lineno}: {tok!r} is not an integer") from None
             if not 0 <= v < q:

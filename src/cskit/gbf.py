@@ -104,6 +104,16 @@ def _index(n: object, rule: str) -> int:
     raise ValueError(f"{rule}, got {n!r}")
 
 
+def _ascii_int(text: str) -> int:
+    """``text`` as an int when it is an optional sign then ASCII digits, else
+    ``ValueError``: ``int()`` also reads other Unicode digits, ``_``
+    separators and surrounding whitespace."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    raise ValueError(f"expected an optional sign and ASCII digits, got {text!r}")
+
+
 def _variable_bit(v: object, m: int) -> int:
     """``1 << v`` for a variable index v in [0, m), read by :func:`_index`."""
     v = _index(v, "variable indices must be integers")

@@ -1,5 +1,5 @@
-"""Mutants of the exactness guards and the CLI's contract, and a runner that
-checks each is killed.
+"""Mutants of the exactness guards, the codebook's closed forms and the CLI's
+contract, and a runner that checks each is killed.
 
     python tests/mutants.py
 
@@ -32,6 +32,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 CORRELATION = "src/cskit/correlation.py"
 CLI = "src/cskit/cli.py"
+CODEBOOK = "src/cskit/codebook.py"
+GBF = "src/cskit/gbf.py"
 
 
 class Mutant(NamedTuple):
@@ -175,6 +177,41 @@ MUTANTS = (
         " for key in sorted(obj)]",
         " for key in obj]",
         ("tests/test_cli.py::test_json_bytes_pinned", "tests/test_cli.py::test_json_writer_is_json_dumps"),
+    ),
+    # the integer options' reader: int() without the ASCII check reads ٣ as 3
+    Mutant(
+        "integer text beyond ASCII digits",
+        GBF,
+        "    if digits.isascii() and digits.isdigit():\n",
+        "    if digits.isdigit():\n",
+        ("tests/test_gbf.py::test_ascii_int_refuses_what_int_reads_beyond_ascii_digits", "tests/test_cli.py::test_integer_options_read_ascii_digits_only"),
+    ),
+    # the codebook's closed forms: every junta factor on the indicator of word
+    # 0 sums path classes that repeat, e.g. C4(4,1,3) has 2,368 rows but only
+    # 1,024 distinct ones, while the raw count still equals the closed form;
+    # only the distinctness of the rows sees it
+    Mutant(
+        "junta paths all on restriction word 0",
+        CODEBOOK,
+        "_indicator_anf(prefix, [w], q)",
+        "_indicator_anf(prefix, [0], q)",
+        ("tests/test_codebook.py::test_enumerable_union_rows_are_distinct",),
+    ),
+    Mutant(
+        "doubled PMEPR bound 2^(k+2) - M",
+        CODEBOOK,
+        "(1 << (k + 2)) - 2 * M",
+        "(1 << (k + 2)) - M",
+        ("tests/test_codebook.py::test_golden_report_reconciles_exactly",),
+    ),
+    # the shared (mask, coefficient) pairs of a chunk: a key that drops the
+    # column stride maps distinct pairs to one cell and decodes it wrongly
+    Mutant(
+        "shared pair index without the column stride",
+        GBF,
+        "keys = col * q + rows.ravel()[flat]",
+        "keys = col + rows.ravel()[flat]",
+        ("tests/test_properties.py::test_enumerators_match_the_reference",),
     ),
 )
 

@@ -455,8 +455,9 @@ def test_construct_non_power_of_two_modulus_exit_2(capsys, gbf):
 
 
 def test_enumerate_count_only_builds_no_polynomial(capsys, monkeypatch):
-    # 2^22 words counted from the factor sizes; C4/C8 from their distinct rows
+    # every family is counted from its factor sizes, C4/C8 too, with no row built
     monkeypatch.setattr("cskit.codebook.polys_from_rows", None)
+    monkeypatch.setattr("cskit.codebook._row_blocks", None)
     code, out, _ = run(capsys, "enumerate", "--family", "erm", "-m", "6", "-r", "2", "--q", "2", "--count-only")
     assert code == 0 and out.strip() == str(1 << 22)
     code, out, _ = run(capsys, "enumerate", "--family", "c8", "-m", "5", "-r", "2", "--q", "2", "--count-only")
@@ -526,3 +527,52 @@ def test_enumerate_refuses_a_negative_limit(capsys):
     assert err == "cskit: ValueError: --limit must be >= 0, got -1\n"
     code, out, _ = run(capsys, "enumerate", "--family", "golay", "-m", "3", "--q", "4", "--limit", "0")
     assert code == 0 and out == "# ... truncated at 0\n"
+
+
+GOLAY_PAIR = "0 0 0 1\n0 0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each read ٣ as 3, ٤ as 4 or 1_6 as 16 and exited 0
+        pytest.param(["enumerate", "--family", "golay", "-m", "٣", "--q", "4", "--count-only"], id="enumerate-m"),
+        pytest.param(["enumerate", "--family", "golay", "-m", "3", "--q", "٤", "--count-only"], id="enumerate-q"),
+        pytest.param(["enumerate", "--family", "erm", "-m", "3", "--q", "2", "-r", "١", "--count-only"], id="enumerate-r"),
+        pytest.param(["enumerate", "--family", "a", "-m", "3", "--q", "2", "-r", "1", "-k", "١", "--count-only"], id="enumerate-k"),
+        pytest.param(["enumerate", "--family", "golay", "-m", "3", "--q", "4", "--limit", "٥"], id="enumerate-limit"),
+        pytest.param(["enumerate", "--family", "r2", "-m", "6", "--q", "2", "-r", "2", "-k", "1", "--sizes", "١,١", "--count-only"], id="enumerate-sizes"),
+        pytest.param(["random", "-m", "٦", "-k", "1", "--q", "16", "--seed", "1"], id="random-m"),
+        pytest.param(["random", "-m", "6", "-k", "١", "--q", "16", "--seed", "1"], id="random-k"),
+        pytest.param(["random", "-m", "6", "-k", "1", "--q", "1_6", "--seed", "1"], id="random-q"),
+        pytest.param(["random", "-m", "6", "-k", "1", "--q", "16", "--seed", "١"], id="random-seed"),
+        pytest.param(["random", "-m", "6", "-k", "1", "--q", "16", "--seed", "1", "--groups", "١"], id="random-groups"),
+        pytest.param(["analyze", "--gbf", EX1, "-r", "٠"], id="analyze-restrict"),
+        pytest.param(["construct", "--gbf", EX1, "-r", "٠"], id="construct-restrict"),
+        pytest.param(["verify", "PAIR", "--q", "٢"], id="verify-q"),
+        pytest.param(["pmepr", "PAIR", "--q", "2", "--oversample", "٦٤"], id="pmepr-oversample"),
+        # int() also strips surrounding whitespace
+        pytest.param(["enumerate", "--family", "golay", "-m", " 3", "--q", "4", "--count-only"], id="enumerate-m-space"),
+    ],
+)
+def test_integer_options_read_ascii_digits_only(tmp_path, capsys, argv):
+    pair = tmp_path / "pair.txt"
+    pair.write_text(GOLAY_PAIR)
+    argv = [str(pair) if a == "PAIR" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's refusal of an option value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "ASCII digits" in err or "invalid _ascii_int value" in err
+
+
+def test_integer_options_keep_a_sign(tmp_path, capsys):
+    # a negative seed is a seed, and an explicit + sign is read as int() reads it
+    code, out, _ = run(capsys, "random", "-m", "6", "-k", "1", "--q", "+4", "--seed", "-3")
+    assert code == 0 and json.loads(out)["profile"]["q"] == 4
+    pair = tmp_path / "pair.txt"
+    pair.write_text(GOLAY_PAIR)
+    code, out, _ = run(capsys, "verify", str(pair), "--q", "+2")
+    assert code == 0 and json.loads(out)["is_cs"] is True

@@ -99,7 +99,7 @@ def test_coset_code_sizes():
 
 def test_union_code_sizes_match_enumerators():
     # the closed forms count distinct sequences; check them against literal
-    # enumeration + deduplication
+    # enumeration, whose words are distinct (test_enumerable_union_rows_are_distinct)
     assert union_code_size_pmepr4(4, 2, 1) == 832
     assert union_code_size_pmepr4(4, 1, 2) == 25600
     assert union_code_size_pmepr8(5, 2, 1) == 36864
@@ -119,23 +119,40 @@ def test_union_enumerators_match_closed_forms_larger():
     assert sum(1 for _ in enumerate_codebook("C8", 5, 1, r=2)) == 36864
 
 
-def test_union_dedup_keeps_the_first_of_each_row(monkeypatch):
-    # chunks of 4 rows: one with repeats inside it, one repeating an earlier
-    # chunk's row, one repeating both, one all new; rows are their own blocks
-    rng = np.random.default_rng(7)
-    distinct = rng.permutation(64)[:10].astype(np.uint8)
-    picks = [[0, 1, 0, 2], [3, 1, 4, 5], [6, 6, 3, 7], [8, 9], [2, 9, 9]]
-    parts = [[distinct[pick][:, None] for pick in picks[:4]], [distinct[picks[4]][:, None]]]
-    monkeypatch.setattr(codebook, "_row_blocks", lambda part, cols, q: iter(part))
-    monkeypatch.setattr(codebook, "_YIELD_ROWS", 4)
-    got = [row for chunk in codebook._coefficient_rows(parts, np.array([1]), 64, dedup=True) for row in chunk[:, 0].tolist()]
-    seen, want = set(), []
-    for pick in picks:
-        for i in pick:
-            if i not in seen:
-                seen.add(i)
-                want.append(int(distinct[i]))
-    assert got == want == distinct.tolist()
+UNION_TABLES = [("C4", union_code_size_pmepr4, codebook.TABLE_UNION4), ("C8", union_code_size_pmepr8, codebook.TABLE_UNION8)]
+# every union-table row that the enumerators build: eight C4 rows and four C8
+# rows, 6,213,760 words in all
+ENUMERABLE_UNION_ROWS = [
+    pytest.param(family, m, h, r, size(m, r, h), id=f"{family}-{m}-{h}-{r}")
+    for family, size, table in UNION_TABLES
+    for m, h, r, *_ in table
+    if size(m, r, h) <= 1 << 22
+]
+
+
+def test_twelve_union_rows_are_enumerable():
+    assert len(ENUMERABLE_UNION_ROWS) == 12
+    assert sum(p.values[-1] for p in ENUMERABLE_UNION_ROWS) == 6213760
+
+
+@pytest.mark.parametrize("family, m, h, r, size", ENUMERABLE_UNION_ROWS)
+def test_enumerable_union_rows_are_distinct(family, m, h, r, size):
+    """The lemma of the ``cskit.codebook`` docstring, that every family is an
+    injective Cartesian sum, on every enumerable union row: the coefficient rows of all its parts are
+    pairwise distinct, so the closed-form size counts distinct polynomials
+    (the ANF is canonical) and ``count_codebook`` needs no row."""
+    parts = codebook._codebook_parts(family, m, h, r, None, ())
+    cols = codebook._columns(parts)
+    rows, at = np.empty((size, len(cols)), dtype=np.uint8), 0
+    for part in parts:
+        for block in codebook._row_blocks(part, cols, 1 << h):
+            rows[at : at + len(block)] = block
+            at += len(block)
+    assert at == size
+    keys = rows.view(np.dtype((np.void, len(cols)))).ravel()
+    keys.sort()  # in place: np.unique would hold two more copies of the rows
+    assert np.count_nonzero(keys[1:] == keys[:-1]) == 0
+    assert count_codebook(family, m, h, r=r) == size
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cskit import CycloValue, GbfPoly, ParseError, PolyphaseSeq, SizeLimitError, psi, psi_restricted
-from cskit.gbf import MAX_VALUE_VECTOR_M, gbf_from_json, gbf_to_json, parse_gbf, polys_from_rows, render_gbf
+from cskit.gbf import MAX_VALUE_VECTOR_M, _ascii_int, gbf_from_json, gbf_to_json, parse_gbf, polys_from_rows, render_gbf
 
 from graphs_reference import restrict
 
@@ -259,6 +259,18 @@ def test_bool_factor_is_refused_like_a_bool_term():
     assert f * np.int64(2) == np.int64(2) * f == f * 2 == parse_gbf("q=4;m=2; 2*x0*x1 + 2")
     with pytest.raises(TypeError):
         f * 2.0
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("0012", 12), ("-3", -3), ("+7", 7), (str(1 << 70), 1 << 70)])
+def test_ascii_int_reads_a_sign_and_ascii_digits(text, value):
+    assert _ascii_int(text) == value
+
+
+# int() reads the first six; it refuses the others too
+@pytest.mark.parametrize("text", ["٣", "1_0", " 3", "3\n", "+٣", "١٢", "", "+", "-", "--1", "+-1", "²", "0x1", "1.0", "1e3"])
+def test_ascii_int_refuses_what_int_reads_beyond_ascii_digits(text):
+    with pytest.raises(ValueError, match="^expected an optional sign and ASCII digits, got "):
+        _ascii_int(text)
 
 
 def slotted_polynomials():
