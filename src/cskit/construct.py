@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import _cartesian_sum, _indicator_anf, _pmepr_bound, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
+from .codebook import _cartesian_sum, _pmepr_bound, standard_golay_gbfs  # the latter re-exported: the standard Golay codebook
 from .correlation import AacfVector, write_sequences
 from .cyclo import _fold
 from .errors import BalanceError, GraphShapeError
@@ -49,6 +49,7 @@ from .gbf import (
     GbfPoly,
     PolyphaseSeq,
     _cell_dtype,
+    _family_json,
     _full_seqs,
     _index,
     _poly_from_parts,
@@ -56,8 +57,8 @@ from .gbf import (
     _require_power_of_two,
     _require_product_bytes,
     _require_value_vector_size,
-    _rows_json,
     _subset_sums,
+    _word_masks,
     anf_values,
     polys_from_rows,
 )
@@ -121,14 +122,15 @@ class CsCandidate:
 
     def to_json(self) -> dict:
         """The candidate as a dict; each member in the form of ``gbf_to_json``,
-        ``{"q", "m", "text"}`` with ``text`` equal to ``render_gbf(member)``."""
+        ``{"q", "m", "text"}`` with ``text`` equal to ``render_gbf(member)``,
+        written from the factor rows without forming ``rows``."""
         return {
             "q": self.q,
             "m": self.m,
             "size": self.size,
             "provenance": self.provenance,
             "pmepr_bound": self.pmepr_bound,
-            "members": _rows_json(self.q, self.m, self.cols, self.rows),
+            "members": _family_json(self.q, self.m, self.cols, self.factors),
             "predicted_aacf": self.predicted.to_json(),
         }
 
@@ -163,18 +165,25 @@ def _family(f: GbfPoly, profile: RestrictionProfile, provenance: str) -> CsCandi
     doubled = provenance == "doubled"
     predicted = _predicted_aacf(profile, doubled)  # refuses an oversized domain before any row is built
     q, half = f.q, f.q // 2
-    words_of: dict[int, list[int]] = {}
-    for word, t in profile.endpoints:
-        words_of.setdefault(t, []).append(word)
-    # (q/2) * c mod q depends on c mod 2 only, so t is summed over Z_2
-    t_poly = {mask | 1 << t: half for t, words in words_of.items() for mask in _indicator_anf(profile.restricted, words, 2)}
-    factors = [dict(f.terms), t_poly, *({1 << j: half} for j in reversed(profile.restricted))]
-    if doubled:
-        factors.insert(1, {1 << g.l: half for g in profile.groups})
-    cols = np.array(sorted(set().union(*factors)), dtype=np.int64)
-    rows = np.zeros((len(factors), len(cols)), dtype=np.min_scalar_type(q - 1))
-    for row, terms in zip(rows, factors):
-        row[np.searchsorted(cols, np.array(list(terms), dtype=np.int64))] = list(terms.values())
+    # t's coefficients: the Moebius transform, over the restricted bits, of the
+    # (endpoint, word) indicator table; (q/2) * c mod q depends on c mod 2
+    # only, so it is taken over Z_2
+    words, ends = np.array(profile.endpoints, dtype=np.int64).reshape(-1, 2).T
+    ends, which = np.unique(ends, return_inverse=True)
+    table = np.zeros((len(ends), 1 << profile.k), dtype=np.int64)
+    table[which, words] = 1
+    e, w = np.nonzero(_subset_sums(table, profile.k, inverse=True) & 1)
+    # every factor's masks, row after row, placed in one pass
+    sizes = [len(f.terms), *([len(profile.groups)] if doubled else []), len(e), *[1] * profile.k]
+    masks = np.concatenate([
+        np.array([tm for tm, _ in f.terms], dtype=np.int64),
+        np.array([1 << g.l for g in profile.groups] if doubled else [], dtype=np.int64),
+        np.array(_word_masks(profile.restricted), dtype=np.int64)[w] | 1 << ends[e],
+        1 << np.array(profile.restricted[::-1], dtype=np.int64),
+    ])
+    cols, at = np.unique(masks, return_inverse=True)
+    rows = np.zeros((len(sizes), len(cols)), dtype=np.min_scalar_type(q - 1))
+    rows[np.repeat(np.arange(len(sizes)), sizes), at] = [c for _, c in f.terms] + [half] * (len(masks) - len(f.terms))
     return CsCandidate(q, f.m, cols, rows, provenance, float(_pmepr_bound(profile.k, profile.M, provenance == "balanced")), predicted, profile)
 
 

@@ -621,44 +621,80 @@ def render_gbf(f: GbfPoly) -> str:
 # -- JSON --------------------------------------------------------------------
 
 
-def _rows_json(q: int, m: int, cols: np.ndarray, rows: np.ndarray) -> list[dict]:
-    """:func:`gbf_to_json` of each row of Z_q ANF coefficients over the
-    distinct int64 monomial masks ``cols`` (a candidate's members).
+def _family_json(q: int, m: int, cols: np.ndarray, factors: np.ndarray) -> list[dict]:
+    """:func:`gbf_to_json` of every member of a family: f = ``factors[0]``
+    plus every pick from {0, r} for each later row r, all Z_q ANF coefficient
+    rows (q a power of two) over the distinct int64 monomial masks ``cols``.
+    Member b picks the i-th of the F factors after f when bit F-1-i of b is
+    set, the order of ``construct._family_sum``.
 
     The columns are put in the text's term order (:func:`_term_key`: highest
     degree first; between terms of one degree, the one holding the first
-    variable where they differ comes first).  Each column's variables are
-    written once.  A row's text joins its pieces: each run of columns equal
-    in every row, joined once, and the term of each other column, rendered
-    once per (column, coefficient) through a dense index."""
+    variable where they differ comes first), and each column's variables are
+    written once.  The ordered columns are cut into runs.  A column that
+    several factors touch is a run of its own, written once per coefficient
+    its members take.  Every other run reads one factor or none: a column
+    that no factor touches joins the run before it, unless there is none or
+    that run is a column of several factors.  A run is joined once per value
+    of the factor bits it reads, and member b joins, for each run, the piece
+    that its own bits pick."""
     bits = (cols[:, None] >> np.arange(m)) & 1
     order = np.argsort(-(bits.sum(1) << m | bits @ (1 << np.arange(m)[::-1])))  # x0 read as the highest bit
-    bits, rows = bits[order], rows[:, order]
-    names = np.array([f"x{i}" for i in range(m)], dtype=object)[np.nonzero(bits)[1]].tolist()
-    ends = np.cumsum(bits.sum(1)).tolist()
-    variables = ["*".join(names[a:b]) for a, b in zip([0, *ends], ends)]
-    # pieces start at every column that differs between rows and after it
-    varying = (rows != rows[:1]).any(0)
-    bounds = [*np.flatnonzero(varying | np.r_[True, varying[:-1]]).tolist(), len(varying)]
-    runs = {a: " + ".join(_term_text(variables[j], c) for j, c in enumerate(rows[0, a:b].tolist(), a) if c) for a, b in zip(bounds, bounds[1:]) if not varying[a]}
-    var = np.flatnonzero(varying)
-    keys = rows[:, var] + q * np.arange(len(var))  # dense (column, coefficient) index
-    used = np.zeros(len(var) * q, dtype=bool)
-    used[keys] = True
-    used[::q] = False  # a zero coefficient writes no term
-    texts = np.empty(len(used), dtype=object)
-    texts[used] = [_term_text(variables[var[key // q]], key % q) for key in np.flatnonzero(used).tolist()]
-    heads = [a for a in bounds[:-1] if varying[a] or runs[a]]  # empty runs dropped
-    held = varying[heads]
-    pieces = np.empty((len(rows), len(heads)), dtype=object)
-    pieces[:, ~held] = [runs[a] for a in heads if not varying[a]]
-    pieces[:, held] = texts[keys]
-    live = np.ones(pieces.shape, dtype=bool)
-    live[:, held] = rows[:, var] != 0
-    flat = pieces[live].tolist()
-    ends = np.cumsum(live.sum(1)).tolist()
+    f, rest = factors[0, order], factors[1:, order]
+    # every column's variables in one string, each column ended by a newline;
+    # the constant, the one column without a variable, comes last
+    row, var = np.nonzero(bits[order])
+    names = np.array([*(f"x{i}*" for i in range(m)), *(f"x{i}\n" for i in range(m))], dtype=object)
+    variables = "".join(names[var + m * np.append(row[1:] != row[:-1], True)].tolist()).split("\n")[: len(cols)]
+
+    def term(j: int, c: int) -> str:
+        # the term followed by its separator; a zero coefficient writes nothing
+        return _term_text(variables[j], c) + " + " if c else ""
+
+    col, factor = np.nonzero(rest.T)
+    reads: dict[int, list[int]] = {}  # the factors that touch each column, ascending
+    for j, i in zip(col.tolist(), factor.tolist()):
+        reads.setdefault(j, []).append(i)
+    runs = [[0, []]]  # the start of each run and the factors it reads
+    for j, d in reads.items():
+        start, held = runs[-1]
+        if len(d) > 1:  # a run of its own, and a new run after it
+            if j > start or held:
+                runs.append([j, d])
+            else:
+                runs[-1][1] = d
+            runs.append([j + 1, []])
+        elif not held:
+            runs[-1][1] = d
+        elif held != d:
+            runs.append([j, d])
+    if runs[-1][0] == len(cols):  # begun after a last column that several factors touch, or no column at all
+        runs.pop()
+    plain = list(map(term, range(len(cols)), f.tolist()))  # no factor picked
+    picked = plain[:]  # the one factor of each column picked
+    one = [j for j, d in reads.items() if len(d) == 1]
+    for j, c in zip(one, ((f[one] + rest[:, one].sum(0)) & (q - 1)).tolist()):
+        picked[j] = term(j, c)
+    pieces: list[str] = []
+    index = []  # per run: its first piece, then the weight of each factor's bit
+    for (a, d), b in zip(runs, [*(start for start, _ in runs[1:]), len(cols)]):
+        weights = [0] * len(rest)
+        for t, i in enumerate(d):
+            weights[i] = 1 << t
+        index.append([len(pieces), *weights])
+        if len(d) > 1:  # the one column a: each coefficient that the picks of d give, written once
+            picks = (np.arange(1 << len(d))[:, None] >> np.arange(len(d))) & 1
+            coeffs = ((f[a] + picks @ rest[d, a]) & (q - 1)).tolist()
+            texts = {c: term(a, c) for c in set(coeffs)}
+            pieces += [texts[c] for c in coeffs]
+        else:
+            pieces += ["".join(plain[a:b]), "".join(picked[a:b])] if d else ["".join(plain[a:b])]
+    # row 0 of the member bits is all ones, for the first piece; row 1 + i is factor i's bit
+    member_bits = (np.arange(1 << len(rest)) >> np.arange(len(rest) + 1)[::-1, None]) & 1
+    member_bits[0] = 1
+    chosen = np.array(pieces, dtype=object)[(np.array(index, dtype=np.intp).reshape(-1, len(rest) + 1) @ member_bits).T]
     head = f"q={q};m={m}; "
-    return [{"q": q, "m": m, "text": head + (" + ".join(flat[a:b]) or "0")} for a, b in zip([0, *ends], ends)]
+    return [{"q": q, "m": m, "text": head + (body[:-3] or "0")} for body in map("".join, chosen.tolist())]
 
 
 def gbf_to_json(f: GbfPoly) -> dict:

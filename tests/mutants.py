@@ -1,16 +1,18 @@
-"""Mutants of the exactness guards, the codebook's closed forms and the CLI's
-contract, and a runner that checks each is killed.
+"""Mutants of the exactness guards, the codebook's closed forms, the CLI's
+contract and the family export, and a runner that checks each is killed.
 
-    python tests/mutants.py
+    python tests/mutants.py           # the named tests of each row
+    python tests/mutants.py --full    # the whole suite for each row
 
 Each row of ``MUTANTS`` names a source file, a text that occurs in it exactly
 once, its replacement and the tests that must fail once it is applied.  The
 runner exports HEAD with ``git archive`` and, per mutant, extracts it into a
-fresh temporary directory, applies the row and runs pytest on the named tests
-there.  A mutant is killed when those tests fail (pytest exit code 1); any
+fresh temporary directory, applies the row and runs pytest there: on the
+named tests, or with ``--full`` on the whole suite, stopping at the first
+failure.  A mutant is killed when the tests fail (pytest exit code 1); any
 other outcome, a pass or a collection error, is a survivor.  First the
-unmutated export must pass every named test.  ``EQUIVALENT`` lists mutants
-that change no result, each with the reason; none is listed today.
+unmutated export must pass the tests it will run.  ``EQUIVALENT`` lists
+mutants that change no result, each with the reason; none is listed today.
 
 Pytest does not collect this file.  ``tests/test_package.py`` checks, in the
 tier-1 suite, that every ``old`` text occurs exactly once and that every named
@@ -19,6 +21,7 @@ test exists; it does not run the mutants.
 
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import subprocess
@@ -33,7 +36,9 @@ ROOT = Path(__file__).resolve().parents[1]
 CORRELATION = "src/cskit/correlation.py"
 CLI = "src/cskit/cli.py"
 CODEBOOK = "src/cskit/codebook.py"
+CYCLO = "src/cskit/cyclo.py"
 GBF = "src/cskit/gbf.py"
+GRAPHS = "src/cskit/graphs.py"
 
 
 class Mutant(NamedTuple):
@@ -213,12 +218,79 @@ MUTANTS = (
         "keys = col + rows.ravel()[flat]",
         ("tests/test_properties.py::test_enumerators_match_the_reference",),
     ),
+    # the family export from factor runs: a one-factor run joined for the
+    # other value of its member bit, and a column of several factors that
+    # reads their bits in reverse (every family holds q/2 in each factor
+    # there, so only arbitrary factor rows see it)
+    Mutant(
+        "one-factor run reads the other member bit",
+        GBF,
+        'pieces += ["".join(plain[a:b]), "".join(picked[a:b])] if d',
+        'pieces += ["".join(picked[a:b]), "".join(plain[a:b])] if d',
+        ("tests/test_construct_properties.py::test_export_writes_each_member_as_render_gbf", "tests/test_cli.py::test_json_bytes_pinned"),
+    ),
+    Mutant(
+        "several-factor column reads its bits reversed",
+        GBF,
+        "np.arange(len(d))) & 1",
+        "np.arange(len(d))[::-1]) & 1",
+        ("tests/test_restriction_table.py::test_member_text_from_factor_rows",),
+    ),
+    # omega^e = -omega^(e - q/2) for the upper half of a histogram
+    Mutant(
+        "fold adds the upper half",
+        CYCLO,
+        "counts[..., :half] - counts[..., half:]",
+        "counts[..., :half] + counts[..., half:]",
+        ("tests/test_cyclo.py::test_from_counts",),
+    ),
+    # C_a(0) of a masked sequence is its live count, not its length
+    Mutant(
+        "row 0 from the length",
+        CORRELATION,
+        "    row[0] = a.mask.sum()\n",
+        "    row[0] = len(a)\n",
+        ("tests/test_correlation.py::test_fft_core_takes_no_fallback_when_proven",),
+    ),
+    # a path plus one isolated vertex takes three vertices
+    Mutant(
+        "isolated vertex only from four vertices",
+        GRAPHS,
+        "(lone <= (n >= 3))",
+        "(lone <= (n >= 4))",
+        ("tests/test_restriction_table.py::test_classify_equals_the_reference_on_every_small_graph",),
+    ),
+    # operator.index reads a bool as 0 or 1
+    Mutant(
+        "bools read as integers",
+        GBF,
+        "    if not isinstance(n, bool):\n",
+        "    if True:\n",
+        ("tests/test_refusals.py::test_refusal_of_a_non_integer",),
+    ),
+    # the on-grid values of an FFT row of the PMEPR grid
+    Mutant(
+        "mirrored rows' on-grid slice",
+        CORRELATION,
+        "return (slice(x % 4 + u % 2, None, 4),)",
+        "return (slice(x % 4, None, 4),)",
+        ("tests/test_correlation.py::test_pmepr_grid_is_the_autocorrelation_polynomial", "tests/test_correlation.py::test_pmepr_grid_is_pinned"),
+    ),
+    Mutant(
+        "row 0's on-grid slice at an odd oversample",
+        CORRELATION,
+        "return step, rows, (slice(0, None, 4),), tuple(",
+        "return step, rows, (slice(0, None, 2),), tuple(",
+        ("tests/test_correlation.py::test_pmepr_grid_is_the_autocorrelation_polynomial", "tests/test_correlation.py::test_pmepr_grid_is_pinned"),
+    ),
 )
 
 EQUIVALENT: dict[str, str] = {}
 
 
 def _pytest(where: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code on ``tests`` in the export at ``where``; no tests
+    runs the whole suite."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     return subprocess.run(cmd, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
@@ -230,13 +302,16 @@ def _export(archive: bytes, where: Path) -> None:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Run each mutant of MUTANTS and check that it is killed.")
+    parser.add_argument("--full", action="store_true", help="run the whole suite for each mutant, not its named tests")
+    full = parser.parse_args().full
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "HEAD"], check=True, capture_output=True).stdout
     start, survivors = time.perf_counter(), []
     with tempfile.TemporaryDirectory() as tmp:
         _export(archive, Path(tmp))
-        named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        named = () if full else tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         if _pytest(Path(tmp), named):
-            print("the unmutated export fails a named test", file=sys.stderr)
+            print("the unmutated export fails a test it runs", file=sys.stderr)
             return 2
     for m in MUTANTS:
         t0 = time.perf_counter()
@@ -248,7 +323,7 @@ def main() -> int:
                 print(f"{m.name}: the old text occurs {text.count(m.old)} times in {m.file}", file=sys.stderr)
                 return 2
             path.write_text(text.replace(m.old, m.new))
-            killed = _pytest(Path(tmp), m.tests) == 1
+            killed = _pytest(Path(tmp), () if full else m.tests) == 1
         if not killed and m.name not in EQUIVALENT:
             survivors.append(m.name)
         print(f"{'killed' if killed else 'SURVIVED'}  {time.perf_counter() - t0:6.1f} s  {m.name}")

@@ -128,6 +128,27 @@ def test_sequences_equal_the_reference_sequences():
     assert checked == 420
 
 
+def test_export_writes_each_member_as_render_gbf():
+    """The export written from factor runs, on offset, balanced and doubled
+    families at q in {2, 4, 8}: every member's text is ``render_gbf`` of the
+    member.  The shapes cover k = 0, two isolated groups, and doubled
+    families where the shift (q/2) x_l and the endpoint factor both touch
+    the column x_l, a run of its own."""
+    shapes = [(m, 0, ()) for m in (3, 5, 8)] + [(m, k, sizes) for m in (6, 8) for k, sizes in ((1, (1,)), (2, (2, 1)), (2, (2, 2)), (3, (4, 2)))]
+    families = touched_twice = 0
+    for (m, k, sizes), q, seed in itertools.product(shapes, (2, 4, 8), range(3)):
+        balanced = all(n % 2 == 0 for n in sizes) and seed % 2 == 0
+        f, restricted = random_qualifying_gbf(m, k, q, sizes, balanced=balanced, seed=100 * m + 10 * k + q + seed)
+        profile = analyze(f, restricted)
+        builds = (offset_set, doubled_cs, balanced_cs) if profile.is_balanced() else (offset_set, doubled_cs)
+        for build in builds:
+            cand = build(f, profile)
+            assert [g["text"] for g in cand.to_json()["members"]] == [render_gbf(g) for g in cand.members]
+            touched_twice += bool(((cand.factors[1:] != 0).sum(0) > 1).any())
+            families += 1
+    assert families == 250 and touched_twice  # 19 of them
+
+
 def coefficient_rows(q, m, n, seed):
     """n rows of Z_q coefficients over up to 24 distinct ascending masks below
     2^m, in the dtypes the library passes (masks as Python ints above x62,

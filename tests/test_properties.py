@@ -310,6 +310,7 @@ def test_cartesian_blocks_match_the_unblocked_sum(case):
 SPLITS = st.sampled_from([1, 3, 40, 1 << 24])
 YIELDS = st.sampled_from([1, 7, 1 << 10])
 HEAD = 600  # words compared per request
+WHOLE = {("C4", 4, 2): 832}  # (family, m, r) of a union code compared in full, and its word count
 
 
 @st.composite
@@ -344,10 +345,10 @@ def codebook_request(draw):
     return family, m, h, kw
 
 
-def outcome(make):
-    """The first HEAD words, or the type of the error raised on the way."""
+def outcome(make, head=HEAD):
+    """The first ``head`` words, or the type of the error raised on the way."""
     try:
-        return list(itertools.islice(make(), HEAD))
+        return list(itertools.islice(make(), head))
     except ValueError as exc:  # EnumerationError included
         return type(exc)
 
@@ -358,6 +359,7 @@ def split_enumeration(block_symbols, yield_rows):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(codebook_request(), SPLITS, YIELDS)
+@example(("C4", 4, 1, {"r": 2}), 40, 7)
 def test_enumerators_match_the_reference(request, block_symbols, yield_rows):
     """Every family yields the reference's polynomials in the reference's
     order, or raises the same error; above 2^22 words it refuses at the call,
@@ -372,9 +374,10 @@ def test_enumerators_match_the_reference(request, block_symbols, yield_rows):
             with pytest.raises(EnumerationError):
                 codebook.enumerate_codebook(family, m, h, **kw)
             return
-        got = outcome(lambda: codebook.enumerate_codebook(family, m, h, **kw))
-    assert got == outcome(lambda: reference.enumerate_codebook(family, m, h, **kw))
-    if isinstance(got, list) and words <= HEAD:
+        head = WHOLE.get((family, m, kw.get("r")), HEAD)
+        got = outcome(lambda: codebook.enumerate_codebook(family, m, h, **kw), head)
+    assert got == outcome(lambda: reference.enumerate_codebook(family, m, h, **kw), head)
+    if isinstance(got, list) and words <= head:
         assert len(got) == words
 
 

@@ -3,7 +3,7 @@
 ``gbf.restriction_table`` holds the coefficient of every unrestricted
 monomial after every restriction word; ``graphs.analyze``,
 ``random_qualifying_gbf`` and ``codebook._indicator_anf`` are built on it, and
-``gbf._rows_json`` writes members from per-column term tables.  Each is
+``gbf._family_json`` writes a family's members from its factor rows.  Each is
 checked against ``graphs_reference.py`` (the analysis one restricted
 polynomial at a time, the indicator expanded word by word) or against
 ``render_gbf``: equal profiles, the same refusal (type and message) for the
@@ -22,7 +22,8 @@ import pytest
 
 from cskit import DegreeError, GbfPoly, GraphShapeError, analyze, parse_gbf, random_qualifying_gbf, render_gbf
 from cskit.codebook import _indicator_anf
-from cskit.gbf import _poly_from_parts, _rows_json, _subset_sums, polys_from_rows, restriction_table
+from cskit.construct import _family_sum
+from cskit.gbf import _family_json, _poly_from_parts, _subset_sums, polys_from_rows, restriction_table
 from cskit.graphs import _path_shapes
 
 import construct_reference
@@ -189,19 +190,22 @@ def test_wide_domains_stay_exact(m, q):
     assert _indicator_anf(variables, [0, 5, 5, 6], q) == reference.indicator_anf(variables, [0, 5, 5, 6], q)
 
 
-def test_member_text_from_term_tables():
-    """Rows with constant and varying columns, repeated and zero rows: each
-    text is render_gbf of the row's polynomial."""
+def test_member_text_from_factor_rows():
+    """Random factor rows over shared columns: columns that f alone holds,
+    that one factor or several touch, zero columns and rows, and families of
+    no factor at all.  Each text is render_gbf of the member that
+    ``_family_sum`` adds up from the rows."""
     rng = np.random.default_rng(11)
-    for _ in range(200):
+    several = 0
+    for _ in range(300):
         q = int(rng.choice([2, 4, 8, 16]))
         m = int(rng.integers(1, 10))
         cols = np.sort(rng.choice(1 << m, size=int(rng.integers(0, min(40, 1 << m) + 1)), replace=False)).astype(np.int64)
-        n = int(rng.integers(1, 12))
-        rows = rng.integers(0, q, size=(n, len(cols)))
-        fixed = rng.random(len(cols)) < 0.5
-        rows[:, fixed] = rows[:1, fixed]  # columns equal in every row
-        rows[rng.random(n) < 0.1] = 0
-        rows = rows.astype(np.uint8)
-        texts = [blob["text"] for blob in _rows_json(q, m, cols, rows)]
-        assert texts == [render_gbf(g) for g in polys_from_rows(q, m, cols, rows)]
+        factors = rng.integers(0, q, size=(int(rng.integers(1, 7)), len(cols)))
+        factors[rng.random(factors.shape) < rng.random()] = 0
+        factors[rng.random(len(factors)) < 0.1] = 0
+        factors = factors.astype(np.uint8)
+        texts = [blob["text"] for blob in _family_json(q, m, cols, factors)]
+        assert texts == [render_gbf(g) for g in polys_from_rows(q, m, cols, _family_sum(factors, q))]
+        several += bool(((factors[1:] != 0).sum(0) > 1).any())
+    assert several
