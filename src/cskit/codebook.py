@@ -295,9 +295,12 @@ def union_code_size_pmepr8(m: int, r: int, h: int) -> int:
 
 # -- Cartesian sums of Z_q rows --------------------------------------------------
 
-# A block holds at most 2^16 rows and 2^24 symbols (one byte each for
-# q <= 256), so it stays within 16 MiB.
-_BLOCK_WORDS = 1 << 16
+# A block holds at most 2^12 rows and 2^24 symbols (one byte each for
+# q <= 256), so it stays within 16 MiB.  The row bound keeps a block and the
+# head sums made from it a few hundred KiB at the enumerators' widths:
+# streaming C8(5,2,1) peaks at 0.34 MiB traced with 2^12 rows and at 4.0 MiB
+# with 2^16, at the same speed, while 2^8 rows sum slower.
+_BLOCK_WORDS = 1 << 12
 _BLOCK_SYMBOLS = 1 << 24
 
 
@@ -447,7 +450,13 @@ def erm_min_distances(r: int, m: int, h: int) -> tuple[int, float]:
 # _cartesian_blocks), and a GbfPoly is made only for a word that is yielded.
 
 _MAX_WORDS = 1 << 22
-_YIELD_ROWS = 1 << 10  # rows turned into polynomials at a time
+# Rows turned into polynomials at a time.  A chunk's words are one GbfPoly
+# and one term tuple each, plus the chunk's shared (mask, coefficient) pairs
+# (shared once the chunk has q rows, see polys_from_rows), so 256 rows stay
+# under the 700 new container objects that start CPython's youngest
+# collection, and a family streams with next to none: C8(5,2,1) ran 2,040
+# in chunks of 1,024 rows.
+_YIELD_ROWS = 1 << 8
 
 
 class _Paths:
@@ -523,8 +532,9 @@ def _row_blocks(factors: Sequence, cols: np.ndarray, q: int) -> Iterator[np.ndar
 
 
 def _columns(parts: Sequence[Sequence]) -> np.ndarray:
-    """The sorted union of the monomial masks of every factor."""
-    return np.unique(np.array([mask for part in parts for f in part for mask in f.masks()], dtype=np.int64))
+    """The sorted union of the monomial masks of every factor (a Python set,
+    as ``np.unique`` imports ``numpy.ma`` on its first call)."""
+    return np.array(sorted({mask for part in parts for f in part for mask in f.masks()}), dtype=np.int64)
 
 
 def _coefficient_words(parts: Sequence[Sequence], q: int, m: int) -> Iterator[GbfPoly]:

@@ -1,5 +1,6 @@
-"""Mutants of the exactness guards, the codebook's closed forms, the CLI's
-contract and the family export, and a runner that checks each is killed.
+"""Mutants of the exactness guards, the codebook's closed forms and working
+set, the CLI's contract and the family export, and a runner that checks each
+is killed.
 
     python tests/mutants.py           # the named tests of each row
     python tests/mutants.py --full    # the whole suite for each row
@@ -100,7 +101,7 @@ MUTANTS = (
         "src/cskit/construct.py",
         "coeffs[1 << g.l] = _fold(",
         "coeffs[1 << g.l] = -_fold(",
-        ("tests/test_acceptance.py::test_criterion_2_prediction_oracle",),
+        ("tests/test_acceptance.py::test_criterion_2_prediction_oracle", "tests/test_census.py::test_census_q2_m4"),
     ),
     Mutant(
         "Bernstein term halved",
@@ -217,6 +218,30 @@ MUTANTS = (
         "keys = col * q + rows.ravel()[flat]",
         "keys = col + rows.ravel()[flat]",
         ("tests/test_properties.py::test_enumerators_match_the_reference",),
+    ),
+    # the enumerator's working set: np.unique imports numpy.ma on its first
+    # call, and chunks of 1,024 polynomials or blocks of 2^16 rows hold
+    # several times the streamed peak
+    Mutant(
+        "family columns through np.unique",
+        CODEBOOK,
+        "np.array(sorted({mask for part in parts for f in part for mask in f.masks()}), dtype=np.int64)",
+        "np.unique(np.array([mask for part in parts for f in part for mask in f.masks()], dtype=np.int64))",
+        ("tests/test_package.py::test_enumeration_imports_no_module",),
+    ),
+    Mutant(
+        "yield chunks of 1,024 rows",
+        CODEBOOK,
+        "_YIELD_ROWS = 1 << 8",
+        "_YIELD_ROWS = 1 << 10",
+        ("tests/test_codebook.py::test_enumeration_streams_in_a_small_working_set",),
+    ),
+    Mutant(
+        "Cartesian blocks of 2^16 rows",
+        CODEBOOK,
+        "_BLOCK_WORDS = 1 << 12",
+        "_BLOCK_WORDS = 1 << 16",
+        ("tests/test_codebook.py::test_enumeration_streams_in_a_small_working_set",),
     ),
     # the family export from factor runs: a one-factor run joined for the
     # other value of its member bit, and a column of several factors that

@@ -182,7 +182,7 @@ def test_enumerate_codebook_refuses_before_building(family, m, h, kw):
 
 def test_enumerate_codebook_is_lazy():
     # the first words of a 2^22-word code come from one block of at most
-    # 2^16 coefficient rows, without the rest of the code
+    # 2^12 coefficient rows, without the rest of the code
     tracemalloc.start()
     try:
         head = list(itertools.islice(enumerate_codebook("ERM", 6, 1, r=2), 3))
@@ -214,7 +214,7 @@ def test_enumerated_words_are_pinned(family, m, h, r):
 
 def test_enumerated_words_share_their_terms():
     # a block of words holds each (mask, coefficient) pair once, and each
-    # word is slotted: the 36864 words of C8(5, 1, 2) keep about 7 MiB,
+    # word is slotted: the 36864 words of C8(5, 1, 2) keep about 6.1 MiB,
     # against about 13.6 MiB with a __dict__ per word and about 30 MiB with
     # a fresh pair per term as well
     tracemalloc.start()
@@ -225,6 +225,22 @@ def test_enumerated_words_share_their_terms():
         tracemalloc.stop()
     assert len(words) == 36864
     assert held < 9 << 20
+
+
+def test_enumeration_streams_in_a_small_working_set():
+    # words streamed and dropped: one chunk of 256 polynomials and one block
+    # of at most 2^12 rows are alive at a time, so C8(5, 1, 2) peaks at about
+    # 0.32 MiB, against 0.69 MiB with chunks of 1,024, 1.1 MiB with blocks of
+    # 2^16 rows and 1.5 MiB with both
+    sum(1 for _ in enumerate_codebook("C8", 5, 1, r=2))  # NumPy's first calls allocate caches
+    tracemalloc.start()
+    try:
+        words = sum(1 for _ in enumerate_codebook("C8", 5, 1, r=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == 36864
+    assert peak <= 1 << 19
 
 
 # -- representative enumerators ---------------------------------------------------

@@ -34,7 +34,6 @@ from cskit import gbf
 from cskit.gbf import GbfPoly, render_gbf
 
 import construct_reference as reference
-from test_acceptance import SHAPE_MIXES
 
 
 def test_indicator_poly():
@@ -265,29 +264,3 @@ def test_export_bytes_are_pinned(build, shape, size, json_digest, text_digest):
     assert cand.size == size
     assert hashlib.sha256(json.dumps(cand.to_json()).encode()).hexdigest() == json_digest
     assert hashlib.sha256(cs_to_text(cand).encode()).hexdigest() == text_digest
-
-
-def criterion_2_instances():
-    """The 210 (f, restricted) pairs that acceptance criterion 2 draws."""
-    counters = {0: 0, 1: 0, 2: 0}
-    for m, k, q in itertools.product(range(4, 9), range(3), (2, 4)):
-        for seed in range(7):
-            sizes = ()
-            if m - k >= 3:
-                sizes = SHAPE_MIXES[k][counters[k] % len(SHAPE_MIXES[k])]
-                counters[k] += 1
-            yield random_qualifying_gbf(m, k, q, group_sizes=sizes, balanced=False, seed=1000 * m + 100 * k + 10 * q + seed)
-
-
-@pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])
-def test_member_text_is_the_rendered_member(build):
-    built = 0
-    for f, restricted in criterion_2_instances():
-        try:
-            cand = build(f, restricted=restricted)
-        except (BalanceError, GraphShapeError):
-            continue
-        members = cand.to_json()["members"]
-        assert members == [{"q": g.q, "m": g.m, "text": render_gbf(g)} for g in cand.members]
-        built += 1
-    assert built >= 20

@@ -548,6 +548,20 @@ def test_sequences_need_a_power_of_two_modulus():
 # -- the JSON export reads the coefficient array once --------------------------------
 
 
+@pytest.mark.parametrize("q", [2, 4, 16, 1 << 16])
+def test_nonzero_shifts_are_the_nonzero_rows(q):
+    # both of its passes (per column for long, narrow arrays, one reduction
+    # for wide ones), on all-zero, sparse and dense rows
+    rng = np.random.default_rng(q)
+    for L in (1, 2, 3, 64, 129, 1024, 4096):
+        if L * q > 1 << 18:
+            continue
+        for density in (0, 0.001, 0.5):
+            coeffs = np.where(rng.random((L, q // 2)) < density, rng.integers(-3, 4, (L, q // 2)), 0)
+            vec = correlation.AacfVector(q, coeffs)
+            assert vec.nonzero_shifts() == [tau for tau in range(1, L) if coeffs[tau].any()]
+
+
 def per_shift_json(vec):
     """The export built one shift at a time from ``at`` and ``abs(at)``."""
     off = [{"tau": tau, "value": list(vec.at(tau).coeffs), "abs": abs(vec.at(tau))} for tau in vec.nonzero_shifts()]

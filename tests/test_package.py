@@ -204,3 +204,17 @@ def test_import_starts_no_thread_and_no_logging():
     src = str(pathlib.Path(cskit.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.split() == ["0", "False", "False", "0"]
+
+
+def test_enumeration_imports_no_module():
+    """Enumerating a codebook after ``import cskit`` adds no module to
+    ``sys.modules``: ``np.unique`` imports ``numpy.ma`` on its first call,
+    which every ``cskit enumerate`` child would pay in start-up and memory."""
+    probe = (
+        "import sys, cskit; before = set(sys.modules); "
+        "n = sum(1 for _ in cskit.enumerate_codebook('C4', 4, 2, r=1)); "
+        "print(n, sorted(set(sys.modules) - before))"
+    )
+    src = str(pathlib.Path(cskit.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.split() == ["25600", "[]"]
