@@ -283,10 +283,11 @@ class CorrVector:
         return self.q == other.q and np.array_equal(self.coeffs, other.coeffs)
 
     def nonzero_shifts(self) -> list[int]:
-        # any(axis=1) pays about as much per row as one NumPy call costs per
-        # 128 rows, so a long, narrow array takes one != 0 pass per coordinate
-        # column instead (L = 4096, q = 4: 78 -> 20 us), and a wide one, up
-        # to q/2 = 2^15 columns, keeps the single reduction
+        # any(axis=1) pays per row, and one NumPy call costs about as much as
+        # 128 of its rows: an array of at least 128 rows a coordinate column
+        # takes one != 0 pass per column (L = 4096, q = 4: 78 -> 20 us), a
+        # wider one the reduction (q = 2^16, L = 64: 52 ms of passes against
+        # under 1 ms)
         off = self.coeffs[1:]
         if off.shape[1] * 128 > len(off):
             live = off.any(axis=1)

@@ -7,7 +7,8 @@ variables (11 sets), 22,528 pairs.  ``analyze`` must agree with
 ``graphs_reference.analyze`` on each, refusal type and message included.
 On each accepted pair the offset family's predicted summed autocorrelation
 must be its measured one, and the balanced and doubled families must be
-complementary.  Affine parts are left out: they change no restriction graph.
+complementary.  Affine parts are left out; that they change no verdict of
+``analyze`` is only spot-checked.
 """
 
 import collections
