@@ -34,6 +34,7 @@ from cskit import gbf
 from cskit.gbf import GbfPoly, render_gbf
 
 import construct_reference as reference
+from test_acceptance import SHAPE_MIXES
 
 
 def test_indicator_poly():
@@ -264,3 +265,35 @@ def test_export_bytes_are_pinned(build, shape, size, json_digest, text_digest):
     assert cand.size == size
     assert hashlib.sha256(json.dumps(cand.to_json()).encode()).hexdigest() == json_digest
     assert hashlib.sha256(cs_to_text(cand).encode()).hexdigest() == text_digest
+
+
+def criterion_2_instances():
+    """The 210 (f, restricted) pairs that acceptance criterion 2 draws."""
+    counters = {0: 0, 1: 0, 2: 0}
+    for m, k, q in itertools.product(range(4, 9), range(3), (2, 4)):
+        for seed in range(7):
+            sizes = ()
+            if m - k >= 3:
+                sizes = SHAPE_MIXES[k][counters[k] % len(SHAPE_MIXES[k])]
+                counters[k] += 1
+            yield random_qualifying_gbf(m, k, q, group_sizes=sizes, balanced=False, seed=1000 * m + 100 * k + 10 * q + seed)
+
+
+# families built from the 210 instances, and those with a column that
+# several factors touch (only doubled families hold one here)
+CRITERION_2_BUILT = {"offset_set": (210, 0), "balanced_cs": (91, 0), "doubled_cs": (210, 13), "path_restriction_cs": (79, 0)}
+
+
+@pytest.mark.parametrize("build", [offset_set, balanced_cs, doubled_cs, path_restriction_cs])
+def test_member_text_is_the_rendered_member(build):
+    built = touched_twice = 0
+    for f, restricted in criterion_2_instances():
+        try:
+            cand = build(f, restricted=restricted)
+        except (BalanceError, GraphShapeError):
+            continue
+        members = cand.to_json()["members"]
+        assert members == [{"q": g.q, "m": g.m, "text": render_gbf(g)} for g in cand.members]
+        touched_twice += bool(((cand.factors[1:] != 0).sum(0) > 1).any())
+        built += 1
+    assert (built, touched_twice) == CRITERION_2_BUILT[build.__name__]
